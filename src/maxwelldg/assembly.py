@@ -20,13 +20,13 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix
+from scipy.sparse import block_diag, bmat, csr_matrix
 
 from .lifting import Lifting
 from .materials import Coefficients, MaterialArrays
 from .mesh import Mesh
 from .quadrature import segment_rule, triangle_rule
-from .spaces import Spaces
+from .spaces import Spaces, block_sparse, element_block_diag
 
 __all__ = ["Discretization", "ProblemSpec", "element_block_diag",
            "assemble_a_face_integral", "assemble_b_face_integral"]
@@ -73,18 +73,6 @@ class ProblemSpec:
     def discretize(self, mesh: Mesh, degree: int) -> "Discretization":
         return Discretization(mesh, degree, self.coeffs,
                               alpha=self.alpha, gamma=self.gamma)
-
-
-def element_block_diag(blocks: np.ndarray) -> csr_matrix:
-    """Sparse block diagonal from an (ne, n, m) array of local blocks."""
-    ne, n, m = blocks.shape
-    rows = np.broadcast_to(
-        (np.arange(ne)[:, None] * n + np.arange(n))[:, :, None], (ne, n, m))
-    cols = np.broadcast_to(
-        (np.arange(ne)[:, None] * m + np.arange(m))[:, None, :], (ne, n, m))
-    return coo_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(ne * n, ne * m)).tocsr()
 
 
 class Discretization:
@@ -406,45 +394,36 @@ def assemble_b_face_integral(disc: Discretization) -> csr_matrix:
     """Mixed form via direct quadrature: -(eps v, grad q) pointwise plus
     face integrals of {{eps v}} against the normal jump of q."""
     sp = disc.spaces
+    mesh = disc.mesh
     eps = disc.materials.eps
 
     rule = triangle_rule(sp.deg_stiff)
-    pts, wts = rule.points, rule.weights
-    vvals = sp.vbasis.eval(pts)
-    qgrads = sp.qbasis.grad(pts)
-    rows, cols, vals = [], [], []
-    for e in range(disc.mesh.num_elements):
-        mapped_v = np.einsum("dk,pnk->pnd", sp.inv_jac_t[e], vvals)
-        mapped_g = np.einsum("dk,pjk->pjd", sp.inv_jac_t[e], qgrads)
-        ev = np.einsum("cd,pnd->pnc", eps[e], mapped_v)
-        block = -sp.det_jac[e] * np.einsum("p,pnc,pjc->jn", wts, ev, mapped_g)
-        rr, cc = np.meshgrid(sp.q_dofs(e), sp.v_dofs(e), indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(block.ravel())
+    mapped_v = np.einsum("edk,pnk->epnd", sp.inv_jac_t,
+                         sp.vbasis.eval(rule.points), optimize=True)
+    mapped_g = np.einsum("edk,pjk->epjd", sp.inv_jac_t,
+                         sp.qbasis.grad(rule.points), optimize=True)
+    ev = np.einsum("ecd,epnd->epnc", eps, mapped_v, optimize=True)
+    volume = -sp.det_jac[:, None, None] * np.einsum(
+        "p,epnc,epjc->ejn", rule.weights, ev, mapped_g, optimize=True)
 
+    # faces over (face, v-side, q-side); a boundary face has no side 1
     frule = segment_rule(sp.deg_stiff)
-    s, w = frule.points, frule.weights
-    for f in range(disc.mesh.num_faces):
-        sides, avg = _face_sides(disc, f)
-        n = disc.mesh.face_normals[f]
-        h = disc.mesh.face_lengths[f]
-        phys = sp.face_points(f, s)
-        for ev_elem, _ in sides:
-            ref_v = sp.ref_coords(ev_elem, phys)
-            mapped = np.einsum("dk,pnk->pnd", sp.inv_jac_t[ev_elem],
-                               sp.vbasis.eval(ref_v))
-            ev = avg * np.einsum("cd,pnd->pnc", eps[ev_elem], mapped)
-            ev_n = np.einsum("pnc,c->pn", ev, n)
-            for eq_elem, sg in sides:
-                ref_q = sp.ref_coords(eq_elem, phys)
-                qv = sg * sp.qbasis.eval(ref_q)
-                block = h * np.einsum("p,pj,pn->jn", w, qv, ev_n)
-                rr, cc = np.meshgrid(sp.q_dofs(eq_elem), sp.v_dofs(ev_elem),
-                                     indexing="ij")
-                rows.append(rr.ravel())
-                cols.append(cc.ravel())
-                vals.append(block.ravel())
-    return coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(sp.dim_Q, sp.dim_V)).tocsr()
+    nf, npts = mesh.num_faces, len(frule.points)
+    present = mesh.face_elements >= 0
+    elems = np.where(present, mesh.face_elements, 0)
+    avg = np.where(mesh.boundary, 1.0, 0.5)
+    phys = sp.face_points(np.arange(nf), frule.points)
+    ref = sp.ref_coords(elems, phys[:, None]).reshape(-1, 2)
+    vvals = sp.vbasis.eval(ref).reshape(nf, 2, npts, sp.ndof_v, 2)
+    qvals = sp.qbasis.eval(ref).reshape(nf, 2, npts, sp.ndof_q)
+    # n . {{eps v}}, per v-side and point
+    ev_n = np.einsum("f,fc,fscd,fsdk,fspnk->fspn", avg, mesh.face_normals,
+                     eps[elems], sp.inv_jac_t[elems], vvals, optimize=True)
+    blocks = np.einsum("f,p,t,ftpj,fspn->fstjn", mesh.face_lengths,
+                       frule.weights, np.array([1.0, -1.0]), qvals, ev_n,
+                       optimize=True)
+    rows = (elems * sp.ndof_q)[:, None, :, None] + np.arange(sp.ndof_q)
+    cols = (elems * sp.ndof_v)[:, :, None, None] + np.arange(sp.ndof_v)
+    faces = block_sparse(blocks, rows, cols, (sp.dim_Q, sp.dim_V),
+                         keep=present[:, :, None] & present[:, None, :])
+    return element_block_diag(volume) + faces

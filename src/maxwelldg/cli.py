@@ -61,14 +61,21 @@ class RunConfig:
     formulation: str
 
 
+def _finite(value, what: str):
+    """Reject NaN and infinities, which Python's json accepts."""
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{what} must be finite, got {value}")
+    return value
+
+
 def _parse_tensor(value, what: str):
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(float(value), what)
     if isinstance(value, list):
         arr = np.asarray(value, dtype=float)
         if arr.shape != (2, 2):
             raise ConfigError(f"{what} must be a scalar or a 2x2 matrix")
-        return arr
+        return _finite(arr, what)
     raise ConfigError(f"{what} must be a scalar or a 2x2 matrix")
 
 
@@ -88,7 +95,10 @@ def _parse_coefficients(table) -> Coefficients:
                 f"coefficient entry for tag {key!r} must hold 'mu' and/or 'eps'")
         mu[tag] = _parse_tensor(entry.get("mu", 1.0), f"mu[{key}]")
         eps[tag] = _parse_tensor(entry.get("eps", 1.0), f"eps[{key}]")
-    return Coefficients(mu=mu, eps=eps)
+    try:
+        return Coefficients(mu=mu, eps=eps)
+    except ValueError as err:
+        raise ConfigError(f"coefficients: {err}") from None
 
 
 def load_config(path: str, command: str, levels: int | None = None,
@@ -130,6 +140,7 @@ def load_config(path: str, command: str, levels: int | None = None,
     k = raw.get("k", 1.0)
     if not isinstance(k, (int, float)):
         raise ConfigError("k must be a number")
+    _finite(k, "k")
 
     formulation = raw.get("formulation", "primal")
     if formulation not in ("primal", "auxiliary"):
@@ -139,15 +150,21 @@ def load_config(path: str, command: str, levels: int | None = None,
     coeffs = _parse_coefficients(raw.get("coefficients"))
 
     def _penalty(value, what):
-        if value == "auto" or isinstance(value, (int, float)):
+        if value == "auto":
             return value
+        if isinstance(value, (int, float)):
+            return _finite(value, what)
         raise ConfigError(f"{what} must be 'auto' or a number")
 
     # ProblemSpec resolves "auto", validates positivity, and emits the
     # below-threshold warnings.
-    spec = ProblemSpec(coeffs=coeffs, ksq=float(k) ** 2,
-                       alpha=_penalty(raw.get("alpha", "auto"), "alpha"),
-                       gamma=_penalty(raw.get("gamma", "auto"), "gamma"))
+    alpha = _penalty(raw.get("alpha", "auto"), "alpha")
+    gamma = _penalty(raw.get("gamma", "auto"), "gamma")
+    try:
+        spec = ProblemSpec(coeffs=coeffs, ksq=float(k) ** 2, alpha=alpha,
+                           gamma=gamma)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
     mesh = raw.get("mesh", DEFAULT_MESH[problem])
     if not isinstance(mesh, str):
@@ -202,6 +219,14 @@ def mesh_family(spec: str):
     return lambda level: builder(n * 2 ** level)
 
 
+def _check_tags(cfg: RunConfig, mesh: Mesh):
+    """Every material tag of the mesh needs a coefficient entry; checked
+    on the coarsest mesh, since refinement keeps the tags."""
+    missing = cfg.coeffs.missing_tags(mesh)
+    if missing:
+        raise ConfigError(f"coefficients have no entry for mesh tags {missing}")
+
+
 # ----------------------------------------------------------------------
 # output plumbing
 
@@ -224,6 +249,7 @@ def _json_text(payload: dict) -> str:
 
 def run_solve(cfg: RunConfig) -> int:
     mesh = mesh_family(cfg.mesh)(0)
+    _check_tags(cfg, mesh)
     summary: dict = {"command": "solve", "problem": cfg.problem,
                      "mesh": cfg.mesh, "degree": cfg.degree, "ksq": cfg.ksq,
                      "formulation": cfg.formulation}
@@ -271,9 +297,11 @@ def run_study(cfg: RunConfig) -> int:
     if cfg.problem not in ("sine", "lshape"):
         raise ConfigError(
             f"study needs a problem with an exact solution, not {cfg.problem!r}")
+    factory = mesh_family(cfg.mesh)
+    _check_tags(cfg, factory(0))
     problem = get_problem(cfg.problem, cfg.ksq)
     problem = dataclasses.replace(problem, coeffs=cfg.coeffs,
-                                  mesh_factory=mesh_family(cfg.mesh))
+                                  mesh_factory=factory)
     report = convergence_study(problem, cfg.degree, cfg.levels,
                                alpha=cfg.alpha, gamma=cfg.gamma,
                                formulation=cfg.formulation)
@@ -298,6 +326,7 @@ CONSTANT_COLUMNS = ["level", "h", "dofs", "lift_c1", "lift_c2",
 def run_constants(cfg: RunConfig) -> int:
     factory = mesh_family(cfg.mesh)
     meshes = [factory(i) for i in range(cfg.levels)]
+    _check_tags(cfg, meshes[0])
     rows = constants_sweep(meshes, cfg.degree, cfg.coeffs, ksq=cfg.ksq,
                            alpha=cfg.alpha, gamma=cfg.gamma)
     lines = [",".join(CONSTANT_COLUMNS)]

@@ -17,19 +17,26 @@ next to the face:
 Because the broken scalar basis is orthonormal per element (mass
 2|K| I), the lifting coefficients are closed-form moment maps; every
 face contributes a rank-(l+1) block.
+
+All tables are arrays over (face, side): side 0 is the plus element of
+the face, side 1 the minus element.  ``side_mask`` is False on the
+missing minus side of a boundary face; the tables hold zeros there and
+the sparse builders drop it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigvalsh
-from scipy.sparse import block_diag, coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .basis import face_modes
 from .quadrature import segment_rule
-from .spaces import FemField, Spaces
+from .spaces import FemField, Spaces, block_sparse, element_block_diag
 
 __all__ = ["Lifting"]
+
+# jump signs of the plus and minus sides
+SIGNS = np.array([1.0, -1.0])
 
 
 class Lifting:
@@ -47,40 +54,35 @@ class Lifting:
         nf = mesh.num_faces
 
         rule = segment_rule(2 * l + 2)
-        s, w = rule.points, rule.weights
-        modes = face_modes(l, s)                  # (np, l+1)
+        w, modes = rule.weights, face_modes(l, rule.points)
 
-        # sides[f]: list of (element, average factor, jump sign)
-        self.sides = []
-        # trace_q[f][side]: moments of the scalar basis, (l+1, ndof_q)
-        # trace_v[f][side]: moments of n+ x (mapped V basis), (l+1, ndof_v)
-        self.trace_q = []
-        self.trace_v = []
-        # weight[f][side]: (avg h_F)^2 / det_jac, the lifting Gram factor
-        self.weight = []
+        self.side_mask = mesh.face_elements >= 0
+        # element of each (face, side); element 0 stands in on masked sides
+        self.side_elements = np.where(self.side_mask, mesh.face_elements, 0)
+        # average factor per face: 1 on the boundary, 1/2 inside
+        self.avg = np.where(mesh.boundary, 1.0, 0.5)
+        elems = self.side_elements
+        mask = self.side_mask[:, :, None, None]
 
-        for f in range(nf):
-            elems = [int(e) for e in mesh.face_elements[f] if e >= 0]
-            avg = 1.0 if mesh.boundary[f] else 0.5
-            signs = [1.0, -1.0][: len(elems)]
-            n = mesh.face_normals[f]
-            h = mesh.face_lengths[f]
-            phys = spaces.face_points(f, s)
-            tq, tv, wt, side = [], [], [], []
-            for e, sg in zip(elems, signs):
-                ref = spaces.ref_coords(e, phys)
-                qv = spaces.qbasis.eval(ref)                      # (np, nq)
-                tq.append(np.einsum("p,pm,pr->mr", w, modes, qv))
-                vv = np.einsum("dk,pnk->pnd", spaces.inv_jac_t[e],
-                               spaces.vbasis.eval(ref))
-                cross = n[0] * vv[:, :, 1] - n[1] * vv[:, :, 0]   # n x v
-                tv.append(np.einsum("p,pm,pn->mn", w, modes, cross))
-                wt.append((avg * h) ** 2 / spaces.det_jac[e])
-                side.append((e, avg, sg))
-            self.sides.append(side)
-            self.trace_q.append(tq)
-            self.trace_v.append(tv)
-            self.weight.append(wt)
+        # one pull-back of every face point into both sides' elements
+        phys = spaces.face_points(np.arange(nf), rule.points)     # (nf, np, 2)
+        ref = spaces.ref_coords(elems, phys[:, None]).reshape(-1, 2)
+        npts = len(rule.points)
+        qv = spaces.qbasis.eval(ref).reshape(nf, 2, npts, -1)
+        vv = np.einsum("fsdk,fspnk->fspnd", spaces.inv_jac_t[elems],
+                       spaces.vbasis.eval(ref).reshape(nf, 2, npts, -1, 2))
+        n = mesh.face_normals[:, None, None, None, :]
+        cross = n[..., 0] * vv[..., 1] - n[..., 1] * vv[..., 0]  # n x v
+
+        # trace_q[f, s]: moments of the scalar basis, (l+1, ndof_q)
+        self.trace_q = mask * np.einsum("p,pm,fspr->fsmr", w, modes, qv)
+        # trace_v[f, s]: moments of n+ x (mapped V basis), (l+1, ndof_v)
+        self.trace_v = mask * np.einsum("p,pm,fspn->fsmn", w, modes, cross)
+        # lift_scale[f, s]: avg h_F / det_jac, the lifting coefficient factor
+        avg_h = (self.avg * mesh.face_lengths)[:, None]
+        self.lift_scale = self.side_mask * avg_h / spaces.det_jac[elems]
+        # weight[f, s]: (avg h_F)^2 / det_jac, the lifting Gram factor
+        self.weight = self.side_mask * avg_h ** 2 / spaces.det_jac[elems]
 
         self._jump_tangential = None
         self._jump_normal = None
@@ -88,7 +90,7 @@ class Lifting:
         self._lift_vector = None
 
     # ------------------------------------------------------------------
-    # sparse jump/trace maps
+    # index layout
 
     @property
     def dim_scalar_data(self) -> int:
@@ -101,24 +103,36 @@ class Lifting:
     def scalar_data_dofs(self, face: int) -> np.ndarray:
         return np.arange(face * self.n_modes, (face + 1) * self.n_modes)
 
+    def _scalar_rows(self) -> np.ndarray:
+        """Scalar face data indices, (nf, 1, l+1)."""
+        return np.arange(self.dim_scalar_data).reshape(-1, 1, self.n_modes)
+
+    def _vector_rows(self) -> np.ndarray:
+        """Vector face data indices, (nf, 1, l+1, 2)."""
+        return np.arange(self.dim_vector_data).reshape(-1, 1, self.n_modes, 2)
+
+    def _elem_dofs(self, ndof: int) -> np.ndarray:
+        """Blocked element dofs of each (face, side), (nf, 2, ndof)."""
+        return self.side_elements[:, :, None] * ndof + np.arange(ndof)
+
+    def _face_csr(self, blocks: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray, shape: tuple) -> csr_matrix:
+        """Sparse matrix of per-(face, side) blocks (nf, 2, ..., R, C) at
+        row indices (..., R) and column indices (..., C) that broadcast
+        against them; masked sides are dropped."""
+        return block_sparse(blocks, rows, cols, shape, keep=self.side_mask)
+
+    # ------------------------------------------------------------------
+    # sparse jump/trace maps
+
     def jump_tangential(self) -> csr_matrix:
         """Map V coefficients to face coefficients of the tangential jump
         (n x v on the boundary)."""
         if self._jump_tangential is None:
             sp = self.spaces
-            rows, cols, vals = [], [], []
-            for f, side in enumerate(self.sides):
-                rix = self.scalar_data_dofs(f)
-                for (e, _, sg), tv in zip(side, self.trace_v[f]):
-                    block = sg * tv
-                    cix = sp.v_dofs(e)
-                    rr, cc = np.meshgrid(rix, cix, indexing="ij")
-                    rows.append(rr.ravel())
-                    cols.append(cc.ravel())
-                    vals.append(block.ravel())
-            self._jump_tangential = coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.dim_scalar_data, sp.dim_V)).tocsr()
+            self._jump_tangential = self._face_csr(
+                SIGNS[:, None, None] * self.trace_v, self._scalar_rows(),
+                self._elem_dofs(sp.ndof_v), (self.dim_scalar_data, sp.dim_V))
         return self._jump_tangential
 
     def jump_normal(self) -> csr_matrix:
@@ -126,46 +140,30 @@ class Lifting:
         normal jump (q n on the boundary)."""
         if self._jump_normal is None:
             sp = self.spaces
-            nm = self.n_modes
-            rows, cols, vals = [], [], []
-            for f, side in enumerate(self.sides):
-                n = sp.mesh.face_normals[f]
-                for (e, _, sg), tq in zip(side, self.trace_q[f]):
-                    cix = sp.q_dofs(e)
-                    for c in range(2):
-                        rix = f * 2 * nm + 2 * np.arange(nm) + c
-                        block = sg * n[c] * tq
-                        rr, cc = np.meshgrid(rix, cix, indexing="ij")
-                        rows.append(rr.ravel())
-                        cols.append(cc.ravel())
-                        vals.append(block.ravel())
-            self._jump_normal = coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.dim_vector_data, sp.dim_Q)).tocsr()
+            nf = sp.mesh.num_faces
+            blocks = np.einsum("s,fc,fsmr->fsmcr", SIGNS,
+                               sp.mesh.face_normals, self.trace_q)
+            self._jump_normal = self._face_csr(
+                blocks.reshape(nf, 2, 2 * self.n_modes, sp.ndof_q),
+                self._vector_rows().reshape(nf, 1, -1),
+                self._elem_dofs(sp.ndof_q), (self.dim_vector_data, sp.dim_Q))
         return self._jump_normal
 
     # ------------------------------------------------------------------
     # lifting coefficient maps
+
+    def _lift_blocks(self) -> np.ndarray:
+        """Broken scalar coefficients of the lifted modes, (nf, 2, nq, l+1)."""
+        return self.lift_scale[:, :, None, None] * np.swapaxes(self.trace_q, 2, 3)
 
     def lift_scalar_matrix(self) -> csr_matrix:
         """Map scalar face data to broken scalar coefficients of the sum of
         the per-face liftings."""
         if self._lift_scalar is None:
             sp = self.spaces
-            rows, cols, vals = [], [], []
-            for f, side in enumerate(self.sides):
-                h = sp.mesh.face_lengths[f]
-                cix = self.scalar_data_dofs(f)
-                for (e, avg, _), tq in zip(side, self.trace_q[f]):
-                    block = (avg * h / sp.det_jac[e]) * tq.T     # (nq, nmodes)
-                    rix = sp.q_dofs(e)
-                    rr, cc = np.meshgrid(rix, cix, indexing="ij")
-                    rows.append(rr.ravel())
-                    cols.append(cc.ravel())
-                    vals.append(block.ravel())
-            self._lift_scalar = coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(sp.dim_Q, self.dim_scalar_data)).tocsr()
+            self._lift_scalar = self._face_csr(
+                self._lift_blocks(), self._elem_dofs(sp.ndof_q),
+                self._scalar_rows(), (sp.dim_Q, self.dim_scalar_data))
         return self._lift_scalar
 
     def lift_vector_matrix(self) -> csr_matrix:
@@ -173,23 +171,14 @@ class Lifting:
         (element, mode, component))."""
         if self._lift_vector is None:
             sp = self.spaces
-            nm = self.n_modes
-            nq = sp.ndof_q
-            rows, cols, vals = [], [], []
-            for f, side in enumerate(self.sides):
-                h = sp.mesh.face_lengths[f]
-                for (e, avg, _), tq in zip(side, self.trace_q[f]):
-                    block = (avg * h / sp.det_jac[e]) * tq.T
-                    for c in range(2):
-                        rix = 2 * (e * nq + np.arange(nq)) + c
-                        cix = f * 2 * nm + 2 * np.arange(nm) + c
-                        rr, cc = np.meshgrid(rix, cix, indexing="ij")
-                        rows.append(rr.ravel())
-                        cols.append(cc.ravel())
-                        vals.append(block.ravel())
-            self._lift_vector = coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(2 * sp.dim_Q, self.dim_vector_data)).tocsr()
+            # one copy of the scalar block per component c, (nf, 2, c, nq, nm)
+            blocks = np.broadcast_to(self._lift_blocks()[:, :, None],
+                                     (sp.mesh.num_faces, 2, 2, sp.ndof_q,
+                                      self.n_modes))
+            rows = 2 * self._elem_dofs(sp.ndof_q)[:, :, None] + np.arange(2)[:, None]
+            cols = np.swapaxes(self._vector_rows(), 2, 3)
+            self._lift_vector = self._face_csr(
+                blocks, rows, cols, (2 * sp.dim_Q, self.dim_vector_data))
         return self._lift_vector
 
     def lift_scalar(self, data: np.ndarray) -> FemField:
@@ -201,43 +190,38 @@ class Lifting:
     # ------------------------------------------------------------------
     # per-face Gram matrices of lifted data
 
-    def face_grams_scalar(self, weight: np.ndarray | None = None) -> list:
-        """(w r_F(mode_i), r_F(mode_j)) with a piecewise-constant scalar
-        weight (per element); unweighted when weight is None."""
-        out = []
-        for f, side in enumerate(self.sides):
-            g = np.zeros((self.n_modes, self.n_modes))
-            for (e, _, _), tq, wt in zip(side, self.trace_q[f], self.weight[f]):
-                scale = wt if weight is None else wt * weight[e]
-                g += scale * (tq @ tq.T)
-            out.append(g)
-        return out
+    def _trace_grams(self) -> np.ndarray:
+        """trace_q trace_q^T per (face, side), (nf, 2, l+1, l+1)."""
+        return self.trace_q @ np.swapaxes(self.trace_q, 2, 3)
 
-    def face_grams_vector(self, eps: np.ndarray | None = None) -> list:
+    def face_grams_scalar(self, weight: np.ndarray | None = None) -> np.ndarray:
+        """(w r_F(mode_i), r_F(mode_j)) with a piecewise-constant scalar
+        weight (per element); unweighted when weight is None.  Shape
+        (nf, l+1, l+1)."""
+        scale = self.weight if weight is None else self.weight * weight[self.side_elements]
+        return np.einsum("fs,fsij->fij", scale, self._trace_grams())
+
+    def face_grams_vector(self, eps: np.ndarray | None = None) -> np.ndarray:
         """(eps R_F(mode_i), R_F(mode_j)) for a per-element 2x2 SPD field;
-        identity weight when eps is None.  Mode-major, component-minor."""
-        eye = np.eye(2)
-        out = []
-        for f, side in enumerate(self.sides):
-            g = np.zeros((2 * self.n_modes, 2 * self.n_modes))
-            for (e, _, _), tq, wt in zip(side, self.trace_q[f], self.weight[f]):
-                mat = eye if eps is None else eps[e]
-                g += wt * np.kron(tq @ tq.T, mat)
-            out.append(g)
-        return out
+        identity weight when eps is None.  Mode-major, component-minor,
+        shape (nf, 2(l+1), 2(l+1))."""
+        nf = self.spaces.mesh.num_faces
+        mat = np.eye(2) if eps is None else eps[self.side_elements]
+        mat = mat[..., None, :, None, :]                          # (.., 1, c, 1, d)
+        kron = self._trace_grams()[..., None, :, None] * mat     # (nf, 2, i, c, j, d)
+        grams = np.sum(self.weight[:, :, None, None, None, None] * kron, axis=1)
+        return grams.reshape(nf, 2 * self.n_modes, 2 * self.n_modes)
 
     def block_diag_scalar(self, factors: np.ndarray,
                           weight: np.ndarray | None = None) -> csr_matrix:
         """Block diagonal of per-face scalar Grams scaled by factors[f]."""
         grams = self.face_grams_scalar(weight)
-        return block_diag([fac * g for fac, g in zip(factors, grams)],
-                          format="csr")
+        return element_block_diag(np.asarray(factors)[:, None, None] * grams)
 
     def block_diag_vector(self, factors: np.ndarray,
                           eps: np.ndarray | None = None) -> csr_matrix:
         grams = self.face_grams_vector(eps)
-        return block_diag([fac * g for fac, g in zip(factors, grams)],
-                          format="csr")
+        return element_block_diag(np.asarray(factors)[:, None, None] * grams)
 
     # ------------------------------------------------------------------
     # pairings against V fields
@@ -246,82 +230,64 @@ class Lifting:
         """Rows (face, mode), columns V dofs: (r_F(mode), w mu_curl) where
         mu_curl is the weighted elementwise curl, weight per element."""
         sp = self.spaces
-        cc = sp.ref_curl_coeff                    # (nq, nv)
-        rows, cols, vals = [], [], []
-        for f, side in enumerate(self.sides):
-            h = sp.mesh.face_lengths[f]
-            rix = self.scalar_data_dofs(f)
-            for (e, avg, _), tq in zip(side, self.trace_q[f]):
-                block = weight[e] * (avg * h / sp.det_jac[e]) * (tq @ cc)
-                cix = sp.v_dofs(e)
-                rr, ccix = np.meshgrid(rix, cix, indexing="ij")
-                rows.append(rr.ravel())
-                cols.append(ccix.ravel())
-                vals.append(block.ravel())
-        return coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim_scalar_data, sp.dim_V)).tocsr()
+        scale = weight[self.side_elements] * self.lift_scale
+        blocks = scale[:, :, None, None] * (self.trace_q @ sp.ref_curl_coeff)
+        return self._face_csr(blocks, self._scalar_rows(),
+                              self._elem_dofs(sp.ndof_v),
+                              (self.dim_scalar_data, sp.dim_V))
 
     def vector_value_pair(self, eps: np.ndarray) -> csr_matrix:
         """Rows (face, mode, component), columns V dofs:
         (eps v, R_F(mode, component)) for the per-element 2x2 field eps."""
         sp = self.spaces
-        nm = self.n_modes
-        rows, cols, vals = [], [], []
-        for f, side in enumerate(self.sides):
-            h = sp.mesh.face_lengths[f]
-            for (e, avg, _), tq in zip(side, self.trace_q[f]):
-                # component expansion of the mapped V basis in the local
-                # orthonormal scalar basis
-                comp = np.einsum("ck,krn->crn", sp.inv_jac_t[e],
-                                 sp.ref_comp_coeff)              # (2, nq, nv)
-                cix = sp.v_dofs(e)
-                for c in range(2):
-                    rix = f * 2 * nm + 2 * np.arange(nm) + c
-                    weighted = np.einsum("k,krn->rn", eps[e][c], comp)
-                    block = (avg * h) * (tq @ weighted)
-                    rr, ccix = np.meshgrid(rix, cix, indexing="ij")
-                    rows.append(rr.ravel())
-                    cols.append(ccix.ravel())
-                    vals.append(block.ravel())
-        return coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim_vector_data, sp.dim_V)).tocsr()
+        # component expansion of the mapped V basis in the local orthonormal
+        # scalar basis, weighted by eps, (ne, c, nq, nv)
+        comp = np.einsum("eck,krn->ecrn", sp.inv_jac_t, sp.ref_comp_coeff)
+        weighted = np.einsum("eck,ekrn->ecrn", eps, comp)
+        avg_h = (self.avg * sp.mesh.face_lengths)[:, None, None, None, None]
+        blocks = avg_h * (self.trace_q[:, :, None] @ weighted[self.side_elements])
+        return self._face_csr(blocks, np.swapaxes(self._vector_rows(), 2, 3),
+                              self._elem_dofs(sp.ndof_v)[:, :, None],
+                              (self.dim_vector_data, sp.dim_V))
 
     # ------------------------------------------------------------------
     # face data projections
 
+    def _face_samples(self, faces: np.ndarray, degree: int | None):
+        """The projection rule and its points on the given faces,
+        (len(faces), np, 2)."""
+        sp = self.spaces
+        rule = segment_rule(2 * sp.degree + 8 if degree is None else degree)
+        return rule, sp.face_points(faces, rule.points)
+
+    def _face_data(self, faces: np.ndarray, rule, vals: np.ndarray) -> np.ndarray:
+        """Scalar face data holding the mode moments of vals (len(faces),
+        np) on the given faces and zeros elsewhere."""
+        modes = face_modes(self.spaces.degree, rule.points)
+        data = np.zeros((self.spaces.mesh.num_faces, self.n_modes))
+        data[faces] = np.einsum("p,pm,fp->fm", rule.weights, modes, vals)
+        return data.ravel()
+
     def project_scalar_data(self, func, degree: int | None = None,
                             boundary_only: bool = False) -> np.ndarray:
         """L^2-project a scalar callable onto the face mode basis."""
-        sp = self.spaces
-        rule = segment_rule(2 * sp.degree + 8 if degree is None else degree)
-        s, w = rule.points, rule.weights
-        modes = face_modes(sp.degree, s)
-        data = np.zeros(self.dim_scalar_data)
-        for f in range(sp.mesh.num_faces):
-            if boundary_only and not sp.mesh.boundary[f]:
-                continue
-            phys = sp.face_points(f, s)
-            vals = np.asarray(func(phys[:, 0], phys[:, 1]))
-            data[self.scalar_data_dofs(f)] = np.einsum("p,pm,p->m", w, modes, vals)
-        return data
+        mesh = self.spaces.mesh
+        faces = (np.flatnonzero(mesh.boundary) if boundary_only
+                 else np.arange(mesh.num_faces))
+        rule, phys = self._face_samples(faces, degree)
+        vals = np.asarray(func(phys[..., 0], phys[..., 1]))
+        return self._face_data(faces, rule, vals)
 
     def tangential_boundary_data(self, u_func, degree: int | None = None) -> np.ndarray:
         """Face coefficients of n x u on the boundary (zero on interior
-        faces) for a vector callable u_func(x, y) -> (2,) or (np, 2)."""
-        sp = self.spaces
-        rule = segment_rule(2 * sp.degree + 8 if degree is None else degree)
-        s, w = rule.points, rule.weights
-        modes = face_modes(sp.degree, s)
-        data = np.zeros(self.dim_scalar_data)
-        for f in np.flatnonzero(sp.mesh.boundary):
-            n = sp.mesh.face_normals[f]
-            phys = sp.face_points(f, s)
-            vals = np.asarray(u_func(phys[:, 0], phys[:, 1]))
-            cross = n[0] * vals[..., 1] - n[1] * vals[..., 0]
-            data[self.scalar_data_dofs(f)] = np.einsum("p,pm,p->m", w, modes, cross)
-        return data
+        faces) for a vector callable u_func(x, y) -> (..., 2)."""
+        mesh = self.spaces.mesh
+        faces = np.flatnonzero(mesh.boundary)
+        rule, phys = self._face_samples(faces, degree)
+        vals = np.asarray(u_func(phys[..., 0], phys[..., 1]))
+        n = mesh.face_normals[faces, None, :]
+        cross = n[..., 0] * vals[..., 1] - n[..., 1] * vals[..., 0]
+        return self._face_data(faces, rule, cross)
 
     # ------------------------------------------------------------------
     # stability
@@ -335,12 +301,6 @@ class Lifting:
         h_F^{-1} times the face mass is the identity in the orthonormal
         mode basis, so the quotient reduces to a plain eigenvalue problem.
         """
-        nf = self.spaces.mesh.num_faces
         njump = self.spaces.degree          # attainable jump modes per face
-        c1 = np.empty(nf)
-        c2 = np.empty(nf)
-        for f, gram in enumerate(self.face_grams_scalar()):
-            ev = eigvalsh(gram[:njump, :njump])
-            c1[f] = np.sqrt(max(ev[0], 0.0))
-            c2[f] = np.sqrt(ev[-1])
-        return c1, c2
+        ev = np.linalg.eigvalsh(self.face_grams_scalar()[:, :njump, :njump])
+        return np.sqrt(np.maximum(ev[:, 0], 0.0)), np.sqrt(ev[:, -1])

@@ -38,11 +38,16 @@ class Coefficients:
     def vacuum(cls) -> "Coefficients":
         return cls()
 
+    def missing_tags(self, mesh: Mesh) -> list:
+        """Tags of the mesh that lack a mu or an eps entry, sorted."""
+        tags = set(int(t) for t in np.unique(mesh.tags))
+        return sorted(tags - (set(self.mu) & set(self.eps)))
+
     def expand(self, mesh: Mesh) -> "MaterialArrays":
         tags = mesh.tags
-        missing = set(int(t) for t in np.unique(tags)) - (set(self.mu) & set(self.eps))
+        missing = self.missing_tags(mesh)
         if missing:
-            raise ValueError(f"no material data for tags {sorted(missing)}")
+            raise ValueError(f"no material data for tags {missing}")
         mu = np.array([self.mu[int(t)] for t in tags])
         eps = np.array([self.eps[int(t)] for t in tags])
         return MaterialArrays(mu=mu, eps=eps)

@@ -21,13 +21,34 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import inv, solve
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 
 from .basis import curl_basis, face_modes, scalar_basis
 from .mesh import Mesh
 from .quadrature import segment_rule, triangle_rule
 
-__all__ = ["Spaces", "FemField"]
+__all__ = ["Spaces", "FemField", "block_sparse", "element_block_diag"]
+
+
+def block_sparse(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 shape: tuple, keep: np.ndarray | None = None) -> csr_matrix:
+    """Sparse matrix summing dense blocks (..., R, C) placed at row indices
+    (..., R) and column indices (..., C) that broadcast against them.  A
+    boolean mask keep over the leading axes drops the blocks where it is
+    False."""
+    rows = np.broadcast_to(rows[..., :, None], blocks.shape)
+    cols = np.broadcast_to(cols[..., None, :], blocks.shape)
+    if keep is not None:
+        blocks, rows, cols = blocks[keep], rows[keep], cols[keep]
+    return coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=shape).tocsr()
+
+
+def element_block_diag(blocks: np.ndarray) -> csr_matrix:
+    """Sparse block diagonal from an (ne, n, m) array of local blocks."""
+    ne, n, m = blocks.shape
+    return block_sparse(blocks, np.arange(ne * n).reshape(ne, n),
+                        np.arange(ne * m).reshape(ne, m), (ne * n, ne * m))
 
 
 @dataclass
@@ -119,14 +140,19 @@ class Spaces:
     # ------------------------------------------------------------------
     # geometry helpers
 
-    def ref_coords(self, elem: int, phys_pts: np.ndarray) -> np.ndarray:
-        """Pull physical points back to reference coordinates of an element."""
-        return (phys_pts - self.origins[elem]) @ self.inv_jac[elem].T
+    def ref_coords(self, elem, phys_pts: np.ndarray) -> np.ndarray:
+        """Pull physical points (..., np, 2) back to reference coordinates
+        of an element, or of an index array of elements whose shape
+        broadcasts against phys_pts.shape[:-2]."""
+        return ((phys_pts - self.origins[elem][..., None, :])
+                @ np.swapaxes(self.inv_jac[elem], -1, -2))
 
-    def face_points(self, face: int, s: np.ndarray) -> np.ndarray:
+    def face_points(self, face, s: np.ndarray) -> np.ndarray:
+        """Points at parameters s on a face, shape (np, 2), or on an index
+        array of faces, shape (..., np, 2)."""
         a = self.mesh.vertices[self.mesh.faces[face, 0]]
         b = self.mesh.vertices[self.mesh.faces[face, 1]]
-        return a[None, :] + np.outer(s, b - a)
+        return a[..., None, :] + s[:, None] * (b - a)[..., None, :]
 
     # ------------------------------------------------------------------
     # evaluation (vectorized across elements)

@@ -11,7 +11,7 @@ from maxwelldg.cli import (
     main,
     mesh_family,
 )
-from maxwelldg.mesh import unit_square, write_mesh
+from maxwelldg.mesh import Mesh, unit_square, write_mesh
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -74,6 +74,7 @@ class TestLoadConfig:
         ({"k": "one"}, "k must be a number"),
         ({"alpha": "big"}, "alpha must be 'auto' or a number"),
         ({"mesh": 4}, "mesh must be a string"),
+        ({"gamma": float("inf")}, "gamma must be finite"),
     ])
     def test_field_validation(self, tmp_path, payload, match):
         path = write_config(tmp_path, payload)
@@ -99,6 +100,10 @@ class TestLoadConfig:
         ({"0": {"mu": 1.0, "rho": 2.0}}, "must hold 'mu' and/or 'eps'"),
         ({"0": {"eps": [[1.0, 0.0]]}}, "2x2 matrix"),
         ([1.0, 2.0], "must map material tags"),
+        ({"0": {"mu": float("-inf")}}, "must be finite"),
+        ({"0": {"eps": [[1.0, float("nan")], [float("nan"), 1.0]]}},
+         "must be finite"),
+        ({"0": {"eps": [[1.0, 0.5], [0.0, 1.0]]}}, "must be symmetric"),
     ])
     def test_coefficient_validation(self, tmp_path, table, match):
         path = write_config(tmp_path, {"coefficients": table})
@@ -264,6 +269,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "config parse error at line 1 column" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"k": NaN}', "k must be finite"),
+        ('{"alpha": Infinity}', "alpha must be finite"),
+        ('{"coefficients": {"0": {"mu": -1}}}', "positive definite"),
+        pytest.param('{"alpha": -1}', "penalty weights must be positive",
+                     marks=pytest.mark.filterwarnings("ignore::UserWarning")),
+    ])
+    def test_invalid_values_exit_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        code = main(["solve", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines()[-1].startswith("error:")
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,problem", [
+        ("solve", "zero"), ("study", "sine"), ("constants", "sine")])
+    def test_missing_material_tag_exits_two(self, tmp_path, capsys, command,
+                                            problem):
+        base = unit_square(2)
+        mesh_path = tmp_path / "two_tags.mesh"
+        mesh_path.write_text(write_mesh(
+            Mesh(base.vertices, base.elements, np.arange(8) % 2)))
+        path = write_config(tmp_path, {
+            "problem": problem, "mesh": str(mesh_path), "levels": 1,
+            "coefficients": {"0": {"mu": 2.0}}})
+        code = main([command, "--config", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "error: coefficients have no entry for mesh tags [1]")
+        assert "Traceback" not in err
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
