@@ -8,11 +8,11 @@ from .analysis import (ConvergenceReport, best_approximation_error,
                        friedrichs_constant, indefinite_infsup,
                        infsup_constant_B, kernel_ellipticity, residual_R2,
                        setup_problem)
-from .assembly import Discretization, ProblemSpec
+from .assembly import Discretization
 from .lifting import Lifting
 from .materials import Coefficients
-from .mesh import (Mesh, MeshFormatError, lshape, macro_elements, read_mesh,
-                   refine_uniform, unit_square, write_mesh)
+from .mesh import (Mesh, MeshFormatError, lshape, read_mesh, refine_uniform,
+                   unit_square, write_mesh)
 from .problems import ModelProblem, get_problem, gradient_null_data, sine_problem, lshape_problem
 from .solver import (ResonanceError, Solution, SolutionOperator,
                      solve_auxiliary, solve_mixed)
@@ -22,9 +22,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Mesh", "MeshFormatError", "unit_square", "lshape", "read_mesh",
-    "write_mesh", "refine_uniform", "macro_elements",
+    "write_mesh", "refine_uniform",
     "Spaces", "FemField", "Lifting", "Coefficients",
-    "Discretization", "ProblemSpec",
+    "Discretization",
     "Solution", "SolutionOperator", "ResonanceError",
     "solve_mixed", "solve_auxiliary",
     "ModelProblem", "sine_problem", "lshape_problem", "get_problem",

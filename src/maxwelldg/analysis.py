@@ -20,11 +20,12 @@ from scipy.linalg import eigh, null_space
 from scipy.sparse import block_diag
 from scipy.sparse.linalg import splu
 
-from .assembly import Discretization, element_block_diag
+from .assembly import Discretization
 from .mesh import Mesh
 from .problems import ModelProblem
 from .quadrature import triangle_rule
 from .solver import Solution, SolutionOperator, solve_auxiliary, solve_mixed
+from .spaces import element_block_diag
 
 __all__ = [
     "conforming_average", "averaging_defect_ratio", "residual_R2",

@@ -14,10 +14,7 @@ contributions and the stencil never grows past face neighbors.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from scipy.sparse import block_diag, bmat, csr_matrix
@@ -25,54 +22,16 @@ from scipy.sparse import block_diag, bmat, csr_matrix
 from .lifting import Lifting
 from .materials import Coefficients, MaterialArrays
 from .mesh import Mesh
-from .quadrature import segment_rule, triangle_rule
-from .spaces import Spaces, block_sparse, element_block_diag
+from .quadrature import triangle_rule
+from .spaces import Spaces, element_block_diag
 
-__all__ = ["Discretization", "ProblemSpec", "element_block_diag",
-           "assemble_a_face_integral", "assemble_b_face_integral"]
+__all__ = ["Discretization"]
 
 # Each triangle has 3 face neighbors; the coercivity threshold for the
 # penalty weights is 1/2 + 2 * 3.
 FACES_PER_ELEMENT = 3
 DEFAULT_ALPHA = 0.5 + 2.0 * FACES_PER_ELEMENT
 DEFAULT_GAMMA = 0.5
-
-
-@dataclass
-class ProblemSpec:
-    """User-facing problem data: materials, wavenumber, source, penalties.
-
-    alpha may be the string "auto" (the coercivity threshold) or a number;
-    a number below the threshold is admitted with a warning, since the
-    coercivity guarantee no longer applies.
-    """
-
-    coeffs: Coefficients = field(default_factory=Coefficients.vacuum)
-    ksq: float = 1.0
-    source: Callable | None = None
-    boundary: Callable | None = None
-    alpha: float | str = "auto"
-    gamma: float | str = "auto"
-
-    def __post_init__(self):
-        if self.alpha == "auto":
-            self.alpha = DEFAULT_ALPHA
-        elif self.alpha < DEFAULT_ALPHA:
-            warnings.warn(
-                f"alpha = {self.alpha} is below 1/2 + 2n_K = {DEFAULT_ALPHA}; "
-                "coercivity of the curl form is not guaranteed")
-        if self.gamma == "auto":
-            self.gamma = DEFAULT_GAMMA
-        elif self.gamma < DEFAULT_GAMMA:
-            warnings.warn(
-                f"gamma = {self.gamma} is below the threshold {DEFAULT_GAMMA}; "
-                "well-posedness of the mixed system is not guaranteed")
-        if self.alpha <= 0.0 or self.gamma <= 0.0:
-            raise ValueError("penalty weights must be positive")
-
-    def discretize(self, mesh: Mesh, degree: int) -> "Discretization":
-        return Discretization(mesh, degree, self.coeffs,
-                              alpha=self.alpha, gamma=self.gamma)
 
 
 class Discretization:
@@ -84,11 +43,6 @@ class Discretization:
 
     def __init__(self, mesh: Mesh, degree: int, coeffs: Coefficients | None = None,
                  alpha=None, gamma=None):
-        self.mesh = mesh
-        self.spaces = Spaces(mesh, degree)
-        self.lifting = Lifting(self.spaces)
-        self.coeffs = coeffs if coeffs is not None else Coefficients.vacuum()
-        self.materials: MaterialArrays = self.coeffs.expand(mesh)
         nf = mesh.num_faces
         self.alpha = np.broadcast_to(
             np.asarray(DEFAULT_ALPHA if alpha is None else alpha, dtype=float),
@@ -98,6 +52,11 @@ class Discretization:
             (nf,)).copy()
         if np.any(self.alpha <= 0.0) or np.any(self.gamma <= 0.0):
             raise ValueError("penalty weights must be positive")
+        self.mesh = mesh
+        self.spaces = Spaces(mesh, degree)
+        self.lifting = Lifting(self.spaces)
+        self.coeffs = coeffs if coeffs is not None else Coefficients.vacuum()
+        self.materials: MaterialArrays = self.coeffs.expand(mesh)
 
         sp = self.spaces
         rule = triangle_rule(sp.deg_stiff)
@@ -205,37 +164,20 @@ class Discretization:
         return self.lifting.block_diag_scalar(self.alpha,
                                               self.materials.mu_bar_inv)
 
-    def assemble_a(self, mode: str = "lifting") -> csr_matrix:
-        """Curl form matrix; the two modes realize the same bilinear form
-        through lifted volume terms or through direct face integrals of
-        jumps against averages, and agree to roundoff."""
-        if mode == "lifting":
-            jt, w = self.jump_t, self.curl_pair
-            mat = (self.curl_stiffness - jt.T @ w - w.T @ jt
-                   + jt.T @ self.penalty_gram @ jt)
-            return csr_matrix(mat)
-        if mode == "face_integral":
-            return assemble_a_face_integral(self)
-        raise ValueError(f"unknown assembly mode {mode!r}")
-
     @cached_property
     def a_matrix(self) -> csr_matrix:
-        return self.assemble_a("lifting")
+        """Curl form: the volume term plus the lifted consistency and
+        penalty terms of the tangential jumps."""
+        jt, w = self.jump_t, self.curl_pair
+        return csr_matrix(self.curl_stiffness - jt.T @ w - w.T @ jt
+                          + jt.T @ self.penalty_gram @ jt)
 
     @cached_property
     def b_matrix(self) -> csr_matrix:
-        """Rows Q dofs, columns V dofs.  The lifted assembly is verified
-        against the face-integral expression at build time; exact
-        agreement is a structural property of the lifting."""
+        """Mixed form -(eps v, grad q) plus the lifted normal-jump term;
+        rows Q dofs, columns V dofs."""
         value_pair = self.lifting.vector_value_pair(self.materials.eps)
-        mat = csr_matrix(-self.grad_pair.T + self.jump_n.T @ value_pair)
-        other = assemble_b_face_integral(self)
-        scale = np.sqrt((mat.power(2)).sum())
-        diff = np.sqrt(((mat - other).power(2)).sum())
-        if diff > 1e-12 * max(scale, 1.0):
-            raise RuntimeError(
-                f"lifted and face-integral assemblies of b disagree: {diff:.3e}")
-        return mat
+        return csr_matrix(-self.grad_pair.T + self.jump_n.T @ value_pair)
 
     @cached_property
     def c_matrix(self) -> csr_matrix:
@@ -337,93 +279,3 @@ class Discretization:
     def norm_m(self, coeffs: np.ndarray) -> float:
         return np.sqrt(self._quad_form(self.norm_m_gram, coeffs))
 
-
-# ----------------------------------------------------------------------
-# face-integral assembly path
-
-def _face_sides(disc: Discretization, f: int):
-    mesh = disc.mesh
-    elems = [int(e) for e in mesh.face_elements[f] if e >= 0]
-    avg = 1.0 if mesh.boundary[f] else 0.5
-    signs = [1.0, -1.0][: len(elems)]
-    return list(zip(elems, signs)), avg
-
-
-def assemble_a_face_integral(disc: Discretization) -> csr_matrix:
-    """Curl form via direct quadrature: volume term pointwise, consistency
-    terms as face integrals of tangential jumps against averaged weighted
-    curls.  The penalty term has no face-integral expression and is taken
-    from the liftings, as in the lifted mode."""
-    sp = disc.spaces
-    mubar_inv = disc.materials.mu_bar_inv
-
-    rule = triangle_rule(sp.deg_stiff)
-    curls = sp.vbasis.curl(rule.points)                    # (np, nv)
-    ref_gram = np.einsum("p,pi,pj->ij", rule.weights, curls, curls)
-    blocks = (mubar_inv / sp.det_jac)[:, None, None] * ref_gram
-    mat = element_block_diag(blocks).tolil()
-
-    frule = segment_rule(sp.deg_stiff)
-    s, w = frule.points, frule.weights
-    for f in range(disc.mesh.num_faces):
-        sides, avg = _face_sides(disc, f)
-        n = disc.mesh.face_normals[f]
-        h = disc.mesh.face_lengths[f]
-        phys = sp.face_points(f, s)
-        cross, wcurl, dofs = [], [], []
-        for e, sg in sides:
-            ref = sp.ref_coords(e, phys)
-            vals = np.einsum("dk,pnk->pnd", sp.inv_jac_t[e],
-                             sp.vbasis.eval(ref))
-            cross.append(sg * (n[0] * vals[:, :, 1] - n[1] * vals[:, :, 0]))
-            wcurl.append(avg * mubar_inv[e] / sp.det_jac[e]
-                         * sp.vbasis.curl(ref))
-            dofs.append(sp.v_dofs(e))
-        for cu, du in zip(cross, dofs):
-            for cv, dv in zip(wcurl, dofs):
-                block = h * np.einsum("p,pi,pj->ij", w, cu, cv)
-                # -int_F [[u]]_T {{w curl v}} and its transpose
-                mat[np.ix_(dv, du)] -= block.T
-                mat[np.ix_(du, dv)] -= block
-    out = csr_matrix(mat)
-    jt = disc.jump_t
-    return csr_matrix(out + jt.T @ disc.penalty_gram @ jt)
-
-
-def assemble_b_face_integral(disc: Discretization) -> csr_matrix:
-    """Mixed form via direct quadrature: -(eps v, grad q) pointwise plus
-    face integrals of {{eps v}} against the normal jump of q."""
-    sp = disc.spaces
-    mesh = disc.mesh
-    eps = disc.materials.eps
-
-    rule = triangle_rule(sp.deg_stiff)
-    mapped_v = np.einsum("edk,pnk->epnd", sp.inv_jac_t,
-                         sp.vbasis.eval(rule.points), optimize=True)
-    mapped_g = np.einsum("edk,pjk->epjd", sp.inv_jac_t,
-                         sp.qbasis.grad(rule.points), optimize=True)
-    ev = np.einsum("ecd,epnd->epnc", eps, mapped_v, optimize=True)
-    volume = -sp.det_jac[:, None, None] * np.einsum(
-        "p,epnc,epjc->ejn", rule.weights, ev, mapped_g, optimize=True)
-
-    # faces over (face, v-side, q-side); a boundary face has no side 1
-    frule = segment_rule(sp.deg_stiff)
-    nf, npts = mesh.num_faces, len(frule.points)
-    present = mesh.face_elements >= 0
-    elems = np.where(present, mesh.face_elements, 0)
-    avg = np.where(mesh.boundary, 1.0, 0.5)
-    phys = sp.face_points(np.arange(nf), frule.points)
-    ref = sp.ref_coords(elems, phys[:, None]).reshape(-1, 2)
-    vvals = sp.vbasis.eval(ref).reshape(nf, 2, npts, sp.ndof_v, 2)
-    qvals = sp.qbasis.eval(ref).reshape(nf, 2, npts, sp.ndof_q)
-    # n . {{eps v}}, per v-side and point
-    ev_n = np.einsum("f,fc,fscd,fsdk,fspnk->fspn", avg, mesh.face_normals,
-                     eps[elems], sp.inv_jac_t[elems], vvals, optimize=True)
-    blocks = np.einsum("f,p,t,ftpj,fspn->fstjn", mesh.face_lengths,
-                       frule.weights, np.array([1.0, -1.0]), qvals, ev_n,
-                       optimize=True)
-    rows = (elems * sp.ndof_q)[:, None, :, None] + np.arange(sp.ndof_q)
-    cols = (elems * sp.ndof_v)[:, :, None, None] + np.arange(sp.ndof_v)
-    faces = block_sparse(blocks, rows, cols, (sp.dim_Q, sp.dim_V),
-                         keep=present[:, :, None] & present[:, None, :])
-    return element_block_diag(volume) + faces

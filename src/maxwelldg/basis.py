@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import eval_legendre
 
-__all__ = ["ScalarBasis", "CurlBasis", "face_modes", "face_mode_derivatives"]
+__all__ = ["ScalarBasis", "CurlBasis", "face_modes"]
 
 
 def _monomial_exponents(degree: int) -> np.ndarray:
@@ -141,26 +141,6 @@ def face_modes(degree: int, s: np.ndarray) -> np.ndarray:
     out = np.empty((len(s), degree + 1))
     for m in range(degree + 1):
         out[:, m] = np.sqrt(2 * m + 1) * eval_legendre(m, 2.0 * s - 1.0)
-    return out
-
-
-def face_mode_derivatives(degree: int, s: np.ndarray) -> np.ndarray:
-    """d/ds of the face modes, shape (npts, degree + 1)."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = 2.0 * s - 1.0
-    out = np.zeros((len(s), degree + 1))
-    for m in range(1, degree + 1):
-        # P_m'(t) via the standard relation with P_{m-1}; guard the endpoints.
-        num = m * (eval_legendre(m - 1, t) - t * eval_legendre(m, t))
-        den = 1.0 - t * t
-        inner = np.abs(t) < 1.0
-        dm = np.empty_like(t)
-        dm[inner] = num[inner] / den[inner]
-        endpoint = ~inner
-        if np.any(endpoint):
-            sign = np.sign(t[endpoint]) ** (m + 1)
-            dm[endpoint] = sign * m * (m + 1) / 2.0
-        out[:, m] = np.sqrt(2 * m + 1) * 2.0 * dm
     return out
 
 

@@ -18,19 +18,21 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (ConvergenceReport, constants_sweep, convergence_study,
                        error_norms, setup_problem)
-from .assembly import Discretization, ProblemSpec
+from .assembly import DEFAULT_ALPHA, DEFAULT_GAMMA, Discretization
 from .materials import Coefficients
 from .mesh import Mesh, MeshFormatError, lshape, read_mesh, refine_uniform, unit_square
 from .problems import get_problem, gradient_null_data
 from .solver import ResonanceError, solve_auxiliary, solve_mixed
 
-__all__ = ["main", "RunConfig", "ConfigError", "load_config"]
+__all__ = ["main", "RunConfig", "ConfigError", "load_config",
+           "resolve_penalties"]
 
 # Residual thresholds behind the exit status contract.
 RESIDUAL_TOL = 1e-10
@@ -61,6 +63,11 @@ class RunConfig:
     formulation: str
 
 
+def _is_number(value) -> bool:
+    """JSON numbers only: bool is an int subclass, but true is no number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value, what: str):
     """Reject NaN and infinities, which Python's json accepts."""
     if not np.all(np.isfinite(value)):
@@ -69,13 +76,12 @@ def _finite(value, what: str):
 
 
 def _parse_tensor(value, what: str):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return _finite(float(value), what)
-    if isinstance(value, list):
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != (2, 2):
-            raise ConfigError(f"{what} must be a scalar or a 2x2 matrix")
-        return _finite(arr, what)
+    if (isinstance(value, list) and len(value) == 2
+            and all(isinstance(row, list) and len(row) == 2
+                    and all(map(_is_number, row)) for row in value)):
+        return _finite(np.array(value, dtype=float), what)
     raise ConfigError(f"{what} must be a scalar or a 2x2 matrix")
 
 
@@ -99,6 +105,33 @@ def _parse_coefficients(table) -> Coefficients:
         return Coefficients(mu=mu, eps=eps)
     except ValueError as err:
         raise ConfigError(f"coefficients: {err}") from None
+
+
+def _penalty(value, what: str, default: float) -> float:
+    if value == "auto":
+        return default
+    if not _is_number(value):
+        raise ConfigError(f"{what} must be 'auto' or a number")
+    return float(_finite(value, what))
+
+
+def resolve_penalties(alpha, gamma) -> tuple[float, float]:
+    """Penalty weights from config values: "auto" gives the thresholds
+    6.5 and 0.5; a number below its threshold is admitted with a warning,
+    since the coercivity or well-posedness guarantee no longer applies."""
+    alpha = _penalty(alpha, "alpha", DEFAULT_ALPHA)
+    if alpha < DEFAULT_ALPHA:
+        warnings.warn(
+            f"alpha = {alpha} is below 1/2 + 2n_K = {DEFAULT_ALPHA}; "
+            "coercivity of the curl form is not guaranteed")
+    gamma = _penalty(gamma, "gamma", DEFAULT_GAMMA)
+    if gamma < DEFAULT_GAMMA:
+        warnings.warn(
+            f"gamma = {gamma} is below the threshold {DEFAULT_GAMMA}; "
+            "well-posedness of the mixed system is not guaranteed")
+    if alpha <= 0.0 or gamma <= 0.0:
+        raise ConfigError("penalty weights must be positive")
+    return alpha, gamma
 
 
 def load_config(path: str, command: str, levels: int | None = None,
@@ -130,15 +163,15 @@ def load_config(path: str, command: str, levels: int | None = None,
             f"unknown problem {problem!r}; choose from {list(PROBLEM_NAMES)}")
 
     deg = degree if degree is not None else raw.get("degree", 1)
-    if deg not in (1, 2):
+    if type(deg) is not int or deg not in (1, 2):
         raise ConfigError(f"degree must be 1 or 2, got {deg}")
 
     nlev = levels if levels is not None else raw.get("levels", 3)
-    if not isinstance(nlev, int) or nlev < 1:
+    if type(nlev) is not int or nlev < 1:
         raise ConfigError(f"levels must be a positive integer, got {nlev}")
 
     k = raw.get("k", 1.0)
-    if not isinstance(k, (int, float)):
+    if not _is_number(k):
         raise ConfigError("k must be a number")
     _finite(k, "k")
 
@@ -148,31 +181,16 @@ def load_config(path: str, command: str, levels: int | None = None,
             f"formulation must be 'primal' or 'auxiliary', got {formulation!r}")
 
     coeffs = _parse_coefficients(raw.get("coefficients"))
-
-    def _penalty(value, what):
-        if value == "auto":
-            return value
-        if isinstance(value, (int, float)):
-            return _finite(value, what)
-        raise ConfigError(f"{what} must be 'auto' or a number")
-
-    # ProblemSpec resolves "auto", validates positivity, and emits the
-    # below-threshold warnings.
-    alpha = _penalty(raw.get("alpha", "auto"), "alpha")
-    gamma = _penalty(raw.get("gamma", "auto"), "gamma")
-    try:
-        spec = ProblemSpec(coeffs=coeffs, ksq=float(k) ** 2, alpha=alpha,
-                           gamma=gamma)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    alpha, gamma = resolve_penalties(raw.get("alpha", "auto"),
+                                     raw.get("gamma", "auto"))
 
     mesh = raw.get("mesh", DEFAULT_MESH[problem])
     if not isinstance(mesh, str):
         raise ConfigError("mesh must be a string spec or file path")
 
     out = output if output is not None else raw.get("output")
-    return RunConfig(command=command, mesh=mesh, degree=deg, ksq=spec.ksq,
-                     coeffs=coeffs, alpha=spec.alpha, gamma=spec.gamma,
+    return RunConfig(command=command, mesh=mesh, degree=deg, ksq=float(k) ** 2,
+                     coeffs=coeffs, alpha=alpha, gamma=gamma,
                      levels=nlev, problem=problem, output=out,
                      formulation=formulation)
 

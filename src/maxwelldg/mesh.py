@@ -26,7 +26,6 @@ __all__ = [
     "read_mesh",
     "write_mesh",
     "refine_uniform",
-    "macro_elements",
 ]
 
 
@@ -75,6 +74,8 @@ class Mesh:
             raise MeshFormatError("one material tag per element required")
         if elements.size and (elements.min() < 0 or elements.max() >= len(vertices)):
             raise MeshFormatError("element vertex index out of range")
+        if not np.all(np.isfinite(vertices)):
+            raise MeshFormatError("vertex coordinates must be finite")
         dedup = np.unique(np.round(vertices, 12), axis=0)
         if len(dedup) != len(vertices):
             raise MeshFormatError("duplicate vertices")
@@ -93,6 +94,7 @@ class Mesh:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "tags", tags)
         self._build_faces()
+        self._check_hanging_vertices()
 
     def _build_faces(self):
         elements = self.elements
@@ -139,6 +141,24 @@ class Mesh:
         object.__setattr__(self, "face_lengths", lengths)
         object.__setattr__(self, "boundary", face_elements[:, 1] < 0)
         object.__setattr__(self, "element_faces", element_faces)
+
+    def _check_hanging_vertices(self):
+        """Reject a vertex in the relative interior of a face.  Neither the
+        face nor the two edges split off it find a partner element, so all
+        three are flagged boundary: only boundary vertices against boundary
+        faces need testing."""
+        faces = self.faces[self.boundary]
+        a = self.vertices[faces[:, 0]]
+        d = self.vertices[faces[:, 1]] - a
+        rel = self.vertices[np.unique(faces)][:, None, :] - a
+        len2 = np.einsum("fd,fd->f", d, d)
+        along = np.einsum("vfd,fd->vf", rel, d)
+        across = rel[..., 0] * d[:, 1] - rel[..., 1] * d[:, 0]
+        tol = 1e-10 * len2
+        inside = ((np.abs(across) <= tol) & (along > tol)
+                  & (along < len2 - tol))
+        if np.any(inside):
+            raise MeshFormatError("hanging node: a vertex lies inside a face")
 
     @property
     def num_vertices(self) -> int:
@@ -330,18 +350,3 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         tags.extend([tag] * 4)
     return Mesh(vertices, np.array(elements, dtype=np.int64), np.array(tags, dtype=np.int64))
 
-
-def macro_elements(mesh: Mesh) -> list[np.ndarray]:
-    """Vertex-neighborhood patch of each element: all elements sharing at
-    least one vertex with it (the element itself included), sorted."""
-    by_vertex = [[] for _ in range(mesh.num_vertices)]
-    for e, tri in enumerate(mesh.elements):
-        for v in tri:
-            by_vertex[v].append(e)
-    patches = []
-    for tri in mesh.elements:
-        patch = set()
-        for v in tri:
-            patch.update(by_vertex[v])
-        patches.append(np.array(sorted(patch), dtype=np.int64))
-    return patches

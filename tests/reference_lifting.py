@@ -1,9 +1,10 @@
-"""Per-face loop forms of the lifting tables and face operators.
+"""Per-face loop forms of the lifting tables, face operators and forms.
 
 A test oracle: the plain per-face, per-side Python loops that the batched
-(face, side) array code of ``maxwelldg.lifting.Lifting`` and
-``maxwelldg.assembly.assemble_b_face_integral`` replaces.  Every table is
-a list over faces of lists over the faces' existing sides, every sparse
+(face, side) array code of ``maxwelldg.lifting.Lifting`` replaces, and the
+explicit face-integral forms of ``a`` and ``b`` that the lifted assembly
+of ``maxwelldg.assembly.Discretization`` must reproduce.  Every table is a
+list over faces of lists over the faces' existing sides, every sparse
 builder a loop of dense blocks into COO triplets.  Nothing in the package
 imports this module.
 """
@@ -15,7 +16,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 
 from maxwelldg.basis import face_modes
 from maxwelldg.quadrature import segment_rule, triangle_rule
-from maxwelldg.spaces import Spaces
+from maxwelldg.spaces import Spaces, element_block_diag
 
 
 def _coo_csr(rows, cols, vals, shape) -> csr_matrix:
@@ -251,3 +252,52 @@ def assemble_b_face_integral(disc) -> csr_matrix:
                 _append_block(rows, cols, vals, sp.q_dofs(eq_elem),
                               sp.v_dofs(ev_elem), block)
     return _coo_csr(rows, cols, vals, (sp.dim_Q, sp.dim_V))
+
+
+def _face_sides(disc, f: int):
+    mesh = disc.mesh
+    elems = [int(e) for e in mesh.face_elements[f] if e >= 0]
+    avg = 1.0 if mesh.boundary[f] else 0.5
+    signs = [1.0, -1.0][: len(elems)]
+    return list(zip(elems, signs)), avg
+
+
+def assemble_a_face_integral(disc) -> csr_matrix:
+    """Curl form via direct quadrature: volume term pointwise, consistency
+    terms as face integrals of tangential jumps against averaged weighted
+    curls.  The penalty term has no face-integral expression and is taken
+    from the liftings, as in the lifted assembly."""
+    sp = disc.spaces
+    mubar_inv = disc.materials.mu_bar_inv
+
+    rule = triangle_rule(sp.deg_stiff)
+    curls = sp.vbasis.curl(rule.points)                    # (np, nv)
+    ref_gram = np.einsum("p,pi,pj->ij", rule.weights, curls, curls)
+    blocks = (mubar_inv / sp.det_jac)[:, None, None] * ref_gram
+    mat = element_block_diag(blocks).tolil()
+
+    frule = segment_rule(sp.deg_stiff)
+    s, w = frule.points, frule.weights
+    for f in range(disc.mesh.num_faces):
+        sides, avg = _face_sides(disc, f)
+        n = disc.mesh.face_normals[f]
+        h = disc.mesh.face_lengths[f]
+        phys = sp.face_points(f, s)
+        cross, wcurl, dofs = [], [], []
+        for e, sg in sides:
+            ref = sp.ref_coords(e, phys)
+            vals = np.einsum("dk,pnk->pnd", sp.inv_jac_t[e],
+                             sp.vbasis.eval(ref))
+            cross.append(sg * (n[0] * vals[:, :, 1] - n[1] * vals[:, :, 0]))
+            wcurl.append(avg * mubar_inv[e] / sp.det_jac[e]
+                         * sp.vbasis.curl(ref))
+            dofs.append(sp.v_dofs(e))
+        for cu, du in zip(cross, dofs):
+            for cv, dv in zip(wcurl, dofs):
+                block = h * np.einsum("p,pi,pj->ij", w, cu, cv)
+                # -int_F [[u]]_T {{w curl v}} and its transpose
+                mat[np.ix_(dv, du)] -= block.T
+                mat[np.ix_(du, dv)] -= block
+    out = csr_matrix(mat)
+    jt = disc.jump_t
+    return csr_matrix(out + jt.T @ disc.penalty_gram @ jt)

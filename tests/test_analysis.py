@@ -23,11 +23,12 @@ from maxwelldg.analysis import (
     setup_problem,
     constants_sweep,
 )
-from maxwelldg.assembly import Discretization, element_block_diag
+from maxwelldg.assembly import Discretization
 from maxwelldg.mesh import unit_square
 from maxwelldg.problems import ModelProblem, sine_problem
 from maxwelldg.quadrature import triangle_rule
 from maxwelldg.solver import solve_mixed
+from maxwelldg.spaces import element_block_diag
 
 
 def rotation_problem(ksq=1.0):

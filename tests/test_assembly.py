@@ -4,11 +4,13 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxwelldg.assembly import Discretization, ProblemSpec, element_block_diag
+from maxwelldg.assembly import Discretization
 from maxwelldg.materials import Coefficients
 from maxwelldg.quadrature import segment_rule, triangle_rule
+from maxwelldg.spaces import element_block_diag
 
 from conftest import random_materials, two_tag_mesh
+from reference_lifting import assemble_a_face_integral, assemble_b_face_integral
 
 
 def rel_frobenius(a, b):
@@ -59,24 +61,23 @@ def lifted_vector_energy(disc, data, eps):
 
 
 class TestTwoPathAgreement:
+    """Lifted forms against the face-integral oracles of reference_lifting."""
+
     def test_vacuum(self, disc2):
-        other = disc2.assemble_a("face_integral")
+        other = assemble_a_face_integral(disc2)
         assert rel_frobenius(disc2.a_matrix, other) < 1e-12
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_heterogeneous(self, degree):
         disc = Discretization(two_tag_mesh(), degree, random_materials(7))
-        other = disc.assemble_a("face_integral")
+        other = assemble_a_face_integral(disc)
         assert rel_frobenius(disc.a_matrix, other) < 1e-12
 
-    def test_unknown_mode(self, disc2):
-        with pytest.raises(ValueError):
-            disc2.assemble_a("nodal")
-
     def test_b_crosscheck_heterogeneous(self, degree):
-        # b_matrix raises at build time if the two routes disagree
         disc = Discretization(two_tag_mesh(), degree, random_materials(8))
+        other = assemble_b_face_integral(disc)
         assert disc.b_matrix.shape == (disc.spaces.dim_Q, disc.spaces.dim_V)
+        assert rel_frobenius(disc.b_matrix, other) < 1e-12
 
 
 class TestVolumeOperators:
@@ -339,31 +340,7 @@ class TestLoads:
         assert np.abs(combined - split).max() < 1e-12
 
 
-class TestProblemSpec:
-    def test_auto_defaults(self):
-        spec = ProblemSpec()
-        assert spec.alpha == 6.5
-        assert spec.gamma == 0.5
-
-    def test_low_alpha_warns(self):
-        with pytest.warns(UserWarning, match=r"below 1/2 \+ 2n_K = 6.5"):
-            ProblemSpec(alpha=2.0)
-
-    def test_low_gamma_warns(self):
-        with pytest.warns(UserWarning, match="below the threshold"):
-            ProblemSpec(gamma=0.1)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            with pytest.warns(UserWarning):
-                ProblemSpec(alpha=-1.0)
-
-    def test_discretize_passes_penalties(self, square2):
-        spec = ProblemSpec(alpha=8.0, gamma=1.0)
-        disc = spec.discretize(square2, 1)
-        assert np.all(disc.alpha == 8.0)
-        assert np.all(disc.gamma == 1.0)
-
+class TestPenaltyWeights:
     def test_per_face_alpha(self, square2):
         nf = square2.num_faces
         alpha = np.full(nf, 7.0)

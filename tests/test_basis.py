@@ -5,7 +5,6 @@ from numpy.polynomial import legendre as npleg
 from maxwelldg.basis import (
     CurlBasis,
     ScalarBasis,
-    face_mode_derivatives,
     face_modes,
 )
 from maxwelldg.quadrature import segment_rule, triangle_rule
@@ -165,15 +164,3 @@ class TestFaceModes:
             unit[m] = 1.0
             oracle = np.sqrt(2 * m + 1) * npleg.legval(2.0 * s - 1.0, unit)
             assert np.abs(vals[:, m] - oracle).max() < 1e-13
-
-    @pytest.mark.parametrize("degree", [1, 3, 6])
-    def test_derivatives(self, degree):
-        # chain rule against the numpy Legendre derivative, endpoints included
-        s = np.concatenate([[0.0], np.linspace(0.05, 0.95, 13), [1.0]])
-        ders = face_mode_derivatives(degree, s)
-        for m in range(degree + 1):
-            unit = np.zeros(m + 1)
-            unit[m] = 1.0
-            dc = npleg.legder(unit) if m > 0 else np.zeros(1)
-            oracle = np.sqrt(2 * m + 1) * 2.0 * npleg.legval(2.0 * s - 1.0, dc)
-            assert np.abs(ders[:, m] - oracle).max() < 1e-10

@@ -75,6 +75,13 @@ class TestLoadConfig:
         ({"alpha": "big"}, "alpha must be 'auto' or a number"),
         ({"mesh": 4}, "mesh must be a string"),
         ({"gamma": float("inf")}, "gamma must be finite"),
+        ({"degree": True}, "degree must be 1 or 2"),
+        ({"levels": True}, "levels must be a positive"),
+        ({"k": True}, "k must be a number"),
+        ({"alpha": True}, "alpha must be 'auto' or a number"),
+        ({"gamma": False}, "gamma must be 'auto' or a number"),
+        pytest.param({"gamma": 0.0}, "penalty weights must be positive",
+                     marks=pytest.mark.filterwarnings("ignore::UserWarning")),
     ])
     def test_field_validation(self, tmp_path, payload, match):
         path = write_config(tmp_path, payload)
@@ -83,8 +90,17 @@ class TestLoadConfig:
 
     def test_low_alpha_warns(self, tmp_path):
         path = write_config(tmp_path, {"alpha": 2.0})
-        with pytest.warns(UserWarning, match="coercivity"):
-            load_config(path, command="solve")
+        with pytest.warns(UserWarning, match=r"below 1/2 \+ 2n_K = 6.5; "
+                                             "coercivity"):
+            cfg = load_config(path, command="solve")
+        assert cfg.alpha == 2.0
+
+    def test_low_gamma_warns(self, tmp_path):
+        path = write_config(tmp_path, {"gamma": 0.1})
+        with pytest.warns(UserWarning, match="below the threshold 0.5; "
+                                             "well-posedness"):
+            cfg = load_config(path, command="solve")
+        assert cfg.gamma == 0.1
 
     def test_coefficient_table(self, tmp_path):
         path = write_config(tmp_path, {"coefficients": {
@@ -104,6 +120,9 @@ class TestLoadConfig:
         ({"0": {"eps": [[1.0, float("nan")], [float("nan"), 1.0]]}},
          "must be finite"),
         ({"0": {"eps": [[1.0, 0.5], [0.0, 1.0]]}}, "must be symmetric"),
+        ({"0": {"mu": True}}, "2x2 matrix"),
+        ({"0": {"eps": [[True, 0.0], [0.0, 1.0]]}}, "2x2 matrix"),
+        ({"0": {"eps": [[1.0, "0"], ["0", 1.0]]}}, "2x2 matrix"),
     ])
     def test_coefficient_validation(self, tmp_path, table, match):
         path = write_config(tmp_path, {"coefficients": table})
@@ -276,6 +295,7 @@ class TestExitCodes:
         ('{"coefficients": {"0": {"mu": -1}}}', "positive definite"),
         pytest.param('{"alpha": -1}', "penalty weights must be positive",
                      marks=pytest.mark.filterwarnings("ignore::UserWarning")),
+        ('{"degree": true}', "degree must be 1 or 2, got True"),
     ])
     def test_invalid_values_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.json"
@@ -303,6 +323,24 @@ class TestExitCodes:
         assert code == 2
         assert err.splitlines()[-1] == (
             "error: coefficients have no entry for mesh tags [1]")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("nodes 3\n0 0\nnan 0\n0 1\nelements 1\n0 1 2\n",
+         "vertex coordinates must be finite"),
+        ("nodes 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+         "elements 3\n0 1 2\n0 4 3\n4 2 3\n", "hanging node"),
+    ], ids=["nan-vertex", "hanging-node"])
+    def test_bad_mesh_exits_two(self, tmp_path, capsys, text, message):
+        mesh_path = tmp_path / "bad.mesh"
+        mesh_path.write_text(text)
+        path = write_config(tmp_path, {"problem": "zero",
+                                       "mesh": str(mesh_path)})
+        code = main(["solve", "--config", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: bad mesh file")
+        assert message in err
         assert "Traceback" not in err
 
     def test_missing_subcommand_exits(self):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from maxwelldg import (Mesh, MeshFormatError, lshape, macro_elements,
-                       read_mesh, refine_uniform, unit_square, write_mesh)
+from maxwelldg import (Mesh, MeshFormatError, lshape, read_mesh,
+                       refine_uniform, unit_square, write_mesh)
 
 
 def signed_area(verts):
@@ -155,6 +155,11 @@ class TestSerialization:
         ("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1\n", "3 indices"),
         ("nodes 3\n0 0\n1 0 9\n0 1\nelements 1\n0 1 2\n", "two coordinates"),
         ("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 2\nleftover\n", "trailing"),
+        ("nodes 3\n0 0\nnan 0\n0 1\nelements 1\n0 1 2\n", "must be finite"),
+        ("nodes 3\n0 0\n1 0\n0 inf\nelements 1\n0 1 2\n", "must be finite"),
+        # vertex 4 halves the diagonal 0-2 of element 0 from the other side
+        ("nodes 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+         "elements 3\n0 1 2\n0 4 3\n4 2 3\n", "hanging node"),
     ])
     def test_malformed_inputs(self, text, match):
         with pytest.raises(MeshFormatError, match=match):
@@ -178,14 +183,3 @@ class TestRefinement:
         mesh = lshape(1)
         fine = refine_uniform(mesh)
         assert fine.mesh_size() == pytest.approx(0.5 * mesh.mesh_size())
-
-
-class TestMacroElements:
-    def test_patches_match_vertex_incidence(self):
-        mesh = unit_square(2)
-        patches = macro_elements(mesh)
-        for e, patch in enumerate(patches):
-            share = [o for o, tri in enumerate(mesh.elements)
-                     if set(tri) & set(mesh.elements[e])]
-            assert list(patch) == sorted(share)
-            assert e in patch
