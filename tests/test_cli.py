@@ -10,6 +10,7 @@ from maxwelldg.cli import (
     load_config,
     main,
     mesh_family,
+    resolve_penalties,
 )
 from maxwelldg.mesh import Mesh, unit_square, write_mesh
 
@@ -128,6 +129,17 @@ class TestLoadConfig:
         path = write_config(tmp_path, {"coefficients": table})
         with pytest.raises(ConfigError, match=match):
             load_config(path, command="solve")
+
+
+class TestResolvePenalties:
+    def test_auto_defaults(self):
+        assert resolve_penalties("auto", "auto") == (6.5, 0.5)
+
+    def test_low_alpha_warns(self):
+        with pytest.warns(UserWarning, match=r"below 1/2 \+ 2n_K = 6.5; "
+                                             "coercivity"):
+            alpha, gamma = resolve_penalties(2.0, "auto")
+        assert (alpha, gamma) == (2.0, 0.5)
 
 
 class TestMeshFamily:
