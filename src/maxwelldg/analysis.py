@@ -62,28 +62,22 @@ def conforming_average(disc: Discretization, coeffs: np.ndarray) -> np.ndarray:
     sp = disc.spaces
     mesh = sp.mesh
     l = sp.degree
-    dmats = sp.v_dof_matrices()
-    dinv = sp.v_dof_inverses()
-    local = coeffs.reshape(mesh.num_elements, sp.ndof_v)
-    dofs = np.einsum("eij,ej->ei", dmats, local)
+    ne = mesh.num_elements
+    local = coeffs.reshape(ne, sp.ndof_v)
+    dofs = np.einsum("eij,ej->ei", sp.v_dof_matrices(), local)
+    edge = dofs[:, :3 * l].reshape(ne, 3, l)
+    # per (element, local face k): the element across face k and the local
+    # index of the face there; on the boundary both are garbage, masked below
+    faces = mesh.element_faces
+    pair = mesh.face_elements[faces]                          # (ne, 3, 2)
+    other = np.where(pair[..., 0] == np.arange(ne)[:, None],
+                     pair[..., 1], pair[..., 0])
+    k_other = np.argmax(faces[other] == faces[..., None], axis=2)
+    mean = 0.5 * (edge + edge[other, k_other])
+    mean[mesh.boundary[faces]] = 0.0
     new = dofs.copy()
-    for f in range(mesh.num_faces):
-        sides = []
-        for e in mesh.face_elements[f]:
-            if e < 0:
-                continue
-            k = int(np.flatnonzero(mesh.element_faces[e] == f)[0])
-            sides.append((int(e), k))
-        if mesh.boundary[f]:
-            e, k = sides[0]
-            new[e, k * l:(k + 1) * l] = 0.0
-        else:
-            (e0, k0), (e1, k1) = sides
-            mean = 0.5 * (dofs[e0, k0 * l:(k0 + 1) * l]
-                          + dofs[e1, k1 * l:(k1 + 1) * l])
-            new[e0, k0 * l:(k0 + 1) * l] = mean
-            new[e1, k1 * l:(k1 + 1) * l] = mean
-    return np.einsum("eij,ej->ei", dinv, new).ravel()
+    new[:, :3 * l] = mean.reshape(ne, 3 * l)
+    return np.einsum("eij,ej->ei", sp.v_dof_inverses(), new).ravel()
 
 
 def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
@@ -94,7 +88,7 @@ def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
     mesh = sp.mesh
     diff = (coeffs - conforming_average(disc, coeffs)).reshape(
         mesh.num_elements, sp.ndof_v)
-    grams = sp.local_v_grams()
+    grams = sp.local_v_grams
     curl_blocks = sp.ref_curl_gram[None, :, :] / sp.det_jac[:, None, None]
     h_elem = mesh.face_lengths[mesh.element_faces].max(axis=1)
     num = np.einsum("ei,eij,ej->e", diff, grams, diff) / h_elem ** 2
@@ -153,7 +147,7 @@ def residual_R2(disc: Discretization, problem: ModelProblem,
     grad_term = np.einsum("p,epjd,epd,e->ej", rule.weights, mapped, vals,
                           sp.det_jac).ravel()
     moments = _lift_vector_moments(disc, eps_u, deg)
-    r = -grad_term + disc.jump_n.T @ (disc.lifting.lift_vector_matrix().T
+    r = -grad_term + disc.jump_n.T @ (disc.lifting.lift_vector_matrix.T
                                       @ moments)
     lu = splu(disc.norm_q_gram.tocsc())
     return float(np.sqrt(max(r @ lu.solve(r), 0.0)))
@@ -183,7 +177,7 @@ def consistency_residual(disc: Discretization, problem: ModelProblem,
         disc, lambda a, b: np.asarray(problem.exact_curl_u(a, b)), deg)
     wcurl_moments = (wcurl_moments.reshape(sp.mesh.num_elements, sp.ndof_q)
                      * mats.mu_bar_inv[:, None]).ravel()
-    rho -= disc.jump_t.T @ (disc.lifting.lift_scalar_matrix().T @ wcurl_moments)
+    rho -= disc.jump_t.T @ (disc.lifting.lift_scalar_matrix.T @ wcurl_moments)
 
     u_ex = np.asarray(problem.exact_u(x, y))
     eps_u = np.einsum("ecd,epd->epc", mats.eps, u_ex)
@@ -215,7 +209,7 @@ def consistency_check_R1(disc: Discretization, problem: ModelProblem,
     as the nonconforming negative control."""
     rho = consistency_residual(disc, problem, degree=degree)
     if probes is None:
-        probes = np.asarray(disc.spaces.conforming_v_basis().matrix.todense())
+        probes = _dense(disc.spaces.conforming_v_basis())
     worst = 0.0
     for k in range(probes.shape[1]):
         v = probes[:, k]
@@ -261,9 +255,8 @@ def friedrichs_constant(disc: Discretization) -> float:
     constant."""
     sp = disc.spaces
     _guard(sp.dim_V)
-    conf = sp.conforming_q_basis()
     gmap = element_block_diag(sp.gradient_map())
-    kspace = _dense(gmap @ conf.matrix)                    # dim_V x nconf
+    kspace = _dense(gmap @ sp.conforming_q_basis())        # dim_V x nconf
     m_eps = _dense(disc.mass_eps)
     comp = null_space(kspace.T @ m_eps)
     a1 = comp.T @ m_eps @ comp

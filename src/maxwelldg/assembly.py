@@ -130,11 +130,11 @@ class Discretization:
 
     @cached_property
     def jump_t(self) -> csr_matrix:
-        return self.lifting.jump_tangential()
+        return self.lifting.jump_tangential
 
     @cached_property
     def jump_n(self) -> csr_matrix:
-        return self.lifting.jump_normal()
+        return self.lifting.jump_normal
 
     @cached_property
     def curl_pair(self) -> csr_matrix:

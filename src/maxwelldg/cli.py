@@ -68,20 +68,26 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _finite(value, what: str):
-    """Reject NaN and infinities, which Python's json accepts."""
-    if not np.all(np.isfinite(value)):
+def _finite(value, what: str) -> np.ndarray:
+    """The number or nested list as a float array.  Rejects NaN and
+    infinities, which Python's json accepts, and integers too large for a
+    float."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except OverflowError:
+        out = np.array(np.inf)
+    if not np.all(np.isfinite(out)):
         raise ConfigError(f"{what} must be finite, got {value}")
-    return value
+    return out
 
 
 def _parse_tensor(value, what: str):
     if _is_number(value):
-        return _finite(float(value), what)
+        return float(_finite(value, what))
     if (isinstance(value, list) and len(value) == 2
             and all(isinstance(row, list) and len(row) == 2
                     and all(map(_is_number, row)) for row in value)):
-        return _finite(np.array(value, dtype=float), what)
+        return _finite(value, what)
     raise ConfigError(f"{what} must be a scalar or a 2x2 matrix")
 
 
@@ -148,6 +154,8 @@ def load_config(path: str, command: str, levels: int | None = None,
         raise ConfigError(
             f"config parse error at line {err.lineno} column {err.colno}: "
             f"{err.msg}") from err
+    except ValueError as err:      # an integer past Python's digit limit
+        raise ConfigError(f"config parse error: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - CONFIG_KEYS
@@ -173,7 +181,7 @@ def load_config(path: str, command: str, levels: int | None = None,
     k = raw.get("k", 1.0)
     if not _is_number(k):
         raise ConfigError("k must be a number")
-    _finite(k, "k")
+    k = float(_finite(k, "k"))
 
     formulation = raw.get("formulation", "primal")
     if formulation not in ("primal", "auxiliary"):
@@ -189,7 +197,7 @@ def load_config(path: str, command: str, levels: int | None = None,
         raise ConfigError("mesh must be a string spec or file path")
 
     out = output if output is not None else raw.get("output")
-    return RunConfig(command=command, mesh=mesh, degree=deg, ksq=float(k) ** 2,
+    return RunConfig(command=command, mesh=mesh, degree=deg, ksq=k ** 2,
                      coeffs=coeffs, alpha=alpha, gamma=gamma,
                      levels=nlev, problem=problem, output=out,
                      formulation=formulation)

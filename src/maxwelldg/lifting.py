@@ -26,6 +26,8 @@ the sparse builders drop it.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.sparse import csr_matrix
 
@@ -84,11 +86,6 @@ class Lifting:
         # weight[f, s]: (avg h_F)^2 / det_jac, the lifting Gram factor
         self.weight = self.side_mask * avg_h ** 2 / spaces.det_jac[elems]
 
-        self._jump_tangential = None
-        self._jump_normal = None
-        self._lift_scalar = None
-        self._lift_vector = None
-
     # ------------------------------------------------------------------
     # index layout
 
@@ -125,29 +122,27 @@ class Lifting:
     # ------------------------------------------------------------------
     # sparse jump/trace maps
 
+    @cached_property
     def jump_tangential(self) -> csr_matrix:
         """Map V coefficients to face coefficients of the tangential jump
         (n x v on the boundary)."""
-        if self._jump_tangential is None:
-            sp = self.spaces
-            self._jump_tangential = self._face_csr(
-                SIGNS[:, None, None] * self.trace_v, self._scalar_rows(),
-                self._elem_dofs(sp.ndof_v), (self.dim_scalar_data, sp.dim_V))
-        return self._jump_tangential
+        sp = self.spaces
+        return self._face_csr(
+            SIGNS[:, None, None] * self.trace_v, self._scalar_rows(),
+            self._elem_dofs(sp.ndof_v), (self.dim_scalar_data, sp.dim_V))
 
+    @cached_property
     def jump_normal(self) -> csr_matrix:
         """Map Q coefficients to face coefficients of the vector-valued
         normal jump (q n on the boundary)."""
-        if self._jump_normal is None:
-            sp = self.spaces
-            nf = sp.mesh.num_faces
-            blocks = np.einsum("s,fc,fsmr->fsmcr", SIGNS,
-                               sp.mesh.face_normals, self.trace_q)
-            self._jump_normal = self._face_csr(
-                blocks.reshape(nf, 2, 2 * self.n_modes, sp.ndof_q),
-                self._vector_rows().reshape(nf, 1, -1),
-                self._elem_dofs(sp.ndof_q), (self.dim_vector_data, sp.dim_Q))
-        return self._jump_normal
+        sp = self.spaces
+        nf = sp.mesh.num_faces
+        blocks = np.einsum("s,fc,fsmr->fsmcr", SIGNS,
+                           sp.mesh.face_normals, self.trace_q)
+        return self._face_csr(
+            blocks.reshape(nf, 2, 2 * self.n_modes, sp.ndof_q),
+            self._vector_rows().reshape(nf, 1, -1),
+            self._elem_dofs(sp.ndof_q), (self.dim_vector_data, sp.dim_Q))
 
     # ------------------------------------------------------------------
     # lifting coefficient maps
@@ -156,36 +151,34 @@ class Lifting:
         """Broken scalar coefficients of the lifted modes, (nf, 2, nq, l+1)."""
         return self.lift_scale[:, :, None, None] * np.swapaxes(self.trace_q, 2, 3)
 
+    @cached_property
     def lift_scalar_matrix(self) -> csr_matrix:
         """Map scalar face data to broken scalar coefficients of the sum of
         the per-face liftings."""
-        if self._lift_scalar is None:
-            sp = self.spaces
-            self._lift_scalar = self._face_csr(
-                self._lift_blocks(), self._elem_dofs(sp.ndof_q),
-                self._scalar_rows(), (sp.dim_Q, self.dim_scalar_data))
-        return self._lift_scalar
+        sp = self.spaces
+        return self._face_csr(
+            self._lift_blocks(), self._elem_dofs(sp.ndof_q),
+            self._scalar_rows(), (sp.dim_Q, self.dim_scalar_data))
 
+    @cached_property
     def lift_vector_matrix(self) -> csr_matrix:
         """Map vector face data to broken vector coefficients (layout
         (element, mode, component))."""
-        if self._lift_vector is None:
-            sp = self.spaces
-            # one copy of the scalar block per component c, (nf, 2, c, nq, nm)
-            blocks = np.broadcast_to(self._lift_blocks()[:, :, None],
-                                     (sp.mesh.num_faces, 2, 2, sp.ndof_q,
-                                      self.n_modes))
-            rows = 2 * self._elem_dofs(sp.ndof_q)[:, :, None] + np.arange(2)[:, None]
-            cols = np.swapaxes(self._vector_rows(), 2, 3)
-            self._lift_vector = self._face_csr(
-                blocks, rows, cols, (2 * sp.dim_Q, self.dim_vector_data))
-        return self._lift_vector
+        sp = self.spaces
+        # one copy of the scalar block per component c, (nf, 2, c, nq, nm)
+        blocks = np.broadcast_to(self._lift_blocks()[:, :, None],
+                                 (sp.mesh.num_faces, 2, 2, sp.ndof_q,
+                                  self.n_modes))
+        rows = 2 * self._elem_dofs(sp.ndof_q)[:, :, None] + np.arange(2)[:, None]
+        cols = np.swapaxes(self._vector_rows(), 2, 3)
+        return self._face_csr(blocks, rows, cols,
+                              (2 * sp.dim_Q, self.dim_vector_data))
 
     def lift_scalar(self, data: np.ndarray) -> FemField:
-        return FemField("LS", self.lift_scalar_matrix() @ data)
+        return FemField("LS", self.lift_scalar_matrix @ data)
 
     def lift_vector(self, data: np.ndarray) -> FemField:
-        return FemField("LV", self.lift_vector_matrix() @ data)
+        return FemField("LV", self.lift_vector_matrix @ data)
 
     # ------------------------------------------------------------------
     # per-face Gram matrices of lifted data

@@ -98,27 +98,26 @@ class Mesh:
 
     def _build_faces(self):
         elements = self.elements
-        # Local face k is opposite local vertex k.
-        local = [(1, 2), (0, 2), (0, 1)]
-        pairs = {}
-        for e, tri in enumerate(elements):
-            for k, (a, b) in enumerate(local):
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                pairs.setdefault(key, []).append((e, k))
-        keys = sorted(pairs)
-        nf = len(keys)
-        faces = np.array(keys, dtype=np.int64).reshape(nf, 2)
+        ne, nv = len(elements), len(self.vertices)
+        # Local face k is opposite local vertex k; slot 3 e + k holds the
+        # sorted vertex pair (a, b) of local face k of element e, as the key
+        # a nv + b, which orders the pairs lexicographically.
+        pairs = np.sort(elements[:, [[1, 2], [0, 2], [0, 1]]], axis=2)
+        keys, slot_face = np.unique((pairs[..., 0] * nv + pairs[..., 1]).ravel(),
+                                    return_inverse=True)
+        faces = np.stack(np.divmod(keys, nv), axis=1)
+        nf = len(faces)
+        element_faces = slot_face.reshape(ne, 3)
+        # slots grouped by face, each group in increasing (element, k)
+        slots = np.argsort(slot_face, kind="stable")
+        count = np.bincount(slot_face, minlength=nf)
+        if np.any(count > 2):
+            raise MeshFormatError("face shared by more than two elements")
+        first = np.cumsum(count) - count
         face_elements = np.full((nf, 2), -1, dtype=np.int64)
-        element_faces = np.full((len(elements), 3), -1, dtype=np.int64)
-        for f, key in enumerate(keys):
-            adj = sorted(pairs[key])
-            if len(adj) > 2:
-                raise MeshFormatError("face shared by more than two elements")
-            for slot, (e, k) in enumerate(adj):
-                face_elements[f, slot] = e
-                element_faces[e, k] = f
-        if np.any(element_faces < 0):
-            raise MeshFormatError("inconsistent element-face incidence")
+        face_elements[:, 0] = slots[first] // 3
+        shared = count == 2
+        face_elements[shared, 1] = slots[first[shared] + 1] // 3
 
         a = self.vertices[faces[:, 0]]
         b = self.vertices[faces[:, 1]]
@@ -178,9 +177,8 @@ class Mesh:
     def mesh_size(self) -> float:
         """Largest element diameter (longest edge over all elements)."""
         tri = self.vertices[self.elements]
-        edge = [np.linalg.norm(tri[:, i] - tri[:, j], axis=1)
-                for i, j in ((0, 1), (1, 2), (0, 2))]
-        return float(np.max(edge))
+        edges = tri - np.roll(tri, 1, axis=1)
+        return float(np.linalg.norm(edges, axis=2).max())
 
 
 def _signed_areas(vertices, elements):
@@ -188,6 +186,19 @@ def _signed_areas(vertices, elements):
     d1 = tri[:, 1] - tri[:, 0]
     d2 = tri[:, 2] - tri[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _grid_cells(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Corners (i, j), (i+1, j), (i, j+1), (i+1, j+1) of the grid cells
+    (i, j) of an (n+1) x (n+1) vertex grid numbered i (n+1) + j, shape
+    (cells, 4)."""
+    return (i * (n + 1) + j)[:, None] + np.array([0, n + 1, 1, n + 2])
+
+
+def _split_cells(corners: np.ndarray) -> np.ndarray:
+    """Two counterclockwise triangles per cell, split along the lower-left
+    to upper-right diagonal, shape (2 cells, 3)."""
+    return corners[:, [0, 1, 3, 0, 3, 2]].reshape(-1, 3)
 
 
 def unit_square(n: int, tag: int = 0) -> Mesh:
@@ -198,51 +209,30 @@ def unit_square(n: int, tag: int = 0) -> Mesh:
     xs = np.linspace(0.0, 1.0, n + 1)
     xv, yv = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.stack([xv.ravel(), yv.ravel()], axis=1)
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    elements = []
-    for i in range(n):
-        for j in range(n):
-            p00, p10 = vid(i, j), vid(i + 1, j)
-            p01, p11 = vid(i, j + 1), vid(i + 1, j + 1)
-            elements.append((p00, p10, p11))
-            elements.append((p00, p11, p01))
-    elements = np.array(elements, dtype=np.int64)
+    i, j = np.divmod(np.arange(n * n), n)
+    elements = _split_cells(_grid_cells(i, j, n))
     return Mesh(vertices, elements, np.full(len(elements), tag, dtype=np.int64))
 
 
 def lshape(n: int, tag: int = 0) -> Mesh:
     """L-shaped domain (-1,1)^2 minus the fourth-quadrant unit square,
-    reentrant corner at the origin; 6 n^2 triangles, area 3."""
+    reentrant corner at the origin; 6 n^2 triangles, area 3.  Vertices are
+    numbered in order of first use by the cells, corner by corner."""
     if n < 1:
         raise ValueError("n must be positive")
     m = 2 * n
     xs = np.linspace(-1.0, 1.0, m + 1)
-    used = {}
-    vertices = []
-
-    def vid(i, j):
-        key = (i, j)
-        if key not in used:
-            used[key] = len(vertices)
-            vertices.append((xs[i], xs[j]))
-        return used[key]
-
-    elements = []
-    for i in range(m):
-        for j in range(m):
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cy = 0.5 * (xs[j] + xs[j + 1])
-            if cx > 0.0 and cy < 0.0:
-                continue
-            p00, p10 = vid(i, j), vid(i + 1, j)
-            p01, p11 = vid(i, j + 1), vid(i + 1, j + 1)
-            elements.append((p00, p10, p11))
-            elements.append((p00, p11, p01))
-    elements = np.array(elements, dtype=np.int64)
-    return Mesh(np.array(vertices), elements, np.full(len(elements), tag, dtype=np.int64))
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    i, j = np.divmod(np.arange(m * m), m)
+    keep = ~((mid[i] > 0.0) & (mid[j] < 0.0))
+    corners = _grid_cells(i[keep], j[keep], m)
+    grid_ids, first = np.unique(corners, return_index=True)
+    used = grid_ids[np.argsort(first)]
+    number = np.empty((m + 1) ** 2, dtype=np.int64)
+    number[used] = np.arange(len(used))
+    vertices = np.stack([xs[used // (m + 1)], xs[used % (m + 1)]], axis=1)
+    elements = number[_split_cells(corners)]
+    return Mesh(vertices, elements, np.full(len(elements), tag, dtype=np.int64))
 
 
 def read_mesh(text: str) -> Mesh:
@@ -335,18 +325,12 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     order, so the refinement is deterministic.  Children inherit the tag.
     """
     nv = mesh.num_vertices
-    midpoint_id = {tuple(f): nv + i for i, f in enumerate(mesh.faces)}
     mids = 0.5 * (mesh.vertices[mesh.faces[:, 0]] + mesh.vertices[mesh.faces[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
 
-    elements = []
-    tags = []
-    for tri, tag in zip(mesh.elements, mesh.tags):
-        v0, v1, v2 = (int(v) for v in tri)
-        m01 = midpoint_id[(min(v0, v1), max(v0, v1))]
-        m12 = midpoint_id[(min(v1, v2), max(v1, v2))]
-        m02 = midpoint_id[(min(v0, v2), max(v0, v2))]
-        elements.extend([(v0, m01, m02), (m01, v1, m12), (m02, m12, v2), (m01, m12, m02)])
-        tags.extend([tag] * 4)
-    return Mesh(vertices, np.array(elements, dtype=np.int64), np.array(tags, dtype=np.int64))
-
+    v0, v1, v2 = mesh.elements.T
+    # the midpoint of local face k, which is opposite local vertex k
+    m12, m02, m01 = (nv + mesh.element_faces).T
+    children = np.stack([v0, m01, m02, m01, v1, m12, m02, m12, v2,
+                         m01, m12, m02], axis=1)
+    return Mesh(vertices, children.reshape(-1, 3), np.repeat(mesh.tags, 4))

@@ -144,9 +144,9 @@ def gradient_null_data(disc: Discretization, seed: int = 0):
     """
     rng = np.random.default_rng(seed)
     conf = disc.spaces.conforming_q_basis()
-    if conf.dim == 0:
+    if conf.shape[1] == 0:
         raise ValueError("mesh has no interior scalar degrees of freedom")
-    q_coeffs = conf.matrix @ rng.standard_normal(conf.dim)
+    q_coeffs = conf @ rng.standard_normal(conf.shape[1])
     load = np.zeros(disc.spaces.dim_V + disc.spaces.dim_Q)
     load[:disc.spaces.dim_V] = disc.grad_pair @ q_coeffs
     return load, q_coeffs

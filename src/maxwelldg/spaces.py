@@ -18,6 +18,7 @@ element/face order; all orderings are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import inv, solve
@@ -35,7 +36,7 @@ def block_sparse(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     """Sparse matrix summing dense blocks (..., R, C) placed at row indices
     (..., R) and column indices (..., C) that broadcast against them.  A
     boolean mask keep over the leading axes drops the blocks where it is
-    False."""
+    False; a mask of the full block shape drops single entries."""
     rows = np.broadcast_to(rows[..., :, None], blocks.shape)
     cols = np.broadcast_to(cols[..., None, :], blocks.shape)
     if keep is not None:
@@ -102,8 +103,6 @@ class Spaces:
         self.deg_err = self.deg_stiff + 4
 
         self._build_reference_tables()
-        self._dof_cache = None
-        self._vgram_cache = None
 
     # ------------------------------------------------------------------
     # reference tables
@@ -133,9 +132,6 @@ class Spaces:
 
     def q_dofs(self, elem: int) -> np.ndarray:
         return np.arange(elem * self.ndof_q, (elem + 1) * self.ndof_q)
-
-    def m_dofs(self, face: int) -> np.ndarray:
-        return np.arange(face * self.ndof_m, (face + 1) * self.ndof_m)
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -171,6 +167,8 @@ class Spaces:
         return np.einsum("en,pn->ep", c, ref) / self.det_jac[:, None]
 
     def eval_q(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
+        """Values of a Q field, or of a broken scalar lifting-space field
+        (the same mapped orthonormal basis), shape (ne, np)."""
         c = coeffs.reshape(self.mesh.num_elements, self.ndof_q)
         ref = self.qbasis.eval(ref_pts)
         return np.einsum("en,pn->ep", c, ref)
@@ -180,12 +178,6 @@ class Spaces:
         ref = self.qbasis.grad(ref_pts)
         tmp = np.einsum("en,pnd->epd", c, ref)
         return np.einsum("edk,epk->epd", self.inv_jac_t, tmp)
-
-    def eval_lift_scalar(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
-        """Broken scalar lifting-space field (mapped orthonormal basis)."""
-        c = coeffs.reshape(self.mesh.num_elements, self.ndof_q)
-        ref = self.qbasis.eval(ref_pts)
-        return np.einsum("en,pn->ep", c, ref)
 
     def eval_lift_vector(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         c = coeffs.reshape(self.mesh.num_elements, self.ndof_q, 2)
@@ -199,14 +191,12 @@ class Spaces:
     # ------------------------------------------------------------------
     # local V Gram matrices and elementwise projection
 
+    @cached_property
     def local_v_grams(self) -> np.ndarray:
         """Physical local V mass matrices, shape (ne, ndof_v, ndof_v)."""
-        if self._vgram_cache is None:
-            metric = np.einsum("ekc,ekd->ecd", self.inv_jac_t, self.inv_jac_t)
-            self._vgram_cache = np.einsum(
-                "e,ecd,cdij->eij", self.det_jac, metric, self.ref_vcomp_gram
-            )
-        return self._vgram_cache
+        metric = np.einsum("ekc,ekd->ecd", self.inv_jac_t, self.inv_jac_t)
+        return np.einsum("e,ecd,cdij->eij", self.det_jac, metric,
+                         self.ref_vcomp_gram)
 
     def project_v(self, func, degree: int | None = None) -> np.ndarray:
         """Elementwise L^2 projection of func(x, y) -> (..., 2) onto V.
@@ -221,11 +211,7 @@ class Spaces:
         ref = self.vbasis.eval(pts)
         mapped = np.einsum("edk,pnk->epnd", self.inv_jac_t, ref)
         rhs = np.einsum("p,epnd,epd,e->en", wts, mapped, target, self.det_jac)
-        grams = self.local_v_grams()
-        out = np.empty((self.mesh.num_elements, self.ndof_v))
-        for e in range(self.mesh.num_elements):
-            out[e] = solve(grams[e], rhs[e], assume_a="pos")
-        return out.ravel()
+        return solve(self.local_v_grams, rhs[..., None], assume_a="pos").ravel()
 
     def project_q(self, func, degree: int | None = None) -> np.ndarray:
         """Elementwise L^2 projection of a scalar callable onto Q."""
@@ -241,88 +227,71 @@ class Spaces:
     # ------------------------------------------------------------------
     # curl-conforming degrees of freedom (edge moments + interior moments)
 
-    def _edge_dof_blocks(self):
-        """Per element, the 3 x (l moments) edge rows and interior rows of the
-        local dof matrix, plus inverses.  Cached."""
-        if self._dof_cache is not None:
-            return self._dof_cache
+    @cached_property
+    def _dof_blocks(self):
+        """Per element, the local dof matrix (3 x l edge moment rows, then
+        interior rows) and its inverse."""
         mesh = self.mesh
         l = self.degree
-        n_edge = l
-        n_int = self.ndof_v - 3 * n_edge
+        ne = mesh.num_elements
         rule = segment_rule(2 * l + 2)
         s, w = rule.points, rule.weights
         modes = face_modes(l - 1, s)                       # (np, l)
-        dmats = np.empty((mesh.num_elements, self.ndof_v, self.ndof_v))
-        for e in range(mesh.num_elements):
-            rows = []
-            for k in range(3):
-                f = mesh.element_faces[e, k]
-                t = mesh.face_tangents[f]
-                h = mesh.face_lengths[f]
-                phys = self.face_points(f, s)
-                ref = self.ref_coords(e, phys)
-                vals = self.vbasis.eval(ref)               # (np, nv, 2)
-                tang = np.einsum("d,pnd->pn", t, np.einsum(
-                    "dk,pnk->pnd", self.inv_jac_t[e], vals))
-                # moment_m(v) = int_e (t . v) mode_m ds, global orientation
-                rows.append(h * np.einsum("p,pm,pn->mn", w, modes, tang))
-            if n_int:
-                tri = triangle_rule(self.deg_stiff)
-                vals = self.vbasis.eval(tri.points)
-                mapped = np.einsum("dk,pnk->pnd", self.inv_jac_t[e], vals)
-                interior = self.det_jac[e] * np.einsum(
-                    "p,pnd->dn", tri.weights, mapped)       # (2, nv)
-                rows.append(interior)
-            dmats[e] = np.vstack(rows)
-        inverses = np.array([inv(d) for d in dmats])
-        self._dof_cache = (dmats, inverses)
-        return self._dof_cache
+        # one pull-back of every face point into the element, per
+        # (element, local face)
+        faces = mesh.element_faces
+        phys = self.face_points(faces, s)                  # (ne, 3, np, 2)
+        ref = self.ref_coords(np.arange(ne)[:, None], phys)
+        vals = self.vbasis.eval(ref.reshape(-1, 2)).reshape(
+            ne, 3, len(s), self.ndof_v, 2)
+        mapped = np.einsum("edc,ekpnc->ekpnd", self.inv_jac_t, vals)
+        tang = np.einsum("ekd,ekpnd->ekpn", mesh.face_tangents[faces], mapped)
+        # moment_m(v) = int_e (t . v) mode_m ds, global orientation
+        edge = mesh.face_lengths[faces][..., None, None] * np.einsum(
+            "p,pm,ekpn->ekmn", w, modes, tang)
+        rows = [edge.reshape(ne, 3 * l, self.ndof_v)]
+        if self.ndof_v > 3 * l:
+            tri = triangle_rule(self.deg_stiff)
+            mapped = np.einsum("edk,pnk->epnd", self.inv_jac_t,
+                               self.vbasis.eval(tri.points))
+            rows.append(self.det_jac[:, None, None] * np.einsum(
+                "p,epnd->edn", tri.weights, mapped))        # (ne, 2, nv)
+        dmats = np.concatenate(rows, axis=1)
+        return dmats, inv(dmats)
 
     def v_dof_matrices(self) -> np.ndarray:
-        return self._edge_dof_blocks()[0]
+        return self._dof_blocks[0]
 
     def v_dof_inverses(self) -> np.ndarray:
-        return self._edge_dof_blocks()[1]
+        return self._dof_blocks[1]
 
-    def conforming_v_basis(self) -> "ConformingMap":
+    def _conforming_map(self, local: np.ndarray, cols: np.ndarray,
+                        ncols: int) -> csc_matrix:
+        """Columns of a conforming subspace: local (ne, n, c) block columns,
+        placed at the element's dofs and the global columns cols (ne, c);
+        a column index of -1 drops the local column."""
+        ne, n = local.shape[:2]
+        keep = np.broadcast_to((cols >= 0)[:, None, :], local.shape)
+        return block_sparse(local, np.arange(ne * n).reshape(ne, n), cols,
+                            (ne * n, ncols), keep=keep).tocsc()
+
+    def conforming_v_basis(self) -> csc_matrix:
         """Tangentially continuous subspace with zero boundary trace,
-        as columns of V-coefficient vectors."""
+        as columns of V-coefficient vectors: l columns per interior face,
+        then the interior moments of each element."""
         mesh = self.mesh
         l = self.degree
+        ne = mesh.num_elements
         n_int = self.ndof_v - 3 * l
-        cols = {}
-        interior_faces = np.flatnonzero(~mesh.boundary)
-        face_col = {int(f): {} for f in interior_faces}
-        ncols = 0
-        for f in interior_faces:
-            for m in range(l):
-                face_col[int(f)][m] = ncols
-                ncols += 1
-        elem_col = {}
-        for e in range(mesh.num_elements):
-            elem_col[e] = ncols
-            ncols += n_int
-        dinv = self.v_dof_inverses()
-        rows, colixs, vals = [], [], []
-        for e in range(mesh.num_elements):
-            vd = self.v_dofs(e)
-            for k in range(3):
-                f = int(mesh.element_faces[e, k])
-                if mesh.boundary[f]:
-                    continue
-                for m in range(l):
-                    c = dinv[e][:, k * l + m]
-                    rows.extend(vd)
-                    colixs.extend([face_col[f][m]] * self.ndof_v)
-                    vals.extend(c)
-            for j in range(n_int):
-                c = dinv[e][:, 3 * l + j]
-                rows.extend(vd)
-                colixs.extend([elem_col[e] + j] * self.ndof_v)
-                vals.extend(c)
-        mat = coo_matrix((vals, (rows, colixs)), shape=(self.dim_V, ncols)).tocsc()
-        return ConformingMap(mat, ncols)
+        interior = ~mesh.boundary
+        n_face_cols = l * int(interior.sum())
+        face_cols = np.full((mesh.num_faces, l), -1)
+        face_cols[interior] = np.arange(n_face_cols).reshape(-1, l)
+        cols = np.concatenate([
+            face_cols[mesh.element_faces].reshape(ne, 3 * l),
+            n_face_cols + np.arange(ne * n_int).reshape(ne, n_int)], axis=1)
+        return self._conforming_map(self.v_dof_inverses(), cols,
+                                    n_face_cols + ne * n_int)
 
     # ------------------------------------------------------------------
     # conforming scalar subspace (zero boundary trace)
@@ -331,11 +300,11 @@ class Spaces:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         if self.degree == 1:
             return verts
-        local = [(1, 2), (0, 2), (0, 1)]
-        mids = np.array([0.5 * (verts[a] + verts[b]) for a, b in local])
+        # midpoints of the local faces k = 0, 1, 2, opposite vertex k
+        mids = 0.5 * (verts[[1, 0, 0]] + verts[[2, 2, 1]])
         return np.vstack([verts, mids])
 
-    def conforming_q_basis(self) -> "ConformingMap":
+    def conforming_q_basis(self) -> csc_matrix:
         """Continuous P_l subspace with zero boundary trace, as columns of
         Q-coefficient vectors (nodal basis: vertices, then interior-edge
         nodes for l = 2)."""
@@ -343,37 +312,20 @@ class Spaces:
         nodes = self._scalar_ref_nodes()
         vander = self.qbasis.eval(nodes)            # (nnod, nq)
         nodal = inv(vander)                         # columns: nodal basis coeffs
-        boundary_vertices = np.zeros(mesh.num_vertices, dtype=bool)
-        for f in np.flatnonzero(mesh.boundary):
-            boundary_vertices[mesh.faces[f]] = True
-        col_of_vertex = {}
-        ncols = 0
-        for v in range(mesh.num_vertices):
-            if not boundary_vertices[v]:
-                col_of_vertex[v] = ncols
-                ncols += 1
-        col_of_face = {}
+        inner = np.ones(mesh.num_vertices, dtype=bool)
+        inner[mesh.faces[mesh.boundary]] = False
+        node_cols = np.full(mesh.num_vertices, -1)
+        node_cols[inner] = np.arange(inner.sum())
+        cols = node_cols[mesh.elements]
+        ncols = int(inner.sum())
         if self.degree == 2:
-            for f in np.flatnonzero(~mesh.boundary):
-                col_of_face[int(f)] = ncols
-                ncols += 1
-        rows, colixs, vals = [], [], []
-        for e in range(mesh.num_elements):
-            qd = self.q_dofs(e)
-            locals_ = list(mesh.elements[e])
-            node_cols = [col_of_vertex.get(int(v)) for v in locals_]
-            if self.degree == 2:
-                for k in range(3):
-                    f = int(mesh.element_faces[e, k])
-                    node_cols.append(col_of_face.get(f))
-            for ln, gc in enumerate(node_cols):
-                if gc is None:
-                    continue
-                rows.extend(qd)
-                colixs.extend([gc] * self.ndof_q)
-                vals.extend(nodal[:, ln])
-        mat = coo_matrix((vals, (rows, colixs)), shape=(self.dim_Q, ncols)).tocsc()
-        return ConformingMap(mat, ncols)
+            interior = ~mesh.boundary
+            face_cols = np.full(mesh.num_faces, -1)
+            face_cols[interior] = ncols + np.arange(interior.sum())
+            cols = np.concatenate([cols, face_cols[mesh.element_faces]], axis=1)
+            ncols += int(interior.sum())
+        local = np.broadcast_to(nodal, (mesh.num_elements, *nodal.shape))
+        return self._conforming_map(local, cols, ncols)
 
     def gradient_map(self) -> np.ndarray:
         """Local matrices carrying Q coefficients to the V coefficients of
@@ -383,19 +335,8 @@ class Spaces:
         pts, wts = rule.points, rule.weights
         vvals = self.vbasis.eval(pts)
         qgrads = self.qbasis.grad(pts)
-        grams = self.local_v_grams()
-        out = np.empty((self.mesh.num_elements, self.ndof_v, self.ndof_q))
-        for e in range(self.mesh.num_elements):
-            mapped_v = np.einsum("dk,pnk->pnd", self.inv_jac_t[e], vvals)
-            mapped_g = np.einsum("dk,pjk->pjd", self.inv_jac_t[e], qgrads)
-            rhs = self.det_jac[e] * np.einsum("p,pnd,pjd->nj", wts, mapped_v, mapped_g)
-            out[e] = solve(grams[e], rhs, assume_a="pos")
-        return out
-
-
-@dataclass
-class ConformingMap:
-    """Sparse matrix whose columns span a conforming subspace."""
-
-    matrix: csc_matrix
-    dim: int
+        mapped_v = np.einsum("edk,pnk->epnd", self.inv_jac_t, vvals)
+        mapped_g = np.einsum("edk,pjk->epjd", self.inv_jac_t, qgrads)
+        rhs = self.det_jac[:, None, None] * np.einsum(
+            "p,epnd,epjd->enj", wts, mapped_v, mapped_g)
+        return solve(self.local_v_grams, rhs, assume_a="pos")

@@ -96,7 +96,7 @@ def test_03_lifting_defining_relation():
         qref = spaces.qbasis.eval(tri.points)
         seg = segment_rule(2 * degree + 6)
         modes = face_modes(degree, seg.points)
-        lift = lifting.lift_vector_matrix()
+        lift = lifting.lift_vector_matrix
         for f in range(mesh.num_faces):
             elems = [int(e) for e in mesh.face_elements[f] if e >= 0]
             avg = 1.0 if mesh.boundary[f] else 0.5

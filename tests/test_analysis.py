@@ -70,7 +70,7 @@ class TestConformingAverage:
     def test_fixes_conforming_fields(self, disc2):
         cmap = disc2.spaces.conforming_v_basis()
         rng = np.random.default_rng(63)
-        v = cmap.matrix @ rng.standard_normal(cmap.dim)
+        v = cmap @ rng.standard_normal(cmap.shape[1])
         avg = conforming_average(disc2, v)
         assert np.abs(avg - v).max() < 1e-10 * np.abs(v).max()
 
@@ -162,7 +162,7 @@ class TestStabilityConstants:
         sp = disc2.spaces
         conf = sp.conforming_q_basis()
         rng = np.random.default_rng(66)
-        q = conf.matrix @ rng.standard_normal(conf.dim)
+        q = conf @ rng.standard_normal(conf.shape[1])
         gmap = element_block_diag(sp.gradient_map())
         v = gmap @ q
         # the squared seminorm cancels to roundoff; sqrt halves the exponent

@@ -37,7 +37,7 @@ def lifted_scalar_energy(disc, data, weight):
     for f in range(disc.mesh.num_faces):
         d = np.zeros(lifting.dim_scalar_data)
         d[f * nm:(f + 1) * nm] = data[f * nm:(f + 1) * nm]
-        rv = sp.eval_lift_scalar(lifting.lift_scalar(d).coeffs, rule.points)
+        rv = sp.eval_q(lifting.lift_scalar(d).coeffs, rule.points)
         total += np.einsum("p,ep,ep,e->", rule.weights, rv, rv,
                            sp.det_jac * weight)
     return total
@@ -171,7 +171,7 @@ class TestConstraintOperators:
         sp = disc.spaces
         cmap = sp.conforming_q_basis()
         rng = np.random.default_rng(28)
-        q = cmap.matrix @ rng.standard_normal(cmap.dim)
+        q = cmap @ rng.standard_normal(cmap.shape[1])
         u = rng.standard_normal(sp.dim_V)
 
         def integrand(pts):

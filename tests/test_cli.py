@@ -15,6 +15,10 @@ from maxwelldg.cli import (
 from maxwelldg.mesh import Mesh, unit_square, write_mesh
 
 
+# 1 followed by this: an integer beyond the float range
+BIG = "0" * 400
+
+
 def write_config(tmp_path, payload, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -308,6 +312,17 @@ class TestExitCodes:
         pytest.param('{"alpha": -1}', "penalty weights must be positive",
                      marks=pytest.mark.filterwarnings("ignore::UserWarning")),
         ('{"degree": true}', "degree must be 1 or 2, got True"),
+        # integers too large for a float
+        pytest.param('{"k": 1%s}' % BIG, "k must be finite", id="k-big-int"),
+        pytest.param('{"alpha": 1%s}' % BIG, "alpha must be finite",
+                     id="alpha-big-int"),
+        pytest.param('{"coefficients": {"0": {"mu": 1%s}}}' % BIG,
+                     "mu[0] must be finite", id="mu-big-int"),
+        pytest.param('{"coefficients": {"0": {"eps": [[1, 1%s], [0, 1]]}}}'
+                     % BIG, "eps[0] must be finite", id="tensor-big-int"),
+        # past the digit limit of Python's int parsing
+        pytest.param('{"k": 1%s}' % ("0" * 5000), "config parse error",
+                     id="k-digit-limit"),
     ])
     def test_invalid_values_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.json"
@@ -342,7 +357,10 @@ class TestExitCodes:
          "vertex coordinates must be finite"),
         ("nodes 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
          "elements 3\n0 1 2\n0 4 3\n4 2 3\n", "hanging node"),
-    ], ids=["nan-vertex", "hanging-node"])
+        ("nodes 5\n0 0\n1 0\n0.5 1\n0.5 -1\n0.5 2\n"
+         "elements 3\n0 1 2\n0 1 3\n0 1 4\n",
+         "face shared by more than two elements"),
+    ], ids=["nan-vertex", "hanging-node", "three-elements-on-a-face"])
     def test_bad_mesh_exits_two(self, tmp_path, capsys, text, message):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)

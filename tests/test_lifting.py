@@ -50,7 +50,7 @@ class TestScalarLifting:
                 data[f * nm + m] = 1.0
                 r = lifting.lift_scalar(data)
                 assert r.space == "LS"
-                rvals = sp.eval_lift_scalar(r.coeffs, tri.points)
+                rvals = sp.eval_q(r.coeffs, tri.points)
                 for _ in range(2):
                     w = rng.standard_normal(sp.dim_Q)
                     wvals = sp.eval_q(w, tri.points)
@@ -83,7 +83,7 @@ class TestScalarLifting:
         ref_mass = np.einsum("p,pi,pj->ij", tri.weights, qv, qv)
         seg = segment_rule(2 * degree + 4)
         modes = face_modes(degree, seg.points)
-        lift = lifting.lift_scalar_matrix()
+        lift = lifting.lift_scalar_matrix
         for f in range(mesh.num_faces):
             h = mesh.face_lengths[f]
             elems = [int(e) for e in mesh.face_elements[f] if e >= 0]
@@ -151,7 +151,7 @@ class TestJumpMaps:
         modes = face_modes(degree, seg.points)
         rng = np.random.default_rng(13)
         u = rng.standard_normal(sp.dim_V)
-        data = lifting.jump_tangential() @ u
+        data = lifting.jump_tangential @ u
         for f in range(mesh.num_faces):
             n = mesh.face_normals[f]
             sides = face_samples(sp, u, f, seg.points, sp.eval_v)
@@ -170,7 +170,7 @@ class TestJumpMaps:
         modes = face_modes(degree, seg.points)
         rng = np.random.default_rng(14)
         q = rng.standard_normal(sp.dim_Q)
-        data = lifting.jump_normal() @ q
+        data = lifting.jump_normal @ q
         for f in range(mesh.num_faces):
             n = mesh.face_normals[f]
             sides = face_samples(sp, q, f, seg.points, sp.eval_q)
@@ -196,7 +196,7 @@ class TestFaceGrams:
             for m in range(nm):
                 data = np.zeros(lifting.dim_scalar_data)
                 data[f * nm + m] = 1.0
-                fields.append(sp.eval_lift_scalar(
+                fields.append(sp.eval_q(
                     lifting.lift_scalar(data).coeffs, tri.points))
             for i in range(nm):
                 for j in range(nm):
@@ -248,7 +248,7 @@ class TestPairings:
             for m in range(nm):
                 data = np.zeros(lifting.dim_scalar_data)
                 data[f * nm + m] = 1.0
-                rvals = sp.eval_lift_scalar(
+                rvals = sp.eval_q(
                     lifting.lift_scalar(data).coeffs, tri.points)
                 oracle = volume_integral(sp, rvals, curls, tri.weights, weight)
                 assert pairing[f * nm + m] == pytest.approx(oracle, abs=1e-12)

@@ -160,6 +160,10 @@ class TestSerialization:
         # vertex 4 halves the diagonal 0-2 of element 0 from the other side
         ("nodes 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
          "elements 3\n0 1 2\n0 4 3\n4 2 3\n", "hanging node"),
+        # three triangles on the edge 0-1
+        ("nodes 5\n0 0\n1 0\n0.5 1\n0.5 -1\n0.5 2\n"
+         "elements 3\n0 1 2\n0 1 3\n0 1 4\n",
+         "face shared by more than two elements"),
     ])
     def test_malformed_inputs(self, text, match):
         with pytest.raises(MeshFormatError, match=match):
