@@ -416,7 +416,7 @@ class LevelRecord:
     coercivity_margin: float
     constraint_residual: float
     solver_residual: float
-    pivot_ratio: float
+    cond_estimate: float
     r2: float | None
     time_s: float
 
@@ -473,7 +473,7 @@ class ConvergenceReport:
             "levels": [
                 {"level": r.level, "h": r.h,
                  "solver_residual": r.solver_residual,
-                 "pivot_ratio": r.pivot_ratio,
+                 "cond_estimate": r.cond_estimate,
                  "constraint_residual": r.constraint_residual,
                  "r2": r.r2, "time_s": r.time_s}
                 for r in self.records],
@@ -549,7 +549,7 @@ def convergence_study(problem: ModelProblem, degree: int, levels: int,
             dofs_p=disc.spaces.dim_Q, e_v=errs["e_v"], e_q=errs["e_q"],
             eoc_v=eoc_v, eoc_q=eoc_q, coercivity_margin=margin,
             constraint_residual=sol.constraint_gap,
-            solver_residual=sol.residual, pivot_ratio=sol.pivot_ratio,
+            solver_residual=sol.residual, cond_estimate=sol.cond_estimate,
             r2=r2, time_s=time.perf_counter() - t0))
         prev = {"h": h, "e_v": errs["e_v"], "e_q": errs["e_q"]}
     return report

@@ -303,8 +303,10 @@ def run_solve(cfg: RunConfig) -> int:
         "norm_u": disc.norm_v(sol.u.coeffs),
         "norm_p": disc.norm_q(sol.p.coeffs),
         "residual": sol.residual,
-        "pivot_ratio": sol.pivot_ratio,
+        "cond_estimate": sol.cond_estimate,
         "constraint_residual": sol.constraint_gap,
+        "factor": {"pivoting": sol.factor.pivoting,
+                   "lu_nnz": sol.factor.lu_nnz},
     })
     if problem is not None:
         errs = error_norms(disc, problem, sol.u.coeffs, sol.p.coeffs,

@@ -76,7 +76,11 @@ class Mesh:
             raise MeshFormatError("element vertex index out of range")
         if not np.all(np.isfinite(vertices)):
             raise MeshFormatError("vertex coordinates must be finite")
-        dedup = np.unique(np.round(vertices, 12), axis=0)
+        # Both geometric checks are relative to the bounding box, so a mesh
+        # in any unit passes or fails alike.
+        span = vertices - vertices.min(axis=0) if len(vertices) else vertices
+        extent = float(span.max(initial=0.0)) or 1.0
+        dedup = np.unique(np.round(span / extent, 12), axis=0)
         if len(dedup) != len(vertices):
             raise MeshFormatError("duplicate vertices")
 
@@ -86,8 +90,7 @@ class Mesh:
         elements = elements.copy()
         elements[flip] = elements[flip][:, [0, 2, 1]]
         areas = np.abs(areas)
-        scale = np.max(np.abs(vertices)) if vertices.size else 1.0
-        if np.any(areas <= 1e-14 * max(scale, 1.0) ** 2):
+        if np.any(areas <= 1e-14 * extent ** 2):
             raise MeshFormatError("degenerate element (zero area)")
 
         object.__setattr__(self, "vertices", vertices)

@@ -13,6 +13,7 @@ from maxwelldg.cli import (
     resolve_penalties,
 )
 from maxwelldg.mesh import Mesh, unit_square, write_mesh
+from maxwelldg.solver import COND_MAX
 
 
 # 1 followed by this: an integer beyond the float range
@@ -206,6 +207,16 @@ class TestSolveCommand:
         assert 0 < out["e_v"] < 2.0
         assert out["residual"] <= 1e-10
         assert out["constraint_residual"] <= 1e-10
+
+    def test_reports_factor(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"problem": "sine", "mesh": "square:2"})
+        code = main(["solve", "--config", path])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert 1.0 <= out["cond_estimate"] < COND_MAX
+        assert out["factor"]["pivoting"] == "symmetric"
+        assert out["factor"]["lu_nnz"] > 0
+        assert "pivot_ratio" not in out
 
     def test_output_file(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "zero", "mesh": "square:2",

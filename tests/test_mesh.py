@@ -54,6 +54,28 @@ class TestConstruction:
         with pytest.raises(MeshFormatError, match="duplicate"):
             Mesh(verts, np.array([[0, 1, 2]]), np.zeros(1, dtype=int))
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-7, 1e7])
+    def test_scaled_mesh_accepted(self, scale):
+        # the geometric checks are relative to the mesh's own extent
+        base = unit_square(4)
+        mesh = Mesh(base.vertices * scale, base.elements, base.tags)
+        np.testing.assert_array_equal(mesh.faces, base.faces)
+        np.testing.assert_array_equal(mesh.face_elements, base.face_elements)
+        np.testing.assert_allclose(mesh.element_areas(),
+                                   base.element_areas() * scale ** 2)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-7, 1e7])
+    def test_scaled_defects_rejected(self, scale):
+        base = unit_square(4)
+        verts = base.vertices * scale
+        with pytest.raises(MeshFormatError, match="duplicate"):
+            Mesh(np.vstack([verts, verts[5]]), base.elements, base.tags)
+        # vertices 0, 1, 2 lie on the edge x = 0
+        elements = np.vstack([base.elements, [0, 1, 2]])
+        tags = np.append(base.tags, 0)
+        with pytest.raises(MeshFormatError, match="degenerate"):
+            Mesh(verts, elements, tags)
+
     def test_bad_index_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(MeshFormatError, match="out of range"):
