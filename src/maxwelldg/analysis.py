@@ -417,6 +417,7 @@ class LevelRecord:
     constraint_residual: float
     solver_residual: float
     cond_estimate: float
+    ordering: str          # fill-reducing order of the factor
     r2: float | None
     time_s: float
 
@@ -474,6 +475,7 @@ class ConvergenceReport:
                 {"level": r.level, "h": r.h,
                  "solver_residual": r.solver_residual,
                  "cond_estimate": r.cond_estimate,
+                 "ordering": r.ordering,
                  "constraint_residual": r.constraint_residual,
                  "r2": r.r2, "time_s": r.time_s}
                 for r in self.records],
@@ -550,6 +552,7 @@ def convergence_study(problem: ModelProblem, degree: int, levels: int,
             eoc_v=eoc_v, eoc_q=eoc_q, coercivity_margin=margin,
             constraint_residual=sol.constraint_gap,
             solver_residual=sol.residual, cond_estimate=sol.cond_estimate,
+            ordering=sol.factor.ordering,
             r2=r2, time_s=time.perf_counter() - t0))
         prev = {"h": h, "e_v": errs["e_v"], "e_q": errs["e_q"]}
     return report

@@ -9,7 +9,11 @@ the normal jump of p):
 
 All nonlocal coupling runs through the face lifting operators; the
 penalty and jump terms are therefore sums of per-face rank-(l+1)
-contributions and the stencil never grows past face neighbors.
+contributions and the stencil never grows past face neighbors.  The
+graph of each system is thus the element dual graph, and the mesh's
+nested-dissection order of the elements orders the system's unknowns.
+The systems are assembled in compressed sparse column form, the form the
+sparse factorization reads.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import block_diag, bmat, csr_matrix
+from scipy.sparse import block_diag, bmat, csc_matrix, csr_matrix
 
 from .lifting import Lifting
 from .materials import Coefficients, MaterialArrays
@@ -32,6 +36,10 @@ __all__ = ["Discretization"]
 FACES_PER_ELEMENT = 3
 DEFAULT_ALPHA = 0.5 + 2.0 * FACES_PER_ELEMENT
 DEFAULT_GAMMA = 0.5
+# Nested dissection orders the degree-1 systems.  At degree 2 it leaves
+# 8% more fill than minimum degree on square:32 and square:64, for no
+# faster factor.
+DISSECTION_DEGREE = 1
 
 
 class Discretization:
@@ -217,18 +225,43 @@ class Discretization:
     # ------------------------------------------------------------------
     # systems
 
-    def primal_system(self, ksq: float) -> csr_matrix:
+    def primal_system(self, ksq: float) -> csc_matrix:
         lhs = self.a_matrix - ksq * self.mass_eps
         return bmat([[lhs, self.b_matrix.T],
-                     [self.b_matrix, -self.c_matrix]], format="csr")
+                     [self.b_matrix, -self.c_matrix]], format="csc")
 
-    def auxiliary_system(self, ksq: float) -> csr_matrix:
+    def auxiliary_system(self, ksq: float) -> csc_matrix:
         lhs = self.a_matrix - ksq * self.mass_eps
         gamma_jn = self.gamma_gram @ self.jump_n
         return bmat([
             [lhs, None, self.b_matrix.T],
             [None, self.gamma_gram, -gamma_jn],
-            [self.b_matrix, -gamma_jn.T, None]], format="csr")
+            [self.b_matrix, -gamma_jn.T, None]], format="csc")
+
+    def dof_order(self, multiplier: bool = False) -> np.ndarray | None:
+        """Nested-dissection permutation of the primal (V, Q) or, with the
+        multiplier, the auxiliary (V, M, Q) unknowns; None at degrees
+        that keep a minimum degree order.
+
+        The unknowns follow the elements in the mesh's dissection order,
+        each element's V dofs, then the M dofs of the faces it is the
+        earlier of the two elements of, then its Q dofs.  With the M dofs
+        after Q, or on the later element, the diagonal of the Q block is
+        zero when it is eliminated, and symmetric mode cannot pivot on it.
+        """
+        if self.spaces.degree != DISSECTION_DEGREE:
+            return None
+        sp, mesh = self.spaces, self.mesh
+        rank = np.empty(mesh.num_elements, dtype=np.int64)
+        rank[mesh.dissection_order] = np.arange(mesh.num_elements)
+        owner = [np.repeat(rank, sp.ndof_v)]
+        if multiplier:
+            sides = rank[mesh.face_elements]
+            sides[mesh.boundary, 1] = mesh.num_elements
+            owner.append(np.repeat(sides.min(axis=1), sp.ndof_m))
+        owner.append(np.repeat(rank, sp.ndof_q))
+        kind = np.repeat(np.arange(len(owner)), [len(o) for o in owner])
+        return np.lexsort((kind, np.concatenate(owner)))
 
     @cached_property
     def constraint_w(self) -> csr_matrix:

@@ -306,6 +306,7 @@ def run_solve(cfg: RunConfig) -> int:
         "cond_estimate": sol.cond_estimate,
         "constraint_residual": sol.constraint_gap,
         "factor": {"pivoting": sol.factor.pivoting,
+                   "ordering": sol.factor.ordering,
                    "lu_nnz": sol.factor.lu_nnz},
     })
     if problem is not None:

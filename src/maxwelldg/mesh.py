@@ -15,6 +15,7 @@ The mesh layer fixes every orientation convention used downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,11 @@ __all__ = [
     "read_mesh",
     "write_mesh",
     "refine_uniform",
+    "nested_dissection",
 ]
+
+# Parts of at most this many elements are not cut further.
+DISSECTION_LEAF = 4
 
 
 class MeshFormatError(ValueError):
@@ -174,6 +179,13 @@ class Mesh:
     def num_faces(self) -> int:
         return len(self.faces)
 
+    @cached_property
+    def dissection_order(self) -> np.ndarray:
+        """Element indices in nested-dissection order."""
+        centroids = self.vertices[self.elements].mean(axis=1)
+        return nested_dissection(centroids,
+                                 self.face_elements[~self.boundary])[0]
+
     def element_areas(self) -> np.ndarray:
         return np.abs(_signed_areas(self.vertices, self.elements))
 
@@ -182,6 +194,79 @@ class Mesh:
         tri = self.vertices[self.elements]
         edges = tri - np.roll(tri, 1, axis=1)
         return float(np.linalg.norm(edges, axis=2).max())
+
+
+def nested_dissection(points: np.ndarray, pairs: np.ndarray):
+    """Nested-dissection order of the nodes of a graph with coordinates.
+
+    points is (n, 2), pairs an (m, 2) array of the node pairs that are
+    joined.  Each part is cut at its median along the longer side of its
+    bounding box; the nodes of the first half joined to the second half
+    form the separator, which is numbered after both halves.  Parts of at
+    most DISSECTION_LEAF nodes stay whole.  The parts of one level are cut
+    together, with one stable sort on (part, coordinate).
+
+    Returns the order (node indices, first eliminated first) and the cuts,
+    an array of rows (start, first, second, separator): the part beginning
+    at position start holds its first half, then its second half, then
+    its separator, of these sizes.
+    """
+    n = len(points)
+    x, y = np.array(points, dtype=float).T.copy()
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    position = np.empty(n, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
+    cuts = [np.zeros((0, 4), dtype=np.int64)]
+    active = np.arange(n)                   # nodes of open parts
+    part = np.zeros(n, dtype=np.int64)      # their part, nondecreasing
+    start = np.zeros(1, dtype=np.int64)     # first position of each part
+    while True:
+        new = np.ones(active.size, dtype=bool)
+        new[1:] = part[1:] != part[:-1]
+        start = start[part[new]]
+        part = np.cumsum(new) - 1
+        size = np.bincount(part, minlength=len(start))
+        first = np.cumsum(size) - size
+        rank = np.arange(active.size) - first[part]
+        leaf = (size <= DISSECTION_LEAF)[part]
+        position[active[leaf]] = start[part[leaf]] + rank[leaf]
+        if leaf.all():
+            break
+        if leaf.any():
+            active, part = active[~leaf], part[~leaf]
+            continue
+        # sort each part along the longer side of its bounding box
+        xs, ys = x[active], y[active]
+        wide = (np.maximum.reduceat(xs, first) - np.minimum.reduceat(xs, first)
+                >= np.maximum.reduceat(ys, first)
+                - np.minimum.reduceat(ys, first))
+        active = active[np.lexsort((np.where(wide[part], xs, ys), part))]
+        second = rank >= (size // 2)[part]
+        # the separator: first-half nodes joined to the second half; pairs
+        # that leave their part never join two nodes of one part again
+        slot.fill(-1)
+        slot[active] = np.arange(active.size)
+        a, b = slot[u], slot[v]
+        inside = (a >= 0) & (b >= 0)
+        inside &= part[a] == part[b]
+        u, v, a, b = u[inside], v[inside], a[inside], b[inside]
+        across = second[a] != second[b]
+        separator = np.zeros(active.size, dtype=bool)
+        separator[np.where(second[a], b, a)[across]] = True
+        n_sep = np.bincount(part[separator], minlength=len(size))
+        n_second = size - size // 2
+        n_first = size // 2 - n_sep
+        picked = np.flatnonzero(separator)
+        at = part[picked]
+        position[active[picked]] = (start + n_first + n_second)[at] + (
+            np.arange(picked.size) - (np.cumsum(n_sep) - n_sep)[at])
+        cuts.append(np.stack([start, n_first, n_second, n_sep], axis=1))
+        active = active[~separator]
+        part = (2 * part + second)[~separator]
+        start = np.stack([start, start + n_first], axis=1).ravel()
+    order = np.empty(n, dtype=np.int64)
+    order[position] = np.arange(n)
+    return order, np.concatenate(cuts)
 
 
 def _signed_areas(vertices, elements):

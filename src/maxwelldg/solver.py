@@ -1,14 +1,16 @@
 """Direct solution of the assembled saddle point systems.
 
 The systems are symmetric indefinite.  They are factored in SuperLU's
-symmetric mode: a minimum degree ordering of A + A^T and a diagonal pivot
-whenever it is nonzero.  That relaxed pivoting cuts the fill of a
-partial-pivoting factor, to about a third at degree 2, but it may grow
-the factor's error.  Every solve therefore takes one step of iterative
-refinement in working precision, which restores a small backward error
-when the factor is not too unstable (Skeel, Math. Comp. 1980).  A
-refined probe solve checks that at factorization time; if it fails, the
-matrix is refactored with partial pivoting.
+symmetric mode: a fill-reducing symmetric ordering and a diagonal pivot
+whenever it is nonzero.  The ordering is the discretization's nested
+dissection where it gives one (degree 1), else minimum degree on A + A^T.
+The relaxed pivoting cuts the fill of a partial-pivoting factor, to about
+a third at degree 2, but it may grow the factor's error.  Every solve
+therefore takes one step of iterative refinement in working precision,
+which restores a small backward error when the factor is not too
+unstable (Skeel, Math. Comp. 1980).  A refined probe solve checks that at
+factorization time; if it fails, the matrix is refactored with partial
+pivoting and a COLAMD column order.
 
 A wavenumber at a discrete resonance makes the matrix singular.  That is
 judged by a 1-norm condition estimate (Higham and Tisseur, SIAM J. Matrix
@@ -21,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .assembly import Discretization
 from .spaces import FemField
 
-__all__ = ["ResonanceError", "Factor", "Solution", "factorize",
-           "refined_solve", "solve_mixed", "solve_auxiliary",
+__all__ = ["ResonanceError", "Factor", "PermutedLU", "Solution",
+           "factorize", "refined_solve", "solve_mixed", "solve_auxiliary",
            "SolutionOperator"]
 
 # Symmetric mode takes the diagonal pivot whenever it is nonzero.
@@ -50,6 +53,7 @@ class Factor:
     """How a system was factored."""
 
     pivoting: str          # "symmetric", or "partial" after the fallback
+    ordering: str          # "nested_dissection", "mmd", or "colamd"
     lu_nnz: int            # stored entries of the supernodal L and U
     cond_estimate: float   # estimate of the 1-norm condition number
 
@@ -70,6 +74,35 @@ class Solution:
         return self.factor.cond_estimate
 
 
+class PermutedLU:
+    """SuperLU factor of P A P^T, applied in the numbering of A."""
+
+    def __init__(self, lu, order: np.ndarray):
+        self.lu = lu
+        self.order = order        # row i of P A P^T is row order[i] of A
+
+    L = property(lambda self: self.lu.L)
+    U = property(lambda self: self.lu.U)
+    nnz = property(lambda self: self.lu.nnz)
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        out = np.empty_like(rhs, dtype=float)
+        out[self.order] = self.lu.solve(rhs[self.order], trans)
+        return out
+
+
+def _permuted(matrix: csc_matrix, order: np.ndarray) -> csc_matrix:
+    """P A P^T: one gather of the columns of A, then its rows renumbered
+    in place."""
+    inverse = np.empty(len(order), dtype=matrix.indices.dtype)
+    inverse[order] = np.arange(len(order))
+    out = matrix[:, order]
+    out.indices = inverse[out.indices]
+    out.has_sorted_indices = False
+    out.sort_indices()
+    return out
+
+
 def refined_solve(matrix, lu, rhs: np.ndarray) -> np.ndarray:
     """Solve with the factor plus one step of iterative refinement."""
     x = lu.solve(rhs)
@@ -87,21 +120,32 @@ def _stable(matrix, norm: float, lu) -> bool:
                                        + np.abs(probe).sum()))
 
 
-def factorize(matrix):
+def factorize(matrix, order: np.ndarray | None = None):
     """Sparse LU of a symmetric system, with the fallback to partial
-    pivoting and the condition check; returns the SuperLU factor and its
-    `Factor` record."""
+    pivoting and the condition check.  With a symmetric permutation
+    order, the symmetric factor is of P A P^T in that order, else of A in
+    a minimum degree order.  Returns the factor, which solves in the
+    numbering of A (SuperLU's, or a `PermutedLU`), and its `Factor`
+    record."""
     matrix = matrix.tocsc()
     norm = float(abs(matrix).sum(axis=0).max())
     try:
-        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                  options={"SymmetricMode": True})
+        if order is None:
+            ordering = "mmd"
+            lu = splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                      options={"SymmetricMode": True})
+        else:
+            ordering = "nested_dissection"
+            lu = PermutedLU(splu(_permuted(matrix, order),
+                                 permc_spec="NATURAL",
+                                 diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                                 options={"SymmetricMode": True}), order)
     except RuntimeError:
         lu = None
     pivoting = "symmetric"
     if lu is None or not _stable(matrix, norm, lu):
-        pivoting = "partial"
+        pivoting, ordering = "partial", "colamd"
         try:
             lu = splu(matrix)
         except RuntimeError as err:
@@ -116,7 +160,7 @@ def factorize(matrix):
         raise ResonanceError(
             "saddle point matrix is numerically singular "
             f"(condition estimate {cond:.2e})")
-    return lu, Factor(pivoting, int(lu.nnz), cond)
+    return lu, Factor(pivoting, ordering, int(lu.nnz), cond)
 
 
 def _residual(matrix, x, rhs) -> float:
@@ -148,7 +192,7 @@ def _solve(disc: Discretization, system, lu, factor: Factor,
 def solve_mixed(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
     """Solve the two-field system for (u, p)."""
     system = disc.primal_system(ksq)
-    return _solve(disc, system, *factorize(system), load)
+    return _solve(disc, system, *factorize(system, disc.dof_order()), load)
 
 
 def solve_auxiliary(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
@@ -164,7 +208,8 @@ def solve_auxiliary(disc: Discretization, ksq: float, load: np.ndarray) -> Solut
     full[:nv] = load[:nv]
     full[nv + nm:] = load[nv:]
     system = disc.auxiliary_system(ksq)
-    return _solve(disc, system, *factorize(system), full, multiplier=True)
+    lu, factor = factorize(system, disc.dof_order(multiplier=True))
+    return _solve(disc, system, lu, factor, full, multiplier=True)
 
 
 class SolutionOperator:
@@ -179,7 +224,7 @@ class SolutionOperator:
         self.disc = disc
         self.ksq = ksq
         self._system = disc.primal_system(ksq)
-        self._lu, self.factor = factorize(self._system)
+        self._lu, self.factor = factorize(self._system, disc.dof_order())
 
     def solve(self, load: np.ndarray) -> Solution:
         return _solve(self.disc, self._system, self._lu, self.factor, load)

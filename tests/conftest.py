@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from maxwelldg import Coefficients, Discretization, unit_square
+from maxwelldg import Coefficients, Discretization, Mesh, unit_square
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +53,15 @@ def random_materials(seed=0):
     return Coefficients(
         mu={0: random_spd(rng), 1: random_spd(rng)},
         eps={0: random_spd(rng), 1: random_spd(rng)})
+
+
+def delaunay_mesh(rng, npoints):
+    """(mesh, triangulation): the Delaunay triangulation of random points
+    in the unit square, with the elements shuffled, the vertices of every
+    element permuted (which flips about half of them clockwise) and three
+    random material tags."""
+    points = rng.uniform(0.0, 1.0, (npoints, 2))
+    tri = Delaunay(points)
+    elements = tri.simplices[rng.permutation(len(tri.simplices))]
+    elements = rng.permuted(elements, axis=1)
+    return Mesh(points, elements, rng.integers(0, 3, len(elements))), tri

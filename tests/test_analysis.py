@@ -337,7 +337,7 @@ class TestConvergenceReport:
         assert diag["problem"] == "sine"
         assert len(diag["levels"]) == 2
         level = diag["levels"][0]
-        assert {"level", "h", "solver_residual", "cond_estimate",
+        assert {"level", "h", "solver_residual", "cond_estimate", "ordering",
                 "constraint_residual", "r2", "time_s"} <= set(level)
 
     def test_validation(self):

@@ -215,8 +215,13 @@ class TestSolveCommand:
         assert code == 0
         assert 1.0 <= out["cond_estimate"] < COND_MAX
         assert out["factor"]["pivoting"] == "symmetric"
+        assert out["factor"]["ordering"] == "nested_dissection"
         assert out["factor"]["lu_nnz"] > 0
         assert "pivot_ratio" not in out
+        code = main(["solve", "--config", path, "--degree", "2"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["factor"]["ordering"] == "mmd"
 
     def test_output_file(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "zero", "mesh": "square:2",
@@ -262,6 +267,8 @@ class TestStudyCommand:
         diag = json.loads((tmp_path / "results" / "sweep.json").read_text())
         assert diag["problem"] == "sine"
         assert len(diag["levels"]) == 2
+        assert {level["ordering"] for level in diag["levels"]} == {
+            "nested_dissection"}
 
     def test_levels_override(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "sine", "mesh": "square:2",

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
+from maxwelldg import assembly
 from maxwelldg.assembly import Discretization
 from maxwelldg.materials import Coefficients
-from maxwelldg.mesh import Mesh, unit_square
+from maxwelldg.mesh import Mesh, lshape, unit_square
 from maxwelldg.problems import gradient_null_data, sine_problem
 from maxwelldg.solver import (
     COND_MAX,
@@ -17,7 +20,13 @@ from maxwelldg.solver import (
     solve_mixed,
 )
 
-from conftest import random_spd
+from conftest import delaunay_mesh, random_spd
+
+
+def dissection_order(disc, multiplier=False):
+    """The nested-dissection dof order, at degree 2 too."""
+    with mock.patch.object(assembly, "DISSECTION_DEGREE", disc.spaces.degree):
+        return disc.dof_order(multiplier)
 
 
 @pytest.fixture
@@ -156,6 +165,14 @@ def exact_eigenvalue(mesh, degree):
 
 
 class TestResonance:
+    """Resonance verdicts of the minimum degree factor; the subclass
+    below repeats them in nested-dissection order."""
+
+    ordering = "mmd"
+
+    def order(self, disc):
+        return None
+
     # at the eigenvalue the last two read min/max |diag U| of 4.7e-12
     # (COLAMD) and 8.8e-12 (symmetric mode): a 1e-12 pivot gate misses them
     @pytest.mark.parametrize("n, degree", [(2, 1), (3, 1), (2, 2)],
@@ -163,10 +180,8 @@ class TestResonance:
                                   "square2-deg2"])
     def test_exact_discrete_eigenvalue_raises(self, n, degree):
         disc, ksq = exact_eigenvalue(unit_square(n), degree)
-        load = np.zeros(disc.spaces.dim_V + disc.spaces.dim_Q)
-        load[0] = 1.0
         with pytest.raises(ResonanceError, match="condition estimate"):
-            solve_mixed(disc, ksq, load)
+            factorize(disc.primal_system(ksq), self.order(disc))
 
     def test_regular_wavenumber_passes(self, disc2, sine_load):
         sol = solve_mixed(disc2, 1.0, sine_load)
@@ -175,16 +190,26 @@ class TestResonance:
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_verdict_is_scale_free(self, scale):
         disc, ksq = exact_eigenvalue(unit_square(3), 1)
+        order = self.order(disc)
         with pytest.raises(ResonanceError):
-            factorize(scale * disc.primal_system(ksq))
+            factorize(scale * disc.primal_system(ksq), order)
         regular = disc.primal_system(1.0)
-        _, factor = factorize(scale * regular)
+        _, factor = factorize(scale * regular, order)
+        assert factor.ordering == self.ordering
         assert factor.cond_estimate == pytest.approx(
-            factorize(regular)[1].cond_estimate, rel=1e-8)
+            factorize(regular, order)[1].cond_estimate, rel=1e-8)
 
     def test_estimate_is_deterministic(self, disc2):
         system = disc2.primal_system(1.0)
-        assert factorize(system)[1] == factorize(system)[1]
+        order = self.order(disc2)
+        assert factorize(system, order)[1] == factorize(system, order)[1]
+
+
+class TestResonanceNestedDissection(TestResonance):
+    ordering = "nested_dissection"
+
+    def order(self, disc):
+        return dissection_order(disc)
 
 
 class TestFactorization:
@@ -203,9 +228,27 @@ class TestFactorization:
         matrix = sparse.csc_matrix(dense)
         lu, factor = factorize(matrix)
         assert factor.pivoting == "partial"
+        assert factor.ordering == "colamd"
         rhs = np.arange(1.0, n + 1)
         x = refined_solve(matrix, lu, rhs)
         assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_permuted_factor_solves_in_original_numbering(self):
+        # nonsymmetric, so a transposed solve differs from a plain one
+        rng = np.random.default_rng(3)
+        n = 6
+        dense = rng.standard_normal((n, n)) + np.diag(np.full(n, 10.0))
+        matrix = sparse.csc_matrix(dense)
+        order = rng.permutation(n)
+        lu, factor = factorize(matrix, order)
+        assert (factor.ordering, factor.pivoting) == ("nested_dissection",
+                                                      "symmetric")
+        assert lu.nnz == factor.lu_nnz > 0
+        assert lu.L.shape == lu.U.shape == (n, n)
+        rhs = rng.standard_normal(n)
+        for trans, op in (("N", dense), ("T", dense.T)):
+            x = lu.solve(rhs, trans)
+            assert np.linalg.norm(op @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
     def test_refinement_step_is_needed(self):
         # degree 2, four tags with full-tensor materials, gradient source:
@@ -230,3 +273,43 @@ class TestFactorization:
         sol = solve_mixed(disc, ksq, load)
         assert sol.residual <= 1e-10
         assert disc.norm_v(sol.u.coeffs) <= 1e-9 * disc.norm_q(q)
+
+
+def delaunay_case():
+    mesh, _ = delaunay_mesh(np.random.default_rng(0), 40)
+    return mesh
+
+
+class TestNestedDissection:
+    """Degree 1: the nested-dissection factor solves as minimum degree
+    does, and keeps symmetric mode.  With the M dofs after the Q dofs of
+    an element, or on the later of a face's two elements, the Q pivots are
+    zero and only the partial-pivoting fallback could factor."""
+
+    @pytest.mark.parametrize("multiplier", [False, True],
+                             ids=["primal", "auxiliary"])
+    @pytest.mark.parametrize("make_mesh", [lambda: unit_square(8),
+                                           lambda: lshape(4), delaunay_case],
+                             ids=["square8", "lshape4", "delaunay"])
+    def test_matches_minimum_degree(self, make_mesh, multiplier):
+        rng = np.random.default_rng(7)
+        coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
+                              eps={t: random_spd(rng) for t in range(3)})
+        disc = Discretization(make_mesh(), 1, coeffs)
+        system = (disc.auxiliary_system(1.0) if multiplier
+                  else disc.primal_system(1.0))
+        rhs = rng.standard_normal(system.shape[0])
+        nd_lu, nd = factorize(system, disc.dof_order(multiplier))
+        mmd_lu, mmd = factorize(system)
+        assert (nd.ordering, nd.pivoting) == ("nested_dissection", "symmetric")
+        assert mmd.ordering == "mmd"
+        x = refined_solve(system, nd_lu, rhs)
+        expect = refined_solve(system, mmd_lu, rhs)
+        assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_degree_picks_the_ordering(self, disc2, sine_load):
+        expect = {1: "nested_dissection", 2: "mmd"}[disc2.spaces.degree]
+        assert (disc2.dof_order() is None) == (expect == "mmd")
+        for solve in (solve_mixed, solve_auxiliary):
+            assert solve(disc2, 1.0, sine_load).factor.ordering == expect
+        assert SolutionOperator(disc2).factor.ordering == expect

@@ -1,22 +1,25 @@
-"""Property tests of the mesh incidence and the conforming maps on
-unstructured meshes.
+"""Property tests of the mesh incidence, the nested-dissection order and
+the conforming maps on unstructured meshes.
 
 Each example is the Delaunay triangulation of random points in the unit
 square, with the elements shuffled, the vertices of every element permuted
-(which flips about half of them clockwise) and three random material tags.
-Examples with a sliver (shape quality below 0.03, 1 for an equilateral
-triangle) are discarded: the conforming maps invert local dof matrices
-whose condition grows without bound as an element flattens.
+(which flips about half of them clockwise) and three random material tags
+(`conftest.delaunay_mesh`).  Examples with a sliver (shape quality below
+0.03, 1 for an equilateral triangle) are discarded: the conforming maps
+invert local dof matrices whose condition grows without bound as an
+element flattens.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Delaunay
 
 from maxwelldg import Coefficients, Discretization, Mesh, refine_uniform
 from maxwelldg.analysis import conforming_average
+from maxwelldg.mesh import DISSECTION_LEAF, nested_dissection
+
+from conftest import delaunay_mesh
 
 PROPERTY = settings(max_examples=15, deadline=None)
 MATERIALS = Coefficients(mu=dict.fromkeys(range(3), 1.0),
@@ -37,13 +40,10 @@ def shape_quality(points, simplices) -> float:
 def delaunay_meshes(draw):
     """(mesh, triangulation) of 3 to 24 random points."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    points = rng.uniform(0.0, 1.0, (draw(st.integers(3, 24)), 2))
-    tri = Delaunay(points)
+    mesh, tri = delaunay_mesh(rng, draw(st.integers(3, 24)))
     assume(len(tri.coplanar) == 0)
-    assume(shape_quality(points, tri.simplices) > MIN_QUALITY)
-    elements = tri.simplices[rng.permutation(len(tri.simplices))]
-    elements = rng.permuted(elements, axis=1)
-    return Mesh(points, elements, rng.integers(0, 3, len(elements))), tri
+    assume(shape_quality(tri.points, tri.simplices) > MIN_QUALITY)
+    return mesh, tri
 
 
 def face_midpoints(mesh):
@@ -121,6 +121,49 @@ class TestIncidence:
         assert np.allclose(child_edges.reshape(-1, 4, 3),
                            0.5 * edges[:, None], rtol=1e-12, atol=0.0)
         assert fine.boundary.sum() == 2 * mesh.boundary.sum()
+
+
+class TestDissectionOrder:
+    @PROPERTY
+    @given(delaunay_meshes())
+    def test_order_is_a_deterministic_permutation(self, case):
+        mesh, _ = case
+        fine = refine_uniform(mesh)
+        for m in (mesh, fine):
+            order = m.dissection_order
+            assert np.array_equal(np.sort(order), np.arange(m.num_elements))
+            again = Mesh(m.vertices, m.elements, m.tags).dissection_order
+            assert np.array_equal(again, order)
+        disc = Discretization(fine, 1, MATERIALS)
+        sp = disc.spaces
+        for multiplier, n in ((False, sp.dim_V + sp.dim_Q),
+                              (True, sp.dim_V + sp.dim_M + sp.dim_Q)):
+            dofs = disc.dof_order(multiplier)
+            assert np.array_equal(np.sort(dofs), np.arange(n))
+
+    @PROPERTY
+    @given(delaunay_meshes())
+    def test_separators_cut_every_part(self, case):
+        mesh = refine_uniform(refine_uniform(case[0]))
+        pairs = mesh.face_elements[~mesh.boundary]
+        order, cuts = nested_dissection(centroids(mesh, slice(None)), pairs)
+        assert np.array_equal(order, mesh.dissection_order)
+        assert len(cuts) > 0
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ends = rank[pairs]
+        for start, first, second, separator in cuts:
+            assert first + second + separator > DISSECTION_LEAF
+            # 1, 2, 3: first half, second half, separator of this part
+            half = np.digitize(ends, start + np.array(
+                [0, first, first + second, first + second + separator]))
+            # no interior face joins the two halves ...
+            assert not np.any((half == [1, 2]).all(axis=1)
+                              | (half == [2, 1]).all(axis=1))
+            # ... and every separator element touches the second half
+            touching = np.concatenate([ends[(half == [3, 2]).all(axis=1), 0],
+                                       ends[(half == [2, 3]).all(axis=1), 1]])
+            assert len(np.unique(touching)) == separator
 
 
 class TestConformingMaps:
