@@ -51,6 +51,14 @@ def _dense(mat) -> np.ndarray:
     return np.asarray(mat.todense())
 
 
+def _energy(wdet: np.ndarray, vals: np.ndarray, field: np.ndarray) -> float:
+    """Quadrature of (field v, v) for vector values vals (ne, np, 2), the
+    quadrature weights times det_jac wdet (ne, np) and a per-element 2x2
+    weight field."""
+    return float(np.vdot(wdet[..., None] * vals,
+                         vals @ np.swapaxes(field, 1, 2)))
+
+
 # ----------------------------------------------------------------------
 # conforming averaging
 
@@ -63,8 +71,8 @@ def conforming_average(disc: Discretization, coeffs: np.ndarray) -> np.ndarray:
     mesh = sp.mesh
     l = sp.degree
     ne = mesh.num_elements
-    local = coeffs.reshape(ne, sp.ndof_v)
-    dofs = np.einsum("eij,ej->ei", sp.v_dof_matrices(), local)
+    local = coeffs.reshape(ne, sp.ndof_v, 1)
+    dofs = (sp.v_dof_matrices() @ local)[..., 0]
     edge = dofs[:, :3 * l].reshape(ne, 3, l)
     # per (element, local face k): the element across face k and the local
     # index of the face there; on the boundary both are garbage, masked below
@@ -77,7 +85,7 @@ def conforming_average(disc: Discretization, coeffs: np.ndarray) -> np.ndarray:
     mean[mesh.boundary[faces]] = 0.0
     new = dofs.copy()
     new[:, :3 * l] = mean.reshape(ne, 3 * l)
-    return np.einsum("eij,ej->ei", sp.v_dof_inverses(), new).ravel()
+    return (sp.v_dof_inverses() @ new[..., None]).ravel()
 
 
 def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
@@ -88,11 +96,10 @@ def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
     mesh = sp.mesh
     diff = (coeffs - conforming_average(disc, coeffs)).reshape(
         mesh.num_elements, sp.ndof_v)
-    grams = sp.local_v_grams
-    curl_blocks = sp.ref_curl_gram[None, :, :] / sp.det_jac[:, None, None]
     h_elem = mesh.face_lengths[mesh.element_faces].max(axis=1)
-    num = np.einsum("ei,eij,ej->e", diff, grams, diff) / h_elem ** 2
-    num = num + np.einsum("ei,eij,ej->e", diff, curl_blocks, diff)
+    mass = np.sum((sp.local_v_grams @ diff[..., None])[..., 0] * diff, axis=1)
+    curl = np.sum((diff @ sp.ref_curl_gram) * diff, axis=1) / sp.det_jac
+    num = mass / h_elem ** 2 + curl
     jumps = disc.jump_t @ coeffs
     gram = disc.lifting.block_diag_scalar(np.ones(mesh.num_faces))
     den = float(jumps @ (gram @ jumps))
@@ -109,9 +116,8 @@ def _lift_scalar_moments(disc: Discretization, func, degree: int) -> np.ndarray:
     rule = triangle_rule(degree)
     phys = sp.phys_points(rule.points)
     vals = np.asarray(func(phys[..., 0], phys[..., 1]))
-    qref = sp.qbasis.eval(rule.points)
-    return np.einsum("p,pr,ep,e->er", rule.weights, qref, vals,
-                     sp.det_jac).ravel()
+    wdet = sp.det_jac[:, None] * rule.weights
+    return ((wdet * vals) @ sp.qbasis.eval(rule.points)).ravel()
 
 
 def _lift_vector_moments(disc: Discretization, func, degree: int) -> np.ndarray:
@@ -121,9 +127,8 @@ def _lift_vector_moments(disc: Discretization, func, degree: int) -> np.ndarray:
     rule = triangle_rule(degree)
     phys = sp.phys_points(rule.points)
     vals = np.asarray(func(phys[..., 0], phys[..., 1]))
-    qref = sp.qbasis.eval(rule.points)
-    return np.einsum("p,pr,epc,e->erc", rule.weights, qref, vals,
-                     sp.det_jac).reshape(-1)
+    wdet = sp.det_jac[:, None, None] * rule.weights[:, None]
+    return (sp.qbasis.eval(rule.points).T @ (wdet * vals)).reshape(-1)
 
 
 def residual_R2(disc: Discretization, problem: ModelProblem,
@@ -137,15 +142,13 @@ def residual_R2(disc: Discretization, problem: ModelProblem,
     eps = disc.materials.eps
 
     def eps_u(x, y):
-        return np.einsum("ecd,epd->epc", eps, problem.exact_u(x, y))
+        return np.asarray(problem.exact_u(x, y)) @ np.swapaxes(eps, 1, 2)
 
     rule = triangle_rule(deg)
     phys = sp.phys_points(rule.points)
     vals = eps_u(phys[..., 0], phys[..., 1])
-    qgrad = sp.qbasis.grad(rule.points)
-    mapped = np.einsum("edk,pjk->epjd", sp.inv_jac_t, qgrad)
-    grad_term = np.einsum("p,epjd,epd,e->ej", rule.weights, mapped, vals,
-                          sp.det_jac).ravel()
+    grad_term = sp.mapped_moments(sp.qbasis.grad(rule.points), rule.weights,
+                                  vals).ravel()
     moments = _lift_vector_moments(disc, eps_u, deg)
     r = -grad_term + disc.jump_n.T @ (disc.lifting.lift_vector_matrix.T
                                       @ moments)
@@ -168,9 +171,8 @@ def consistency_residual(disc: Discretization, problem: ModelProblem,
 
     # det_jac cancels against the reference curl scaling in this term
     curl_ex = np.asarray(problem.exact_curl_u(x, y))
-    vcurl = sp.vbasis.curl(pts)
-    rho = np.einsum("p,pi,ep->ei", wts, vcurl,
-                    mats.mu_bar_inv[:, None] * curl_ex).ravel()
+    rho = ((mats.mu_bar_inv[:, None] * curl_ex)
+           @ (wts[:, None] * sp.vbasis.curl(pts))).ravel()
 
     # lifted tangential jump of the test function against the weighted curl
     wcurl_moments = _lift_scalar_moments(
@@ -179,21 +181,13 @@ def consistency_residual(disc: Discretization, problem: ModelProblem,
                      * mats.mu_bar_inv[:, None]).ravel()
     rho -= disc.jump_t.T @ (disc.lifting.lift_scalar_matrix.T @ wcurl_moments)
 
-    u_ex = np.asarray(problem.exact_u(x, y))
-    eps_u = np.einsum("ecd,epd->epc", mats.eps, u_ex)
-    mapped = np.einsum("edk,pnk->epnd", sp.inv_jac_t, sp.vbasis.eval(pts))
-    rho -= problem.ksq * np.einsum("p,epnd,epd,e->en", wts, mapped, eps_u,
-                                   sp.det_jac).ravel()
-
+    # the volume terms ksq eps u + eps grad p + j, paired with the test
+    # functions in one pass
+    vals = problem.ksq * np.asarray(problem.exact_u(x, y))
     if problem.exact_grad_p is not None:
-        gp = np.asarray(problem.exact_grad_p(x, y))
-        eps_gp = np.einsum("ecd,epd->epc", mats.eps, gp)
-        rho -= np.einsum("p,epnd,epd,e->en", wts, mapped, eps_gp,
-                         sp.det_jac).ravel()
-
-    j_ex = np.asarray(problem.source(x, y))
-    rho -= np.einsum("p,epnd,epd,e->en", wts, mapped, j_ex,
-                     sp.det_jac).ravel()
+        vals = vals + np.asarray(problem.exact_grad_p(x, y))
+    vals = vals @ np.swapaxes(mats.eps, 1, 2) + np.asarray(problem.source(x, y))
+    rho -= sp.mapped_moments(sp.vbasis.eval(pts), wts, vals).ravel()
     # Lifted boundary terms of the exact field cancel the boundary load
     # exactly (both see only the modal face expansion of the trace), so
     # neither appears here.
@@ -228,8 +222,8 @@ def coercivity_margin(disc: Discretization, nsamples: int = 200,
     (a(v,v) - 1/2 |v|^2) / |v|^2; nonnegative at the default penalty."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((disc.spaces.dim_V, nsamples))
-    av = np.einsum("in,in->n", x, disc.a_matrix @ x)
-    sv = np.einsum("in,in->n", x, disc.seminorm_gram @ x)
+    av = np.sum(x * (disc.a_matrix @ x), axis=0)
+    sv = np.sum(x * (disc.seminorm_gram @ x), axis=0)
     mask = sv > 0
     return float(((av[mask] - 0.5 * sv[mask]) / sv[mask]).min())
 
@@ -240,9 +234,9 @@ def continuity_bound(disc: Discretization, nsamples: int = 200,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((disc.spaces.dim_V, nsamples))
     y = rng.standard_normal((disc.spaces.dim_V, nsamples))
-    num = np.abs(np.einsum("in,in->n", y, disc.a_matrix @ x))
-    nx = np.sqrt(np.einsum("in,in->n", x, disc.norm_v_gram @ x))
-    ny = np.sqrt(np.einsum("in,in->n", y, disc.norm_v_gram @ y))
+    num = np.abs(np.sum(y * (disc.a_matrix @ x), axis=0))
+    nx = np.sqrt(np.sum(x * (disc.norm_v_gram @ x), axis=0))
+    ny = np.sqrt(np.sum(y * (disc.norm_v_gram @ y), axis=0))
     return float((num / (nx * ny)).max())
 
 
@@ -335,13 +329,13 @@ def error_norms(disc: Discretization, problem: ModelProblem,
     phys = sp.phys_points(pts)
     x, y = phys[..., 0], phys[..., 1]
 
+    wdet = sp.det_jac[:, None] * wts
+
     du = sp.eval_v(u, pts) - np.asarray(problem.exact_u(x, y))
-    eps_du = np.einsum("ecd,epd->epc", mats.eps, du)
-    err_l2 = float(np.einsum("p,epc,epc,e->", wts, du, eps_du, sp.det_jac))
+    err_l2 = _energy(wdet, du, mats.eps)
 
     dcurl = sp.eval_v_curl(u, pts) - np.asarray(problem.exact_curl_u(x, y))
-    err_curl = float(np.einsum("p,ep,ep,e->", wts, dcurl,
-                               mats.mu_bar_inv[:, None] * dcurl, sp.det_jac))
+    err_curl = float(np.vdot(wdet * dcurl, mats.mu_bar_inv[:, None] * dcurl))
 
     jump = disc.jump_t @ u
     if g_data is not None:
@@ -349,9 +343,7 @@ def error_norms(disc: Discretization, problem: ModelProblem,
     err_jump = float(jump @ (disc.lift_gram_scalar @ jump))
 
     dgp = sp.eval_q_grad(p, pts) - np.asarray(problem.exact_grad_p(x, y))
-    eps_dgp = np.einsum("ecd,epd->epc", mats.eps, dgp)
-    err_pgrad = float(np.einsum("p,epc,epc,e->", wts, dgp, eps_dgp,
-                                sp.det_jac))
+    err_pgrad = _energy(wdet, dgp, mats.eps)
     # Exact p is continuous with zero trace, so the jump error is p_h's.
     pjump = disc.jump_n @ p
     err_pjump = float(pjump @ (disc.lift_gram_vector @ pjump))
@@ -379,18 +371,16 @@ def best_approximation_error(disc: Discretization, problem: ModelProblem,
     x, y = phys[..., 0], phys[..., 1]
 
     u_ex = np.asarray(problem.exact_u(x, y))
-    eps_u = np.einsum("ecd,epd->epc", mats.eps, u_ex)
+    eps_u = u_ex @ np.swapaxes(mats.eps, 1, 2)
     curl_ex = np.asarray(problem.exact_curl_u(x, y))
-
-    mapped = np.einsum("edk,pnk->epnd", sp.inv_jac_t, sp.vbasis.eval(pts))
-    rhs = np.einsum("p,epnd,epd,e->en", wts, mapped, eps_u, sp.det_jac).ravel()
-    vcurl = sp.vbasis.curl(pts)
     wcurl = mats.mu_bar_inv[:, None] * curl_ex
-    rhs += (np.einsum("p,pi,ep->ei", wts, vcurl, wcurl)).ravel()
 
-    const = float(np.einsum("p,epc,epc,e->", wts, u_ex, eps_u, sp.det_jac))
-    const += float(np.einsum("p,ep,ep,e->", wts, curl_ex,
-                             mats.mu_bar_inv[:, None] * curl_ex, sp.det_jac))
+    rhs = sp.mapped_moments(sp.vbasis.eval(pts), wts, eps_u).ravel()
+    rhs += (wcurl @ (wts[:, None] * sp.vbasis.curl(pts))).ravel()
+
+    wdet = sp.det_jac[:, None] * wts
+    const = _energy(wdet, u_ex, mats.eps)
+    const += float(np.vdot(wdet * curl_ex, wcurl))
     if g_data is not None and np.any(g_data):
         rhs += disc.jump_t.T @ (disc.lift_gram_scalar @ g_data)
         const += float(g_data @ (disc.lift_gram_scalar @ g_data))

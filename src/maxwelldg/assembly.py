@@ -66,22 +66,8 @@ class Discretization:
         self.coeffs = coeffs if coeffs is not None else Coefficients.vacuum()
         self.materials: MaterialArrays = self.coeffs.expand(mesh)
 
-        sp = self.spaces
-        rule = triangle_rule(sp.deg_stiff)
-        pts, wts = rule.points, rule.weights
-        vvals = sp.vbasis.eval(pts)
-        qgrads = sp.qbasis.grad(pts)
-        # reference pairings used by the volume terms of b and the Q norm
-        self._ref_v_qgrad = np.einsum("p,pic,pjd->cdij", wts, vvals, qgrads)
-        self._ref_qgrad_gram = np.einsum("p,pic,pjd->cdij", wts, qgrads, qgrads)
-
     # ------------------------------------------------------------------
     # volume operators
-
-    def _metric(self, field: np.ndarray) -> np.ndarray:
-        """Per-element 2x2 matrices inv(J) field inv(J)^T."""
-        return np.einsum("eik,ekl,ejl->eij", self.spaces.inv_jac,
-                         field, self.spaces.inv_jac)
 
     @cached_property
     def curl_stiffness(self) -> csr_matrix:
@@ -93,12 +79,7 @@ class Discretization:
     def mass_v(self, field: np.ndarray | None = None) -> csr_matrix:
         """V mass matrix with an optional per-element 2x2 weight."""
         sp = self.spaces
-        ne = sp.mesh.num_elements
-        eye = np.broadcast_to(np.eye(2), (ne, 2, 2))
-        metric = self._metric(eye if field is None else field)
-        blocks = np.einsum("e,ecd,cdij->eij", sp.det_jac, metric,
-                           sp.ref_vcomp_gram)
-        return element_block_diag(blocks)
+        return element_block_diag(sp.mapped_gram(sp.ref_vcomp_gram, field))
 
     @cached_property
     def mass_eps(self) -> csr_matrix:
@@ -112,19 +93,15 @@ class Discretization:
     def grad_pair(self) -> csr_matrix:
         """(eps v, grad q) pairing, rows V dofs, columns Q dofs."""
         sp = self.spaces
-        metric = self._metric(self.materials.eps)
-        blocks = np.einsum("e,ecd,cdij->eij", sp.det_jac, metric,
-                           self._ref_v_qgrad)
-        return element_block_diag(blocks)
+        return element_block_diag(
+            sp.mapped_gram(sp.ref_v_qgrad, self.materials.eps))
 
     @cached_property
     def q_grad_gram(self) -> csr_matrix:
         """(eps grad q, grad q') broken gradient Gram on Q."""
         sp = self.spaces
-        metric = self._metric(self.materials.eps)
-        blocks = np.einsum("e,ecd,cdij->eij", sp.det_jac, metric,
-                           self._ref_qgrad_gram)
-        return element_block_diag(blocks)
+        return element_block_diag(
+            sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps))
 
     @cached_property
     def mass_q(self) -> csr_matrix:
@@ -278,10 +255,9 @@ class Discretization:
         pts, wts = rule.points, rule.weights
         phys = sp.phys_points(pts)
         fvals = np.asarray(func(phys[..., 0], phys[..., 1]))
-        mapped = np.einsum("edk,pnk->epnd", sp.inv_jac_t, sp.vbasis.eval(pts))
         out = np.zeros(sp.dim_V + sp.dim_Q)
-        out[:sp.dim_V] = np.einsum("p,epnd,epd,e->en", wts, mapped, fvals,
-                                   sp.det_jac).ravel()
+        out[:sp.dim_V] = sp.mapped_moments(sp.vbasis.eval(pts), wts,
+                                           fvals).ravel()
         return out
 
     def load_boundary(self, g_data: np.ndarray) -> np.ndarray:
@@ -297,18 +273,31 @@ class Discretization:
     # ------------------------------------------------------------------
     # norm values
 
-    def _quad_form(self, gram, coeffs) -> float:
-        return float(max(coeffs @ (gram @ coeffs), 0.0))
+    # The V and Q norms are sums of quadratic forms of their parts (the
+    # jump terms through the face Grams), so evaluating one builds none of
+    # the Gram triple products above.
+
+    @staticmethod
+    def _quad_form(gram, coeffs) -> float:
+        return float(coeffs @ (gram @ coeffs))
+
+    def _seminorm_sq(self, coeffs: np.ndarray) -> float:
+        return (self._quad_form(self.curl_stiffness, coeffs)
+                + self._quad_form(self.lift_gram_scalar, self.jump_t @ coeffs))
 
     def seminorm_v(self, coeffs: np.ndarray) -> float:
-        return np.sqrt(self._quad_form(self.seminorm_gram, coeffs))
+        return np.sqrt(max(self._seminorm_sq(coeffs), 0.0))
 
     def norm_v(self, coeffs: np.ndarray) -> float:
-        return np.sqrt(self._quad_form(self.norm_v_gram, coeffs))
+        return np.sqrt(max(self._seminorm_sq(coeffs)
+                           + self._quad_form(self.mass_eps, coeffs), 0.0))
 
     def norm_q(self, coeffs: np.ndarray) -> float:
-        return np.sqrt(self._quad_form(self.norm_q_gram, coeffs))
+        return np.sqrt(max(
+            self._quad_form(self.q_grad_gram, coeffs)
+            + self._quad_form(self.lift_gram_vector, self.jump_n @ coeffs),
+            0.0))
 
     def norm_m(self, coeffs: np.ndarray) -> float:
-        return np.sqrt(self._quad_form(self.norm_m_gram, coeffs))
+        return np.sqrt(max(self._quad_form(self.norm_m_gram, coeffs), 0.0))
 

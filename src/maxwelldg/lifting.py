@@ -71,15 +71,19 @@ class Lifting:
         ref = spaces.ref_coords(elems, phys[:, None]).reshape(-1, 2)
         npts = len(rule.points)
         qv = spaces.qbasis.eval(ref).reshape(nf, 2, npts, -1)
-        vv = np.einsum("fsdk,fspnk->fspnd", spaces.inv_jac_t[elems],
-                       spaces.vbasis.eval(ref).reshape(nf, 2, npts, -1, 2))
-        n = mesh.face_normals[:, None, None, None, :]
-        cross = n[..., 0] * vv[..., 1] - n[..., 1] * vv[..., 0]  # n x v
+        vv = spaces.vbasis.eval(ref).reshape(nf, 2, -1, 2)
+        # n x (inv(J)^T v) = (inv(J) n_perp) . v with n_perp = (-n_y, n_x),
+        # (nf, 2, 2, 1)
+        n = mesh.face_normals
+        n_perp = np.stack([-n[:, 1], n[:, 0]], axis=1)[:, None, None, :]
+        pulled = np.swapaxes(n_perp @ spaces.inv_jac_t[elems], 2, 3)
+        cross = (vv @ pulled).reshape(nf, 2, npts, -1)            # n x v
+        moments = (w[:, None] * modes).T                          # (l+1, np)
 
         # trace_q[f, s]: moments of the scalar basis, (l+1, ndof_q)
-        self.trace_q = mask * np.einsum("p,pm,fspr->fsmr", w, modes, qv)
+        self.trace_q = mask * (moments @ qv)
         # trace_v[f, s]: moments of n+ x (mapped V basis), (l+1, ndof_v)
-        self.trace_v = mask * np.einsum("p,pm,fspn->fsmn", w, modes, cross)
+        self.trace_v = mask * (moments @ cross)
         # lift_scale[f, s]: avg h_F / det_jac, the lifting coefficient factor
         avg_h = (self.avg * mesh.face_lengths)[:, None]
         self.lift_scale = self.side_mask * avg_h / spaces.det_jac[elems]
@@ -137,8 +141,9 @@ class Lifting:
         normal jump (q n on the boundary)."""
         sp = self.spaces
         nf = sp.mesh.num_faces
-        blocks = np.einsum("s,fc,fsmr->fsmcr", SIGNS,
-                           sp.mesh.face_normals, self.trace_q)
+        blocks = (SIGNS[:, None, None, None]
+                  * sp.mesh.face_normals[:, None, None, :, None]
+                  * self.trace_q[:, :, :, None, :])             # (f, s, m, c, r)
         return self._face_csr(
             blocks.reshape(nf, 2, 2 * self.n_modes, sp.ndof_q),
             self._vector_rows().reshape(nf, 1, -1),
@@ -183,6 +188,7 @@ class Lifting:
     # ------------------------------------------------------------------
     # per-face Gram matrices of lifted data
 
+    @cached_property
     def _trace_grams(self) -> np.ndarray:
         """trace_q trace_q^T per (face, side), (nf, 2, l+1, l+1)."""
         return self.trace_q @ np.swapaxes(self.trace_q, 2, 3)
@@ -192,7 +198,7 @@ class Lifting:
         weight (per element); unweighted when weight is None.  Shape
         (nf, l+1, l+1)."""
         scale = self.weight if weight is None else self.weight * weight[self.side_elements]
-        return np.einsum("fs,fsij->fij", scale, self._trace_grams())
+        return np.sum(scale[:, :, None, None] * self._trace_grams, axis=1)
 
     def face_grams_vector(self, eps: np.ndarray | None = None) -> np.ndarray:
         """(eps R_F(mode_i), R_F(mode_j)) for a per-element 2x2 SPD field;
@@ -201,7 +207,7 @@ class Lifting:
         nf = self.spaces.mesh.num_faces
         mat = np.eye(2) if eps is None else eps[self.side_elements]
         mat = mat[..., None, :, None, :]                          # (.., 1, c, 1, d)
-        kron = self._trace_grams()[..., None, :, None] * mat     # (nf, 2, i, c, j, d)
+        kron = self._trace_grams[..., None, :, None] * mat       # (nf, 2, i, c, j, d)
         grams = np.sum(self.weight[:, :, None, None, None, None] * kron, axis=1)
         return grams.reshape(nf, 2 * self.n_modes, 2 * self.n_modes)
 
@@ -233,10 +239,12 @@ class Lifting:
         """Rows (face, mode, component), columns V dofs:
         (eps v, R_F(mode, component)) for the per-element 2x2 field eps."""
         sp = self.spaces
-        # component expansion of the mapped V basis in the local orthonormal
-        # scalar basis, weighted by eps, (ne, c, nq, nv)
-        comp = np.einsum("eck,krn->ecrn", sp.inv_jac_t, sp.ref_comp_coeff)
-        weighted = np.einsum("eck,ekrn->ecrn", eps, comp)
+        # component expansion of eps times the mapped V basis in the local
+        # orthonormal scalar basis, (ne, c, nq, nv)
+        ne = sp.mesh.num_elements
+        weighted = ((eps @ sp.inv_jac_t).reshape(2 * ne, 2)
+                    @ sp.ref_comp_coeff.reshape(2, -1)).reshape(
+                        ne, 2, sp.ndof_q, sp.ndof_v)
         avg_h = (self.avg * sp.mesh.face_lengths)[:, None, None, None, None]
         blocks = avg_h * (self.trace_q[:, :, None] @ weighted[self.side_elements])
         return self._face_csr(blocks, np.swapaxes(self._vector_rows(), 2, 3),
@@ -258,7 +266,7 @@ class Lifting:
         np) on the given faces and zeros elsewhere."""
         modes = face_modes(self.spaces.degree, rule.points)
         data = np.zeros((self.spaces.mesh.num_faces, self.n_modes))
-        data[faces] = np.einsum("p,pm,fp->fm", rule.weights, modes, vals)
+        data[faces] = vals @ (rule.weights[:, None] * modes)
         return data.ravel()
 
     def project_scalar_data(self, func, degree: int | None = None,

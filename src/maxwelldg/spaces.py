@@ -113,6 +113,7 @@ class Spaces:
         vvals = self.vbasis.eval(pts)            # (np, nv, 2)
         vcurls = self.vbasis.curl(pts)           # (np, nv)
         qvals = self.qbasis.eval(pts)            # (np, nq)
+        qgrads = self.qbasis.grad(pts)           # (np, nq, 2)
 
         # Gram of reference curls: exact, curls have degree l-1.
         self.ref_curl_gram = np.einsum("p,pi,pj->ij", wts, vcurls, vcurls)
@@ -121,8 +122,12 @@ class Spaces:
         self.ref_curl_coeff = np.einsum("p,pr,pi->ri", wts, qvals, vcurls)
         # Componentwise expansion of the reference vector basis.
         self.ref_comp_coeff = np.einsum("p,pr,pic->cri", wts, qvals, vvals)
-        # Component Grams for assembling local V mass matrices.
+        # Component Grams of the reference vector basis and the reference
+        # scalar gradients, for the local V mass matrices, the V-gradient
+        # pairings and the gradient Grams (see mapped_gram).
         self.ref_vcomp_gram = np.einsum("p,pic,pjd->cdij", wts, vvals, vvals)
+        self.ref_v_qgrad = np.einsum("p,pic,pjd->cdij", wts, vvals, qgrads)
+        self.ref_qgrad_gram = np.einsum("p,pic,pjd->cdij", wts, qgrads, qgrads)
 
     # ------------------------------------------------------------------
     # index helpers
@@ -151,42 +156,73 @@ class Spaces:
         return a[..., None, :] + s[:, None] * (b - a)[..., None, :]
 
     # ------------------------------------------------------------------
-    # evaluation (vectorized across elements)
+    # evaluation and moments (vectorized across elements)
+    #
+    # The covariant Piola map is inv(J)^T on every element, so each kernel
+    # is one GEMM against a reshaped reference table plus one batched 2x2
+    # matmul with inv(J) or inv(J)^T.
+
+    def _eval_mapped(self, coeffs: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """Values sum_n coeffs[e, n] inv(J_e)^T ref[p, n] of a field with
+        covariantly mapped reference vector values ref (np, n, 2), shape
+        (ne, np, 2)."""
+        npts, n = ref.shape[:2]
+        c = coeffs.reshape(self.mesh.num_elements, n)
+        vals = c @ ref.transpose(1, 0, 2).reshape(n, 2 * npts)
+        return vals.reshape(-1, npts, 2) @ self.inv_jac
+
+    def mapped_moments(self, ref: np.ndarray, weights: np.ndarray,
+                       vals: np.ndarray) -> np.ndarray:
+        """Moments int_K vals . inv(J)^T ref[n] of vector values vals
+        (ne, np, 2) at the points of a rule with the given weights, against
+        covariantly mapped reference vector values ref (np, n, 2), shape
+        (ne, n)."""
+        npts, n = ref.shape[:2]
+        wdet = self.det_jac[:, None, None] * weights[:, None]
+        pulled = (wdet * vals) @ self.inv_jac_t
+        return (pulled.reshape(-1, 2 * npts)
+                @ ref.transpose(0, 2, 1).reshape(2 * npts, n))
+
+    def mapped_gram(self, ref_table: np.ndarray,
+                    field: np.ndarray | None = None) -> np.ndarray:
+        """Per-element Grams (field inv(J)^T a_i, inv(J)^T b_j)_K of two
+        covariantly mapped reference tables, from their component Gram
+        ref_table (2, 2, i, j) and a per-element 2x2 weight field (the
+        identity when None), shape (ne, i, j)."""
+        if field is None:
+            metric = self.inv_jac @ self.inv_jac_t
+        else:
+            metric = self.inv_jac @ field @ self.inv_jac_t
+        ne = self.mesh.num_elements
+        weighted = (self.det_jac[:, None, None] * metric).reshape(ne, 4)
+        return (weighted @ ref_table.reshape(4, -1)).reshape(
+            ne, *ref_table.shape[2:])
 
     def eval_v(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         """Values of a V field at reference points, shape (ne, np, 2)."""
-        c = coeffs.reshape(self.mesh.num_elements, self.ndof_v)
-        ref = self.vbasis.eval(ref_pts)
-        tmp = np.einsum("en,pnd->epd", c, ref)
-        return np.einsum("edk,epk->epd", self.inv_jac_t, tmp)
+        return self._eval_mapped(coeffs, self.vbasis.eval(ref_pts))
 
     def eval_v_curl(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         """Scalar curl of a V field at reference points, shape (ne, np)."""
         c = coeffs.reshape(self.mesh.num_elements, self.ndof_v)
-        ref = self.vbasis.curl(ref_pts)
-        return np.einsum("en,pn->ep", c, ref) / self.det_jac[:, None]
+        return (c @ self.vbasis.curl(ref_pts).T) / self.det_jac[:, None]
 
     def eval_q(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         """Values of a Q field, or of a broken scalar lifting-space field
         (the same mapped orthonormal basis), shape (ne, np)."""
         c = coeffs.reshape(self.mesh.num_elements, self.ndof_q)
-        ref = self.qbasis.eval(ref_pts)
-        return np.einsum("en,pn->ep", c, ref)
+        return c @ self.qbasis.eval(ref_pts).T
 
     def eval_q_grad(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
-        c = coeffs.reshape(self.mesh.num_elements, self.ndof_q)
-        ref = self.qbasis.grad(ref_pts)
-        tmp = np.einsum("en,pnd->epd", c, ref)
-        return np.einsum("edk,epk->epd", self.inv_jac_t, tmp)
+        return self._eval_mapped(coeffs, self.qbasis.grad(ref_pts))
 
     def eval_lift_vector(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         c = coeffs.reshape(self.mesh.num_elements, self.ndof_q, 2)
-        ref = self.qbasis.eval(ref_pts)
-        return np.einsum("end,pn->epd", c, ref)
+        return self.qbasis.eval(ref_pts) @ c
 
     def phys_points(self, ref_pts: np.ndarray) -> np.ndarray:
         """Physical images of reference points, shape (ne, np, 2)."""
-        return self.origins[:, None, :] + np.einsum("eij,pj->epi", self.jac, ref_pts)
+        return self.origins[:, None, :] + ref_pts @ np.swapaxes(self.jac, 1, 2)
 
     # ------------------------------------------------------------------
     # local V Gram matrices and elementwise projection
@@ -194,9 +230,7 @@ class Spaces:
     @cached_property
     def local_v_grams(self) -> np.ndarray:
         """Physical local V mass matrices, shape (ne, ndof_v, ndof_v)."""
-        metric = np.einsum("ekc,ekd->ecd", self.inv_jac_t, self.inv_jac_t)
-        return np.einsum("e,ecd,cdij->eij", self.det_jac, metric,
-                         self.ref_vcomp_gram)
+        return self.mapped_gram(self.ref_vcomp_gram)
 
     def project_v(self, func, degree: int | None = None) -> np.ndarray:
         """Elementwise L^2 projection of func(x, y) -> (..., 2) onto V.
@@ -208,9 +242,7 @@ class Spaces:
         pts, wts = rule.points, rule.weights
         phys = self.phys_points(pts)
         target = np.asarray(func(phys[..., 0], phys[..., 1]))
-        ref = self.vbasis.eval(pts)
-        mapped = np.einsum("edk,pnk->epnd", self.inv_jac_t, ref)
-        rhs = np.einsum("p,epnd,epd,e->en", wts, mapped, target, self.det_jac)
+        rhs = self.mapped_moments(self.vbasis.eval(pts), wts, target)
         return solve(self.local_v_grams, rhs[..., None], assume_a="pos").ravel()
 
     def project_q(self, func, degree: int | None = None) -> np.ndarray:
@@ -219,10 +251,9 @@ class Spaces:
         pts, wts = rule.points, rule.weights
         phys = self.phys_points(pts)
         target = np.asarray(func(phys[..., 0], phys[..., 1]))
-        ref = self.qbasis.eval(pts)
-        # Mapped orthonormal basis: local mass is det_jac * identity.
-        rhs = np.einsum("p,pn,ep,e->en", wts, ref, target, self.det_jac)
-        return (rhs / self.det_jac[:, None]).ravel()
+        # Mapped orthonormal basis: the local mass det_jac * identity
+        # cancels the det_jac of the moments.
+        return (target @ (wts[:, None] * self.qbasis.eval(pts))).ravel()
 
     # ------------------------------------------------------------------
     # curl-conforming degrees of freedom (edge moments + interior moments)
@@ -242,20 +273,23 @@ class Spaces:
         faces = mesh.element_faces
         phys = self.face_points(faces, s)                  # (ne, 3, np, 2)
         ref = self.ref_coords(np.arange(ne)[:, None], phys)
+        npts = len(s)
         vals = self.vbasis.eval(ref.reshape(-1, 2)).reshape(
-            ne, 3, len(s), self.ndof_v, 2)
-        mapped = np.einsum("edc,ekpnc->ekpnd", self.inv_jac_t, vals)
-        tang = np.einsum("ekd,ekpnd->ekpn", mesh.face_tangents[faces], mapped)
+            ne, 3, npts * self.ndof_v, 2)
+        # t . (inv(J)^T v) = (inv(J) t) . v, (ne, 3, 2, 1)
+        pulled = (mesh.face_tangents[faces] @ self.inv_jac_t)[..., None]
+        tang = (vals @ pulled).reshape(ne, 3, npts, self.ndof_v)
         # moment_m(v) = int_e (t . v) mode_m ds, global orientation
-        edge = mesh.face_lengths[faces][..., None, None] * np.einsum(
-            "p,pm,ekpn->ekmn", w, modes, tang)
+        edge = mesh.face_lengths[faces][..., None, None] * (
+            (w[:, None] * modes).T @ tang)
         rows = [edge.reshape(ne, 3 * l, self.ndof_v)]
         if self.ndof_v > 3 * l:
             tri = triangle_rule(self.deg_stiff)
-            mapped = np.einsum("edk,pnk->epnd", self.inv_jac_t,
-                               self.vbasis.eval(tri.points))
-            rows.append(self.det_jac[:, None, None] * np.einsum(
-                "p,epnd->edn", tri.weights, mapped))        # (ne, 2, nv)
+            # reference moments int_T v[n, k], (2, nv)
+            ref_int = np.tensordot(tri.weights, self.vbasis.eval(tri.points),
+                                   axes=1).T
+            rows.append((self.det_jac[:, None, None] * self.inv_jac_t)
+                        @ ref_int)                          # (ne, 2, nv)
         dmats = np.concatenate(rows, axis=1)
         return dmats, inv(dmats)
 
@@ -331,12 +365,5 @@ class Spaces:
         """Local matrices carrying Q coefficients to the V coefficients of
         the elementwise gradient (exact: gradients of P_l lie in the local
         curl space).  Shape (ne, ndof_v, ndof_q)."""
-        rule = triangle_rule(self.deg_stiff)
-        pts, wts = rule.points, rule.weights
-        vvals = self.vbasis.eval(pts)
-        qgrads = self.qbasis.grad(pts)
-        mapped_v = np.einsum("edk,pnk->epnd", self.inv_jac_t, vvals)
-        mapped_g = np.einsum("edk,pjk->epjd", self.inv_jac_t, qgrads)
-        rhs = self.det_jac[:, None, None] * np.einsum(
-            "p,epnd,epjd->enj", wts, mapped_v, mapped_g)
-        return solve(self.local_v_grams, rhs, assume_a="pos")
+        return solve(self.local_v_grams, self.mapped_gram(self.ref_v_qgrad),
+                     assume_a="pos")

@@ -261,6 +261,22 @@ class TestNorms:
         assert disc.norm_q(q) ** 2 == pytest.approx(
             grad_part + lift_part, rel=1e-11)
 
+    def test_norms_match_their_grams(self, degree):
+        # norm_v and norm_q sum the quadratic forms of their parts; the
+        # Gram matrices the analysis reads must give the same squares
+        disc = Discretization(two_tag_mesh(4), degree, random_materials(15))
+        sp = disc.spaces
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            u = rng.standard_normal(sp.dim_V)
+            q = rng.standard_normal(sp.dim_Q)
+            assert disc.seminorm_v(u) ** 2 == pytest.approx(
+                u @ (disc.seminorm_gram @ u), rel=1e-12)
+            assert disc.norm_v(u) ** 2 == pytest.approx(
+                u @ (disc.norm_v_gram @ u), rel=1e-12)
+            assert disc.norm_q(q) ** 2 == pytest.approx(
+                q @ (disc.norm_q_gram @ q), rel=1e-12)
+
     def test_norm_m_brute_force(self, disc2):
         rng = np.random.default_rng(34)
         lam = rng.standard_normal(disc2.spaces.dim_M)

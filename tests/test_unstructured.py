@@ -1,5 +1,5 @@
-"""Property tests of the mesh incidence, the nested-dissection order and
-the conforming maps on unstructured meshes.
+"""Property tests of the mesh incidence, the nested-dissection order, the
+conforming maps and the element kernels on unstructured meshes.
 
 Each example is the Delaunay triangulation of random points in the unit
 square, with the elements shuffled, the vertices of every element permuted
@@ -16,10 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxwelldg import Coefficients, Discretization, Mesh, refine_uniform
-from maxwelldg.analysis import conforming_average
+from maxwelldg.analysis import conforming_average, error_norms
+from maxwelldg.basis import face_modes
 from maxwelldg.mesh import DISSECTION_LEAF, nested_dissection
+from maxwelldg.problems import ModelProblem
+from maxwelldg.quadrature import segment_rule, triangle_rule
 
-from conftest import delaunay_mesh
+from conftest import delaunay_mesh, random_spd
 
 PROPERTY = settings(max_examples=15, deadline=None)
 MATERIALS = Coefficients(mu=dict.fromkeys(range(3), 1.0),
@@ -190,3 +193,173 @@ class TestConformingMaps:
         assert np.abs(twice - once).max() <= 1e-12 * scale
         # and the average lies in the conforming zero-trace subspace
         assert np.abs(disc.jump_t @ once).max() <= 1e-12 * scale
+
+
+# ----------------------------------------------------------------------
+# element kernels against plain per-element loops
+
+KERNEL_TOL = 1e-13
+
+
+def vector_field(x, y):
+    return np.stack([np.sin(2 * x + y), np.cos(x * y) + x], axis=-1)
+
+
+def element_geometry(mesh):
+    """(origin, J, inv(J)^T, det J) of each element, one at a time."""
+    for a, b, c in mesh.vertices[mesh.elements]:
+        jac = np.column_stack([b - a, c - a])
+        yield a, jac, np.linalg.inv(jac).T, np.linalg.det(jac)
+
+
+def rel_gap(kernel, loop) -> float:
+    return float(np.abs(kernel - loop).max() / np.abs(loop).max())
+
+
+@st.composite
+def kernel_cases(draw):
+    """(mesh, coefficients, rng): a random Delaunay mesh with random SPD
+    mu and eps on its three tags."""
+    mesh, _ = draw(delaunay_meshes())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
+                          eps={t: random_spd(rng) for t in range(3)})
+    return mesh, coeffs, rng
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+class TestKernelOracles:
+    @PROPERTY
+    @given(case=kernel_cases())
+    def test_points_and_field_values(self, case, degree):
+        mesh, coeffs, rng = case
+        sp = Discretization(mesh, degree, coeffs).spaces
+        pts = triangle_rule(sp.deg_err).points
+        vref, cref = sp.vbasis.eval(pts), sp.vbasis.curl(pts)
+        gref = sp.qbasis.grad(pts)
+        cv = rng.standard_normal((mesh.num_elements, sp.ndof_v))
+        cq = rng.standard_normal((mesh.num_elements, sp.ndof_q))
+        shape = (mesh.num_elements, len(pts))
+        phys, v, grad = (np.empty(shape + (2,)) for _ in range(3))
+        curl = np.empty(shape)
+        for e, (a, jac, jit, det) in enumerate(element_geometry(mesh)):
+            for p, xi in enumerate(pts):
+                phys[e, p] = a + jac @ xi
+                v[e, p] = jit @ (cv[e] @ vref[p])
+                curl[e, p] = cv[e] @ cref[p] / det
+                grad[e, p] = jit @ (cq[e] @ gref[p])
+        assert rel_gap(sp.phys_points(pts), phys) <= KERNEL_TOL
+        assert rel_gap(sp.eval_v(cv.ravel(), pts), v) <= KERNEL_TOL
+        assert rel_gap(sp.eval_v_curl(cv.ravel(), pts), curl) <= KERNEL_TOL
+        assert rel_gap(sp.eval_q_grad(cq.ravel(), pts), grad) <= KERNEL_TOL
+
+    @PROPERTY
+    @given(case=kernel_cases())
+    def test_projection_gradient_map_and_load(self, case, degree):
+        mesh, coeffs, _ = case
+        disc = Discretization(mesh, degree, coeffs)
+        sp = disc.spaces
+        stiff, load_rule = triangle_rule(sp.deg_stiff), triangle_rule(sp.deg_load)
+        vstiff, gstiff = sp.vbasis.eval(stiff.points), sp.qbasis.grad(stiff.points)
+        vload = sp.vbasis.eval(load_rule.points)
+        ne = mesh.num_elements
+        mass = np.zeros((ne, sp.ndof_v, sp.ndof_v))
+        pair = np.zeros((ne, sp.ndof_v, sp.ndof_q))
+        load = np.zeros((ne, sp.ndof_v))
+        for e, (a, jac, jit, det) in enumerate(element_geometry(mesh)):
+            for p, w in enumerate(stiff.weights):
+                v, g = vstiff[p] @ jit.T, gstiff[p] @ jit.T
+                mass[e] += w * det * v @ v.T
+                pair[e] += w * det * v @ g.T
+            for p, (xi, w) in enumerate(zip(load_rule.points, load_rule.weights)):
+                load[e] += w * det * (vload[p] @ jit.T) @ vector_field(*(a + jac @ xi))
+        # Both maps solve with the local mass, whose condition grows as an
+        # element flattens; so the solutions are checked by their residuals
+        # against the loop's right-hand sides.
+        grams = sp.local_v_grams
+        assert rel_gap(grams, mass) <= KERNEL_TOL
+        assert rel_gap(grams @ sp.gradient_map(), pair) <= KERNEL_TOL
+        proj = sp.project_v(vector_field).reshape(ne, sp.ndof_v, 1)
+        assert rel_gap((grams @ proj)[..., 0], load) <= KERNEL_TOL
+        full = disc.load_volume(vector_field)
+        assert rel_gap(full[:sp.dim_V], load.ravel()) <= KERNEL_TOL
+        assert not np.any(full[sp.dim_V:])
+
+    @PROPERTY
+    @given(case=kernel_cases())
+    def test_lifting_trace_tables(self, case, degree):
+        mesh, coeffs, _ = case
+        disc = Discretization(mesh, degree, coeffs)
+        sp, lift = disc.spaces, disc.lifting
+        eps = disc.materials.eps
+        nm = lift.n_modes
+        # the tables' rule: the pulled-back points carry roundoff amplified
+        # by the element's condition, and other points would not share it
+        rule = segment_rule(2 * degree + 2)
+        modes = face_modes(degree, rule.points)
+        geometry = list(element_geometry(mesh))
+        trace_q, trace_v = np.zeros_like(lift.trace_q), np.zeros_like(lift.trace_v)
+        pair = np.zeros((lift.dim_vector_data, sp.dim_V))
+        for f, (i, j) in enumerate(mesh.faces):
+            start, end = mesh.vertices[i], mesh.vertices[j]
+            h = np.linalg.norm(end - start)
+            n = mesh.face_normals[f]
+            avg = 1.0 if mesh.boundary[f] else 0.5
+            for side, e in enumerate(mesh.face_elements[f]):
+                if e < 0:
+                    continue
+                a, _, jit, _ = geometry[e]
+                for p, (t, w) in enumerate(zip(rule.points, rule.weights)):
+                    xi = jit.T @ (start + t * (end - start) - a)
+                    q = sp.qbasis.eval(xi[None])[0]
+                    v = sp.vbasis.eval(xi[None])[0] @ jit.T          # (nv, 2)
+                    cross = n[0] * v[:, 1] - n[1] * v[:, 0]
+                    trace_q[f, side] += w * np.outer(modes[p], q)
+                    trace_v[f, side] += w * np.outer(modes[p], cross)
+                    # (eps v, R_F(lam)) = int_F lam . {{eps v}}, rows
+                    # (mode, component)
+                    block = modes[p][:, None, None] * (v @ eps[e].T).T
+                    pair[f * 2 * nm:(f + 1) * 2 * nm,
+                         e * sp.ndof_v:(e + 1) * sp.ndof_v] += (
+                        avg * h * w * block.reshape(2 * nm, sp.ndof_v))
+        assert rel_gap(lift.trace_q, trace_q) <= KERNEL_TOL
+        assert rel_gap(lift.trace_v, trace_v) <= KERNEL_TOL
+        assert rel_gap(lift.vector_value_pair(eps).toarray(), pair) <= KERNEL_TOL
+
+    @PROPERTY
+    @given(case=kernel_cases())
+    def test_error_norms(self, case, degree):
+        mesh, coeffs, rng = case
+        disc = Discretization(mesh, degree, coeffs)
+        sp, mats = disc.spaces, disc.materials
+        problem = ModelProblem(
+            "oracle", 1.0, None, None, exact_u=vector_field,
+            exact_curl_u=lambda x, y: np.sin(x - 3 * y),
+            exact_grad_p=lambda x, y: vector_field(y, x))
+        u = rng.standard_normal(sp.dim_V)
+        p_coeffs = rng.standard_normal(sp.dim_Q)
+        rule = triangle_rule(sp.deg_err)
+        vref, cref = sp.vbasis.eval(rule.points), sp.vbasis.curl(rule.points)
+        gref = sp.qbasis.grad(rule.points)
+        cu = u.reshape(mesh.num_elements, sp.ndof_v)
+        cp = p_coeffs.reshape(mesh.num_elements, sp.ndof_q)
+        l2 = curl = pgrad = 0.0
+        for e, (a, jac, jit, det) in enumerate(element_geometry(mesh)):
+            for p, (xi, w) in enumerate(zip(rule.points, rule.weights)):
+                x = a + jac @ xi
+                du = jit @ (cu[e] @ vref[p]) - problem.exact_u(*x)
+                l2 += w * det * du @ mats.eps[e] @ du
+                dcurl = cu[e] @ cref[p] / det - problem.exact_curl_u(*x)
+                curl += w * det * mats.mu_bar_inv[e] * dcurl ** 2
+                dgp = jit @ (cp[e] @ gref[p]) - problem.exact_grad_p(*x)
+                pgrad += w * det * dgp @ mats.eps[e] @ dgp
+        jump = disc.jump_t @ u
+        jump_sq = jump @ (disc.lift_gram_scalar @ jump)
+        pjump = disc.jump_n @ p_coeffs
+        pjump_sq = pjump @ (disc.lift_gram_vector @ pjump)
+        oracle = {"e_v": np.sqrt(l2 + curl + jump_sq),
+                  "e_q": np.sqrt(pgrad + pjump_sq), "e_l2": np.sqrt(l2),
+                  "e_curl": np.sqrt(curl), "e_jump": np.sqrt(jump_sq)}
+        errs = error_norms(disc, problem, u, p_coeffs)
+        for key, value in oracle.items():
+            assert errs[key] == pytest.approx(value, rel=KERNEL_TOL, abs=0.0)
