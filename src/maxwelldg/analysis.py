@@ -408,7 +408,7 @@ class LevelRecord:
     solver_residual: float
     cond_estimate: float
     ordering: str          # fill-reducing order of the factor
-    r2: float | None
+    backward_error: float  # normwise 1-norm backward error of the solve
     time_s: float
 
 
@@ -466,8 +466,9 @@ class ConvergenceReport:
                  "solver_residual": r.solver_residual,
                  "cond_estimate": r.cond_estimate,
                  "ordering": r.ordering,
+                 "backward_error": r.backward_error,
                  "constraint_residual": r.constraint_residual,
-                 "r2": r.r2, "time_s": r.time_s}
+                 "time_s": r.time_s}
                 for r in self.records],
         }
 
@@ -502,8 +503,7 @@ def setup_problem(problem: ModelProblem, mesh: Mesh, degree: int,
 
 def convergence_study(problem: ModelProblem, degree: int, levels: int,
                       alpha="auto", gamma="auto", formulation: str = "primal",
-                      margin_samples: int = 100,
-                      with_r2: bool = False) -> ConvergenceReport:
+                      margin_samples: int = 100) -> ConvergenceReport:
     """Solve the problem on a refinement sweep and record errors, rates,
     and the per-level coercivity and constraint diagnostics."""
     if levels < 1:
@@ -527,7 +527,6 @@ def convergence_study(problem: ModelProblem, degree: int, levels: int,
         errs = error_norms(disc, problem, sol.u.coeffs, sol.p.coeffs,
                            g_data=g_data)
         margin = coercivity_margin(disc, nsamples=margin_samples)
-        r2 = residual_R2(disc, problem) if with_r2 and problem.div_free else None
         h = mesh.mesh_size()
         eoc_v = eoc_q = None
         if prev is not None:
@@ -542,8 +541,8 @@ def convergence_study(problem: ModelProblem, degree: int, levels: int,
             eoc_v=eoc_v, eoc_q=eoc_q, coercivity_margin=margin,
             constraint_residual=sol.constraint_gap,
             solver_residual=sol.residual, cond_estimate=sol.cond_estimate,
-            ordering=sol.factor.ordering,
-            r2=r2, time_s=time.perf_counter() - t0))
+            ordering=sol.factor.ordering, backward_error=sol.backward_error,
+            time_s=time.perf_counter() - t0))
         prev = {"h": h, "e_v": errs["e_v"], "e_q": errs["e_q"]}
     return report
 

@@ -10,8 +10,9 @@ the normal jump of p):
 All nonlocal coupling runs through the face lifting operators; the
 penalty and jump terms are therefore sums of per-face rank-(l+1)
 contributions and the stencil never grows past face neighbors.  The
-graph of each system is thus the element dual graph, and the mesh's
-nested-dissection order of the elements orders the system's unknowns.
+graph of each system is thus the element dual graph with dense element
+blocks, and the mesh's nested-dissection tree of the elements is the
+elimination tree of the system's factor.
 The systems are assembled in compressed sparse column form, the form the
 sparse factorization reads.
 """
@@ -19,27 +20,41 @@ sparse factorization reads.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import block_diag, bmat, csc_matrix, csr_matrix
 
 from .lifting import Lifting
 from .materials import Coefficients, MaterialArrays
-from .mesh import Mesh
+from .mesh import EliminationTree, Mesh
 from .quadrature import triangle_rule
 from .spaces import Spaces, element_block_diag
 
-__all__ = ["Discretization"]
+__all__ = ["Discretization", "DofBlocks"]
 
 # Each triangle has 3 face neighbors; the coercivity threshold for the
 # penalty weights is 1/2 + 2 * 3.
 FACES_PER_ELEMENT = 3
 DEFAULT_ALPHA = 0.5 + 2.0 * FACES_PER_ELEMENT
 DEFAULT_GAMMA = 0.5
-# Nested dissection orders the degree-1 systems.  At degree 2 it leaves
-# 8% more fill than minimum degree on square:32 and square:64, for no
-# faster factor.
-DISSECTION_DEGREE = 1
+# Parts of the mesh with at most this many unknowns are not cut further:
+# each is one front of the factor.
+FRONT_LEAF = 96
+
+
+class DofBlocks(NamedTuple):
+    """Block layout of a system's unknowns for its multifrontal factor.
+
+    tree : elimination tree of the elements
+    element_dofs : (ne, b) unknowns of each element, eliminated together
+    face_dofs : (nf, m) face multiplier unknowns, eliminated first, or
+        None when the system has none
+    """
+
+    tree: EliminationTree
+    element_dofs: np.ndarray
+    face_dofs: np.ndarray | None
 
 
 class Discretization:
@@ -215,30 +230,20 @@ class Discretization:
             [None, self.gamma_gram, -gamma_jn],
             [self.b_matrix, -gamma_jn.T, None]], format="csc")
 
-    def dof_order(self, multiplier: bool = False) -> np.ndarray | None:
-        """Nested-dissection permutation of the primal (V, Q) or, with the
-        multiplier, the auxiliary (V, M, Q) unknowns; None at degrees
-        that keep a minimum degree order.
-
-        The unknowns follow the elements in the mesh's dissection order,
-        each element's V dofs, then the M dofs of the faces it is the
-        earlier of the two elements of, then its Q dofs.  With the M dofs
-        after Q, or on the later element, the diagonal of the Q block is
-        zero when it is eliminated, and symmetric mode cannot pivot on it.
-        """
-        if self.spaces.degree != DISSECTION_DEGREE:
-            return None
+    def dof_blocks(self, multiplier: bool = False) -> DofBlocks:
+        """The unknowns of the primal (V, Q) or, with the multiplier, the
+        auxiliary (V, M, Q) system in element blocks on the mesh's
+        dissection tree: per element its V dofs, then its Q dofs, and per
+        face its M dofs."""
         sp, mesh = self.spaces, self.mesh
-        rank = np.empty(mesh.num_elements, dtype=np.int64)
-        rank[mesh.dissection_order] = np.arange(mesh.num_elements)
-        owner = [np.repeat(rank, sp.ndof_v)]
-        if multiplier:
-            sides = rank[mesh.face_elements]
-            sides[mesh.boundary, 1] = mesh.num_elements
-            owner.append(np.repeat(sides.min(axis=1), sp.ndof_m))
-        owner.append(np.repeat(rank, sp.ndof_q))
-        kind = np.repeat(np.arange(len(owner)), [len(o) for o in owner])
-        return np.lexsort((kind, np.concatenate(owner)))
+        ne, nf = mesh.num_elements, mesh.num_faces
+        nm = sp.dim_M if multiplier else 0
+        v = np.arange(sp.dim_V).reshape(ne, sp.ndof_v)
+        q = sp.dim_V + nm + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
+        faces = (sp.dim_V + np.arange(nm).reshape(nf, sp.ndof_m)
+                 if multiplier else None)
+        leaf = max(1, FRONT_LEAF // (sp.ndof_v + sp.ndof_q))
+        return DofBlocks(mesh.dissection_tree(leaf), np.hstack([v, q]), faces)
 
     @cached_property
     def constraint_w(self) -> csr_matrix:

@@ -303,6 +303,7 @@ def run_solve(cfg: RunConfig) -> int:
         "norm_u": disc.norm_v(sol.u.coeffs),
         "norm_p": disc.norm_q(sol.p.coeffs),
         "residual": sol.residual,
+        "backward_error": sol.backward_error,
         "cond_estimate": sol.cond_estimate,
         "constraint_residual": sol.constraint_gap,
         "factor": {"pivoting": sol.factor.pivoting,

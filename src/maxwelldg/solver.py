@@ -1,16 +1,19 @@
 """Direct solution of the assembled saddle point systems.
 
-The systems are symmetric indefinite.  They are factored in SuperLU's
-symmetric mode: a fill-reducing symmetric ordering and a diagonal pivot
-whenever it is nonzero.  The ordering is the discretization's nested
-dissection where it gives one (degree 1), else minimum degree on A + A^T.
-The relaxed pivoting cuts the fill of a partial-pivoting factor, to about
-a third at degree 2, but it may grow the factor's error.  Every solve
-therefore takes one step of iterative refinement in working precision,
-which restores a small backward error when the factor is not too
-unstable (Skeel, Math. Comp. 1980).  A refined probe solve checks that at
-factorization time; if it fails, the matrix is refactored with partial
-pivoting and a COLAMD column order.
+The systems are symmetric indefinite, and their graph is the element
+dual graph with dense element blocks.  They are factored by a
+multifrontal LU on the mesh's nested-dissection tree (Duff and Reid, ACM
+Trans. Math. Softw. 1983; Liu, SIAM Rev. 1992): each tree node eliminates
+a run of elements in one dense front, with partial pivoting inside the
+front's fully summed block only, and passes its Schur complement to its
+parent, so nearly all the work is dense BLAS-3.  The auxiliary system's
+face multiplier blocks are eliminated first, all faces at once.  Pivoting
+restricted to the fronts may grow the factor's error, so every solve
+takes one step of iterative refinement in working precision, which
+restores a small backward error when the factor is not too unstable
+(Skeel, Math. Comp. 1980).  A refined probe solve checks that at
+factorization time; if it fails, or a front is singular, the matrix is
+refactored by SuperLU with partial pivoting and a COLAMD column order.
 
 A wavenumber at a discrete resonance makes the matrix singular.  That is
 judged by a 1-norm condition estimate (Higham and Tisseur, SIAM J. Matrix
@@ -21,22 +24,22 @@ neither the scale of the system nor the fill-reducing ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.linalg.lapack import dgetrf, dgetri
+from scipy.sparse import bsr_matrix, csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .assembly import Discretization
+from .assembly import Discretization, DofBlocks
 from .spaces import FemField
 
-__all__ = ["ResonanceError", "Factor", "PermutedLU", "Solution",
-           "factorize", "refined_solve", "solve_mixed", "solve_auxiliary",
-           "SolutionOperator"]
+__all__ = ["ResonanceError", "Factor", "MultifrontalLU", "Solution",
+           "backward_error", "factorize", "refined_solve", "solve_mixed",
+           "solve_auxiliary", "SolutionOperator"]
 
-# Symmetric mode takes the diagonal pivot whenever it is nonzero.
-DIAG_PIVOT_THRESH = 0.0
 # Normwise backward error of the refined probe solve above which the
-# symmetric factor is refused.  A stable factor stays near eps.
+# multifrontal factor is refused.  A stable factor stays near eps.
 BACKWARD_TOL = 10.0 * np.finfo(float).eps
 # Condition estimate above which the system is declared singular: past it
 # the forward error bound cond * eps exceeds 1%.  Regular systems up to
@@ -52,10 +55,11 @@ class ResonanceError(RuntimeError):
 class Factor:
     """How a system was factored."""
 
-    pivoting: str          # "symmetric", or "partial" after the fallback
-    ordering: str          # "nested_dissection", "mmd", or "colamd"
-    lu_nnz: int            # stored entries of the supernodal L and U
+    pivoting: str          # "symmetric" (inside the fronts), or "partial"
+    ordering: str          # "nested_dissection", or "colamd" after fallback
+    lu_nnz: int            # stored entries of the factor
     cond_estimate: float   # estimate of the 1-norm condition number
+    norm: float            # 1-norm of the factored matrix
 
 
 @dataclass
@@ -66,29 +70,13 @@ class Solution:
     p: FemField
     lam: FemField | None
     residual: float        # algebraic residual, relative to the load
+    backward_error: float  # normwise 1-norm backward error of the solve
     factor: Factor         # how the system was factored
     constraint_gap: float  # ||B u - C p|| relative to operator/field scales
 
     @property
     def cond_estimate(self) -> float:
         return self.factor.cond_estimate
-
-
-class PermutedLU:
-    """SuperLU factor of P A P^T, applied in the numbering of A."""
-
-    def __init__(self, lu, order: np.ndarray):
-        self.lu = lu
-        self.order = order        # row i of P A P^T is row order[i] of A
-
-    L = property(lambda self: self.lu.L)
-    U = property(lambda self: self.lu.U)
-    nnz = property(lambda self: self.lu.nnz)
-
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        out = np.empty_like(rhs, dtype=float)
-        out[self.order] = self.lu.solve(rhs[self.order], trans)
-        return out
 
 
 def _permuted(matrix: csc_matrix, order: np.ndarray) -> csc_matrix:
@@ -103,6 +91,185 @@ def _permuted(matrix: csc_matrix, order: np.ndarray) -> csc_matrix:
     return out
 
 
+class _Count(NamedTuple):
+    """Stored entries of one part of a factor, as SuperLU's L and U
+    report them."""
+
+    nnz: int
+
+
+class MultifrontalLU:
+    """Multifrontal factor of a symmetric matrix laid out in the element
+    blocks of a `DofBlocks`; solves in the numbering of the matrix.
+
+    The face blocks, if any, are inverted first, all at once, and their
+    Schur complement is formed by sparse products.  The element-block
+    system left is factored on the elimination tree in postorder.  The
+    front of a tree node holds the blocks of its own elements (p unknowns)
+    and of its update elements (u unknowns): the matrix blocks whose
+    earlier element is its own, plus the updates of its children.  Its
+    fully summed p x p block F11 is LU-factored by LAPACK with partial
+    pivoting inside it and inverted; the node keeps F11^-1 and the panel
+    V = F11^-1 F12, and hands F22 - F21 V to its parent.  So the factor
+    is L D L^T with L unit lower triangular, its blocks V^T, and D block
+    diagonal.  A node stores p^2 + p u entries, which with the face
+    blocks make `nnz`, a count fixed by the mesh and the degree.
+
+    A singular front raises `numpy.linalg.LinAlgError`; a matrix entry
+    outside the fronts raises ValueError.
+    """
+
+    def __init__(self, matrix: csc_matrix, blocks: DofBlocks):
+        tree, elements, faces = blocks
+        self.perm = elements[tree.order].ravel()
+        nb = elements.shape[1]
+        self._factor(tree, nb, self._element_system(matrix, faces, nb))
+        # L holds the panels, and the pivot blocks split at the diagonal
+        pivots = sum(block.shape[0] ** 2 for block, _ in self.fronts)
+        panels = sum(block.size for block, _ in self.fronts) - pivots
+        if faces is not None:
+            pivots += faces.size * faces.shape[1]
+        below = (pivots - matrix.shape[0]) // 2
+        self.L = _Count(below + panels)
+        self.U = _Count(pivots - below)
+        self.nnz = self.L.nnz + self.U.nnz
+
+    def _element_system(self, matrix: csc_matrix, faces,
+                        nb: int) -> bsr_matrix:
+        """The system left after the face blocks, in tree order and in
+        blocks of one element."""
+        n, nw = matrix.shape[0], self.perm.size
+        order = (self.perm if faces is None
+                 else np.concatenate([self.perm, faces.ravel()]))
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("the blocks do not partition the unknowns")
+        system = _permuted(matrix, order)
+        self.faces = None
+        if faces is not None:
+            nf, m = faces.shape
+            gram = system[nw:, nw:].tobsr(blocksize=(m, m))
+            if not (np.array_equal(gram.indptr, np.arange(nf + 1))
+                    and np.array_equal(gram.indices, np.arange(nf))):
+                raise ValueError("face blocks are coupled to each other")
+            inverse = bsr_matrix((np.linalg.inv(gram.data), gram.indices,
+                                  gram.indptr), shape=gram.shape).tocsr()
+            transfer = system[nw:, :nw].tocsr()
+            system = system[:nw, :nw] - transfer.T @ (inverse @ transfer)
+            self.faces = (faces.ravel(), inverse, transfer)
+        # one copy at a time: the permuted matrix, its CSR form, the blocks
+        system = system.tocsr()
+        return system.tobsr(blocksize=(nb, nb))
+
+    def _factor(self, tree, nb: int, system: bsr_matrix):
+        bounds, update, parent = tree.bounds, tree.update, tree.parent
+        nodes = len(bounds) - 1
+        own = np.diff(bounds)
+        run = np.repeat(np.arange(nodes), own)
+        sizes = np.array([u.size for u in update], dtype=np.int64)
+        later = np.concatenate([np.zeros(0, dtype=np.int64), *update])
+        owner = np.repeat(np.arange(nodes), sizes)
+        first = np.cumsum(sizes) - sizes
+        # node * span + position of each update element of each node,
+        # ascending, then a key above all; and its block slot in the front
+        span = len(run)
+        keys = np.append(owner * span + later, nodes * span)
+        slots = np.append(own[owner] + np.arange(later.size) - first[owner], 0)
+
+        def slot(node, pos):
+            """Block slot of each position in the front of each node."""
+            out = pos - bounds[node]
+            outside = run[pos] != node
+            key = node[outside] * span + pos[outside]
+            at = np.searchsorted(keys, key)
+            if np.any(keys[at] != key):
+                raise ValueError("the matrix couples elements outside a front")
+            out[outside] = slots[at]
+            return out
+
+        # the matrix blocks, each to the front of its earlier element
+        brow = np.repeat(np.arange(system.shape[0] // nb),
+                         np.diff(system.indptr))
+        node = run[np.minimum(brow, system.indices)]
+        by_node = np.argsort(node, kind="stable")
+        cut = np.searchsorted(node[by_node], np.arange(nodes + 1))
+        node = node[by_node]
+        blk_row = slot(node, brow[by_node])
+        blk_col = slot(node, system.indices[by_node])
+        # each node's update rows in its parent's front, as runs of
+        # consecutive blocks: (start in the update, start in the front,
+        # length), in unknowns
+        dest = slot(parent[owner], later)
+        head = np.ones(later.size, dtype=bool)
+        head[1:] = (owner[1:] != owner[:-1]) | (dest[1:] != dest[:-1] + 1)
+        head = np.flatnonzero(head)
+        runs = nb * np.stack([head - first[owner[head]], dest[head],
+                              np.diff(np.append(head, later.size))], axis=1)
+        runs = np.split(runs, np.searchsorted(owner[head], np.arange(1, nodes)))
+        rows = np.split((later[:, None] * nb + np.arange(nb)).ravel(),
+                        nb * np.cumsum(sizes)[:-1])
+
+        # per node [F11^-1, -V] and the positions of its own and update
+        # unknowns
+        piv, upd = own * nb, sizes * nb
+        pending = [[] for _ in range(nodes)]
+        self.offsets = bounds * nb
+        self.fronts = []
+        for j in range(nodes):
+            k, p, u = own[j] + sizes[j], piv[j], upd[j]
+            front = np.zeros((p + u, p + u))
+            sl = slice(cut[j], cut[j + 1])
+            front.reshape(k, nb, k, nb)[blk_row[sl], :, blk_col[sl], :] = (
+                system.data[by_node[sl]])
+            for segments, schur in pending[j]:
+                for a, b, r in segments:
+                    for c, d, s in segments:
+                        front[b:b + r, d:d + s] += schur[a:a + r, c:c + s]
+            pending[j] = None
+            lu, ipiv, info = dgetrf(front[:p, :p])
+            if info == 0:
+                inverse, info = dgetri(lu, ipiv)
+            if info:
+                raise np.linalg.LinAlgError(f"front {j} is singular")
+            block = np.empty((p, p + u))
+            block[:, :p] = inverse
+            if u:
+                panel = inverse @ front[:p, p:]
+                np.negative(panel, out=block[:, p:])
+                schur = front[p:, p:]
+                schur -= front[p:, :p] @ panel
+                pending[parent[j]].append((runs[j].tolist(), schur))
+            self.fronts.append((block, np.concatenate(
+                [np.arange(self.offsets[j], self.offsets[j + 1]), rows[j]])))
+
+    def _tree_solve(self, w: np.ndarray) -> None:
+        """Solve in place with the element-block factor, in tree order:
+        L^-1 in postorder, as F21 F11^-1 = V^T for a symmetric front, then
+        D^-1 and L^-T from the root down, one product per node."""
+        offsets, fronts = self.offsets, self.fronts
+        for j, (block, at) in enumerate(fronts):
+            p = block.shape[0]
+            w[at[p:]] += block[:, p:].T @ w[offsets[j]:offsets[j + 1]]
+        for j in range(len(fronts) - 1, -1, -1):
+            block, at = fronts[j]
+            w[offsets[j]:offsets[j + 1]] = block @ w[at]
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve with the matrix, or its transpose, which is the same."""
+        rhs = np.asarray(rhs, dtype=float)
+        out = np.empty_like(rhs)
+        w = rhs[self.perm]
+        if self.faces is None:
+            self._tree_solve(w)
+        else:
+            dofs, inverse, transfer = self.faces
+            r = rhs[dofs]
+            w -= transfer.T @ (inverse @ r)
+            self._tree_solve(w)
+            out[dofs] = inverse @ (r - transfer @ w)
+        out[self.perm] = w
+        return out
+
+
 def refined_solve(matrix, lu, rhs: np.ndarray) -> np.ndarray:
     """Solve with the factor plus one step of iterative refinement."""
     x = lu.solve(rhs)
@@ -110,40 +277,35 @@ def refined_solve(matrix, lu, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def backward_error(matrix, norm: float, x: np.ndarray, rhs: np.ndarray) -> float:
+    """Normwise backward error of x as a solution of matrix x = rhs in the
+    1-norm (Rigal and Gaches, J. ACM 1967), given the matrix's 1-norm."""
+    gap = np.abs(rhs - matrix @ x).sum()
+    scale = norm * np.abs(x).sum() + np.abs(rhs).sum()
+    return float(gap / scale) if scale > 0 else float(gap)
+
+
 def _stable(matrix, norm: float, lu) -> bool:
-    """Whether a refined solve of a fixed probe has a normwise backward
-    error (Rigal and Gaches, 1-norm) within tolerance."""
+    """Whether a refined solve of a fixed probe has a backward error
+    within tolerance."""
     probe = np.random.default_rng(0).standard_normal(matrix.shape[0])
-    x = refined_solve(matrix, lu, probe)
-    gap = np.abs(probe - matrix @ x).sum()
-    return bool(gap <= BACKWARD_TOL * (norm * np.abs(x).sum()
-                                       + np.abs(probe).sum()))
+    return backward_error(matrix, norm, refined_solve(matrix, lu, probe),
+                          probe) <= BACKWARD_TOL
 
 
-def factorize(matrix, order: np.ndarray | None = None):
-    """Sparse LU of a symmetric system, with the fallback to partial
-    pivoting and the condition check.  With a symmetric permutation
-    order, the symmetric factor is of P A P^T in that order, else of A in
-    a minimum degree order.  Returns the factor, which solves in the
-    numbering of A (SuperLU's, or a `PermutedLU`), and its `Factor`
-    record."""
+def factorize(matrix, blocks: DofBlocks):
+    """LU of a symmetric system in the element blocks of its unknowns,
+    with the fallback to partial pivoting and the condition check.
+    Returns the factor (a `MultifrontalLU`, or SuperLU's after the
+    fallback), which solves in the numbering of the matrix, and its
+    `Factor` record."""
     matrix = matrix.tocsc()
     norm = float(abs(matrix).sum(axis=0).max())
+    pivoting, ordering = "symmetric", "nested_dissection"
     try:
-        if order is None:
-            ordering = "mmd"
-            lu = splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                      options={"SymmetricMode": True})
-        else:
-            ordering = "nested_dissection"
-            lu = PermutedLU(splu(_permuted(matrix, order),
-                                 permc_spec="NATURAL",
-                                 diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                                 options={"SymmetricMode": True}), order)
-    except RuntimeError:
+        lu = MultifrontalLU(matrix, blocks)
+    except np.linalg.LinAlgError:
         lu = None
-    pivoting = "symmetric"
     if lu is None or not _stable(matrix, norm, lu):
         pivoting, ordering = "partial", "colamd"
         try:
@@ -160,7 +322,7 @@ def factorize(matrix, order: np.ndarray | None = None):
         raise ResonanceError(
             "saddle point matrix is numerically singular "
             f"(condition estimate {cond:.2e})")
-    return lu, Factor(pivoting, ordering, int(lu.nnz), cond)
+    return lu, Factor(pivoting, ordering, int(lu.nnz), cond, norm)
 
 
 def _residual(matrix, x, rhs) -> float:
@@ -185,14 +347,15 @@ def _solve(disc: Discretization, system, lu, factor: Factor,
     u, lam, p = sol[:nv], sol[nv:nv + nm], sol[nv + nm:]
     return Solution(FemField("V", u), FemField("Q", p),
                     FemField("M", lam) if multiplier else None,
-                    _residual(system, sol, rhs), factor,
+                    _residual(system, sol, rhs),
+                    backward_error(system, factor.norm, sol, rhs), factor,
                     _constraint_gap(disc, u, p))
 
 
 def solve_mixed(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
     """Solve the two-field system for (u, p)."""
     system = disc.primal_system(ksq)
-    return _solve(disc, system, *factorize(system, disc.dof_order()), load)
+    return _solve(disc, system, *factorize(system, disc.dof_blocks()), load)
 
 
 def solve_auxiliary(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
@@ -208,7 +371,7 @@ def solve_auxiliary(disc: Discretization, ksq: float, load: np.ndarray) -> Solut
     full[:nv] = load[:nv]
     full[nv + nm:] = load[nv:]
     system = disc.auxiliary_system(ksq)
-    lu, factor = factorize(system, disc.dof_order(multiplier=True))
+    lu, factor = factorize(system, disc.dof_blocks(multiplier=True))
     return _solve(disc, system, lu, factor, full, multiplier=True)
 
 
@@ -224,7 +387,7 @@ class SolutionOperator:
         self.disc = disc
         self.ksq = ksq
         self._system = disc.primal_system(ksq)
-        self._lu, self.factor = factorize(self._system, disc.dof_order())
+        self._lu, self.factor = factorize(self._system, disc.dof_blocks())
 
     def solve(self, load: np.ndarray) -> Solution:
         return _solve(self.disc, self._system, self._lu, self.factor, load)

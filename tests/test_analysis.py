@@ -338,7 +338,9 @@ class TestConvergenceReport:
         assert len(diag["levels"]) == 2
         level = diag["levels"][0]
         assert {"level", "h", "solver_residual", "cond_estimate", "ordering",
-                "constraint_residual", "r2", "time_s"} <= set(level)
+                "backward_error", "constraint_residual", "time_s"} <= set(level)
+        assert "r2" not in level
+        assert all(np.isfinite(r["backward_error"]) for r in diag["levels"])
 
     def test_validation(self):
         with pytest.raises(ValueError):

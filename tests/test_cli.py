@@ -218,10 +218,27 @@ class TestSolveCommand:
         assert out["factor"]["ordering"] == "nested_dissection"
         assert out["factor"]["lu_nnz"] > 0
         assert "pivot_ratio" not in out
-        code = main(["solve", "--config", path, "--degree", "2"])
+        for formulation in ("primal", "auxiliary"):
+            path = write_config(tmp_path, {"problem": "sine", "degree": 2,
+                                           "mesh": "square:2",
+                                           "formulation": formulation})
+            code = main(["solve", "--config", path])
+            text = capsys.readouterr().out
+            out = json.loads(text)
+            assert code == 0
+            assert (out["factor"]["ordering"], out["factor"]["pivoting"]) == (
+                "nested_dissection", "symmetric")
+            # the same run prints the same bytes
+            main(["solve", "--config", path])
+            assert capsys.readouterr().out == text
+
+    def test_reports_backward_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"problem": "sine", "mesh": "square:2"})
+        code = main(["solve", "--config", path])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out["factor"]["ordering"] == "mmd"
+        assert np.isfinite(out["backward_error"])
+        assert 0.0 <= out["backward_error"] <= 1e-14
 
     def test_output_file(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "zero", "mesh": "square:2",
@@ -269,6 +286,9 @@ class TestStudyCommand:
         assert len(diag["levels"]) == 2
         assert {level["ordering"] for level in diag["levels"]} == {
             "nested_dissection"}
+        assert all(np.isfinite(level["backward_error"])
+                   for level in diag["levels"])
+        assert "r2" not in diag["levels"][0]
 
     def test_levels_override(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "sine", "mesh": "square:2",

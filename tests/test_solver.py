@@ -1,14 +1,12 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 
-from maxwelldg import assembly
-from maxwelldg.assembly import Discretization
+from maxwelldg.assembly import Discretization, DofBlocks
 from maxwelldg.materials import Coefficients
-from maxwelldg.mesh import Mesh, lshape, unit_square
+from maxwelldg.mesh import Mesh, elimination_tree, lshape, unit_square
 from maxwelldg.problems import gradient_null_data, sine_problem
 from maxwelldg.solver import (
     COND_MAX,
@@ -20,13 +18,14 @@ from maxwelldg.solver import (
     solve_mixed,
 )
 
-from conftest import delaunay_mesh, random_spd
+from conftest import delaunay_mesh, random_materials, random_spd, two_tag_mesh
 
 
-def dissection_order(disc, multiplier=False):
-    """The nested-dissection dof order, at degree 2 too."""
-    with mock.patch.object(assembly, "DISSECTION_DEGREE", disc.spaces.degree):
-        return disc.dof_order(multiplier)
+def finest_blocks(disc, multiplier=False):
+    """The unknowns in blocks on the finest dissection tree of the mesh,
+    whose parts of at most 4 elements stay whole."""
+    return disc.dof_blocks(multiplier)._replace(
+        tree=disc.mesh.dissection_tree())
 
 
 @pytest.fixture
@@ -165,23 +164,22 @@ def exact_eigenvalue(mesh, degree):
 
 
 class TestResonance:
-    """Resonance verdicts of the minimum degree factor; the subclass
-    below repeats them in nested-dissection order."""
+    """Resonance verdicts of the factor on the discretization's tree; the
+    subclass below repeats them on the finest dissection tree, so they
+    depend on neither the scale nor the fronts."""
 
-    ordering = "mmd"
+    def blocks(self, disc):
+        return disc.dof_blocks()
 
-    def order(self, disc):
-        return None
-
-    # at the eigenvalue the last two read min/max |diag U| of 4.7e-12
-    # (COLAMD) and 8.8e-12 (symmetric mode): a 1e-12 pivot gate misses them
+    # at the eigenvalue the last two read min/max |diag U| of 4.7e-12 with
+    # SuperLU's COLAMD factor: a 1e-12 pivot gate would miss them
     @pytest.mark.parametrize("n, degree", [(2, 1), (3, 1), (2, 2)],
                              ids=["square2-deg1", "square3-deg1",
                                   "square2-deg2"])
     def test_exact_discrete_eigenvalue_raises(self, n, degree):
         disc, ksq = exact_eigenvalue(unit_square(n), degree)
         with pytest.raises(ResonanceError, match="condition estimate"):
-            factorize(disc.primal_system(ksq), self.order(disc))
+            factorize(disc.primal_system(ksq), self.blocks(disc))
 
     def test_regular_wavenumber_passes(self, disc2, sine_load):
         sol = solve_mixed(disc2, 1.0, sine_load)
@@ -190,26 +188,25 @@ class TestResonance:
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_verdict_is_scale_free(self, scale):
         disc, ksq = exact_eigenvalue(unit_square(3), 1)
-        order = self.order(disc)
+        blocks = self.blocks(disc)
         with pytest.raises(ResonanceError):
-            factorize(scale * disc.primal_system(ksq), order)
+            factorize(scale * disc.primal_system(ksq), blocks)
         regular = disc.primal_system(1.0)
-        _, factor = factorize(scale * regular, order)
-        assert factor.ordering == self.ordering
+        _, factor = factorize(scale * regular, blocks)
+        assert (factor.ordering, factor.pivoting) == ("nested_dissection",
+                                                      "symmetric")
         assert factor.cond_estimate == pytest.approx(
-            factorize(regular, order)[1].cond_estimate, rel=1e-8)
+            factorize(regular, blocks)[1].cond_estimate, rel=1e-8)
 
     def test_estimate_is_deterministic(self, disc2):
         system = disc2.primal_system(1.0)
-        order = self.order(disc2)
-        assert factorize(system, order)[1] == factorize(system, order)[1]
+        blocks = self.blocks(disc2)
+        assert factorize(system, blocks)[1] == factorize(system, blocks)[1]
 
 
 class TestResonanceNestedDissection(TestResonance):
-    ordering = "nested_dissection"
-
-    def order(self, disc):
-        return dissection_order(disc)
+    def blocks(self, disc):
+        return finest_blocks(disc)
 
 
 class TestFactorization:
@@ -220,13 +217,18 @@ class TestFactorization:
 
     def test_tiny_pivot_falls_back(self):
         # every diagonal entry is 1e-12 against off-diagonal entries of
-        # order one; symmetric mode pivots on them and the factor's entries
-        # grow by about 1e12, more than one refinement step can repair
+        # order one; with one unknown per front the factor pivots on them
+        # and its entries grow by about 1e12, more than one refinement
+        # step can repair
         n = 4
         dense = np.ones((n, n)) + np.diag(np.full(n, 1e-12 - 1.0))
         dense += np.diag(np.arange(1.0, n), 1) + np.diag(np.arange(1.0, n), -1)
         matrix = sparse.csc_matrix(dense)
-        lu, factor = factorize(matrix)
+        pairs = np.argwhere(np.triu(np.ones((n, n)), 1))
+        chain = DofBlocks(elimination_tree(np.arange(n), np.arange(n + 1),
+                                           pairs), np.arange(n)[:, None], None)
+        assert list(chain.tree.parent) == [1, 2, 3, -1]
+        lu, factor = factorize(matrix, chain)
         assert factor.pivoting == "partial"
         assert factor.ordering == "colamd"
         rhs = np.arange(1.0, n + 1)
@@ -234,38 +236,64 @@ class TestFactorization:
         assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_permuted_factor_solves_in_original_numbering(self):
-        # nonsymmetric, so a transposed solve differs from a plain one
+        # six blocks of two unknowns, all joined, eliminated in a random
+        # order in runs of two, with the unknowns numbered at random
         rng = np.random.default_rng(3)
-        n = 6
-        dense = rng.standard_normal((n, n)) + np.diag(np.full(n, 10.0))
+        n = 12
+        dense = rng.standard_normal((n, n))
+        dense = dense + dense.T + np.diag(np.full(n, 10.0))
         matrix = sparse.csc_matrix(dense)
-        order = rng.permutation(n)
-        lu, factor = factorize(matrix, order)
+        pairs = np.argwhere(np.triu(np.ones((6, 6)), 1))
+        blocks = DofBlocks(elimination_tree(rng.permutation(6), [0, 2, 4, 6],
+                                            pairs),
+                           rng.permutation(n).reshape(6, 2), None)
+        lu, factor = factorize(matrix, blocks)
         assert (factor.ordering, factor.pivoting) == ("nested_dissection",
                                                       "symmetric")
-        assert lu.nnz == factor.lu_nnz > 0
-        assert lu.L.shape == lu.U.shape == (n, n)
+        # fronts of 4 + 8, 4 + 4 and 4 + 0 unknowns
+        assert lu.nnz == factor.lu_nnz == 16 * 3 + 4 * (8 + 4)
+        assert lu.L.nnz + lu.U.nnz == lu.nnz
         rhs = rng.standard_normal(n)
-        for trans, op in (("N", dense), ("T", dense.T)):
+        for trans in ("N", "T"):
             x = lu.solve(rhs, trans)
-            assert np.linalg.norm(op @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+            assert np.linalg.norm(dense @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+        both = lu.solve(np.stack([rhs, 2.0 * rhs], axis=1))
+        assert np.allclose(both[:, 1], 2.0 * both[:, 0], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("multiplier", [False, True],
+                             ids=["primal", "auxiliary"])
+    def test_lu_nnz_is_structural(self, degree, multiplier):
+        # the count is of the fronts' blocks, fixed by the mesh, the degree
+        # and the layout, not of the entries that happen to be nonzero
+        mesh = two_tag_mesh(4)
+        counts = set()
+        for coeffs in (random_materials(5), random_materials(6)):
+            disc = Discretization(mesh, degree, coeffs)
+            for ksq in (0.5, 1.7):
+                system = (disc.auxiliary_system(ksq) if multiplier
+                          else disc.primal_system(ksq))
+                counts.add(factorize(system,
+                                     disc.dof_blocks(multiplier))[1].lu_nnz)
+        assert len(counts) == 1
 
     def test_refinement_step_is_needed(self):
-        # degree 2, four tags with full-tensor materials, gradient source:
-        # the symmetric factor passes the probe, but a single solve with it
-        # misses the 1e-10 residual the command line promises (3.0e-10
-        # here; no seed of 300 reproduces it on unit_square(2))
-        rng = np.random.default_rng(1034)
+        # degree 2, four tags with full-tensor materials of anisotropy up
+        # to 10, gradient source: the factor passes the probe, but a
+        # single solve with it misses the 1e-10 residual the command line
+        # promises (5.8e-10 here, 1.5e-15 refined; with anisotropy up to 2
+        # no seed of 400 on unit_square(3) misses it, the worst reads
+        # 3.6e-13)
+        rng = np.random.default_rng(94)
         base = unit_square(3)
         mesh = Mesh(base.vertices, base.elements,
                     rng.integers(0, 4, base.num_elements))
-        coeffs = Coefficients(mu={t: random_spd(rng) for t in range(4)},
-                              eps={t: random_spd(rng) for t in range(4)})
+        coeffs = Coefficients(mu={t: random_spd(rng, 10.0) for t in range(4)},
+                              eps={t: random_spd(rng, 10.0) for t in range(4)})
         disc = Discretization(mesh, 2, coeffs)
         ksq = rng.uniform(0.5, 1.0) ** 2
         load, q = gradient_null_data(disc)
         system = disc.primal_system(ksq)
-        lu, factor = factorize(system)
+        lu, factor = factorize(system, disc.dof_blocks())
         assert factor.pivoting == "symmetric"
         once = lu.solve(load)
         assert (np.linalg.norm(system @ once - load)
@@ -281,10 +309,9 @@ def delaunay_case():
 
 
 class TestNestedDissection:
-    """Degree 1: the nested-dissection factor solves as minimum degree
-    does, and keeps symmetric mode.  With the M dofs after the Q dofs of
-    an element, or on the later of a face's two elements, the Q pivots are
-    zero and only the partial-pivoting fallback could factor."""
+    """The multifrontal factor on the nested-dissection tree solves as a
+    SuperLU factor in minimum degree order does, and keeps its pivoting
+    inside the fronts, for every degree and both layouts."""
 
     @pytest.mark.parametrize("multiplier", [False, True],
                              ids=["primal", "auxiliary"])
@@ -299,17 +326,18 @@ class TestNestedDissection:
         system = (disc.auxiliary_system(1.0) if multiplier
                   else disc.primal_system(1.0))
         rhs = rng.standard_normal(system.shape[0])
-        nd_lu, nd = factorize(system, disc.dof_order(multiplier))
-        mmd_lu, mmd = factorize(system)
-        assert (nd.ordering, nd.pivoting) == ("nested_dissection", "symmetric")
-        assert mmd.ordering == "mmd"
-        x = refined_solve(system, nd_lu, rhs)
-        expect = refined_solve(system, mmd_lu, rhs)
+        lu, factor = factorize(system, disc.dof_blocks(multiplier))
+        assert (factor.ordering, factor.pivoting) == ("nested_dissection",
+                                                      "symmetric")
+        x = refined_solve(system, lu, rhs)
+        expect = refined_solve(system, splu(system.tocsc(),
+                                            permc_spec="MMD_AT_PLUS_A"), rhs)
         assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_degree_picks_the_ordering(self, disc2, sine_load):
-        expect = {1: "nested_dissection", 2: "mmd"}[disc2.spaces.degree]
-        assert (disc2.dof_order() is None) == (expect == "mmd")
+        # one path: every degree takes the dissection tree
         for solve in (solve_mixed, solve_auxiliary):
-            assert solve(disc2, 1.0, sine_load).factor.ordering == expect
-        assert SolutionOperator(disc2).factor.ordering == expect
+            factor = solve(disc2, 1.0, sine_load).factor
+            assert (factor.ordering, factor.pivoting) == ("nested_dissection",
+                                                          "symmetric")
+        assert SolutionOperator(disc2).factor.ordering == "nested_dissection"

@@ -1,5 +1,6 @@
-"""Property tests of the mesh incidence, the nested-dissection order, the
-conforming maps and the element kernels on unstructured meshes.
+"""Property tests of the mesh incidence, the nested-dissection order and
+the factor on its tree, the conforming maps and the element kernels on
+unstructured meshes.
 
 Each example is the Delaunay triangulation of random points in the unit
 square, with the elements shuffled, the vertices of every element permuted
@@ -21,6 +22,7 @@ from maxwelldg.basis import face_modes
 from maxwelldg.mesh import DISSECTION_LEAF, nested_dissection
 from maxwelldg.problems import ModelProblem
 from maxwelldg.quadrature import segment_rule, triangle_rule
+from maxwelldg.solver import factorize, refined_solve
 
 from conftest import delaunay_mesh, random_spd
 
@@ -40,12 +42,12 @@ def shape_quality(points, simplices) -> float:
 
 
 @st.composite
-def delaunay_meshes(draw):
+def delaunay_meshes(draw, min_quality=MIN_QUALITY):
     """(mesh, triangulation) of 3 to 24 random points."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mesh, tri = delaunay_mesh(rng, draw(st.integers(3, 24)))
     assume(len(tri.coplanar) == 0)
-    assume(shape_quality(tri.points, tri.simplices) > MIN_QUALITY)
+    assume(shape_quality(tri.points, tri.simplices) > min_quality)
     return mesh, tri
 
 
@@ -133,16 +135,19 @@ class TestDissectionOrder:
         mesh, _ = case
         fine = refine_uniform(mesh)
         for m in (mesh, fine):
-            order = m.dissection_order
+            order = m.dissection_tree().order
             assert np.array_equal(np.sort(order), np.arange(m.num_elements))
-            again = Mesh(m.vertices, m.elements, m.tags).dissection_order
-            assert np.array_equal(again, order)
+            again = Mesh(m.vertices, m.elements, m.tags).dissection_tree()
+            assert np.array_equal(again.order, order)
         disc = Discretization(fine, 1, MATERIALS)
         sp = disc.spaces
         for multiplier, n in ((False, sp.dim_V + sp.dim_Q),
                               (True, sp.dim_V + sp.dim_M + sp.dim_Q)):
-            dofs = disc.dof_order(multiplier)
-            assert np.array_equal(np.sort(dofs), np.arange(n))
+            blocks = disc.dof_blocks(multiplier)
+            dofs = [blocks.element_dofs.ravel()]
+            if multiplier:
+                dofs.append(blocks.face_dofs.ravel())
+            assert np.array_equal(np.sort(np.concatenate(dofs)), np.arange(n))
 
     @PROPERTY
     @given(delaunay_meshes())
@@ -150,7 +155,7 @@ class TestDissectionOrder:
         mesh = refine_uniform(refine_uniform(case[0]))
         pairs = mesh.face_elements[~mesh.boundary]
         order, cuts = nested_dissection(centroids(mesh, slice(None)), pairs)
-        assert np.array_equal(order, mesh.dissection_order)
+        assert np.array_equal(order, mesh.dissection_tree().order)
         assert len(cuts) > 0
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
@@ -167,6 +172,59 @@ class TestDissectionOrder:
             touching = np.concatenate([ends[(half == [3, 2]).all(axis=1), 0],
                                        ends[(half == [2, 3]).all(axis=1), 1]])
             assert len(np.unique(touching)) == separator
+
+
+class TestMultifrontalFactor:
+    """The factor on the discretization's tree and on the finest dissection
+    tree against a dense solve, with random SPD materials and wavenumbers.
+    Both solutions carry a forward error that grows with the condition
+    number, which grows as elements flatten: above shape quality 0.1 the
+    estimates stay below 1e7 and the two agree to 3.5e-13 at worst (210
+    draws; below it 8.1e-13 was seen)."""
+
+    @PROPERTY
+    @given(case=delaunay_meshes(min_quality=0.1),
+           degree=st.sampled_from([1, 2]),
+           multiplier=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_solve(self, case, degree, multiplier, seed):
+        mesh, _ = case
+        if degree == 1:
+            mesh = refine_uniform(mesh)
+        rng = np.random.default_rng(seed)
+        coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
+                              eps={t: random_spd(rng) for t in range(3)})
+        disc = Discretization(mesh, degree, coeffs)
+        ksq = rng.uniform(0.25, 2.0)
+        system = (disc.auxiliary_system(ksq) if multiplier
+                  else disc.primal_system(ksq))
+        rhs = rng.standard_normal(system.shape[0])
+        expect = np.linalg.solve(system.toarray(), rhs)
+        production = disc.dof_blocks(multiplier)
+        finest = production._replace(tree=mesh.dissection_tree())
+        for blocks in (production, finest):
+            tree, elements, faces = blocks
+            # each child's update rows lie inside its parent's front
+            for child, parent in enumerate(tree.parent):
+                if parent < 0:
+                    assert tree.update[child].size == 0
+                    continue
+                front = np.concatenate([np.arange(tree.bounds[parent],
+                                                  tree.bounds[parent + 1]),
+                                        tree.update[parent]])
+                assert np.isin(tree.update[child], front).all()
+            lu, factor = factorize(system, blocks)
+            assert (factor.ordering, factor.pivoting) == ("nested_dissection",
+                                                          "symmetric")
+            # the pivot blocks and panels of the fronts, and the face blocks
+            nb = elements.shape[1]
+            own = np.diff(tree.bounds) * nb
+            later = np.array([u.size for u in tree.update]) * nb
+            stored = int((own * (own + later)).sum())
+            if multiplier:
+                stored += faces.size * faces.shape[1]
+            assert factor.lu_nnz == lu.nnz == stored
+            x = refined_solve(system, lu, rhs)
+            assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 class TestConformingMaps:
