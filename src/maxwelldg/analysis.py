@@ -1,10 +1,9 @@
-"""Verification harness: averaging, residuals, constants, convergence.
+"""Verification harness: constants, error norms, convergence studies.
 
-Everything here exists to check the theory numerically at desk scale:
-conforming averaging and its approximation bound, consistency residuals
-against exact solutions, discrete Friedrichs / inf-sup / ellipticity
-constants through dense generalized eigenproblems (size-guarded; these
-are verification probes, not scalable algorithms), error norms, and
+What the ``study`` and ``constants`` commands run: discrete Friedrichs /
+inf-sup / ellipticity constants through dense generalized eigenproblems
+(size-guarded; these are verification probes, not scalable algorithms),
+a sampled coercivity margin, error norms against exact solutions, and
 convergence studies with CSV/markdown reports.
 """
 
@@ -24,16 +23,14 @@ from .assembly import Discretization
 from .mesh import Mesh
 from .problems import ModelProblem
 from .quadrature import triangle_rule
-from .solver import Solution, SolutionOperator, solve_auxiliary, solve_mixed
+from .solver import solve_auxiliary, solve_mixed
 from .spaces import element_block_diag
 
 __all__ = [
-    "conforming_average", "averaging_defect_ratio", "residual_R2",
-    "consistency_residual", "consistency_check_R1", "coercivity_margin",
-    "friedrichs_constant", "infsup_constant_B", "kernel_ellipticity",
-    "indefinite_infsup", "error_norms", "best_approximation_error",
+    "coercivity_margin", "friedrichs_constant", "infsup_constant_B",
+    "kernel_ellipticity", "indefinite_infsup", "error_norms",
     "setup_problem", "convergence_study", "constants_sweep",
-    "self_adjointness_gap", "ConvergenceReport", "LevelRecord",
+    "ConvergenceReport", "LevelRecord",
 ]
 
 # Dense eigenproblems are verification probes on coarse meshes only.
@@ -60,161 +57,7 @@ def _energy(wdet: np.ndarray, vals: np.ndarray, field: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------
-# conforming averaging
-
-def conforming_average(disc: Discretization, coeffs: np.ndarray) -> np.ndarray:
-    """Project onto the tangentially continuous zero-trace subspace by
-    averaging the two edge-moment degrees of freedom meeting at every
-    interior face (arithmetic mean) and zeroing boundary edge moments;
-    interior moments are kept."""
-    sp = disc.spaces
-    mesh = sp.mesh
-    l = sp.degree
-    ne = mesh.num_elements
-    local = coeffs.reshape(ne, sp.ndof_v, 1)
-    dofs = (sp.v_dof_matrices() @ local)[..., 0]
-    edge = dofs[:, :3 * l].reshape(ne, 3, l)
-    # per (element, local face k): the element across face k and the local
-    # index of the face there; on the boundary both are garbage, masked below
-    faces = mesh.element_faces
-    pair = mesh.face_elements[faces]                          # (ne, 3, 2)
-    other = np.where(pair[..., 0] == np.arange(ne)[:, None],
-                     pair[..., 1], pair[..., 0])
-    k_other = np.argmax(faces[other] == faces[..., None], axis=2)
-    mean = 0.5 * (edge + edge[other, k_other])
-    mean[mesh.boundary[faces]] = 0.0
-    new = dofs.copy()
-    new[:, :3 * l] = mean.reshape(ne, 3 * l)
-    return (sp.v_dof_inverses() @ new[..., None]).ravel()
-
-
-def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
-    """Ratio of the elementwise averaging defect, sum over K of
-    h_K^-2 ||v - Pv||_K^2 + ||curl(v - Pv)||_K^2, to the summed
-    unweighted lifted tangential jumps of v.  Bounded h-independently."""
-    sp = disc.spaces
-    mesh = sp.mesh
-    diff = (coeffs - conforming_average(disc, coeffs)).reshape(
-        mesh.num_elements, sp.ndof_v)
-    h_elem = mesh.face_lengths[mesh.element_faces].max(axis=1)
-    mass = np.sum((sp.local_v_grams @ diff[..., None])[..., 0] * diff, axis=1)
-    curl = np.sum((diff @ sp.ref_curl_gram) * diff, axis=1) / sp.det_jac
-    num = mass / h_elem ** 2 + curl
-    jumps = disc.jump_t @ coeffs
-    gram = disc.lifting.block_diag_scalar(np.ones(mesh.num_faces))
-    den = float(jumps @ (gram @ jumps))
-    return float(num.sum() / den) if den > 0 else 0.0
-
-
-# ----------------------------------------------------------------------
-# residual functionals of exact solutions
-
-def _lift_scalar_moments(disc: Discretization, func, degree: int) -> np.ndarray:
-    """Per-element moments of a scalar callable against the broken
-    orthonormal scalar basis (layout of the scalar lifting space)."""
-    sp = disc.spaces
-    rule = triangle_rule(degree)
-    phys = sp.phys_points(rule.points)
-    vals = np.asarray(func(phys[..., 0], phys[..., 1]))
-    wdet = sp.det_jac[:, None] * rule.weights
-    return ((wdet * vals) @ sp.qbasis.eval(rule.points)).ravel()
-
-
-def _lift_vector_moments(disc: Discretization, func, degree: int) -> np.ndarray:
-    """Per-element moments of a vector callable (layout of the vector
-    lifting space, component-minor)."""
-    sp = disc.spaces
-    rule = triangle_rule(degree)
-    phys = sp.phys_points(rule.points)
-    vals = np.asarray(func(phys[..., 0], phys[..., 1]))
-    wdet = sp.det_jac[:, None, None] * rule.weights[:, None]
-    return (sp.qbasis.eval(rule.points).T @ (wdet * vals)).reshape(-1)
-
-
-def residual_R2(disc: Discretization, problem: ModelProblem,
-                degree: int | None = None) -> float:
-    """Constraint residual of the exact field: sup over q of b(u, q)
-    divided by the Q norm, with u entering by quadrature only."""
-    if not problem.div_free:
-        raise ValueError("constraint residual requires a divergence-free field")
-    sp = disc.spaces
-    deg = sp.deg_err if degree is None else degree
-    eps = disc.materials.eps
-
-    def eps_u(x, y):
-        return np.asarray(problem.exact_u(x, y)) @ np.swapaxes(eps, 1, 2)
-
-    rule = triangle_rule(deg)
-    phys = sp.phys_points(rule.points)
-    vals = eps_u(phys[..., 0], phys[..., 1])
-    grad_term = sp.mapped_moments(sp.qbasis.grad(rule.points), rule.weights,
-                                  vals).ravel()
-    moments = _lift_vector_moments(disc, eps_u, deg)
-    r = -grad_term + disc.jump_n.T @ (disc.lifting.lift_vector_matrix.T
-                                      @ moments)
-    lu = splu(disc.norm_q_gram.tocsc())
-    return float(np.sqrt(max(r @ lu.solve(r), 0.0)))
-
-
-def consistency_residual(disc: Discretization, problem: ModelProblem,
-                         degree: int | None = None) -> np.ndarray:
-    """V-dual vector of the first-equation residual of the exact solution:
-    entries a(u, v_i) - ksq (eps u, v_i) + b(v_i, p) - (j, v_i), with the
-    exact fields entering by quadrature."""
-    sp = disc.spaces
-    deg = sp.deg_err if degree is None else degree
-    mats = disc.materials
-    rule = triangle_rule(deg)
-    pts, wts = rule.points, rule.weights
-    phys = sp.phys_points(pts)
-    x, y = phys[..., 0], phys[..., 1]
-
-    # det_jac cancels against the reference curl scaling in this term
-    curl_ex = np.asarray(problem.exact_curl_u(x, y))
-    rho = ((mats.mu_bar_inv[:, None] * curl_ex)
-           @ (wts[:, None] * sp.vbasis.curl(pts))).ravel()
-
-    # lifted tangential jump of the test function against the weighted curl
-    wcurl_moments = _lift_scalar_moments(
-        disc, lambda a, b: np.asarray(problem.exact_curl_u(a, b)), deg)
-    wcurl_moments = (wcurl_moments.reshape(sp.mesh.num_elements, sp.ndof_q)
-                     * mats.mu_bar_inv[:, None]).ravel()
-    rho -= disc.jump_t.T @ (disc.lifting.lift_scalar_matrix.T @ wcurl_moments)
-
-    # the volume terms ksq eps u + eps grad p + j, paired with the test
-    # functions in one pass
-    vals = problem.ksq * np.asarray(problem.exact_u(x, y))
-    if problem.exact_grad_p is not None:
-        vals = vals + np.asarray(problem.exact_grad_p(x, y))
-    vals = vals @ np.swapaxes(mats.eps, 1, 2) + np.asarray(problem.source(x, y))
-    rho -= sp.mapped_moments(sp.vbasis.eval(pts), wts, vals).ravel()
-    # Lifted boundary terms of the exact field cancel the boundary load
-    # exactly (both see only the modal face expansion of the trace), so
-    # neither appears here.
-    return rho
-
-
-def consistency_check_R1(disc: Discretization, problem: ModelProblem,
-                         probes: np.ndarray | None = None,
-                         degree: int | None = None) -> float:
-    """Max over test directions of |R1(v)| / ||v||_V.  With probes=None the
-    directions are the conforming zero-trace basis (where the residual is
-    a pure projection and quadrature defect); explicit probe columns serve
-    as the nonconforming negative control."""
-    rho = consistency_residual(disc, problem, degree=degree)
-    if probes is None:
-        probes = _dense(disc.spaces.conforming_v_basis())
-    worst = 0.0
-    for k in range(probes.shape[1]):
-        v = probes[:, k]
-        denom = disc.norm_v(v)
-        if denom > 0:
-            worst = max(worst, abs(float(rho @ v)) / denom)
-    return worst
-
-
-# ----------------------------------------------------------------------
-# sampled form bounds
+# sampled coercivity
 
 def coercivity_margin(disc: Discretization, nsamples: int = 200,
                       seed: int = 0) -> float:
@@ -226,18 +69,6 @@ def coercivity_margin(disc: Discretization, nsamples: int = 200,
     sv = np.sum(x * (disc.seminorm_gram @ x), axis=0)
     mask = sv > 0
     return float(((av[mask] - 0.5 * sv[mask]) / sv[mask]).min())
-
-
-def continuity_bound(disc: Discretization, nsamples: int = 200,
-                     seed: int = 0) -> float:
-    """Max over random pairs of |a(u,v)| / (||u||_V ||v||_V)."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((disc.spaces.dim_V, nsamples))
-    y = rng.standard_normal((disc.spaces.dim_V, nsamples))
-    num = np.abs(np.sum(y * (disc.a_matrix @ x), axis=0))
-    nx = np.sqrt(np.sum(x * (disc.norm_v_gram @ x), axis=0))
-    ny = np.sqrt(np.sum(y * (disc.norm_v_gram @ y), axis=0))
-    return float((num / (nx * ny)).max())
 
 
 # ----------------------------------------------------------------------
@@ -282,16 +113,22 @@ def _kernel_basis(disc: Discretization) -> np.ndarray:
     return null_space(_dense(disc.constraint_w))
 
 
+def _kernel_eigenvalues(disc: Discretization, form,
+                        kernel: np.ndarray | None) -> np.ndarray:
+    """Generalized eigenvalues of the block-diagonal [form, gamma_gram]
+    against the W norm, on the constraint kernel."""
+    z = _kernel_basis(disc) if kernel is None else kernel
+    blk = block_diag([form, disc.gamma_gram], format="csr")
+    a1 = z.T @ (blk @ z)
+    a2 = z.T @ (disc.norm_w_gram @ z)
+    return eigh(a1, a2, eigvals_only=True)
+
+
 def kernel_ellipticity(disc: Discretization,
                        kernel: np.ndarray | None = None) -> float:
     """Smallest generalized eigenvalue of the composite curl/multiplier
     form against the W norm on the constraint kernel."""
-    z = _kernel_basis(disc) if kernel is None else kernel
-    ablk = block_diag([disc.a_matrix, disc.gamma_gram], format="csr")
-    a1 = z.T @ (ablk @ z)
-    a2 = z.T @ (disc.norm_w_gram @ z)
-    ev = eigh(a1, a2, eigvals_only=True)
-    return float(ev[0])
+    return float(_kernel_eigenvalues(disc, disc.a_matrix, kernel)[0])
 
 
 def indefinite_infsup(disc: Discretization, ksq: float,
@@ -299,12 +136,8 @@ def indefinite_infsup(disc: Discretization, ksq: float,
     """Distance of the shifted kernel form from singularity: the smallest
     absolute generalized eigenvalue of the composite form minus ksq times
     the eps mass, against the W norm, on the constraint kernel."""
-    z = _kernel_basis(disc) if kernel is None else kernel
-    shifted = block_diag([disc.a_matrix - ksq * disc.mass_eps,
-                          disc.gamma_gram], format="csr")
-    a1 = z.T @ (shifted @ z)
-    a2 = z.T @ (disc.norm_w_gram @ z)
-    ev = eigh(a1, a2, eigvals_only=True)
+    ev = _kernel_eigenvalues(disc, disc.a_matrix - ksq * disc.mass_eps,
+                             kernel)
     return float(np.abs(ev).min())
 
 
@@ -357,37 +190,6 @@ def error_norms(disc: Discretization, problem: ModelProblem,
     }
 
 
-def best_approximation_error(disc: Discretization, problem: ModelProblem,
-                             g_data: np.ndarray | None = None,
-                             degree: int | None = None) -> float:
-    """Distance of the exact field from V_h in the V(h) norm, by solving
-    the normal equations of the quadratic distance functional."""
-    sp = disc.spaces
-    deg = sp.deg_err if degree is None else degree
-    mats = disc.materials
-    rule = triangle_rule(deg)
-    pts, wts = rule.points, rule.weights
-    phys = sp.phys_points(pts)
-    x, y = phys[..., 0], phys[..., 1]
-
-    u_ex = np.asarray(problem.exact_u(x, y))
-    eps_u = u_ex @ np.swapaxes(mats.eps, 1, 2)
-    curl_ex = np.asarray(problem.exact_curl_u(x, y))
-    wcurl = mats.mu_bar_inv[:, None] * curl_ex
-
-    rhs = sp.mapped_moments(sp.vbasis.eval(pts), wts, eps_u).ravel()
-    rhs += (wcurl @ (wts[:, None] * sp.vbasis.curl(pts))).ravel()
-
-    wdet = sp.det_jac[:, None] * wts
-    const = _energy(wdet, u_ex, mats.eps)
-    const += float(np.vdot(wdet * curl_ex, wcurl))
-    if g_data is not None and np.any(g_data):
-        rhs += disc.jump_t.T @ (disc.lift_gram_scalar @ g_data)
-        const += float(g_data @ (disc.lift_gram_scalar @ g_data))
-
-    lu = splu(disc.norm_v_gram.tocsc())
-    best = lu.solve(rhs)
-    return float(np.sqrt(max(const - rhs @ best, 0.0)))
 
 
 # ----------------------------------------------------------------------
@@ -524,8 +326,7 @@ def convergence_study(problem: ModelProblem, degree: int, levels: int,
             sol = solve_mixed(disc, problem.ksq, load)
         else:
             sol = solve_auxiliary(disc, problem.ksq, load)
-        errs = error_norms(disc, problem, sol.u.coeffs, sol.p.coeffs,
-                           g_data=g_data)
+        errs = error_norms(disc, problem, sol.u, sol.p, g_data=g_data)
         margin = coercivity_margin(disc, nsamples=margin_samples)
         h = mesh.mesh_size()
         eoc_v = eoc_q = None
@@ -540,7 +341,8 @@ def convergence_study(problem: ModelProblem, degree: int, levels: int,
             dofs_p=disc.spaces.dim_Q, e_v=errs["e_v"], e_q=errs["e_q"],
             eoc_v=eoc_v, eoc_q=eoc_q, coercivity_margin=margin,
             constraint_residual=sol.constraint_gap,
-            solver_residual=sol.residual, cond_estimate=sol.cond_estimate,
+            solver_residual=sol.residual,
+            cond_estimate=sol.factor.cond_estimate,
             ordering=sol.factor.ordering, backward_error=sol.backward_error,
             time_s=time.perf_counter() - t0))
         prev = {"h": h, "e_v": errs["e_v"], "e_q": errs["e_q"]}
@@ -568,18 +370,3 @@ def constants_sweep(meshes: list[Mesh], degree: int, coeffs=None,
             "indefinite_infsup": indefinite_infsup(disc, ksq, kernel),
         })
     return rows
-
-
-def self_adjointness_gap(disc: Discretization, nprobe: int = 4,
-                         seed: int = 0) -> float:
-    """Relative symmetry defect of the source-to-field operator at ksq=0
-    in the eps inner product, probed with random source densities."""
-    op = SolutionOperator(disc, 0.0)
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal((nprobe, disc.spaces.dim_V))
-    fields = [op.apply_density(ci).u.coeffs for ci in c]
-    m = disc.mass_eps
-    pairings = np.array([[ci @ (m @ uj) for uj in fields] for ci in c])
-    scale = np.abs(pairings).max()
-    gap = np.abs(pairings - pairings.T).max()
-    return float(gap / scale) if scale > 0 else 0.0

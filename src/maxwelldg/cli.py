@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (ConvergenceReport, constants_sweep, convergence_study,
-                       error_norms, setup_problem)
+from .analysis import (constants_sweep, convergence_study, error_norms,
+                       setup_problem)
 from .assembly import DEFAULT_ALPHA, DEFAULT_GAMMA, Discretization
 from .materials import Coefficients
 from .mesh import Mesh, MeshFormatError, lshape, read_mesh, refine_uniform, unit_square
@@ -300,19 +300,18 @@ def run_solve(cfg: RunConfig) -> int:
     summary.update({
         "dofs_u": disc.spaces.dim_V,
         "dofs_p": disc.spaces.dim_Q,
-        "norm_u": disc.norm_v(sol.u.coeffs),
-        "norm_p": disc.norm_q(sol.p.coeffs),
+        "norm_u": disc.norm_v(sol.u),
+        "norm_p": disc.norm_q(sol.p),
         "residual": sol.residual,
         "backward_error": sol.backward_error,
-        "cond_estimate": sol.cond_estimate,
+        "cond_estimate": sol.factor.cond_estimate,
         "constraint_residual": sol.constraint_gap,
         "factor": {"pivoting": sol.factor.pivoting,
                    "ordering": sol.factor.ordering,
                    "lu_nnz": sol.factor.lu_nnz},
     })
     if problem is not None:
-        errs = error_norms(disc, problem, sol.u.coeffs, sol.p.coeffs,
-                           g_data=g_data)
+        errs = error_norms(disc, problem, sol.u, sol.p, g_data=g_data)
         summary["e_v"] = errs["e_v"]
         summary["e_q"] = errs["e_q"]
     text = _json_text(summary)

@@ -33,7 +33,7 @@ from scipy.sparse import csr_matrix
 
 from .basis import face_modes
 from .quadrature import segment_rule
-from .spaces import FemField, Spaces, block_sparse, element_block_diag
+from .spaces import Spaces, block_sparse, element_block_diag
 
 __all__ = ["Lifting"]
 
@@ -178,12 +178,6 @@ class Lifting:
         cols = np.swapaxes(self._vector_rows(), 2, 3)
         return self._face_csr(blocks, rows, cols,
                               (2 * sp.dim_Q, self.dim_vector_data))
-
-    def lift_scalar(self, data: np.ndarray) -> FemField:
-        return FemField("LS", self.lift_scalar_matrix @ data)
-
-    def lift_vector(self, data: np.ndarray) -> FemField:
-        return FemField("LV", self.lift_vector_matrix @ data)
 
     # ------------------------------------------------------------------
     # per-face Gram matrices of lifted data

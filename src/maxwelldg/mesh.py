@@ -411,6 +411,13 @@ def read_mesh(text: str) -> Mesh:
         pos += 1
         return line
 
+    def check_left(count: int, what: str):
+        # before allocating: a declared count past the file's end
+        if count > len(lines) - pos:
+            raise MeshFormatError(
+                f"unexpected end of mesh file: {count} {what} lines "
+                f"declared, only {len(lines) - pos} left")
+
     head = take().split()
     if len(head) != 2 or head[0] != "nodes":
         raise MeshFormatError("expected 'nodes N' header")
@@ -420,6 +427,7 @@ def read_mesh(text: str) -> Mesh:
         raise MeshFormatError("node count is not an integer") from exc
     if nv < 3:
         raise MeshFormatError("at least three nodes required")
+    check_left(nv, "node")
     vertices = np.empty((nv, 2))
     for i in range(nv):
         parts = take().split()
@@ -439,6 +447,7 @@ def read_mesh(text: str) -> Mesh:
         raise MeshFormatError("element count is not an integer") from exc
     if ne < 1:
         raise MeshFormatError("at least one element required")
+    check_left(ne, "element")
     elements = np.empty((ne, 3), dtype=np.int64)
     tags = np.zeros(ne, dtype=np.int64)
     for i in range(ne):

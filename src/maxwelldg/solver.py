@@ -32,11 +32,10 @@ from scipy.sparse import bsr_matrix, csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .assembly import Discretization, DofBlocks
-from .spaces import FemField
 
 __all__ = ["ResonanceError", "Factor", "MultifrontalLU", "Solution",
            "backward_error", "factorize", "refined_solve", "solve_mixed",
-           "solve_auxiliary", "SolutionOperator"]
+           "solve_auxiliary"]
 
 # Normwise backward error of the refined probe solve above which the
 # multifrontal factor is refused.  A stable factor stays near eps.
@@ -64,19 +63,16 @@ class Factor:
 
 @dataclass
 class Solution:
-    """Discrete fields plus solver diagnostics."""
+    """Coefficient vectors of the discrete fields (u in V, p in Q, the
+    face multiplier lam in M or None) plus solver diagnostics."""
 
-    u: FemField
-    p: FemField
-    lam: FemField | None
+    u: np.ndarray
+    p: np.ndarray
+    lam: np.ndarray | None
     residual: float        # algebraic residual, relative to the load
     backward_error: float  # normwise 1-norm backward error of the solve
     factor: Factor         # how the system was factored
     constraint_gap: float  # ||B u - C p|| relative to operator/field scales
-
-    @property
-    def cond_estimate(self) -> float:
-        return self.factor.cond_estimate
 
 
 def _permuted(matrix: csc_matrix, order: np.ndarray) -> csc_matrix:
@@ -345,8 +341,7 @@ def _solve(disc: Discretization, system, lu, factor: Factor,
     nv = disc.spaces.dim_V
     nm = disc.spaces.dim_M if multiplier else 0
     u, lam, p = sol[:nv], sol[nv:nv + nm], sol[nv + nm:]
-    return Solution(FemField("V", u), FemField("Q", p),
-                    FemField("M", lam) if multiplier else None,
+    return Solution(u, p, lam if multiplier else None,
                     _residual(system, sol, rhs),
                     backward_error(system, factor.norm, sol, rhs), factor,
                     _constraint_gap(disc, u, p))
@@ -374,34 +369,3 @@ def solve_auxiliary(disc: Discretization, ksq: float, load: np.ndarray) -> Solut
     lu, factor = factorize(system, disc.dof_blocks(multiplier=True))
     return _solve(disc, system, lu, factor, full, multiplier=True)
 
-
-class SolutionOperator:
-    """Factorized solution operator at a fixed wavenumber (default 0).
-
-    At ksq = 0 this is the discrete source-to-field map whose spectral
-    properties mirror the continuous solution operator; the
-    factorization is reused across right hand sides.
-    """
-
-    def __init__(self, disc: Discretization, ksq: float = 0.0):
-        self.disc = disc
-        self.ksq = ksq
-        self._system = disc.primal_system(ksq)
-        self._lu, self.factor = factorize(self._system, disc.dof_blocks())
-
-    def solve(self, load: np.ndarray) -> Solution:
-        return _solve(self.disc, self._system, self._lu, self.factor, load)
-
-    def apply(self, load_v: np.ndarray) -> FemField:
-        """Field part of the solution for a V-layout load."""
-        full = np.zeros(self._system.shape[0])
-        full[:self.disc.spaces.dim_V] = load_v
-        return self.solve(full).u
-
-    def apply_density(self, coeffs: np.ndarray) -> Solution:
-        """Solve with the source eps times the V field with these
-        coefficients; (j, v) is then a weighted mass product."""
-        sp = self.disc.spaces
-        load = np.zeros(sp.dim_V + sp.dim_Q)
-        load[:sp.dim_V] = self.disc.mass_eps @ coeffs
-        return self.solve(load)

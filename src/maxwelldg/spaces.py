@@ -17,7 +17,6 @@ element/face order; all orderings are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +27,7 @@ from .basis import curl_basis, face_modes, scalar_basis
 from .mesh import Mesh
 from .quadrature import segment_rule, triangle_rule
 
-__all__ = ["Spaces", "FemField", "block_sparse", "element_block_diag"]
+__all__ = ["Spaces", "block_sparse", "element_block_diag"]
 
 
 def block_sparse(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -50,22 +49,6 @@ def element_block_diag(blocks: np.ndarray) -> csr_matrix:
     ne, n, m = blocks.shape
     return block_sparse(blocks, np.arange(ne * n).reshape(ne, n),
                         np.arange(ne * m).reshape(ne, m), (ne * n, ne * m))
-
-
-@dataclass
-class FemField:
-    """Coefficient vector tagged with the space it lives in.
-
-    space is one of "V" (broken curl-conforming), "Q" (broken scalar),
-    "M" (per-face vector data), "LS" (broken scalar lifting space),
-    "LV" (broken vector lifting space).
-    """
-
-    space: str
-    coeffs: np.ndarray
-
-    def copy(self) -> "FemField":
-        return FemField(self.space, self.coeffs.copy())
 
 
 class Spaces:

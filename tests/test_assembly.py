@@ -37,7 +37,7 @@ def lifted_scalar_energy(disc, data, weight):
     for f in range(disc.mesh.num_faces):
         d = np.zeros(lifting.dim_scalar_data)
         d[f * nm:(f + 1) * nm] = data[f * nm:(f + 1) * nm]
-        rv = sp.eval_q(lifting.lift_scalar(d).coeffs, rule.points)
+        rv = sp.eval_q(lifting.lift_scalar_matrix @ d, rule.points)
         total += np.einsum("p,ep,ep,e->", rule.weights, rv, rv,
                            sp.det_jac * weight)
     return total
@@ -53,7 +53,7 @@ def lifted_vector_energy(disc, data, eps):
     for f in range(disc.mesh.num_faces):
         d = np.zeros(lifting.dim_vector_data)
         d[f * 2 * nm:(f + 1) * 2 * nm] = data[f * 2 * nm:(f + 1) * 2 * nm]
-        rv = sp.eval_lift_vector(lifting.lift_vector(d).coeffs, rule.points)
+        rv = sp.eval_lift_vector(lifting.lift_vector_matrix @ d, rule.points)
         weighted = np.einsum("ecd,epd->epc", eps, rv)
         total += sum(np.einsum("p,ep,ep,e->", rule.weights, rv[..., c],
                                weighted[..., c], sp.det_jac) for c in range(2))

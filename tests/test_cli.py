@@ -319,6 +319,14 @@ class TestConstantsCommand:
         assert float(first["kernel_ellipticity"]) == pytest.approx(0.5,
                                                                    rel=1e-6)
 
+    def test_deterministic_output(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"mesh": "square:2", "levels": 2})
+        assert main(["constants", "--config", path]) == 0
+        first = capsys.readouterr().out
+        assert main(["constants", "--config", path]) == 0
+        second = capsys.readouterr().out
+        assert first == second
+
     def test_dense_guard_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path, {"mesh": "square:24", "levels": 1})
         code = main(["constants", "--config", path])
@@ -398,7 +406,12 @@ class TestExitCodes:
         ("nodes 5\n0 0\n1 0\n0.5 1\n0.5 -1\n0.5 2\n"
          "elements 3\n0 1 2\n0 1 3\n0 1 4\n",
          "face shared by more than two elements"),
-    ], ids=["nan-vertex", "hanging-node", "three-elements-on-a-face"])
+        ("nodes 100000000000000\n0 0\n1 0\n0 1\nelements 1\n0 1 2\n",
+         "100000000000000 node lines declared"),
+        ("nodes 3\n0 0\n1 0\n0 1\nelements 100000000000000\n0 1 2\n",
+         "100000000000000 element lines declared"),
+    ], ids=["nan-vertex", "hanging-node", "three-elements-on-a-face",
+            "huge-node-count", "huge-element-count"])
     def test_bad_mesh_exits_two(self, tmp_path, capsys, text, message):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)

@@ -173,6 +173,12 @@ class TestSerialization:
     @pytest.mark.parametrize("text,match", [
         ("nodes x\n", "not an integer"),
         ("nodes 3\n0 0\n1 0\n", "unexpected end"),
+        # declared counts far past the lines left are refused before any
+        # array of that size is allocated
+        ("nodes 100000000000000\n0 0\n1 0\n0 1\nelements 1\n0 1 2\n",
+         "100000000000000 node lines declared"),
+        ("nodes 3\n0 0\n1 0\n0 1\nelements 100000000000000\n0 1 2\n",
+         "100000000000000 element lines declared"),
         ("elements 1\n0 1 2\n", "expected 'nodes"),
         ("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1\n", "3 indices"),
         ("nodes 3\n0 0\n1 0 9\n0 1\nelements 1\n0 1 2\n", "two coordinates"),

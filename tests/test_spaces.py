@@ -5,7 +5,7 @@ from maxwelldg.assembly import Discretization
 from maxwelldg.basis import face_modes
 from maxwelldg.materials import Coefficients
 from maxwelldg.quadrature import segment_rule, triangle_rule
-from maxwelldg.spaces import FemField, Spaces
+from maxwelldg.spaces import Spaces
 
 
 def monomial_exponents(degree):
@@ -234,11 +234,3 @@ class TestConformingSubspaces:
             expected += int(np.sum(~mesh.boundary))
         assert spaces.conforming_q_basis().shape[1] == expected
 
-
-class TestFemField:
-    def test_copy_is_independent(self):
-        field = FemField("V", np.arange(3.0))
-        other = field.copy()
-        other.coeffs[0] = 99.0
-        assert field.coeffs[0] == 0.0
-        assert other.space == "V"

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxwelldg import Coefficients, Discretization, Mesh, refine_uniform
-from maxwelldg.analysis import conforming_average, error_norms
+from maxwelldg.analysis import error_norms
 from maxwelldg.basis import face_modes
 from maxwelldg.mesh import DISSECTION_LEAF, nested_dissection
 from maxwelldg.problems import ModelProblem
@@ -25,6 +25,7 @@ from maxwelldg.quadrature import segment_rule, triangle_rule
 from maxwelldg.solver import factorize, refined_solve
 
 from conftest import delaunay_mesh, random_spd
+from reference_analysis import conforming_average
 
 PROPERTY = settings(max_examples=15, deadline=None)
 MATERIALS = Coefficients(mu=dict.fromkeys(range(3), 1.0),
