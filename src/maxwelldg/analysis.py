@@ -281,13 +281,12 @@ class ConvergenceReport:
 
 
 def setup_problem(problem: ModelProblem, mesh: Mesh, degree: int,
-                  alpha="auto", gamma="auto"):
+                  alpha=None, gamma=None):
     """Discretize a model problem on a mesh: returns the discretization,
     the load vector (volume plus boundary terms), and the boundary face
     data."""
-    a = None if alpha == "auto" else alpha
-    g = None if gamma == "auto" else gamma
-    disc = Discretization(mesh, degree, problem.coeffs, alpha=a, gamma=g)
+    disc = Discretization(mesh, degree, problem.coeffs, alpha=alpha,
+                          gamma=gamma)
     load = np.zeros(disc.spaces.dim_V + disc.spaces.dim_Q)
     if problem.source is not None:
         load += disc.load_volume(problem.source)
@@ -304,7 +303,7 @@ def setup_problem(problem: ModelProblem, mesh: Mesh, degree: int,
 
 
 def convergence_study(problem: ModelProblem, degree: int, levels: int,
-                      alpha="auto", gamma="auto", formulation: str = "primal",
+                      alpha=None, gamma=None, formulation: str = "primal",
                       margin_samples: int = 100) -> ConvergenceReport:
     """Solve the problem on a refinement sweep and record errors, rates,
     and the per-level coercivity and constraint diagnostics."""

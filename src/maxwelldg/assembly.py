@@ -11,8 +11,8 @@ All nonlocal coupling runs through the face lifting operators; the
 penalty and jump terms are therefore sums of per-face rank-(l+1)
 contributions and the stencil never grows past face neighbors.  The
 graph of each system is thus the element dual graph with dense element
-blocks, and the mesh's nested-dissection tree of the elements is the
-elimination tree of the system's factor.
+blocks, and a nested-dissection order of the elements is an elimination
+order of the system's unknowns.
 The systems are assembled in compressed sparse column form, the form the
 sparse factorization reads.
 """
@@ -27,7 +27,7 @@ from scipy.sparse import block_diag, bmat, csc_matrix, csr_matrix
 
 from .lifting import Lifting
 from .materials import Coefficients, MaterialArrays
-from .mesh import EliminationTree, Mesh
+from .mesh import Mesh
 from .quadrature import triangle_rule
 from .spaces import Spaces, element_block_diag
 
@@ -46,14 +46,16 @@ FRONT_LEAF = 96
 class DofBlocks(NamedTuple):
     """Block layout of a system's unknowns for its multifrontal factor.
 
-    tree : elimination tree of the elements
-    element_dofs : (ne, b) unknowns of each element, eliminated together
+    element_dofs : (ne, b) unknowns of each element, eliminated together,
+        the elements in elimination order
+    bounds : the elements in rows bounds[j] to bounds[j + 1] - 1 are
+        eliminated in one front
     face_dofs : (nf, m) face multiplier unknowns, eliminated first, or
         None when the system has none
     """
 
-    tree: EliminationTree
     element_dofs: np.ndarray
+    bounds: np.ndarray
     face_dofs: np.ndarray | None
 
 
@@ -101,10 +103,6 @@ class Discretization:
         return self.mass_v(self.materials.eps)
 
     @cached_property
-    def mass_plain(self) -> csr_matrix:
-        return self.mass_v()
-
-    @cached_property
     def grad_pair(self) -> csr_matrix:
         """(eps v, grad q) pairing, rows V dofs, columns Q dofs."""
         sp = self.spaces
@@ -117,13 +115,6 @@ class Discretization:
         sp = self.spaces
         return element_block_diag(
             sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps))
-
-    @cached_property
-    def mass_q(self) -> csr_matrix:
-        sp = self.spaces
-        diag = np.repeat(sp.det_jac, sp.ndof_q)
-        return csr_matrix((diag, (np.arange(sp.dim_Q), np.arange(sp.dim_Q))),
-                          shape=(sp.dim_Q, sp.dim_Q))
 
     # ------------------------------------------------------------------
     # face operators
@@ -206,13 +197,10 @@ class Discretization:
         return csr_matrix(self.q_grad_gram + jn.T @ self.lift_gram_vector @ jn)
 
     @cached_property
-    def norm_m_gram(self) -> csr_matrix:
-        return self.lift_gram_vector
-
-    @cached_property
     def norm_w_gram(self) -> csr_matrix:
         """Norm of the composite field/multiplier space V x M."""
-        return block_diag([self.norm_v_gram, self.norm_m_gram], format="csr")
+        return block_diag([self.norm_v_gram, self.lift_gram_vector],
+                          format="csr")
 
     # ------------------------------------------------------------------
     # systems
@@ -232,9 +220,9 @@ class Discretization:
 
     def dof_blocks(self, multiplier: bool = False) -> DofBlocks:
         """The unknowns of the primal (V, Q) or, with the multiplier, the
-        auxiliary (V, M, Q) system in element blocks on the mesh's
-        dissection tree: per element its V dofs, then its Q dofs, and per
-        face its M dofs."""
+        auxiliary (V, M, Q) system in element blocks, the elements in the
+        mesh's nested-dissection order: per element its V dofs, then its Q
+        dofs, and per face its M dofs."""
         sp, mesh = self.spaces, self.mesh
         ne, nf = mesh.num_elements, mesh.num_faces
         nm = sp.dim_M if multiplier else 0
@@ -242,8 +230,9 @@ class Discretization:
         q = sp.dim_V + nm + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
         faces = (sp.dim_V + np.arange(nm).reshape(nf, sp.ndof_m)
                  if multiplier else None)
-        leaf = max(1, FRONT_LEAF // (sp.ndof_v + sp.ndof_q))
-        return DofBlocks(mesh.dissection_tree(leaf), np.hstack([v, q]), faces)
+        order, bounds = mesh.dissection(
+            max(1, FRONT_LEAF // (sp.ndof_v + sp.ndof_q)))
+        return DofBlocks(np.hstack([v, q])[order], bounds, faces)
 
     @cached_property
     def constraint_w(self) -> csr_matrix:
@@ -304,5 +293,6 @@ class Discretization:
             0.0))
 
     def norm_m(self, coeffs: np.ndarray) -> float:
-        return np.sqrt(max(self._quad_form(self.norm_m_gram, coeffs), 0.0))
+        return np.sqrt(max(self._quad_form(self.lift_gram_vector, coeffs),
+                           0.0))
 

@@ -27,13 +27,7 @@ __all__ = [
     "write_mesh",
     "refine_uniform",
     "nested_dissection",
-    "EliminationTree",
-    "elimination_tree",
-    "dissection_tree",
 ]
-
-# Parts of at most this many elements are not cut further.
-DISSECTION_LEAF = 4
 
 
 class MeshFormatError(ValueError):
@@ -181,12 +175,18 @@ class Mesh:
     def num_faces(self) -> int:
         return len(self.faces)
 
-    def dissection_tree(self, leaf: int = DISSECTION_LEAF) -> EliminationTree:
-        """Elimination tree of the elements in nested-dissection order,
-        parts of at most leaf elements left whole."""
+    def dissection(self, leaf: int):
+        """Nested-dissection order of the elements, parts of at most leaf
+        elements left whole, and its runs: the elements at positions
+        bounds[j] to bounds[j + 1] - 1 of the order are one separator or
+        one part left whole, and no run is empty."""
         centroids = self.vertices[self.elements].mean(axis=1)
-        return dissection_tree(centroids, self.face_elements[~self.boundary],
-                               leaf)
+        order, cuts = nested_dissection(
+            centroids, self.face_elements[~self.boundary], leaf)
+        start, first, second, _ = cuts.T
+        bounds = np.unique(np.concatenate([[0, len(order)], start + first,
+                                           start + first + second]))
+        return order, bounds
 
     def element_areas(self) -> np.ndarray:
         return np.abs(_signed_areas(self.vertices, self.elements))
@@ -198,8 +198,7 @@ class Mesh:
         return float(np.linalg.norm(edges, axis=2).max())
 
 
-def nested_dissection(points: np.ndarray, pairs: np.ndarray,
-                      leaf: int = DISSECTION_LEAF):
+def nested_dissection(points: np.ndarray, pairs: np.ndarray, leaf: int):
     """Nested-dissection order of the nodes of a graph with coordinates.
 
     points is (n, 2), pairs an (m, 2) array of the node pairs that are
@@ -270,67 +269,6 @@ def nested_dissection(points: np.ndarray, pairs: np.ndarray,
     order = np.empty(n, dtype=np.int64)
     order[position] = np.arange(n)
     return order, np.concatenate(cuts)
-
-
-@dataclass(frozen=True)
-class EliminationTree:
-    """Elimination tree of a graph whose nodes are eliminated in runs.
-
-    order : node indices, first eliminated first
-    bounds : tree node j eliminates the graph nodes at positions
-        bounds[j] to bounds[j + 1] - 1 of the order
-    parent : the tree node that receives the update of tree node j (the
-        one eliminating the first of its update positions); -1 at a root
-    update : per tree node, the ascending positions of the later graph
-        nodes that its own are joined to, directly or through fill
-    """
-
-    order: np.ndarray
-    bounds: np.ndarray
-    parent: np.ndarray
-    update: tuple
-
-
-def elimination_tree(order: np.ndarray, bounds: np.ndarray,
-                     pairs: np.ndarray) -> EliminationTree:
-    """Symbolic elimination of the graph with these joined node pairs, in
-    this order and in runs of these bounds: a run's update rows are the
-    later nodes joined to it plus the update rows of its children that
-    it does not eliminate itself."""
-    order = np.asarray(order, dtype=np.int64)
-    bounds = np.asarray(bounds, dtype=np.int64)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ends = np.sort(rank[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)],
-                   axis=1)
-    run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    cross = ends[run[ends[:, 0]] != run[ends[:, 1]]]
-    owner = run[cross[:, 0]]
-    later = cross[np.lexsort((cross[:, 1], owner)), 1]
-    direct = np.split(later, np.searchsorted(np.sort(owner),
-                                             np.arange(1, len(bounds) - 1)))
-    parent = np.full(len(bounds) - 1, -1, dtype=np.int64)
-    pending = [[] for _ in direct]
-    update = []
-    for j, rows in enumerate(direct):
-        rows = np.unique(np.concatenate([rows, *pending[j]]))
-        rows = rows[rows >= bounds[j + 1]]
-        update.append(rows)
-        if rows.size:
-            parent[j] = run[rows[0]]
-            pending[parent[j]].append(rows)
-    return EliminationTree(order, bounds, parent, tuple(update))
-
-
-def dissection_tree(points: np.ndarray, pairs: np.ndarray,
-                    leaf: int = DISSECTION_LEAF) -> EliminationTree:
-    """Elimination tree of the nested-dissection order: one tree node per
-    separator and per part left whole, the empty ones dropped."""
-    order, cuts = nested_dissection(points, pairs, leaf)
-    start, first, second, _ = cuts.T
-    bounds = np.unique(np.concatenate([[0, len(order)], start + first,
-                                       start + first + second]))
-    return elimination_tree(order, bounds, pairs)
 
 
 def _signed_areas(vertices, elements):

@@ -2,9 +2,10 @@
 
 The systems are symmetric indefinite, and their graph is the element
 dual graph with dense element blocks.  They are factored by a
-multifrontal LU on the mesh's nested-dissection tree (Duff and Reid, ACM
-Trans. Math. Softw. 1983; Liu, SIAM Rev. 1992): each tree node eliminates
-a run of elements in one dense front, with partial pivoting inside the
+multifrontal LU in the mesh's nested-dissection order of the elements
+(Duff and Reid, ACM Trans. Math. Softw. 1983; Liu, SIAM Rev. 1992), on the
+elimination tree read from the matrix: each tree node eliminates a run of
+elements in one dense front, with partial pivoting inside the
 front's fully summed block only, and passes its Schur complement to its
 parent, so nearly all the work is dense BLAS-3.  The auxiliary system's
 face multiplier blocks are eliminated first, all faces at once.  Pivoting
@@ -100,10 +101,12 @@ class MultifrontalLU:
 
     The face blocks, if any, are inverted first, all at once, and their
     Schur complement is formed by sparse products.  The element-block
-    system left is factored on the elimination tree in postorder.  The
-    front of a tree node holds the blocks of its own elements (p unknowns)
-    and of its update elements (u unknowns): the matrix blocks whose
-    earlier element is its own, plus the updates of its children.  Its
+    system left is factored run by run, each run of elements one node of
+    the elimination tree, which is read from the block pattern of that
+    system (Liu, SIAM J. Matrix Anal. Appl. 1990).  The front of a tree
+    node holds the blocks of its own elements (p unknowns) and of its
+    update elements (u unknowns): the matrix blocks whose earlier element
+    is its own, plus the updates of its children.  Its
     fully summed p x p block F11 is LU-factored by LAPACK with partial
     pivoting inside it and inverted; the node keeps F11^-1 and the panel
     V = F11^-1 F12, and hands F22 - F21 V to its parent.  So the factor
@@ -111,15 +114,17 @@ class MultifrontalLU:
     diagonal.  A node stores p^2 + p u entries, which with the face
     blocks make `nnz`, a count fixed by the mesh and the degree.
 
-    A singular front raises `numpy.linalg.LinAlgError`; a matrix entry
-    outside the fronts raises ValueError.
+    A singular front raises `numpy.linalg.LinAlgError`; blocks that do
+    not partition the unknowns, or face blocks coupled to each other,
+    raise ValueError.
     """
 
     def __init__(self, matrix: csc_matrix, blocks: DofBlocks):
-        tree, elements, faces = blocks
-        self.perm = elements[tree.order].ravel()
+        elements, bounds, faces = blocks
+        self.perm = elements.ravel()
         nb = elements.shape[1]
-        self._factor(tree, nb, self._element_system(matrix, faces, nb))
+        self._factor(np.asarray(bounds, dtype=np.int64), nb,
+                     self._element_system(matrix, faces, nb))
         # L holds the panels, and the pivot blocks split at the diagonal
         pivots = sum(block.shape[0] ** 2 for block, _ in self.fronts)
         panels = sum(block.size for block, _ in self.fronts) - pivots
@@ -132,8 +137,8 @@ class MultifrontalLU:
 
     def _element_system(self, matrix: csc_matrix, faces,
                         nb: int) -> bsr_matrix:
-        """The system left after the face blocks, in tree order and in
-        blocks of one element."""
+        """The system left after the face blocks, in elimination order and
+        in blocks of one element."""
         n, nw = matrix.shape[0], self.perm.size
         order = (self.perm if faces is None
                  else np.concatenate([self.perm, faces.ravel()]))
@@ -156,32 +161,10 @@ class MultifrontalLU:
         system = system.tocsr()
         return system.tobsr(blocksize=(nb, nb))
 
-    def _factor(self, tree, nb: int, system: bsr_matrix):
-        bounds, update, parent = tree.bounds, tree.update, tree.parent
+    def _factor(self, bounds: np.ndarray, nb: int, system: bsr_matrix):
         nodes = len(bounds) - 1
         own = np.diff(bounds)
         run = np.repeat(np.arange(nodes), own)
-        sizes = np.array([u.size for u in update], dtype=np.int64)
-        later = np.concatenate([np.zeros(0, dtype=np.int64), *update])
-        owner = np.repeat(np.arange(nodes), sizes)
-        first = np.cumsum(sizes) - sizes
-        # node * span + position of each update element of each node,
-        # ascending, then a key above all; and its block slot in the front
-        span = len(run)
-        keys = np.append(owner * span + later, nodes * span)
-        slots = np.append(own[owner] + np.arange(later.size) - first[owner], 0)
-
-        def slot(node, pos):
-            """Block slot of each position in the front of each node."""
-            out = pos - bounds[node]
-            outside = run[pos] != node
-            key = node[outside] * span + pos[outside]
-            at = np.searchsorted(keys, key)
-            if np.any(keys[at] != key):
-                raise ValueError("the matrix couples elements outside a front")
-            out[outside] = slots[at]
-            return out
-
         # the matrix blocks, each to the front of its earlier element
         brow = np.repeat(np.arange(system.shape[0] // nb),
                          np.diff(system.indptr))
@@ -189,8 +172,42 @@ class MultifrontalLU:
         by_node = np.argsort(node, kind="stable")
         cut = np.searchsorted(node[by_node], np.arange(nodes + 1))
         node = node[by_node]
-        blk_row = slot(node, brow[by_node])
-        blk_col = slot(node, system.indices[by_node])
+        brow, bcol = brow[by_node], system.indices[by_node]
+        # symbolic elimination: a node's update elements are the later
+        # elements its blocks join plus those of its children that it does
+        # not eliminate itself; its parent eliminates the first of them
+        joined = np.maximum(brow, bcol)
+        parent = np.full(nodes, -1, dtype=np.int64)
+        inherited = [[] for _ in range(nodes)]
+        update = []
+        for j in range(nodes):
+            rows = np.unique(np.concatenate([joined[cut[j]:cut[j + 1]],
+                                             *inherited[j]]))
+            rows = rows[rows >= bounds[j + 1]]
+            update.append(rows)
+            if rows.size:
+                parent[j] = run[rows[0]]
+                inherited[parent[j]].append(rows)
+        sizes = np.array([u.size for u in update], dtype=np.int64)
+        later = np.concatenate(update)
+        owner = np.repeat(np.arange(nodes), sizes)
+        first = np.cumsum(sizes) - sizes
+        # node * span + position of each update element of each node,
+        # ascending; and its block slot in the front
+        span = len(run)
+        keys = owner * span + later
+        slots = own[owner] + np.arange(later.size) - first[owner]
+
+        def slot(node, pos):
+            """Block slot of each position in the front of each node."""
+            out = pos - bounds[node]
+            outside = run[pos] != node
+            out[outside] = slots[np.searchsorted(
+                keys, node[outside] * span + pos[outside])]
+            return out
+
+        blk_row = slot(node, brow)
+        blk_col = slot(node, bcol)
         # each node's update rows in its parent's front, as runs of
         # consecutive blocks: (start in the update, start in the front,
         # length), in unknowns

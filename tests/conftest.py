@@ -65,3 +65,34 @@ def delaunay_mesh(rng, npoints):
     elements = tri.simplices[rng.permutation(len(tri.simplices))]
     elements = rng.permuted(elements, axis=1)
     return Mesh(points, elements, rng.integers(0, 3, len(elements))), tri
+
+
+def finest_blocks(disc, multiplier=False):
+    """The unknowns in blocks on the finest nested dissection of the mesh,
+    whose parts of at most 4 elements stay whole."""
+    blocks = disc.dof_blocks(multiplier)
+    # element e holds the e-th run of V dofs, so its first dof sorts it
+    elements = blocks.element_dofs
+    elements = elements[np.argsort(elements[:, 0])]
+    order, bounds = disc.mesh.dissection(4)
+    return blocks._replace(element_dofs=elements[order], bounds=bounds)
+
+
+def front_entries(lu):
+    """Checks the fronts of a multifrontal factor against its elimination
+    tree: each front eliminates its own unknowns, its parent is the front
+    of its first update unknown, and its update unknowns lie in its
+    parent's front.  Returns the entries the fronts store, p^2 + p u for a
+    front of p own and u update unknowns."""
+    offsets, stored = lu.offsets, 0
+    for j, (block, at) in enumerate(lu.fronts):
+        p = offsets[j + 1] - offsets[j]
+        assert np.array_equal(at[:p], np.arange(offsets[j], offsets[j + 1]))
+        update = at[p:]
+        assert block.shape == (p, p + update.size)
+        stored += p * p + p * update.size
+        if update.size:
+            parent = np.searchsorted(offsets, update[0], side="right") - 1
+            assert parent > j
+            assert np.isin(update, lu.fronts[parent][1]).all()
+    return stored

@@ -108,13 +108,7 @@ class TestVolumeOperators:
         oracle = quad_volume(disc2, lambda pts: np.einsum(
             "epc,epc->ep", disc2.spaces.eval_v(u, pts),
             disc2.spaces.eval_v(u, pts)))
-        assert u @ (disc2.mass_plain @ u) == pytest.approx(oracle, rel=1e-12)
-
-    def test_mass_q(self, disc2):
-        rng = np.random.default_rng(24)
-        q = rng.standard_normal(disc2.spaces.dim_Q)
-        oracle = quad_volume(disc2, lambda pts: disc2.spaces.eval_q(q, pts) ** 2)
-        assert q @ (disc2.mass_q @ q) == pytest.approx(oracle, rel=1e-12)
+        assert u @ (disc2.mass_v() @ u) == pytest.approx(oracle, rel=1e-12)
 
     def test_grad_pair(self, degree):
         disc = Discretization(two_tag_mesh(), degree, random_materials(10))
@@ -327,7 +321,7 @@ class TestCoercivity:
 
 class TestLoads:
     def test_load_volume_polynomial(self, disc2, degree):
-        # an in-space source makes the load exactly mass_plain @ coefficients
+        # an in-space source makes the load exactly mass_v() @ coefficients
         sp = disc2.spaces
         if degree == 1:
             func = lambda x, y: np.stack(
@@ -341,7 +335,7 @@ class TestLoads:
         assert load.shape == (sp.dim_V + sp.dim_Q,)
         assert np.abs(load[sp.dim_V:]).max() == 0.0
         assert np.abs(load[:sp.dim_V]
-                      - disc2.mass_plain @ coeffs).max() < 1e-12
+                      - disc2.mass_v() @ coeffs).max() < 1e-12
 
     def test_load_boundary_zero_data(self, disc2):
         g = np.zeros(disc2.lifting.dim_scalar_data)

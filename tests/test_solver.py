@@ -6,10 +6,11 @@ from scipy.sparse.linalg import splu
 
 from maxwelldg.assembly import Discretization, DofBlocks
 from maxwelldg.materials import Coefficients
-from maxwelldg.mesh import Mesh, elimination_tree, lshape, unit_square
+from maxwelldg.mesh import Mesh, lshape, unit_square
 from maxwelldg.problems import gradient_null_data, sine_problem
 from maxwelldg.solver import (
     COND_MAX,
+    MultifrontalLU,
     ResonanceError,
     factorize,
     refined_solve,
@@ -17,14 +18,8 @@ from maxwelldg.solver import (
     solve_mixed,
 )
 
-from conftest import delaunay_mesh, random_materials, random_spd, two_tag_mesh
-
-
-def finest_blocks(disc, multiplier=False):
-    """The unknowns in blocks on the finest dissection tree of the mesh,
-    whose parts of at most 4 elements stay whole."""
-    return disc.dof_blocks(multiplier)._replace(
-        tree=disc.mesh.dissection_tree())
+from conftest import (delaunay_mesh, finest_blocks, front_entries,
+                      random_materials, random_spd, two_tag_mesh)
 
 
 @pytest.fixture
@@ -181,10 +176,12 @@ class TestFactorization:
         dense = np.ones((n, n)) + np.diag(np.full(n, 1e-12 - 1.0))
         dense += np.diag(np.arange(1.0, n), 1) + np.diag(np.arange(1.0, n), -1)
         matrix = sparse.csc_matrix(dense)
-        pairs = np.argwhere(np.triu(np.ones((n, n)), 1))
-        chain = DofBlocks(elimination_tree(np.arange(n), np.arange(n + 1),
-                                           pairs), np.arange(n)[:, None], None)
-        assert list(chain.tree.parent) == [1, 2, 3, -1]
+        chain = DofBlocks(np.arange(n)[:, None], np.arange(n + 1), None)
+        # the dense matrix makes the tree a chain: each front updates all
+        # later unknowns
+        fronts = MultifrontalLU(matrix, chain).fronts
+        assert [list(at) for _, at in fronts] == [[0, 1, 2, 3], [1, 2, 3],
+                                                  [2, 3], [3]]
         lu, factor = factorize(matrix, chain)
         assert factor.pivoting == "partial"
         assert factor.ordering == "colamd"
@@ -200,15 +197,16 @@ class TestFactorization:
         dense = rng.standard_normal((n, n))
         dense = dense + dense.T + np.diag(np.full(n, 10.0))
         matrix = sparse.csc_matrix(dense)
-        pairs = np.argwhere(np.triu(np.ones((6, 6)), 1))
-        blocks = DofBlocks(elimination_tree(rng.permutation(6), [0, 2, 4, 6],
-                                            pairs),
-                           rng.permutation(n).reshape(6, 2), None)
+        order = rng.permutation(6)
+        blocks = DofBlocks(rng.permutation(n).reshape(6, 2)[order],
+                           [0, 2, 4, 6], None)
         lu, factor = factorize(matrix, blocks)
         assert (factor.ordering, factor.pivoting) == ("nested_dissection",
                                                       "symmetric")
         # fronts of 4 + 8, 4 + 4 and 4 + 0 unknowns
-        assert lu.nnz == factor.lu_nnz == 16 * 3 + 4 * (8 + 4)
+        assert [at.size for _, at in lu.fronts] == [12, 8, 4]
+        assert lu.nnz == factor.lu_nnz == front_entries(lu) == 16 * 3 + 4 * (
+            8 + 4)
         assert lu.L.nnz + lu.U.nnz == lu.nnz
         rhs = rng.standard_normal(n)
         for trans in ("N", "T"):
@@ -216,6 +214,27 @@ class TestFactorization:
             assert np.linalg.norm(dense @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
         both = lu.solve(np.stack([rhs, 2.0 * rhs], axis=1))
         assert np.allclose(both[:, 1], 2.0 * both[:, 0], rtol=1e-15, atol=0.0)
+
+    def test_blocks_must_partition_the_unknowns(self, disc2):
+        system = disc2.primal_system(1.0)
+        blocks = disc2.dof_blocks()
+        # one element left out, then one element twice
+        for elements in (blocks.element_dofs[1:],
+                         np.vstack([blocks.element_dofs[:1],
+                                    blocks.element_dofs[:-1]])):
+            with pytest.raises(ValueError, match="do not partition"):
+                factorize(system, DofBlocks(elements, [0, len(elements)],
+                                            None))
+
+    def test_face_blocks_must_be_uncoupled(self, disc2):
+        blocks = disc2.dof_blocks(multiplier=True)
+        first, second = blocks.face_dofs[0, 0], blocks.face_dofs[1, 0]
+        n = disc2.auxiliary_system(1.0).shape[0]
+        coupling = sparse.csc_matrix(([1.0, 1.0], ([first, second],
+                                                   [second, first])),
+                                     shape=(n, n))
+        with pytest.raises(ValueError, match="face blocks are coupled"):
+            factorize(disc2.auxiliary_system(1.0) + coupling, blocks)
 
     @pytest.mark.parametrize("multiplier", [False, True],
                              ids=["primal", "auxiliary"])
