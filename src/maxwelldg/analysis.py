@@ -274,11 +274,6 @@ class ConvergenceReport:
                 for r in self.records],
         }
 
-    def terminal_eoc(self) -> tuple[float | None, float | None]:
-        if not self.records:
-            return None, None
-        return self.records[-1].eoc_v, self.records[-1].eoc_q
-
 
 def setup_problem(problem: ModelProblem, mesh: Mesh, degree: int,
                   alpha=None, gamma=None):

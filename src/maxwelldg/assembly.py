@@ -13,25 +13,28 @@ contributions and the stencil never grows past face neighbors.  The
 graph of each system is thus the element dual graph with dense element
 blocks, and a nested-dissection order of the elements is an elimination
 order of the system's unknowns.
-The systems are assembled in compressed sparse column form, the form the
-sparse factorization reads.
+The system is assembled face by face straight into those blocks: each
+face adds one dense block per pair of its sides, and each element its
+volume block, in the elimination order the multifrontal factor reads.
+The forms a, b and c are parts of the same blocks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import block_diag, bmat, csc_matrix, csr_matrix
+from scipy.sparse import block_diag, bmat, bsr_matrix, csr_matrix
 
-from .lifting import Lifting
+from .lifting import SIGNS, Lifting
 from .materials import Coefficients, MaterialArrays
 from .mesh import Mesh
 from .quadrature import triangle_rule
-from .spaces import Spaces, element_block_diag
+from .spaces import Spaces, block_sparse, element_block_diag
 
-__all__ = ["Discretization", "DofBlocks"]
+__all__ = ["AuxiliarySystem", "Discretization", "DofBlocks"]
 
 # Each triangle has 3 face neighbors; the coercivity threshold for the
 # penalty weights is 1/2 + 2 * 3.
@@ -57,6 +60,53 @@ class DofBlocks(NamedTuple):
     element_dofs: np.ndarray
     bounds: np.ndarray
     face_dofs: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class AuxiliarySystem:
+    """The three-field (V, M, Q) system in the numbering of its primal
+    system K, element blocks in elimination order, followed by the face
+    multipliers face by face:
+
+        [ K + J^T G J   -J^T G ]
+        [    -G J          G   ]
+
+    G holds the per-face Grams gamma (eps R_F, R_F), J the normal jumps of
+    the element unknowns.  Eliminating the multipliers leaves exactly K.
+    """
+
+    primal: bsr_matrix   # K
+    gram: np.ndarray     # G, (nf, m, m)
+    jump: csr_matrix     # J, (nf m, unknowns of K)
+    nv: int              # V unknowns at the head of each element block
+
+    @property
+    def shape(self) -> tuple:
+        return (self.primal.shape[0] + self.jump.shape[0],) * 2
+
+    @property
+    def nnz(self) -> int:
+        return self.primal.nnz + self.gram.size + 2 * self.jump.nnz
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        nw = self.primal.shape[0]
+        d = x[nw:] - self.jump @ x[:nw]
+        d = (self.gram @ d.reshape(*self.gram.shape[:2], -1)).reshape(d.shape)
+        return np.concatenate([self.primal @ x[:nw] - self.jump.T @ d, d])
+
+    def one_norm(self) -> float:
+        """Largest absolute column sum.  The system has no (Q, Q) block:
+        that of K is -J^T G J."""
+        k, nv = self.primal, self.nv
+        data = np.abs(k.data)
+        data[:, nv:, nv:] = 0.0
+        cols = np.zeros((k.shape[0] // k.blocksize[0], k.blocksize[1]))
+        np.add.at(cols, k.indices, data.sum(axis=1))
+        gj = abs(element_block_diag(self.gram) @ self.jump)
+        cols = cols.ravel() + np.asarray(gj.sum(axis=0)).ravel()
+        faces = (np.abs(self.gram).sum(axis=1).ravel()
+                 + np.asarray(gj.sum(axis=1)).ravel())
+        return float(max(cols.max(), faces.max()))
 
 
 class Discretization:
@@ -134,45 +184,123 @@ class Discretization:
     @cached_property
     def lift_gram_scalar(self) -> csr_matrix:
         """Block diagonal of (mu_bar^-1 r_F(.), r_F(.)), no penalty factor."""
-        return self.lifting.block_diag_scalar(
-            np.ones(self.mesh.num_faces), self.materials.mu_bar_inv)
+        return element_block_diag(
+            self.lifting.face_grams_scalar(self.materials.mu_bar_inv))
 
     @cached_property
     def lift_gram_vector(self) -> csr_matrix:
         """Block diagonal of (eps R_F(.), R_F(.)), no penalty factor."""
-        return self.lifting.block_diag_vector(
-            np.ones(self.mesh.num_faces), self.materials.eps)
+        return element_block_diag(
+            self.lifting.face_grams_vector(self.materials.eps))
+
+    def _alpha_grams(self) -> np.ndarray:
+        """alpha (mu_bar^-1 r_F(.), r_F(.)) per face, (nf, l+1, l+1)."""
+        grams = self.lifting.face_grams_scalar(self.materials.mu_bar_inv)
+        return self.alpha[:, None, None] * grams
+
+    def _gamma_grams(self) -> np.ndarray:
+        """gamma (eps R_F(.), R_F(.)) per face, (nf, m, m)."""
+        grams = self.lifting.face_grams_vector(self.materials.eps)
+        return self.gamma[:, None, None] * grams
 
     @cached_property
     def gamma_gram(self) -> csr_matrix:
-        return self.lifting.block_diag_vector(self.gamma, self.materials.eps)
+        return element_block_diag(self._gamma_grams())
+
+    @cached_property
+    def penalty_gram(self) -> csr_matrix:
+        return element_block_diag(self._alpha_grams())
+
+    # ------------------------------------------------------------------
+    # element blocks
+
+    @cached_property
+    def dissection(self) -> tuple[np.ndarray, np.ndarray]:
+        """Elimination order of the elements and its runs, each run one
+        front of the factor (see `Mesh.dissection`)."""
+        sp = self.spaces
+        return self.mesh.dissection(max(1, FRONT_LEAF // (sp.ndof_v + sp.ndof_q)))
+
+    def _element_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The primal system at ksq = 0 as dense blocks between elements:
+        the row and column element of each, and the blocks (n, nb, nb).
+        An element's own block sums its volume block and the blocks its
+        three faces add on its side; each interior face adds its (plus,
+        minus) block and the transpose."""
+        mesh, sp, lift, mats = self.mesh, self.spaces, self.lifting, self.materials
+        ne, nv = mesh.num_elements, sp.ndof_v
+        # per (face, side): tangential and normal jumps, lifted curl and
+        # value pairings; per face: the penalty Grams
+        jt = SIGNS[:, None, None] * lift.trace_v
+        jn = lift.normal_jumps
+        curl = lift.curl_pair_blocks(mats.mu_bar_inv)
+        value = lift.value_pair_blocks(mats.eps)
+        scalar, vector = self._alpha_grams(), self._gamma_grams()
+        tr = np.swapaxes
+
+        def face_blocks(f, s, t, out):
+            """The blocks faces f add between the unknowns of their sides
+            s and t: [[jt_s^T (P jt_t - W_t) - W_s^T jt_t, Y_s^T jn_t],
+            [jn_s^T Y_t, -jn_s^T G jn_t]], P and G the penalty Grams, W
+            and Y the curl and value pairings."""
+            out[:, :nv, :nv] = (tr(jt[f, s], 1, 2) @ (scalar[f] @ jt[f, t]
+                                                     - curl[f, t])
+                                - tr(curl[f, s], 1, 2) @ jt[f, t])
+            out[:, :nv, nv:] = tr(value[f, s], 1, 2) @ jn[f, t]
+            out[:, nv:, :nv] = tr(jn[f, s], 1, 2) @ value[f, t]
+            out[:, nv:, nv:] = -tr(jn[f, s], 1, 2) @ (vector[f] @ jn[f, t])
+            return out
+
+        inner = np.flatnonzero(~mesh.boundary)
+        plus, minus = mesh.face_elements[inner].T
+        nb = nv + sp.ndof_q
+        blocks = np.zeros((ne + 2 * len(inner), nb, nb))
+        diag, cross = blocks[:ne], blocks[ne:ne + len(inner)]
+        face_blocks(inner, 0, 1, cross)
+        blocks[ne + len(inner):] = tr(cross, 1, 2)
+        diag[:, :nv, :nv] = ((mats.mu_bar_inv / sp.det_jac)[:, None, None]
+                             * sp.ref_curl_gram)
+        grad = sp.mapped_gram(sp.ref_v_qgrad, mats.eps)
+        diag[:, :nv, nv:] = -grad
+        diag[:, nv:, :nv] = -tr(grad, 1, 2)
+        own = np.empty((ne, nb, nb))
+        sides = mesh.face_elements[mesh.element_faces, 1] == np.arange(ne)[:, None]
+        for f, side in zip(mesh.element_faces.T, sides.T.astype(np.int64)):
+            diag += face_blocks(f, side, side, own)
+        return (np.concatenate([np.arange(ne), plus, minus]),
+                np.concatenate([np.arange(ne), minus, plus]), blocks)
 
     # ------------------------------------------------------------------
     # forms
 
-    @cached_property
-    def penalty_gram(self) -> csr_matrix:
-        return self.lifting.block_diag_scalar(self.alpha,
-                                              self.materials.mu_bar_inv)
+    def _form(self, rows: slice, cols: slice) -> csr_matrix:
+        """A (V or Q, V or Q) part of the primal system at ksq = 0."""
+        brow, bcol, blocks = self._element_blocks()
+        part = blocks[:, rows, cols]
+        ne, (nr, nc) = self.mesh.num_elements, part.shape[1:]
+        return block_sparse(part, brow[:, None] * nr + np.arange(nr),
+                            bcol[:, None] * nc + np.arange(nc),
+                            (ne * nr, ne * nc))
 
     @cached_property
     def a_matrix(self) -> csr_matrix:
         """Curl form: the volume term plus the lifted consistency and
         penalty terms of the tangential jumps."""
-        jt, w = self.jump_t, self.curl_pair
-        return csr_matrix(self.curl_stiffness - jt.T @ w - w.T @ jt
-                          + jt.T @ self.penalty_gram @ jt)
+        nv = self.spaces.ndof_v
+        return self._form(slice(nv), slice(nv))
 
     @cached_property
     def b_matrix(self) -> csr_matrix:
         """Mixed form -(eps v, grad q) plus the lifted normal-jump term;
         rows Q dofs, columns V dofs."""
-        value_pair = self.lifting.vector_value_pair(self.materials.eps)
-        return csr_matrix(-self.grad_pair.T + self.jump_n.T @ value_pair)
+        nv = self.spaces.ndof_v
+        return self._form(slice(nv, None), slice(nv))
 
     @cached_property
     def c_matrix(self) -> csr_matrix:
-        return csr_matrix(self.jump_n.T @ self.gamma_gram @ self.jump_n)
+        """Multiplier penalty: gamma (eps R_F(jump q), R_F(jump q'))."""
+        nv = self.spaces.ndof_v
+        return -self._form(slice(nv, None), slice(nv, None))
 
     @cached_property
     def b_lambda(self) -> csr_matrix:
@@ -205,18 +333,39 @@ class Discretization:
     # ------------------------------------------------------------------
     # systems
 
-    def primal_system(self, ksq: float) -> csc_matrix:
-        lhs = self.a_matrix - ksq * self.mass_eps
-        return bmat([[lhs, self.b_matrix.T],
-                     [self.b_matrix, -self.c_matrix]], format="csc")
+    def primal_system(self, ksq: float) -> bsr_matrix:
+        """The (V, Q) system [[a - ksq m, b^T], [b, -c]] in blocks of one
+        element, the elements in elimination order; `dof_blocks` maps its
+        unknowns to the (V, Q) layout."""
+        sp = self.spaces
+        ne, nv = self.mesh.num_elements, sp.ndof_v
+        rows, cols, blocks = self._element_blocks()
+        rank = np.argsort(self.dissection[0])
+        rows, cols = rank[rows], rank[cols]
+        slot = np.lexsort((cols, rows))
+        data = blocks[slot]
+        own = slot < ne
+        mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
+        data[own, :nv, :nv] -= ksq * mass[slot[own]]
+        indptr = np.searchsorted(rows[slot], np.arange(ne + 1))
+        n = ne * blocks.shape[1]
+        return bsr_matrix((data, cols[slot], indptr), shape=(n, n))
 
-    def auxiliary_system(self, ksq: float) -> csc_matrix:
-        lhs = self.a_matrix - ksq * self.mass_eps
-        gamma_jn = self.gamma_gram @ self.jump_n
-        return bmat([
-            [lhs, None, self.b_matrix.T],
-            [None, self.gamma_gram, -gamma_jn],
-            [self.b_matrix, -gamma_jn.T, None]], format="csc")
+    def auxiliary_system(self, ksq: float) -> AuxiliarySystem:
+        """The (V, M, Q) system with the face multiplier, in the numbering
+        of `primal_system` followed by the multipliers; `dof_blocks(True)`
+        maps its unknowns to the (V, M, Q) layout."""
+        sp, lift = self.spaces, self.lifting
+        nf, nv, nq, m = self.mesh.num_faces, sp.ndof_v, sp.ndof_q, sp.ndof_m
+        rank = np.argsort(self.dissection[0])
+        cols = (rank[lift.side_elements] * (nv + nq) + nv)[:, :, None]
+        jump = block_sparse(lift.normal_jumps,
+                            np.arange(nf * m).reshape(nf, 1, m),
+                            cols + np.arange(nq),
+                            (nf * m, sp.dim_V + sp.dim_Q),
+                            keep=lift.side_mask)
+        return AuxiliarySystem(self.primal_system(ksq), self._gamma_grams(),
+                               jump, nv)
 
     def dof_blocks(self, multiplier: bool = False) -> DofBlocks:
         """The unknowns of the primal (V, Q) or, with the multiplier, the
@@ -230,8 +379,7 @@ class Discretization:
         q = sp.dim_V + nm + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
         faces = (sp.dim_V + np.arange(nm).reshape(nf, sp.ndof_m)
                  if multiplier else None)
-        order, bounds = mesh.dissection(
-            max(1, FRONT_LEAF // (sp.ndof_v + sp.ndof_q)))
+        order, bounds = self.dissection
         return DofBlocks(np.hstack([v, q])[order], bounds, faces)
 
     @cached_property
@@ -279,9 +427,6 @@ class Discretization:
         return (self._quad_form(self.curl_stiffness, coeffs)
                 + self._quad_form(self.lift_gram_scalar, self.jump_t @ coeffs))
 
-    def seminorm_v(self, coeffs: np.ndarray) -> float:
-        return np.sqrt(max(self._seminorm_sq(coeffs), 0.0))
-
     def norm_v(self, coeffs: np.ndarray) -> float:
         return np.sqrt(max(self._seminorm_sq(coeffs)
                            + self._quad_form(self.mass_eps, coeffs), 0.0))
@@ -291,8 +436,4 @@ class Discretization:
             self._quad_form(self.q_grad_gram, coeffs)
             + self._quad_form(self.lift_gram_vector, self.jump_n @ coeffs),
             0.0))
-
-    def norm_m(self, coeffs: np.ndarray) -> float:
-        return np.sqrt(max(self._quad_form(self.lift_gram_vector, coeffs),
-                           0.0))
 

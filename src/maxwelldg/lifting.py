@@ -21,7 +21,7 @@ face contributes a rank-(l+1) block.
 All tables are arrays over (face, side): side 0 is the plus element of
 the face, side 1 the minus element.  ``side_mask`` is False on the
 missing minus side of a boundary face; the tables hold zeros there and
-the sparse builders drop it.
+the sparse maps drop it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from scipy.sparse import csr_matrix
 
 from .basis import face_modes
 from .quadrature import segment_rule
-from .spaces import Spaces, block_sparse, element_block_diag
+from .spaces import Spaces, block_sparse
 
 __all__ = ["Lifting"]
 
@@ -93,35 +93,15 @@ class Lifting:
     # ------------------------------------------------------------------
     # index layout
 
-    @property
-    def dim_scalar_data(self) -> int:
-        return self.spaces.mesh.num_faces * self.n_modes
-
-    @property
-    def dim_vector_data(self) -> int:
-        return self.spaces.mesh.num_faces * 2 * self.n_modes
-
-    def scalar_data_dofs(self, face: int) -> np.ndarray:
-        return np.arange(face * self.n_modes, (face + 1) * self.n_modes)
-
-    def _scalar_rows(self) -> np.ndarray:
-        """Scalar face data indices, (nf, 1, l+1)."""
-        return np.arange(self.dim_scalar_data).reshape(-1, 1, self.n_modes)
-
-    def _vector_rows(self) -> np.ndarray:
-        """Vector face data indices, (nf, 1, l+1, 2)."""
-        return np.arange(self.dim_vector_data).reshape(-1, 1, self.n_modes, 2)
-
-    def _elem_dofs(self, ndof: int) -> np.ndarray:
-        """Blocked element dofs of each (face, side), (nf, 2, ndof)."""
-        return self.side_elements[:, :, None] * ndof + np.arange(ndof)
-
-    def _face_csr(self, blocks: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray, shape: tuple) -> csr_matrix:
-        """Sparse matrix of per-(face, side) blocks (nf, 2, ..., R, C) at
-        row indices (..., R) and column indices (..., C) that broadcast
-        against them; masked sides are dropped."""
-        return block_sparse(blocks, rows, cols, shape, keep=self.side_mask)
+    def _face_csr(self, blocks: np.ndarray) -> csr_matrix:
+        """Map from broken coefficients to face data of the per-(face,
+        side) blocks (nf, 2, r, n): r rows of face data per face, the n
+        dofs of the side's element as columns; masked sides are dropped."""
+        nf, _, r, n = blocks.shape
+        cols = self.side_elements[:, :, None] * n + np.arange(n)
+        return block_sparse(blocks, np.arange(nf * r).reshape(nf, 1, r), cols,
+                            (nf * r, self.spaces.mesh.num_elements * n),
+                            keep=self.side_mask)
 
     # ------------------------------------------------------------------
     # sparse jump/trace maps
@@ -130,54 +110,23 @@ class Lifting:
     def jump_tangential(self) -> csr_matrix:
         """Map V coefficients to face coefficients of the tangential jump
         (n x v on the boundary)."""
+        return self._face_csr(SIGNS[:, None, None] * self.trace_v)
+
+    @cached_property
+    def normal_jumps(self) -> np.ndarray:
+        """Blocks of the vector-valued normal jump of each side's Q
+        coefficients, mode-major, component-minor, (nf, 2, 2(l+1), nq)."""
         sp = self.spaces
-        return self._face_csr(
-            SIGNS[:, None, None] * self.trace_v, self._scalar_rows(),
-            self._elem_dofs(sp.ndof_v), (self.dim_scalar_data, sp.dim_V))
+        blocks = (SIGNS[:, None, None, None]
+                  * sp.mesh.face_normals[:, None, None, :, None]
+                  * self.trace_q[:, :, :, None, :])             # (f, s, m, c, r)
+        return blocks.reshape(sp.mesh.num_faces, 2, sp.ndof_m, sp.ndof_q)
 
     @cached_property
     def jump_normal(self) -> csr_matrix:
         """Map Q coefficients to face coefficients of the vector-valued
         normal jump (q n on the boundary)."""
-        sp = self.spaces
-        nf = sp.mesh.num_faces
-        blocks = (SIGNS[:, None, None, None]
-                  * sp.mesh.face_normals[:, None, None, :, None]
-                  * self.trace_q[:, :, :, None, :])             # (f, s, m, c, r)
-        return self._face_csr(
-            blocks.reshape(nf, 2, 2 * self.n_modes, sp.ndof_q),
-            self._vector_rows().reshape(nf, 1, -1),
-            self._elem_dofs(sp.ndof_q), (self.dim_vector_data, sp.dim_Q))
-
-    # ------------------------------------------------------------------
-    # lifting coefficient maps
-
-    def _lift_blocks(self) -> np.ndarray:
-        """Broken scalar coefficients of the lifted modes, (nf, 2, nq, l+1)."""
-        return self.lift_scale[:, :, None, None] * np.swapaxes(self.trace_q, 2, 3)
-
-    @cached_property
-    def lift_scalar_matrix(self) -> csr_matrix:
-        """Map scalar face data to broken scalar coefficients of the sum of
-        the per-face liftings."""
-        sp = self.spaces
-        return self._face_csr(
-            self._lift_blocks(), self._elem_dofs(sp.ndof_q),
-            self._scalar_rows(), (sp.dim_Q, self.dim_scalar_data))
-
-    @cached_property
-    def lift_vector_matrix(self) -> csr_matrix:
-        """Map vector face data to broken vector coefficients (layout
-        (element, mode, component))."""
-        sp = self.spaces
-        # one copy of the scalar block per component c, (nf, 2, c, nq, nm)
-        blocks = np.broadcast_to(self._lift_blocks()[:, :, None],
-                                 (sp.mesh.num_faces, 2, 2, sp.ndof_q,
-                                  self.n_modes))
-        rows = 2 * self._elem_dofs(sp.ndof_q)[:, :, None] + np.arange(2)[:, None]
-        cols = np.swapaxes(self._vector_rows(), 2, 3)
-        return self._face_csr(blocks, rows, cols,
-                              (2 * sp.dim_Q, self.dim_vector_data))
+        return self._face_csr(self.normal_jumps)
 
     # ------------------------------------------------------------------
     # per-face Gram matrices of lifted data
@@ -205,45 +154,34 @@ class Lifting:
         grams = np.sum(self.weight[:, :, None, None, None, None] * kron, axis=1)
         return grams.reshape(nf, 2 * self.n_modes, 2 * self.n_modes)
 
-    def block_diag_scalar(self, factors: np.ndarray,
-                          weight: np.ndarray | None = None) -> csr_matrix:
-        """Block diagonal of per-face scalar Grams scaled by factors[f]."""
-        grams = self.face_grams_scalar(weight)
-        return element_block_diag(np.asarray(factors)[:, None, None] * grams)
-
-    def block_diag_vector(self, factors: np.ndarray,
-                          eps: np.ndarray | None = None) -> csr_matrix:
-        grams = self.face_grams_vector(eps)
-        return element_block_diag(np.asarray(factors)[:, None, None] * grams)
-
     # ------------------------------------------------------------------
     # pairings against V fields
 
-    def curl_pair(self, weight: np.ndarray) -> csr_matrix:
-        """Rows (face, mode), columns V dofs: (r_F(mode), w mu_curl) where
-        mu_curl is the weighted elementwise curl, weight per element."""
-        sp = self.spaces
+    def curl_pair_blocks(self, weight: np.ndarray) -> np.ndarray:
+        """(r_F(mode), w mu_curl) per (face, side), where mu_curl is the
+        weighted elementwise curl of the side's V basis, weight per
+        element, (nf, 2, l+1, nv)."""
         scale = weight[self.side_elements] * self.lift_scale
-        blocks = scale[:, :, None, None] * (self.trace_q @ sp.ref_curl_coeff)
-        return self._face_csr(blocks, self._scalar_rows(),
-                              self._elem_dofs(sp.ndof_v),
-                              (self.dim_scalar_data, sp.dim_V))
+        return scale[:, :, None, None] * (self.trace_q @ self.spaces.ref_curl_coeff)
 
-    def vector_value_pair(self, eps: np.ndarray) -> csr_matrix:
-        """Rows (face, mode, component), columns V dofs:
-        (eps v, R_F(mode, component)) for the per-element 2x2 field eps."""
+    def curl_pair(self, weight: np.ndarray) -> csr_matrix:
+        """The curl pairing with rows (face, mode), columns V dofs."""
+        return self._face_csr(self.curl_pair_blocks(weight))
+
+    def value_pair_blocks(self, eps: np.ndarray) -> np.ndarray:
+        """(eps v, R_F(mode, component)) per (face, side) for the side's V
+        basis v and the per-element 2x2 field eps, mode-major,
+        component-minor, (nf, 2, 2(l+1), nv)."""
         sp = self.spaces
         # component expansion of eps times the mapped V basis in the local
         # orthonormal scalar basis, (ne, c, nq, nv)
-        ne = sp.mesh.num_elements
+        ne, nf = sp.mesh.num_elements, sp.mesh.num_faces
         weighted = ((eps @ sp.inv_jac_t).reshape(2 * ne, 2)
                     @ sp.ref_comp_coeff.reshape(2, -1)).reshape(
                         ne, 2, sp.ndof_q, sp.ndof_v)
         avg_h = (self.avg * sp.mesh.face_lengths)[:, None, None, None, None]
         blocks = avg_h * (self.trace_q[:, :, None] @ weighted[self.side_elements])
-        return self._face_csr(blocks, np.swapaxes(self._vector_rows(), 2, 3),
-                              self._elem_dofs(sp.ndof_v)[:, :, None],
-                              (self.dim_vector_data, sp.dim_V))
+        return np.swapaxes(blocks, 2, 3).reshape(nf, 2, sp.ndof_m, sp.ndof_v)
 
     # ------------------------------------------------------------------
     # face data projections
@@ -262,16 +200,6 @@ class Lifting:
         data = np.zeros((self.spaces.mesh.num_faces, self.n_modes))
         data[faces] = vals @ (rule.weights[:, None] * modes)
         return data.ravel()
-
-    def project_scalar_data(self, func, degree: int | None = None,
-                            boundary_only: bool = False) -> np.ndarray:
-        """L^2-project a scalar callable onto the face mode basis."""
-        mesh = self.spaces.mesh
-        faces = (np.flatnonzero(mesh.boundary) if boundary_only
-                 else np.arange(mesh.num_faces))
-        rule, phys = self._face_samples(faces, degree)
-        vals = np.asarray(func(phys[..., 0], phys[..., 1]))
-        return self._face_data(faces, rule, vals)
 
     def tangential_boundary_data(self, u_func, degree: int | None = None) -> np.ndarray:
         """Face coefficients of n x u on the boundary (zero on interior

@@ -188,9 +188,6 @@ class Mesh:
                                            start + first + second]))
         return order, bounds
 
-    def element_areas(self) -> np.ndarray:
-        return np.abs(_signed_areas(self.vertices, self.elements))
-
     def mesh_size(self) -> float:
         """Largest element diameter (longest edge over all elements)."""
         tri = self.vertices[self.elements]

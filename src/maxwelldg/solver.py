@@ -1,20 +1,23 @@
 """Direct solution of the assembled saddle point systems.
 
 The systems are symmetric indefinite, and their graph is the element
-dual graph with dense element blocks.  They are factored by a
-multifrontal LU in the mesh's nested-dissection order of the elements
-(Duff and Reid, ACM Trans. Math. Softw. 1983; Liu, SIAM Rev. 1992), on the
-elimination tree read from the matrix: each tree node eliminates a run of
-elements in one dense front, with partial pivoting inside the
-front's fully summed block only, and passes its Schur complement to its
-parent, so nearly all the work is dense BLAS-3.  The auxiliary system's
-face multiplier blocks are eliminated first, all faces at once.  Pivoting
+dual graph with dense element blocks.  They are assembled in those
+blocks, the elements in the mesh's nested-dissection order, and factored
+as they are by a multifrontal LU (Duff and Reid, ACM Trans. Math. Softw.
+1983; Liu, SIAM Rev. 1992) on the elimination tree read from the
+matrix: each tree node eliminates a run of elements in one dense front,
+with partial pivoting inside the front's fully summed block only, and
+passes its Schur complement to its parent, so nearly all the work is
+dense BLAS-3.  Eliminating the auxiliary system's face multipliers
+leaves the primal system, so it is factored the same way and the
+multipliers are recovered face by face.  Pivoting
 restricted to the fronts may grow the factor's error, so every solve
 takes one step of iterative refinement in working precision, which
 restores a small backward error when the factor is not too unstable
 (Skeel, Math. Comp. 1980).  A refined probe solve checks that at
-factorization time; if it fails, or a front is singular, the matrix is
-refactored by SuperLU with partial pivoting and a COLAMD column order.
+factorization time; if it fails, or a front is singular, the primal
+system is refactored by SuperLU with partial pivoting and a COLAMD column
+order.
 
 A wavenumber at a discrete resonance makes the matrix singular.  That is
 judged by a 1-norm condition estimate (Higham and Tisseur, SIAM J. Matrix
@@ -25,18 +28,18 @@ neither the scale of the system nor the fill-reducing ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri
-from scipy.sparse import bsr_matrix, csc_matrix
+from scipy.sparse import bsr_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .assembly import Discretization, DofBlocks
+from .assembly import AuxiliarySystem, Discretization
 
-__all__ = ["ResonanceError", "Factor", "MultifrontalLU", "Solution",
-           "backward_error", "factorize", "refined_solve", "solve_mixed",
-           "solve_auxiliary"]
+__all__ = ["ResonanceError", "Factor", "MultifrontalLU", "FaceElimination",
+           "Solution", "backward_error", "factorize", "refined_solve",
+           "solve_mixed", "solve_auxiliary"]
 
 # Normwise backward error of the refined probe solve above which the
 # multifrontal factor is refused.  A stable factor stays near eps.
@@ -76,34 +79,14 @@ class Solution:
     constraint_gap: float  # ||B u - C p|| relative to operator/field scales
 
 
-def _permuted(matrix: csc_matrix, order: np.ndarray) -> csc_matrix:
-    """P A P^T: one gather of the columns of A, then its rows renumbered
-    in place."""
-    inverse = np.empty(len(order), dtype=matrix.indices.dtype)
-    inverse[order] = np.arange(len(order))
-    out = matrix[:, order]
-    out.indices = inverse[out.indices]
-    out.has_sorted_indices = False
-    out.sort_indices()
-    return out
-
-
-class _Count(NamedTuple):
-    """Stored entries of one part of a factor, as SuperLU's L and U
-    report them."""
-
-    nnz: int
-
-
 class MultifrontalLU:
-    """Multifrontal factor of a symmetric matrix laid out in the element
-    blocks of a `DofBlocks`; solves in the numbering of the matrix.
+    """Multifrontal factor of a symmetric matrix in blocks of one element,
+    the elements in elimination order, eliminated in the runs bounds[j]
+    to bounds[j + 1] - 1; solves in the numbering of the matrix.
 
-    The face blocks, if any, are inverted first, all at once, and their
-    Schur complement is formed by sparse products.  The element-block
-    system left is factored run by run, each run of elements one node of
-    the elimination tree, which is read from the block pattern of that
-    system (Liu, SIAM J. Matrix Anal. Appl. 1990).  The front of a tree
+    Each run of elements is one node of the elimination tree, which is
+    read from the block pattern of the matrix (Liu, SIAM J. Matrix Anal.
+    Appl. 1990).  The front of a tree
     node holds the blocks of its own elements (p unknowns) and of its
     update elements (u unknowns): the matrix blocks whose earlier element
     is its own, plus the updates of its children.  Its
@@ -111,55 +94,28 @@ class MultifrontalLU:
     pivoting inside it and inverted; the node keeps F11^-1 and the panel
     V = F11^-1 F12, and hands F22 - F21 V to its parent.  So the factor
     is L D L^T with L unit lower triangular, its blocks V^T, and D block
-    diagonal.  A node stores p^2 + p u entries, which with the face
-    blocks make `nnz`, a count fixed by the mesh and the degree.
+    diagonal.  A node stores p^2 + p u entries, which make `nnz`, a count
+    fixed by the mesh and the degree.
 
-    A singular front raises `numpy.linalg.LinAlgError`; blocks that do
-    not partition the unknowns, or face blocks coupled to each other,
-    raise ValueError.
+    A singular front raises `numpy.linalg.LinAlgError`; runs that do not
+    partition the elements raise ValueError.
     """
 
-    def __init__(self, matrix: csc_matrix, blocks: DofBlocks):
-        elements, bounds, faces = blocks
-        self.perm = elements.ravel()
-        nb = elements.shape[1]
-        self._factor(np.asarray(bounds, dtype=np.int64), nb,
-                     self._element_system(matrix, faces, nb))
-        # L holds the panels, and the pivot blocks split at the diagonal
+    def __init__(self, matrix: bsr_matrix, bounds):
+        nb = matrix.blocksize[0]
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if (bounds[0] != 0 or bounds[-1] != matrix.shape[0] // nb
+                or np.any(np.diff(bounds) <= 0)):
+            raise ValueError("the runs do not partition the elements")
+        self._factor(bounds, nb, matrix)
+        # stored entries of L and U, as SuperLU reports them: L holds the
+        # panels, and the pivot blocks split at the diagonal
         pivots = sum(block.shape[0] ** 2 for block, _ in self.fronts)
         panels = sum(block.size for block, _ in self.fronts) - pivots
-        if faces is not None:
-            pivots += faces.size * faces.shape[1]
         below = (pivots - matrix.shape[0]) // 2
-        self.L = _Count(below + panels)
-        self.U = _Count(pivots - below)
+        self.L = SimpleNamespace(nnz=below + panels)
+        self.U = SimpleNamespace(nnz=pivots - below)
         self.nnz = self.L.nnz + self.U.nnz
-
-    def _element_system(self, matrix: csc_matrix, faces,
-                        nb: int) -> bsr_matrix:
-        """The system left after the face blocks, in elimination order and
-        in blocks of one element."""
-        n, nw = matrix.shape[0], self.perm.size
-        order = (self.perm if faces is None
-                 else np.concatenate([self.perm, faces.ravel()]))
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError("the blocks do not partition the unknowns")
-        system = _permuted(matrix, order)
-        self.faces = None
-        if faces is not None:
-            nf, m = faces.shape
-            gram = system[nw:, nw:].tobsr(blocksize=(m, m))
-            if not (np.array_equal(gram.indptr, np.arange(nf + 1))
-                    and np.array_equal(gram.indices, np.arange(nf))):
-                raise ValueError("face blocks are coupled to each other")
-            inverse = bsr_matrix((np.linalg.inv(gram.data), gram.indices,
-                                  gram.indptr), shape=gram.shape).tocsr()
-            transfer = system[nw:, :nw].tocsr()
-            system = system[:nw, :nw] - transfer.T @ (inverse @ transfer)
-            self.faces = (faces.ravel(), inverse, transfer)
-        # one copy at a time: the permuted matrix, its CSR form, the blocks
-        system = system.tocsr()
-        return system.tobsr(blocksize=(nb, nb))
 
     def _factor(self, bounds: np.ndarray, nb: int, system: bsr_matrix):
         nodes = len(bounds) - 1
@@ -268,19 +224,33 @@ class MultifrontalLU:
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve with the matrix, or its transpose, which is the same."""
-        rhs = np.asarray(rhs, dtype=float)
-        out = np.empty_like(rhs)
-        w = rhs[self.perm]
-        if self.faces is None:
-            self._tree_solve(w)
-        else:
-            dofs, inverse, transfer = self.faces
-            r = rhs[dofs]
-            w -= transfer.T @ (inverse @ r)
-            self._tree_solve(w)
-            out[dofs] = inverse @ (r - transfer @ w)
-        out[self.perm] = w
-        return out
+        w = np.array(rhs, dtype=float)
+        self._tree_solve(w)
+        return w
+
+
+class FaceElimination:
+    """Solves an `AuxiliarySystem` with a factor of its primal system K,
+    which eliminating the face multipliers leaves: the element unknowns
+    w solve K w = f_w + J^T f_m, then the multipliers are
+    G^-1 f_m + J w, face by face.  The factor stores the inverse face
+    Grams besides that of K."""
+
+    def __init__(self, system: AuxiliarySystem, lu):
+        self.lu, self.jump = lu, system.jump
+        self.inverse = np.linalg.inv(system.gram)
+        nf, m, _ = system.gram.shape
+        below = nf * m * (m - 1) // 2
+        self.L = SimpleNamespace(nnz=lu.L.nnz + below)
+        self.U = SimpleNamespace(nnz=lu.U.nnz + self.inverse.size - below)
+        self.nnz = self.L.nnz + self.U.nnz
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        nw = self.jump.shape[1]
+        faces = rhs[nw:]
+        w = self.lu.solve(rhs[:nw] + self.jump.T @ faces, trans)
+        return np.concatenate([w, (self.inverse @ faces.reshape(
+            *self.inverse.shape[:2], -1)).reshape(faces.shape) + self.jump @ w])
 
 
 def refined_solve(matrix, lu, rhs: np.ndarray) -> np.ndarray:
@@ -306,28 +276,34 @@ def _stable(matrix, norm: float, lu) -> bool:
                           probe) <= BACKWARD_TOL
 
 
-def factorize(matrix, blocks: DofBlocks):
-    """LU of a symmetric system in the element blocks of its unknowns,
-    with the fallback to partial pivoting and the condition check.
-    Returns the factor (a `MultifrontalLU`, or SuperLU's after the
-    fallback), which solves in the numbering of the matrix, and its
-    `Factor` record."""
-    matrix = matrix.tocsc()
-    norm = float(abs(matrix).sum(axis=0).max())
+def factorize(system, bounds):
+    """LU of a primal system in element blocks, the elements in
+    elimination order and eliminated in the runs of bounds, or of an
+    `AuxiliarySystem` through its primal system, with the fallback to
+    partial pivoting and the condition check.  Returns the factor (a
+    `MultifrontalLU`, or SuperLU's after the fallback, wrapped in a
+    `FaceElimination` for the auxiliary system), which solves in the
+    numbering of the system, and its `Factor` record."""
+    faces = isinstance(system, AuxiliarySystem)
+    primal = system.primal if faces else system
+    norm = system.one_norm() if faces else float(abs(system).sum(axis=0).max())
+
+    def eliminate(lu):
+        return FaceElimination(system, lu) if faces else lu
     pivoting, ordering = "symmetric", "nested_dissection"
     try:
-        lu = MultifrontalLU(matrix, blocks)
+        lu = eliminate(MultifrontalLU(primal, bounds))
     except np.linalg.LinAlgError:
         lu = None
-    if lu is None or not _stable(matrix, norm, lu):
+    if lu is None or not _stable(system, norm, lu):
         pivoting, ordering = "partial", "colamd"
         try:
-            lu = splu(matrix)
+            lu = eliminate(splu(primal.tocsc()))
         except RuntimeError as err:
             raise ResonanceError(
                 f"saddle point factorization failed: {err}") from err
     # t=1 starts from the constant vector and draws no random columns
-    inverse = LinearOperator(matrix.shape, matvec=lu.solve,
+    inverse = LinearOperator(system.shape, matvec=lu.solve,
                              rmatvec=lambda y: lu.solve(y, trans="T"),
                              dtype=float)
     cond = float(onenormest(inverse, t=1)) * norm
@@ -338,36 +314,48 @@ def factorize(matrix, blocks: DofBlocks):
     return lu, Factor(pivoting, ordering, int(lu.nnz), cond, norm)
 
 
-def _residual(matrix, x, rhs) -> float:
-    scale = np.linalg.norm(rhs)
-    return float(np.linalg.norm(matrix @ x - rhs) / (scale if scale > 0 else 1.0))
-
-
-def _constraint_gap(disc: Discretization, u: np.ndarray, p: np.ndarray) -> float:
-    gap = np.linalg.norm(disc.b_matrix @ u - disc.c_matrix @ p)
-    bscale = np.sqrt((disc.b_matrix.power(2)).sum())
-    cscale = np.sqrt((disc.c_matrix.power(2)).sum())
-    denom = bscale * np.linalg.norm(u) + cscale * np.linalg.norm(p)
+def _constraint_gap(primal: bsr_matrix, nv: int, w: np.ndarray,
+                    product: np.ndarray) -> float:
+    """||B u - C p|| relative to ||B||_F ||u|| + ||C||_F ||p||, read from
+    the Q rows of the primal system's blocks, [B -C], and of its product
+    with w = (u, p)."""
+    nb = primal.blocksize[0]
+    rows = primal.data[:, nv:]
+    w = w.reshape(-1, nb)
+    gap = np.linalg.norm(product.reshape(-1, nb)[:, nv:])
+    denom = (np.linalg.norm(rows[:, :, :nv]) * np.linalg.norm(w[:, :nv])
+             + np.linalg.norm(rows[:, :, nv:]) * np.linalg.norm(w[:, nv:]))
     return float(gap / (denom if denom > 0 else 1.0))
 
 
-def _solve(disc: Discretization, system, lu, factor: Factor,
-           rhs: np.ndarray, multiplier: bool = False) -> Solution:
-    """Refined solve, split into fields in (V, [M,] Q) layout."""
-    sol = refined_solve(system, lu, rhs)
+def _solve(disc: Discretization, system, load: np.ndarray) -> Solution:
+    """Factor and refined solve in the numbering of the system, element
+    blocks then any face multipliers; the load is in the (V, Q) layout and
+    carries no multiplier data."""
+    blocks = disc.dof_blocks()
+    lu, factor = factorize(system, blocks.bounds)
+    order = blocks.element_dofs.ravel()
+    nw = order.size
+    rhs = np.zeros(system.shape[0])
+    rhs[:nw] = load[order]
+    x = refined_solve(system, lu, rhs)
+    product = system @ x
+    scale = np.linalg.norm(rhs)
+    residual = float(np.linalg.norm(product - rhs) / (scale if scale > 0 else 1.0))
+    primal = system if x.size == nw else system.primal
+    gap = _constraint_gap(primal, disc.spaces.ndof_v, x[:nw],
+                          product if primal is system else primal @ x[:nw])
+    fields = np.empty(nw)
+    fields[order] = x[:nw]
     nv = disc.spaces.dim_V
-    nm = disc.spaces.dim_M if multiplier else 0
-    u, lam, p = sol[:nv], sol[nv:nv + nm], sol[nv + nm:]
-    return Solution(u, p, lam if multiplier else None,
-                    _residual(system, sol, rhs),
-                    backward_error(system, factor.norm, sol, rhs), factor,
-                    _constraint_gap(disc, u, p))
+    return Solution(fields[:nv], fields[nv:], x[nw:] if x.size > nw else None,
+                    residual, backward_error(system, factor.norm, x, rhs),
+                    factor, gap)
 
 
 def solve_mixed(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
     """Solve the two-field system for (u, p)."""
-    system = disc.primal_system(ksq)
-    return _solve(disc, system, *factorize(system, disc.dof_blocks()), load)
+    return _solve(disc, disc.primal_system(ksq), load)
 
 
 def solve_auxiliary(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
@@ -377,12 +365,4 @@ def solve_auxiliary(disc: Discretization, ksq: float, load: np.ndarray) -> Solut
     data.  The returned (u, p) match the two-field solve and the
     multiplier carries the normal jump of p.
     """
-    sp = disc.spaces
-    nv, nm = sp.dim_V, sp.dim_M
-    full = np.zeros(nv + nm + sp.dim_Q)
-    full[:nv] = load[:nv]
-    full[nv + nm:] = load[nv:]
-    system = disc.auxiliary_system(ksq)
-    lu, factor = factorize(system, disc.dof_blocks(multiplier=True))
-    return _solve(disc, system, lu, factor, full, multiplier=True)
-
+    return _solve(disc, disc.auxiliary_system(ksq), load)

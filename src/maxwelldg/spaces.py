@@ -8,8 +8,8 @@
 * the face space M (2(l+1) vector Legendre modes per face),
 * the broken "lifting" scalar/vector spaces P_l and (P_l)^2 with the mapped
   orthonormal basis (their local mass matrices are 2|K| times identity),
-* geometry tables, evaluation, elementwise projection, and the conforming
-  subspace constructions used by the verification machinery.
+* geometry tables, evaluation, and the conforming subspace constructions
+  used by the verification machinery.
 
 Degrees of freedom are blocked per element (V, Q) or per face (M), in
 element/face order; all orderings are deterministic.
@@ -75,8 +75,7 @@ class Spaces:
 
         self.ndof_v = self.vbasis.dim           # l(l+2)
         self.ndof_q = self.qbasis.dim           # (l+1)(l+2)/2
-        self.n_face_modes = degree + 1
-        self.ndof_m = 2 * self.n_face_modes
+        self.ndof_m = 2 * (degree + 1)
         self.dim_V = mesh.num_elements * self.ndof_v
         self.dim_Q = mesh.num_elements * self.ndof_q
         self.dim_M = mesh.num_faces * self.ndof_m
@@ -111,15 +110,6 @@ class Spaces:
         self.ref_vcomp_gram = np.einsum("p,pic,pjd->cdij", wts, vvals, vvals)
         self.ref_v_qgrad = np.einsum("p,pic,pjd->cdij", wts, vvals, qgrads)
         self.ref_qgrad_gram = np.einsum("p,pic,pjd->cdij", wts, qgrads, qgrads)
-
-    # ------------------------------------------------------------------
-    # index helpers
-
-    def v_dofs(self, elem: int) -> np.ndarray:
-        return np.arange(elem * self.ndof_v, (elem + 1) * self.ndof_v)
-
-    def q_dofs(self, elem: int) -> np.ndarray:
-        return np.arange(elem * self.ndof_q, (elem + 1) * self.ndof_q)
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -190,53 +180,20 @@ class Spaces:
         c = coeffs.reshape(self.mesh.num_elements, self.ndof_v)
         return (c @ self.vbasis.curl(ref_pts).T) / self.det_jac[:, None]
 
-    def eval_q(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
-        """Values of a Q field, or of a broken scalar lifting-space field
-        (the same mapped orthonormal basis), shape (ne, np)."""
-        c = coeffs.reshape(self.mesh.num_elements, self.ndof_q)
-        return c @ self.qbasis.eval(ref_pts).T
-
     def eval_q_grad(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         return self._eval_mapped(coeffs, self.qbasis.grad(ref_pts))
-
-    def eval_lift_vector(self, coeffs: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
-        c = coeffs.reshape(self.mesh.num_elements, self.ndof_q, 2)
-        return self.qbasis.eval(ref_pts) @ c
 
     def phys_points(self, ref_pts: np.ndarray) -> np.ndarray:
         """Physical images of reference points, shape (ne, np, 2)."""
         return self.origins[:, None, :] + ref_pts @ np.swapaxes(self.jac, 1, 2)
 
     # ------------------------------------------------------------------
-    # local V Gram matrices and elementwise projection
+    # local V Gram matrices
 
     @cached_property
     def local_v_grams(self) -> np.ndarray:
         """Physical local V mass matrices, shape (ne, ndof_v, ndof_v)."""
         return self.mapped_gram(self.ref_vcomp_gram)
-
-    def project_v(self, func, degree: int | None = None) -> np.ndarray:
-        """Elementwise L^2 projection of func(x, y) -> (..., 2) onto V.
-
-        Exact whenever func restricted to an element already lies in the
-        local space.
-        """
-        rule = triangle_rule(self.deg_load if degree is None else degree)
-        pts, wts = rule.points, rule.weights
-        phys = self.phys_points(pts)
-        target = np.asarray(func(phys[..., 0], phys[..., 1]))
-        rhs = self.mapped_moments(self.vbasis.eval(pts), wts, target)
-        return solve(self.local_v_grams, rhs[..., None], assume_a="pos").ravel()
-
-    def project_q(self, func, degree: int | None = None) -> np.ndarray:
-        """Elementwise L^2 projection of a scalar callable onto Q."""
-        rule = triangle_rule(self.deg_load if degree is None else degree)
-        pts, wts = rule.points, rule.weights
-        phys = self.phys_points(pts)
-        target = np.asarray(func(phys[..., 0], phys[..., 1]))
-        # Mapped orthonormal basis: the local mass det_jac * identity
-        # cancels the det_jac of the moments.
-        return (target @ (wts[:, None] * self.qbasis.eval(pts))).ravel()
 
     # ------------------------------------------------------------------
     # curl-conforming degrees of freedom (edge moments + interior moments)
@@ -275,9 +232,6 @@ class Spaces:
                         @ ref_int)                          # (ne, 2, nv)
         dmats = np.concatenate(rows, axis=1)
         return dmats, inv(dmats)
-
-    def v_dof_matrices(self) -> np.ndarray:
-        return self._dof_blocks[0]
 
     def v_dof_inverses(self) -> np.ndarray:
         return self._dof_blocks[1]

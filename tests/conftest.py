@@ -67,10 +67,10 @@ def delaunay_mesh(rng, npoints):
     return Mesh(points, elements, rng.integers(0, 3, len(elements))), tri
 
 
-def finest_blocks(disc, multiplier=False):
-    """The unknowns in blocks on the finest nested dissection of the mesh,
-    whose parts of at most 4 elements stay whole."""
-    blocks = disc.dof_blocks(multiplier)
+def finest_blocks(disc):
+    """The (V, Q) unknowns in blocks on the finest nested dissection of
+    the mesh, whose parts of at most 4 elements stay whole."""
+    blocks = disc.dof_blocks()
     # element e holds the e-th run of V dofs, so its first dof sorts it
     elements = blocks.element_dofs
     elements = elements[np.argsort(elements[:, 0])]

@@ -20,6 +20,9 @@ from maxwelldg.assembly import Discretization
 from maxwelldg.problems import ModelProblem
 from maxwelldg.quadrature import triangle_rule
 from maxwelldg.solver import factorize, refined_solve
+from maxwelldg.spaces import element_block_diag
+
+import reference_assembly as refasm
 
 
 # ----------------------------------------------------------------------
@@ -35,7 +38,7 @@ def conforming_average(disc: Discretization, coeffs: np.ndarray) -> np.ndarray:
     l = sp.degree
     ne = mesh.num_elements
     local = coeffs.reshape(ne, sp.ndof_v, 1)
-    dofs = (sp.v_dof_matrices() @ local)[..., 0]
+    dofs = (refasm.v_dof_matrices(sp) @ local)[..., 0]
     edge = dofs[:, :3 * l].reshape(ne, 3, l)
     # per (element, local face k): the element across face k and the local
     # index of the face there; on the boundary both are garbage, masked below
@@ -64,7 +67,7 @@ def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
     curl = np.sum((diff @ sp.ref_curl_gram) * diff, axis=1) / sp.det_jac
     num = mass / h_elem ** 2 + curl
     jumps = disc.jump_t @ coeffs
-    gram = disc.lifting.block_diag_scalar(np.ones(mesh.num_faces))
+    gram = element_block_diag(disc.lifting.face_grams_scalar())
     den = float(jumps @ (gram @ jumps))
     return float(num.sum() / den) if den > 0 else 0.0
 
@@ -113,7 +116,7 @@ def residual_R2(disc: Discretization, problem: ModelProblem,
     grad_term = sp.mapped_moments(sp.qbasis.grad(rule.points), rule.weights,
                                   vals).ravel()
     moments = _lift_vector_moments(disc, eps_u, deg)
-    r = -grad_term + disc.jump_n.T @ (disc.lifting.lift_vector_matrix.T
+    r = -grad_term + disc.jump_n.T @ (refasm.lift_vector_matrix(disc.lifting).T
                                       @ moments)
     lu = splu(disc.norm_q_gram.tocsc())
     return float(np.sqrt(max(r @ lu.solve(r), 0.0)))
@@ -142,7 +145,8 @@ def consistency_residual(disc: Discretization, problem: ModelProblem,
         disc, lambda a, b: np.asarray(problem.exact_curl_u(a, b)), deg)
     wcurl_moments = (wcurl_moments.reshape(sp.mesh.num_elements, sp.ndof_q)
                      * mats.mu_bar_inv[:, None]).ravel()
-    rho -= disc.jump_t.T @ (disc.lifting.lift_scalar_matrix.T @ wcurl_moments)
+    rho -= disc.jump_t.T @ (refasm.lift_scalar_matrix(disc.lifting).T
+                            @ wcurl_moments)
 
     # the volume terms ksq eps u + eps grad p + j, paired with the test
     # functions in one pass
@@ -230,16 +234,19 @@ def self_adjointness_gap(disc: Discretization, nprobe: int = 4,
     in the eps inner product, probed with random source densities: the
     source of density c is eps times the V field with coefficients c."""
     system = disc.primal_system(0.0)
-    lu, _ = factorize(system, disc.dof_blocks())
+    blocks = disc.dof_blocks()
+    lu, _ = factorize(system, blocks.bounds)
+    dofs = blocks.element_dofs.ravel()
     nv = disc.spaces.dim_V
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((nprobe, nv))
     m = disc.mass_eps
-    load = np.zeros(system.shape[0])
+    load, field = np.zeros(system.shape[0]), np.empty(system.shape[0])
     fields = []
     for ci in c:
         load[:nv] = m @ ci
-        fields.append(refined_solve(system, lu, load)[:nv])
+        field[dofs] = refined_solve(system, lu, load[dofs])
+        fields.append(field[:nv].copy())
     pairings = np.array([[ci @ (m @ uj) for uj in fields] for ci in c])
     scale = np.abs(pairings).max()
     gap = np.abs(pairings - pairings.T).max()

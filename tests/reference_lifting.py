@@ -18,6 +18,8 @@ from maxwelldg.basis import face_modes
 from maxwelldg.quadrature import segment_rule, triangle_rule
 from maxwelldg.spaces import Spaces, element_block_diag
 
+import reference_assembly as refasm
+
 
 def _coo_csr(rows, cols, vals, shape) -> csr_matrix:
     return coo_matrix(
@@ -88,7 +90,7 @@ class ReferenceLifting:
         for f, side in enumerate(self.sides):
             for (e, _, sg), tv in zip(side, self.trace_v[f]):
                 _append_block(rows, cols, vals, self.scalar_data_dofs(f),
-                              sp.v_dofs(e), sg * tv)
+                              refasm.v_dofs(sp, e), sg * tv)
         return _coo_csr(rows, cols, vals, (self.dim_scalar_data, sp.dim_V))
 
     def jump_normal(self) -> csr_matrix:
@@ -100,7 +102,7 @@ class ReferenceLifting:
             for (e, _, sg), tq in zip(side, self.trace_q[f]):
                 for c in range(2):
                     rix = f * 2 * nm + 2 * np.arange(nm) + c
-                    _append_block(rows, cols, vals, rix, sp.q_dofs(e),
+                    _append_block(rows, cols, vals, rix, refasm.q_dofs(sp, e),
                                   sg * n[c] * tq)
         return _coo_csr(rows, cols, vals, (self.dim_vector_data, sp.dim_Q))
 
@@ -111,7 +113,7 @@ class ReferenceLifting:
             h = sp.mesh.face_lengths[f]
             for (e, avg, _), tq in zip(side, self.trace_q[f]):
                 block = (avg * h / sp.det_jac[e]) * tq.T
-                _append_block(rows, cols, vals, sp.q_dofs(e),
+                _append_block(rows, cols, vals, refasm.q_dofs(sp, e),
                               self.scalar_data_dofs(f), block)
         return _coo_csr(rows, cols, vals, (sp.dim_Q, self.dim_scalar_data))
 
@@ -139,7 +141,7 @@ class ReferenceLifting:
             for (e, avg, _), tq in zip(side, self.trace_q[f]):
                 block = weight[e] * (avg * h / sp.det_jac[e]) * (tq @ cc)
                 _append_block(rows, cols, vals, self.scalar_data_dofs(f),
-                              sp.v_dofs(e), block)
+                              refasm.v_dofs(sp, e), block)
         return _coo_csr(rows, cols, vals, (self.dim_scalar_data, sp.dim_V))
 
     def vector_value_pair(self, eps: np.ndarray) -> csr_matrix:
@@ -154,7 +156,7 @@ class ReferenceLifting:
                 for c in range(2):
                     rix = f * 2 * nm + 2 * np.arange(nm) + c
                     weighted = np.einsum("k,krn->rn", eps[e][c], comp)
-                    _append_block(rows, cols, vals, rix, sp.v_dofs(e),
+                    _append_block(rows, cols, vals, rix, refasm.v_dofs(sp, e),
                                   (avg * h) * (tq @ weighted))
         return _coo_csr(rows, cols, vals, (self.dim_vector_data, sp.dim_V))
 
@@ -229,7 +231,8 @@ def assemble_b_face_integral(disc) -> csr_matrix:
         mapped_g = np.einsum("dk,pjk->pjd", sp.inv_jac_t[e], qgrads)
         ev = np.einsum("cd,pnd->pnc", eps[e], mapped_v)
         block = -sp.det_jac[e] * np.einsum("p,pnc,pjc->jn", wts, ev, mapped_g)
-        _append_block(rows, cols, vals, sp.q_dofs(e), sp.v_dofs(e), block)
+        _append_block(rows, cols, vals, refasm.q_dofs(sp, e),
+                      refasm.v_dofs(sp, e), block)
 
     frule = segment_rule(sp.deg_stiff)
     s, w = frule.points, frule.weights
@@ -249,8 +252,8 @@ def assemble_b_face_integral(disc) -> csr_matrix:
             for eq_elem, sg in sides:
                 qv = sg * sp.qbasis.eval(sp.ref_coords(eq_elem, phys))
                 block = h * np.einsum("p,pj,pn->jn", w, qv, ev_n)
-                _append_block(rows, cols, vals, sp.q_dofs(eq_elem),
-                              sp.v_dofs(ev_elem), block)
+                _append_block(rows, cols, vals, refasm.q_dofs(sp, eq_elem),
+                              refasm.v_dofs(sp, ev_elem), block)
     return _coo_csr(rows, cols, vals, (sp.dim_Q, sp.dim_V))
 
 
@@ -291,7 +294,7 @@ def assemble_a_face_integral(disc) -> csr_matrix:
             cross.append(sg * (n[0] * vals[:, :, 1] - n[1] * vals[:, :, 0]))
             wcurl.append(avg * mubar_inv[e] / sp.det_jac[e]
                          * sp.vbasis.curl(ref))
-            dofs.append(sp.v_dofs(e))
+            dofs.append(refasm.v_dofs(sp, e))
         for cu, du in zip(cross, dofs):
             for cv, dv in zip(wcurl, dofs):
                 block = h * np.einsum("p,pi,pj->ij", w, cu, cv)

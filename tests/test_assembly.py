@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from maxwelldg.assembly import Discretization
 from maxwelldg.materials import Coefficients
+from maxwelldg.mesh import Mesh, unit_square
 from maxwelldg.quadrature import segment_rule, triangle_rule
+from maxwelldg.solver import _constraint_gap
 from maxwelldg.spaces import element_block_diag
 
-from conftest import random_materials, two_tag_mesh
+from conftest import random_materials, random_spd, two_tag_mesh
 from reference_lifting import assemble_a_face_integral, assemble_b_face_integral
+import reference_assembly as refasm
 
 
 def rel_frobenius(a, b):
@@ -35,9 +38,10 @@ def lifted_scalar_energy(disc, data, weight):
     rule = triangle_rule(sp.deg_stiff)
     total = 0.0
     for f in range(disc.mesh.num_faces):
-        d = np.zeros(lifting.dim_scalar_data)
+        d = np.zeros(refasm.dim_scalar_data(lifting))
         d[f * nm:(f + 1) * nm] = data[f * nm:(f + 1) * nm]
-        rv = sp.eval_q(lifting.lift_scalar_matrix @ d, rule.points)
+        rv = refasm.eval_q(sp, refasm.lift_scalar_matrix(lifting) @ d,
+                           rule.points)
         total += np.einsum("p,ep,ep,e->", rule.weights, rv, rv,
                            sp.det_jac * weight)
     return total
@@ -51,9 +55,10 @@ def lifted_vector_energy(disc, data, eps):
     rule = triangle_rule(sp.deg_stiff)
     total = 0.0
     for f in range(disc.mesh.num_faces):
-        d = np.zeros(lifting.dim_vector_data)
+        d = np.zeros(refasm.dim_vector_data(lifting))
         d[f * 2 * nm:(f + 1) * 2 * nm] = data[f * 2 * nm:(f + 1) * 2 * nm]
-        rv = sp.eval_lift_vector(lifting.lift_vector_matrix @ d, rule.points)
+        rv = refasm.eval_lift_vector(
+            sp, refasm.lift_vector_matrix(lifting) @ d, rule.points)
         weighted = np.einsum("ecd,epd->epc", eps, rv)
         total += sum(np.einsum("p,ep,ep,e->", rule.weights, rv[..., c],
                                weighted[..., c], sp.det_jac) for c in range(2))
@@ -144,7 +149,7 @@ class TestConstraintOperators:
         # q = 1: volume term drops, only the boundary normal flux remains
         disc = Discretization(two_tag_mesh(), degree, random_materials(12))
         sp = disc.spaces
-        one = sp.project_q(lambda x, y: np.ones_like(x))
+        one = refasm.project_q(sp, lambda x, y: np.ones_like(x))
         rng = np.random.default_rng(27)
         u = rng.standard_normal(sp.dim_V)
         seg = segment_rule(2 * degree + 6)
@@ -197,6 +202,58 @@ def csr(mat):
     return sparse.csr_matrix(mat)
 
 
+class TestBlockAssembly:
+    """The system assembled face by face into element blocks against the
+    sparse-product route, and its fixed block pattern."""
+
+    @pytest.mark.parametrize("multiplier", [False, True],
+                             ids=["primal", "auxiliary"])
+    def test_matches_sparse_products(self, degree, multiplier):
+        rng = np.random.default_rng(17)
+        base = unit_square(4)
+        mesh = Mesh(base.vertices, base.elements,
+                    rng.integers(0, 3, base.num_elements))
+        coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
+                              eps={t: random_spd(rng) for t in range(3)})
+        for alpha, gamma in ((None, None), (rng.uniform(7.0, 9.0, mesh.num_faces),
+                                            rng.uniform(0.5, 2.0, mesh.num_faces))):
+            disc = Discretization(mesh, degree, coeffs, alpha=alpha,
+                                  gamma=gamma)
+            for ksq in (0.0, 1.3):
+                gaps = refasm.system_gaps(disc, ksq, multiplier)
+                assert max(gaps.values()) <= 1e-13, gaps
+
+    def test_system_nnz_is_structural(self, degree):
+        # one dense block per element and two per interior face, whatever
+        # the wavenumber and the materials
+        mesh = two_tag_mesh(4)
+        nb = {1: 6, 2: 14}[degree]
+        expect = (mesh.num_elements + 2 * (~mesh.boundary).sum()) * nb * nb
+        for coeffs in (random_materials(5), random_materials(6)):
+            disc = Discretization(mesh, degree, coeffs)
+            for ksq in (0.0, 1.0, 2.5):
+                assert disc.primal_system(ksq).nnz == expect
+
+    def test_system_nnz_square32(self):
+        assert Discretization(unit_square(32), 2).primal_system(1.0).nnz == (
+            1_580_544)
+
+    def test_constraint_gap_definition(self, disc2):
+        # ||B u - C p|| / (||B||_F ||u|| + ||C||_F ||p||), read from the
+        # blocks of the primal system
+        rng = np.random.default_rng(8)
+        sp = disc2.spaces
+        u, p = rng.standard_normal(sp.dim_V), rng.standard_normal(sp.dim_Q)
+        b, c = refasm.b_matrix(disc2), refasm.c_matrix(disc2)
+        expect = np.linalg.norm(b @ u - c @ p) / (
+            np.linalg.norm(b.toarray()) * np.linalg.norm(u)
+            + np.linalg.norm(c.toarray()) * np.linalg.norm(p))
+        system = disc2.primal_system(0.7)
+        w = np.concatenate([u, p])[disc2.dof_blocks().element_dofs.ravel()]
+        gap = _constraint_gap(system, sp.ndof_v, w, system @ w)
+        assert gap == pytest.approx(expect, rel=1e-12)
+
+
 class TestSymmetryAndSign:
     def test_a_symmetric(self, disc2):
         assert rel_frobenius(disc2.a_matrix, csr(disc2.a_matrix.T)) < 1e-13
@@ -210,12 +267,13 @@ class TestSymmetryAndSign:
             assert q @ (c @ q) >= -1e-12
 
     def test_primal_symmetric(self, disc2):
-        sys = disc2.primal_system(1.0)
+        sys = csr(disc2.primal_system(1.0))
         assert rel_frobenius(sys, csr(sys.T)) < 1e-13
 
     def test_auxiliary_symmetric(self, disc2):
         sys = disc2.auxiliary_system(1.0)
-        assert rel_frobenius(sys, csr(sys.T)) < 1e-13
+        dense = sys @ np.eye(sys.shape[0])
+        assert rel_frobenius(csr(dense), csr(dense.T)) < 1e-13
 
     def test_norm_grams_positive(self, disc2):
         rng = np.random.default_rng(30)
@@ -224,8 +282,8 @@ class TestSymmetryAndSign:
         m = rng.standard_normal(disc2.spaces.dim_M)
         assert disc2.norm_v(u) > 0
         assert disc2.norm_q(q) > 0
-        assert disc2.norm_m(m) > 0
-        assert disc2.seminorm_v(u) >= 0
+        assert refasm.norm_m(disc2, m) > 0
+        assert refasm.seminorm_v(disc2, u) >= 0
 
 
 class TestNorms:
@@ -236,14 +294,14 @@ class TestNorms:
         jumps = disc2.jump_t @ u
         lift_part = lifted_scalar_energy(disc2, jumps,
                                          disc2.materials.mu_bar_inv)
-        assert disc2.seminorm_v(u) ** 2 == pytest.approx(
+        assert refasm.seminorm_v(disc2, u) ** 2 == pytest.approx(
             curl_part + lift_part, rel=1e-11)
 
     def test_norm_v_brute_force(self, disc2):
         rng = np.random.default_rng(32)
         u = rng.standard_normal(disc2.spaces.dim_V)
         assert disc2.norm_v(u) ** 2 == pytest.approx(
-            disc2.seminorm_v(u) ** 2 + u @ (disc2.mass_eps @ u), rel=1e-12)
+            refasm.seminorm_v(disc2, u) ** 2 + u @ (disc2.mass_eps @ u), rel=1e-12)
 
     def test_norm_q_brute_force(self, degree):
         disc = Discretization(two_tag_mesh(), degree, random_materials(14))
@@ -264,7 +322,7 @@ class TestNorms:
         for _ in range(3):
             u = rng.standard_normal(sp.dim_V)
             q = rng.standard_normal(sp.dim_Q)
-            assert disc.seminorm_v(u) ** 2 == pytest.approx(
+            assert refasm.seminorm_v(disc, u) ** 2 == pytest.approx(
                 u @ (disc.seminorm_gram @ u), rel=1e-12)
             assert disc.norm_v(u) ** 2 == pytest.approx(
                 u @ (disc.norm_v_gram @ u), rel=1e-12)
@@ -275,14 +333,14 @@ class TestNorms:
         rng = np.random.default_rng(34)
         lam = rng.standard_normal(disc2.spaces.dim_M)
         oracle = lifted_vector_energy(disc2, lam, disc2.materials.eps)
-        assert disc2.norm_m(lam) ** 2 == pytest.approx(oracle, rel=1e-11)
+        assert refasm.norm_m(disc2, lam) ** 2 == pytest.approx(oracle, rel=1e-11)
 
     def test_norm_w_block_structure(self, disc2):
         sp = disc2.spaces
         rng = np.random.default_rng(35)
         w = rng.standard_normal(sp.dim_V + sp.dim_M)
         split = (disc2.norm_v(w[:sp.dim_V]) ** 2
-                 + disc2.norm_m(w[sp.dim_V:]) ** 2)
+                 + refasm.norm_m(disc2, w[sp.dim_V:]) ** 2)
         assert w @ (disc2.norm_w_gram @ w) == pytest.approx(split, rel=1e-12)
 
 
@@ -330,7 +388,7 @@ class TestLoads:
             func = lambda x, y: np.stack(
                 [1.0 + 0.5 * x - y - (0.3 * x + 0.2 * y) * y,
                  -2.0 + x + 0.25 * y + (0.3 * x + 0.2 * y) * x], axis=-1)
-        coeffs = sp.project_v(func)
+        coeffs = refasm.project_v(sp, func)
         load = disc2.load_volume(func)
         assert load.shape == (sp.dim_V + sp.dim_Q,)
         assert np.abs(load[sp.dim_V:]).max() == 0.0
@@ -338,13 +396,13 @@ class TestLoads:
                       - disc2.mass_v() @ coeffs).max() < 1e-12
 
     def test_load_boundary_zero_data(self, disc2):
-        g = np.zeros(disc2.lifting.dim_scalar_data)
+        g = np.zeros(refasm.dim_scalar_data(disc2.lifting))
         assert np.abs(disc2.load_boundary(g)).max() == 0.0
 
     def test_load_boundary_linear(self, disc2):
         rng = np.random.default_rng(38)
-        g1 = rng.standard_normal(disc2.lifting.dim_scalar_data)
-        g2 = rng.standard_normal(disc2.lifting.dim_scalar_data)
+        g1 = rng.standard_normal(refasm.dim_scalar_data(disc2.lifting))
+        g2 = rng.standard_normal(refasm.dim_scalar_data(disc2.lifting))
         combined = disc2.load_boundary(g1 + 2.0 * g2)
         split = disc2.load_boundary(g1) + 2.0 * disc2.load_boundary(g2)
         assert np.abs(combined - split).max() < 1e-12

@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import maxwelldg
+import reference_assembly
 
 MODULES = ["maxwelldg"] + [
     f"maxwelldg.{info.name}" for info in pkgutil.iter_modules(maxwelldg.__path__)
@@ -17,3 +18,26 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+# builders only the tests call, kept beside the tests with their bodies
+TEST_ONLY = {
+    ("maxwelldg.lifting", "Lifting"): [
+        "lift_scalar_matrix", "lift_vector_matrix", "project_scalar_data",
+        "vector_value_pair", "scalar_data_dofs", "dim_scalar_data",
+        "dim_vector_data"],
+    ("maxwelldg.spaces", "Spaces"): [
+        "v_dof_matrices", "v_dofs", "q_dofs", "eval_q", "eval_lift_vector",
+        "project_v", "project_q"],
+    ("maxwelldg.assembly", "Discretization"): ["seminorm_v", "norm_m"],
+    ("maxwelldg.mesh", "Mesh"): ["element_areas"],
+    ("maxwelldg.analysis", "ConvergenceReport"): ["terminal_eoc"],
+}
+
+
+@pytest.mark.parametrize("owner, name", [
+    (owner, name) for owner, names in TEST_ONLY.items() for name in names])
+def test_test_only_builders_live_beside_the_tests(owner, name):
+    module, cls = owner
+    assert not hasattr(getattr(importlib.import_module(module), cls), name)
+    assert callable(getattr(reference_assembly, name))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from maxwelldg.assembly import Discretization, DofBlocks
@@ -20,6 +19,7 @@ from maxwelldg.solver import (
 
 from conftest import (delaunay_mesh, finest_blocks, front_entries,
                       random_materials, random_spd, two_tag_mesh)
+import reference_assembly as refasm
 
 
 @pytest.fixture
@@ -98,15 +98,15 @@ class TestAuxiliarySolve:
         aux = solve_auxiliary(disc2, 1.0, sine_load)
         assert aux.lam is not None
         jump = disc2.jump_n @ aux.p
-        scale = max(disc2.norm_m(jump), 1e-30)
-        assert disc2.norm_m(aux.lam - jump) < 1e-8 * scale
+        scale = max(refasm.norm_m(disc2, jump), 1e-30)
+        assert refasm.norm_m(disc2, aux.lam - jump) < 1e-8 * scale
 
 
 def exact_eigenvalue(mesh, degree):
     """Smallest positive ksq at which the saddle point pencil is singular."""
     disc = Discretization(mesh, degree)
     nv = disc.spaces.dim_V
-    system = disc.primal_system(0.0).toarray()
+    system = refasm.primal_system(disc, 0.0).toarray()
     mass = np.zeros_like(system)
     mass[:nv, :nv] = disc.mass_eps.toarray()
     ev = scipy.linalg.eig(system, mass, right=False)
@@ -120,8 +120,9 @@ class TestResonance:
     subclass below repeats them on the finest dissection tree, so they
     depend on neither the scale nor the fronts."""
 
-    def blocks(self, disc):
-        return disc.dof_blocks()
+    def factor_input(self, disc, system):
+        """The system and the runs of its tree."""
+        return system, disc.dissection[1]
 
     # at the eigenvalue the last two read min/max |diag U| of 4.7e-12 with
     # SuperLU's COLAMD factor: a 1e-12 pivot gate would miss them
@@ -131,7 +132,7 @@ class TestResonance:
     def test_exact_discrete_eigenvalue_raises(self, n, degree):
         disc, ksq = exact_eigenvalue(unit_square(n), degree)
         with pytest.raises(ResonanceError, match="condition estimate"):
-            factorize(disc.primal_system(ksq), self.blocks(disc))
+            factorize(*self.factor_input(disc, disc.primal_system(ksq)))
 
     def test_regular_wavenumber_passes(self, disc2, sine_load):
         sol = solve_mixed(disc2, 1.0, sine_load)
@@ -140,25 +141,26 @@ class TestResonance:
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_verdict_is_scale_free(self, scale):
         disc, ksq = exact_eigenvalue(unit_square(3), 1)
-        blocks = self.blocks(disc)
         with pytest.raises(ResonanceError):
-            factorize(scale * disc.primal_system(ksq), blocks)
+            factorize(*self.factor_input(disc, scale * disc.primal_system(ksq)))
         regular = disc.primal_system(1.0)
-        _, factor = factorize(scale * regular, blocks)
+        _, factor = factorize(*self.factor_input(disc, scale * regular))
         assert (factor.ordering, factor.pivoting) == ("nested_dissection",
                                                       "symmetric")
         assert factor.cond_estimate == pytest.approx(
-            factorize(regular, blocks)[1].cond_estimate, rel=1e-8)
+            factorize(*self.factor_input(disc, regular))[1].cond_estimate,
+            rel=1e-8)
 
     def test_estimate_is_deterministic(self, disc2):
-        system = disc2.primal_system(1.0)
-        blocks = self.blocks(disc2)
-        assert factorize(system, blocks)[1] == factorize(system, blocks)[1]
+        system, bounds = self.factor_input(disc2, disc2.primal_system(1.0))
+        assert factorize(system, bounds)[1] == factorize(system, bounds)[1]
 
 
 class TestResonanceNestedDissection(TestResonance):
-    def blocks(self, disc):
-        return finest_blocks(disc)
+    def factor_input(self, disc, system):
+        blocks = finest_blocks(disc)
+        return (refasm.reordered(system, disc.dof_blocks(), blocks),
+                blocks.bounds)
 
 
 class TestFactorization:
@@ -175,14 +177,14 @@ class TestFactorization:
         n = 4
         dense = np.ones((n, n)) + np.diag(np.full(n, 1e-12 - 1.0))
         dense += np.diag(np.arange(1.0, n), 1) + np.diag(np.arange(1.0, n), -1)
-        matrix = sparse.csc_matrix(dense)
         chain = DofBlocks(np.arange(n)[:, None], np.arange(n + 1), None)
+        matrix = refasm.element_system(dense, chain)
         # the dense matrix makes the tree a chain: each front updates all
         # later unknowns
-        fronts = MultifrontalLU(matrix, chain).fronts
+        fronts = MultifrontalLU(matrix, chain.bounds).fronts
         assert [list(at) for _, at in fronts] == [[0, 1, 2, 3], [1, 2, 3],
                                                   [2, 3], [3]]
-        lu, factor = factorize(matrix, chain)
+        lu, factor = factorize(matrix, chain.bounds)
         assert factor.pivoting == "partial"
         assert factor.ordering == "colamd"
         rhs = np.arange(1.0, n + 1)
@@ -191,16 +193,19 @@ class TestFactorization:
 
     def test_permuted_factor_solves_in_original_numbering(self):
         # six blocks of two unknowns, all joined, eliminated in a random
-        # order in runs of two, with the unknowns numbered at random
+        # order in runs of two, with the unknowns numbered at random: the
+        # factor of the blocks solves in their numbering, which the
+        # element dofs map to the original one
         rng = np.random.default_rng(3)
         n = 12
         dense = rng.standard_normal((n, n))
         dense = dense + dense.T + np.diag(np.full(n, 10.0))
-        matrix = sparse.csc_matrix(dense)
         order = rng.permutation(6)
         blocks = DofBlocks(rng.permutation(n).reshape(6, 2)[order],
                            [0, 2, 4, 6], None)
-        lu, factor = factorize(matrix, blocks)
+        dofs = blocks.element_dofs.ravel()
+        lu, factor = factorize(refasm.element_system(dense, blocks),
+                               blocks.bounds)
         assert (factor.ordering, factor.pivoting) == ("nested_dissection",
                                                       "symmetric")
         # fronts of 4 + 8, 4 + 4 and 4 + 0 unknowns
@@ -209,32 +214,29 @@ class TestFactorization:
             8 + 4)
         assert lu.L.nnz + lu.U.nnz == lu.nnz
         rhs = rng.standard_normal(n)
+        x = np.empty(n)
         for trans in ("N", "T"):
-            x = lu.solve(rhs, trans)
+            x[dofs] = lu.solve(rhs[dofs], trans)
             assert np.linalg.norm(dense @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
         both = lu.solve(np.stack([rhs, 2.0 * rhs], axis=1))
         assert np.allclose(both[:, 1], 2.0 * both[:, 0], rtol=1e-15, atol=0.0)
 
     def test_blocks_must_partition_the_unknowns(self, disc2):
         system = disc2.primal_system(1.0)
+        ne = disc2.mesh.num_elements
+        # the last element left out, an empty run, the first left out
+        for bounds in ([0, ne - 1], [0, 0, ne], [1, ne]):
+            with pytest.raises(ValueError, match="do not partition"):
+                factorize(system, bounds)
+        # a numbering of the unknowns that leaves one out, or takes one twice
         blocks = disc2.dof_blocks()
-        # one element left out, then one element twice
         for elements in (blocks.element_dofs[1:],
                          np.vstack([blocks.element_dofs[:1],
                                     blocks.element_dofs[:-1]])):
             with pytest.raises(ValueError, match="do not partition"):
-                factorize(system, DofBlocks(elements, [0, len(elements)],
-                                            None))
-
-    def test_face_blocks_must_be_uncoupled(self, disc2):
-        blocks = disc2.dof_blocks(multiplier=True)
-        first, second = blocks.face_dofs[0, 0], blocks.face_dofs[1, 0]
-        n = disc2.auxiliary_system(1.0).shape[0]
-        coupling = sparse.csc_matrix(([1.0, 1.0], ([first, second],
-                                                   [second, first])),
-                                     shape=(n, n))
-        with pytest.raises(ValueError, match="face blocks are coupled"):
-            factorize(disc2.auxiliary_system(1.0) + coupling, blocks)
+                refasm.element_system(refasm.primal_system(disc2, 1.0),
+                                      DofBlocks(elements, [0, len(elements)],
+                                                None))
 
     @pytest.mark.parametrize("multiplier", [False, True],
                              ids=["primal", "auxiliary"])
@@ -248,17 +250,16 @@ class TestFactorization:
             for ksq in (0.5, 1.7):
                 system = (disc.auxiliary_system(ksq) if multiplier
                           else disc.primal_system(ksq))
-                counts.add(factorize(system,
-                                     disc.dof_blocks(multiplier))[1].lu_nnz)
+                counts.add(factorize(system, disc.dissection[1])[1].lu_nnz)
         assert len(counts) == 1
 
     def test_refinement_step_is_needed(self):
         # degree 2, four tags with full-tensor materials of anisotropy up
         # to 10, gradient source: the factor passes the probe, but a
         # single solve with it misses the 1e-10 residual the command line
-        # promises (5.8e-10 here, 1.5e-15 refined; with anisotropy up to 2
+        # promises (7.1e-10 here, 1.9e-15 refined; with anisotropy up to 2
         # no seed of 400 on unit_square(3) misses it, the worst reads
-        # 3.6e-13)
+        # 2.9e-13)
         rng = np.random.default_rng(94)
         base = unit_square(3)
         mesh = Mesh(base.vertices, base.elements,
@@ -269,11 +270,12 @@ class TestFactorization:
         ksq = rng.uniform(0.5, 1.0) ** 2
         load, q = gradient_null_data(disc)
         system = disc.primal_system(ksq)
-        lu, factor = factorize(system, disc.dof_blocks())
+        lu, factor = factorize(system, disc.dissection[1])
         assert factor.pivoting == "symmetric"
-        once = lu.solve(load)
-        assert (np.linalg.norm(system @ once - load)
-                > 1e-10 * np.linalg.norm(load))
+        rhs = load[disc.dof_blocks().element_dofs.ravel()]
+        once = lu.solve(rhs)
+        assert (np.linalg.norm(system @ once - rhs)
+                > 1e-10 * np.linalg.norm(rhs))
         sol = solve_mixed(disc, ksq, load)
         assert sol.residual <= 1e-10
         assert disc.norm_v(sol.u) <= 1e-9 * disc.norm_q(q)
@@ -301,12 +303,15 @@ class TestNestedDissection:
         disc = Discretization(make_mesh(), 1, coeffs)
         system = (disc.auxiliary_system(1.0) if multiplier
                   else disc.primal_system(1.0))
+        oracle = refasm.block_numbered(
+            (refasm.auxiliary_system if multiplier else refasm.primal_system)(
+                disc, 1.0), disc.dof_blocks(multiplier))
         rhs = rng.standard_normal(system.shape[0])
-        lu, factor = factorize(system, disc.dof_blocks(multiplier))
+        lu, factor = factorize(system, disc.dissection[1])
         assert (factor.ordering, factor.pivoting) == ("nested_dissection",
                                                       "symmetric")
         x = refined_solve(system, lu, rhs)
-        expect = refined_solve(system, splu(system.tocsc(),
+        expect = refined_solve(system, splu(oracle,
                                             permc_spec="MMD_AT_PLUS_A"), rhs)
         assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
 
@@ -316,5 +321,5 @@ class TestNestedDissection:
             factor = solve(disc2, 1.0, sine_load).factor
             assert (factor.ordering, factor.pivoting) == ("nested_dissection",
                                                           "symmetric")
-        factor = factorize(disc2.primal_system(0.0), disc2.dof_blocks())[1]
+        factor = factorize(disc2.primal_system(0.0), disc2.dissection[1])[1]
         assert factor.ordering == "nested_dissection"

@@ -27,6 +27,7 @@ from maxwelldg.solver import (BACKWARD_TOL, backward_error, factorize,
 
 from conftest import delaunay_mesh, finest_blocks, front_entries, random_spd
 from reference_analysis import conforming_average
+import reference_assembly as refasm
 
 PROPERTY = settings(max_examples=15, deadline=None)
 MATERIALS = Coefficients(mu=dict.fromkeys(range(3), 1.0),
@@ -120,8 +121,8 @@ class TestIncidence:
         fine = refine_uniform(mesh)
         assert fine.num_elements == 4 * mesh.num_elements
         assert np.array_equal(fine.tags, np.repeat(mesh.tags, 4))
-        assert fine.element_areas().sum() == pytest.approx(
-            mesh.element_areas().sum(), rel=1e-12)
+        assert refasm.element_areas(fine).sum() == pytest.approx(
+            refasm.element_areas(mesh).sum(), rel=1e-12)
         # the four children of an element are congruent to it at half size
         edges = np.sort(mesh.face_lengths[mesh.element_faces], axis=1)
         child_edges = np.sort(fine.face_lengths[fine.element_faces], axis=1)
@@ -226,26 +227,28 @@ class TestMultifrontalFactor:
                               eps={t: random_spd(rng) for t in range(3)})
         disc = Discretization(mesh, degree, coeffs)
         ksq = rng.uniform(0.25, 2.0)
-        system = (disc.auxiliary_system(ksq) if multiplier
-                  else disc.primal_system(ksq))
-        rhs = rng.standard_normal(system.shape[0])
-        expect = np.linalg.solve(system.toarray(), rhs)
-        for blocks in (disc.dof_blocks(multiplier),
-                       finest_blocks(disc, multiplier)):
-            lu, factor = factorize(system, blocks)
+        assembled = (disc.auxiliary_system(ksq) if multiplier
+                     else disc.primal_system(ksq))
+        rhs = rng.standard_normal(assembled.shape[0])
+        for blocks in (disc.dof_blocks(), finest_blocks(disc)):
+            system = refasm.reordered(assembled, disc.dof_blocks(), blocks)
+            expect = np.linalg.solve(system @ np.eye(len(rhs)), rhs)
+            lu, factor = factorize(system, blocks.bounds)
             assert (factor.ordering, factor.pivoting) == ("nested_dissection",
                                                           "symmetric")
             # the fronts read from the matrix are those of its element graph
-            elements = blocks.element_dofs
-            nb = elements.shape[1]
+            fronts = lu.lu.fronts if multiplier else lu.fronts
+            nb = blocks.element_dofs.shape[1]
             expect_updates = dual_graph_updates(
-                mesh, elements[:, 0] // disc.spaces.ndof_v, blocks.bounds)
-            for (block, at), rows in zip(lu.fronts, expect_updates):
+                mesh, blocks.element_dofs[:, 0] // disc.spaces.ndof_v,
+                blocks.bounds)
+            for (block, at), rows in zip(fronts, expect_updates):
                 assert np.array_equal(at[block.shape[0]::nb] // nb, rows)
             # the pivot blocks and panels of the fronts, and the face blocks
-            stored = front_entries(lu)
             if multiplier:
-                stored += blocks.face_dofs.size * blocks.face_dofs.shape[1]
+                stored = front_entries(lu.lu) + system.gram.size
+            else:
+                stored = front_entries(lu)
             assert factor.lu_nnz == lu.nnz == stored
             x = refined_solve(system, lu, rhs)
             eta = backward_error(system, factor.norm, x, rhs)
@@ -255,6 +258,22 @@ class TestMultifrontalFactor:
             eta += backward_error(system, factor.norm, expect, rhs)
             gap = np.abs(x - expect).sum() / np.abs(expect).sum()
             assert gap <= 2.0 * factor.cond_estimate * eta
+
+
+class TestBlockAssembly:
+    """The system assembled face by face into element blocks against the
+    sparse-product route, with random SPD materials and wavenumbers."""
+
+    @PROPERTY
+    @given(case=delaunay_meshes(), degree=st.sampled_from([1, 2]),
+           multiplier=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_sparse_products(self, case, degree, multiplier, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
+                              eps={t: random_spd(rng) for t in range(3)})
+        disc = Discretization(case[0], degree, coeffs)
+        gaps = refasm.system_gaps(disc, rng.uniform(0.25, 2.0), multiplier)
+        assert max(gaps.values()) <= 1e-13, gaps
 
 
 class TestConformingMaps:
@@ -367,7 +386,7 @@ class TestKernelOracles:
         grams = sp.local_v_grams
         assert rel_gap(grams, mass) <= KERNEL_TOL
         assert rel_gap(grams @ sp.gradient_map(), pair) <= KERNEL_TOL
-        proj = sp.project_v(vector_field).reshape(ne, sp.ndof_v, 1)
+        proj = refasm.project_v(sp, vector_field).reshape(ne, sp.ndof_v, 1)
         assert rel_gap((grams @ proj)[..., 0], load) <= KERNEL_TOL
         full = disc.load_volume(vector_field)
         assert rel_gap(full[:sp.dim_V], load.ravel()) <= KERNEL_TOL
@@ -387,7 +406,7 @@ class TestKernelOracles:
         modes = face_modes(degree, rule.points)
         geometry = list(element_geometry(mesh))
         trace_q, trace_v = np.zeros_like(lift.trace_q), np.zeros_like(lift.trace_v)
-        pair = np.zeros((lift.dim_vector_data, sp.dim_V))
+        pair = np.zeros((refasm.dim_vector_data(lift), sp.dim_V))
         for f, (i, j) in enumerate(mesh.faces):
             start, end = mesh.vertices[i], mesh.vertices[j]
             h = np.linalg.norm(end - start)
@@ -412,7 +431,8 @@ class TestKernelOracles:
                         avg * h * w * block.reshape(2 * nm, sp.ndof_v))
         assert rel_gap(lift.trace_q, trace_q) <= KERNEL_TOL
         assert rel_gap(lift.trace_v, trace_v) <= KERNEL_TOL
-        assert rel_gap(lift.vector_value_pair(eps).toarray(), pair) <= KERNEL_TOL
+        assert rel_gap(refasm.vector_value_pair(lift, eps).toarray(),
+                       pair) <= KERNEL_TOL
 
     @PROPERTY
     @given(case=kernel_cases())
