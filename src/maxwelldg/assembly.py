@@ -13,17 +13,16 @@ contributions and the stencil never grows past face neighbors.  The
 graph of each system is thus the element dual graph with dense element
 blocks, and a nested-dissection order of the elements is an elimination
 order of the system's unknowns.
-The system is assembled face by face straight into those blocks: each
-face adds one dense block per pair of its sides, and each element its
-volume block, in the elimination order the multifrontal factor reads.
-The forms a, b and c are parts of the same blocks.
+The forms a, b and c are assembled face by face straight into those
+blocks: each face adds one dense block per pair of its sides, and each
+element its volume block.  The system is made of the forms' blocks, in
+the elimination order the multifrontal factor reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import block_diag, bmat, bsr_matrix, csr_matrix
@@ -34,7 +33,7 @@ from .mesh import Mesh
 from .quadrature import triangle_rule
 from .spaces import Spaces, block_sparse, element_block_diag
 
-__all__ = ["AuxiliarySystem", "Discretization", "DofBlocks"]
+__all__ = ["AuxiliarySystem", "Discretization"]
 
 # Each triangle has 3 face neighbors; the coercivity threshold for the
 # penalty weights is 1/2 + 2 * 3.
@@ -44,22 +43,6 @@ DEFAULT_GAMMA = 0.5
 # Parts of the mesh with at most this many unknowns are not cut further:
 # each is one front of the factor.
 FRONT_LEAF = 96
-
-
-class DofBlocks(NamedTuple):
-    """Block layout of a system's unknowns for its multifrontal factor.
-
-    element_dofs : (ne, b) unknowns of each element, eliminated together,
-        the elements in elimination order
-    bounds : the elements in rows bounds[j] to bounds[j + 1] - 1 are
-        eliminated in one front
-    face_dofs : (nf, m) face multiplier unknowns, eliminated first, or
-        None when the system has none
-    """
-
-    element_dofs: np.ndarray
-    bounds: np.ndarray
-    face_dofs: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -184,14 +167,23 @@ class Discretization:
     @cached_property
     def lift_gram_scalar(self) -> csr_matrix:
         """Block diagonal of (mu_bar^-1 r_F(.), r_F(.)), no penalty factor."""
-        return element_block_diag(
-            self.lifting.face_grams_scalar(self.materials.mu_bar_inv))
+        return self.lifting.block_diag_scalar(
+            np.ones(self.mesh.num_faces), self.materials.mu_bar_inv)
 
     @cached_property
     def lift_gram_vector(self) -> csr_matrix:
         """Block diagonal of (eps R_F(.), R_F(.)), no penalty factor."""
-        return element_block_diag(
-            self.lifting.face_grams_vector(self.materials.eps))
+        return self.lifting.block_diag_vector(
+            np.ones(self.mesh.num_faces), self.materials.eps)
+
+    @cached_property
+    def gamma_gram(self) -> csr_matrix:
+        return self.lifting.block_diag_vector(self.gamma, self.materials.eps)
+
+    @cached_property
+    def penalty_gram(self) -> csr_matrix:
+        return self.lifting.block_diag_scalar(self.alpha,
+                                              self.materials.mu_bar_inv)
 
     def _alpha_grams(self) -> np.ndarray:
         """alpha (mu_bar^-1 r_F(.), r_F(.)) per face, (nf, l+1, l+1)."""
@@ -203,14 +195,6 @@ class Discretization:
         grams = self.lifting.face_grams_vector(self.materials.eps)
         return self.gamma[:, None, None] * grams
 
-    @cached_property
-    def gamma_gram(self) -> csr_matrix:
-        return element_block_diag(self._gamma_grams())
-
-    @cached_property
-    def penalty_gram(self) -> csr_matrix:
-        return element_block_diag(self._alpha_grams())
-
     # ------------------------------------------------------------------
     # element blocks
 
@@ -221,86 +205,99 @@ class Discretization:
         sp = self.spaces
         return self.mesh.dissection(max(1, FRONT_LEAF // (sp.ndof_v + sp.ndof_q)))
 
-    def _element_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The primal system at ksq = 0 as dense blocks between elements:
-        the row and column element of each, and the blocks (n, nb, nb).
-        An element's own block sums its volume block and the blocks its
-        three faces add on its side; each interior face adds its (plus,
-        minus) block and the transpose."""
-        mesh, sp, lift, mats = self.mesh, self.spaces, self.lifting, self.materials
-        ne, nv = mesh.num_elements, sp.ndof_v
-        # per (face, side): tangential and normal jumps, lifted curl and
-        # value pairings; per face: the penalty Grams
-        jt = SIGNS[:, None, None] * lift.trace_v
-        jn = lift.normal_jumps
-        curl = lift.curl_pair_blocks(mats.mu_bar_inv)
-        value = lift.value_pair_blocks(mats.eps)
-        scalar, vector = self._alpha_grams(), self._gamma_grams()
-        tr = np.swapaxes
+    @cached_property
+    def _block_pattern(self) -> tuple[np.ndarray, ...]:
+        """The blocks between elements that the forms store: each
+        element's own block, then per interior face its (plus, minus) and
+        its (minus, plus) block.  Returns, rows ascending, then columns,
+        the row and column element of each block, its index in the order
+        just listed and the position of its transpose; and the position
+        of each row's first block."""
+        mesh = self.mesh
+        ne = mesh.num_elements
+        plus, minus = mesh.face_elements[~mesh.boundary].T
+        rows = np.concatenate([np.arange(ne), plus, minus])
+        cols = np.concatenate([np.arange(ne), minus, plus])
+        made = np.lexsort((cols, rows))
+        # an own block is its own transpose, a face's two blocks swap
+        mate = np.append(np.arange(ne), np.roll(np.arange(ne, len(rows)), len(plus)))
+        return (rows[made], cols[made], made, np.argsort(made)[mate[made]],
+                np.searchsorted(rows[made], np.arange(ne + 1)))
 
-        def face_blocks(f, s, t, out):
-            """The blocks faces f add between the unknowns of their sides
-            s and t: [[jt_s^T (P jt_t - W_t) - W_s^T jt_t, Y_s^T jn_t],
-            [jn_s^T Y_t, -jn_s^T G jn_t]], P and G the penalty Grams, W
-            and Y the curl and value pairings."""
-            out[:, :nv, :nv] = (tr(jt[f, s], 1, 2) @ (scalar[f] @ jt[f, t]
-                                                     - curl[f, t])
-                                - tr(curl[f, s], 1, 2) @ jt[f, t])
-            out[:, :nv, nv:] = tr(value[f, s], 1, 2) @ jn[f, t]
-            out[:, nv:, :nv] = tr(jn[f, s], 1, 2) @ value[f, t]
-            out[:, nv:, nv:] = -tr(jn[f, s], 1, 2) @ (vector[f] @ jn[f, t])
-            return out
-
-        inner = np.flatnonzero(~mesh.boundary)
-        plus, minus = mesh.face_elements[inner].T
-        nb = nv + sp.ndof_q
-        blocks = np.zeros((ne + 2 * len(inner), nb, nb))
-        diag, cross = blocks[:ne], blocks[ne:ne + len(inner)]
-        face_blocks(inner, 0, 1, cross)
-        blocks[ne + len(inner):] = tr(cross, 1, 2)
-        diag[:, :nv, :nv] = ((mats.mu_bar_inv / sp.det_jac)[:, None, None]
-                             * sp.ref_curl_gram)
-        grad = sp.mapped_gram(sp.ref_v_qgrad, mats.eps)
-        diag[:, :nv, nv:] = -grad
-        diag[:, nv:, :nv] = -tr(grad, 1, 2)
-        own = np.empty((ne, nb, nb))
+    def _assemble(self, volume: np.ndarray, face, symmetric: bool) -> csr_matrix:
+        """A form in blocks between elements: an element's own block sums
+        its volume block (ne, r, c) and the blocks face(f, s, s) its three
+        faces f add on its side s; each interior face adds its (plus,
+        minus) block face(f, 0, 1) and its (minus, plus) block, for a
+        symmetric form the transpose of the first.  The face blocks are
+        summed into volume in place.  The form stores every entry of its
+        blocks, so `_blocks` reads them back in the order of
+        `_block_pattern`."""
+        mesh = self.mesh
+        ne = mesh.num_elements
         sides = mesh.face_elements[mesh.element_faces, 1] == np.arange(ne)[:, None]
         for f, side in zip(mesh.element_faces.T, sides.T.astype(np.int64)):
-            diag += face_blocks(f, side, side, own)
-        return (np.concatenate([np.arange(ne), plus, minus]),
-                np.concatenate([np.arange(ne), minus, plus]), blocks)
+            volume += face(f, side, side)
+        inner = np.flatnonzero(~mesh.boundary)
+        cross = face(inner, 0, 1)
+        back = np.swapaxes(cross, 1, 2) if symmetric else face(inner, 1, 0)
+        _, cols, made, _, first = self._block_pattern
+        nr, nc = volume.shape[1:]
+        blocks = np.concatenate([volume, cross, back])[made]
+        return bsr_matrix((blocks, cols, first),
+                          shape=(ne * nr, ne * nc)).tocsr()
+
+    def _blocks(self, form: csr_matrix) -> np.ndarray:
+        """The element blocks of a form in the order of `_block_pattern`."""
+        ne = self.mesh.num_elements
+        return form.tobsr(blocksize=(form.shape[0] // ne, form.shape[1] // ne)).data
 
     # ------------------------------------------------------------------
     # forms
-
-    def _form(self, rows: slice, cols: slice) -> csr_matrix:
-        """A (V or Q, V or Q) part of the primal system at ksq = 0."""
-        brow, bcol, blocks = self._element_blocks()
-        part = blocks[:, rows, cols]
-        ne, (nr, nc) = self.mesh.num_elements, part.shape[1:]
-        return block_sparse(part, brow[:, None] * nr + np.arange(nr),
-                            bcol[:, None] * nc + np.arange(nc),
-                            (ne * nr, ne * nc))
 
     @cached_property
     def a_matrix(self) -> csr_matrix:
         """Curl form: the volume term plus the lifted consistency and
         penalty terms of the tangential jumps."""
-        nv = self.spaces.ndof_v
-        return self._form(slice(nv), slice(nv))
+        sp, lift, mats = self.spaces, self.lifting, self.materials
+        jt = SIGNS[:, None, None] * lift.trace_v
+        curl = lift.curl_pair_blocks(mats.mu_bar_inv)
+        penalty = self._alpha_grams()
+        tr = np.swapaxes
+
+        def face(f, s, t):
+            """jt_s^T (P jt_t - W_t) - W_s^T jt_t, P the penalty Gram and W
+            the curl pairing."""
+            return (tr(jt[f, s], 1, 2) @ (penalty[f] @ jt[f, t] - curl[f, t])
+                    - tr(curl[f, s], 1, 2) @ jt[f, t])
+        volume = (mats.mu_bar_inv / sp.det_jac)[:, None, None] * sp.ref_curl_gram
+        return self._assemble(volume, face, symmetric=True)
 
     @cached_property
     def b_matrix(self) -> csr_matrix:
         """Mixed form -(eps v, grad q) plus the lifted normal-jump term;
         rows Q dofs, columns V dofs."""
-        nv = self.spaces.ndof_v
-        return self._form(slice(nv, None), slice(nv))
+        sp, lift = self.spaces, self.lifting
+        jn = lift.normal_jumps
+        value = lift.vector_value_pair(self.materials.eps)
+
+        def face(f, s, t):
+            """jn_s^T Y_t, Y the value pairing."""
+            return np.swapaxes(jn[f, s], 1, 2) @ value[f, t]
+        grad = sp.mapped_gram(sp.ref_v_qgrad, self.materials.eps)
+        return self._assemble(-np.swapaxes(grad, 1, 2), face, symmetric=False)
 
     @cached_property
     def c_matrix(self) -> csr_matrix:
         """Multiplier penalty: gamma (eps R_F(jump q), R_F(jump q'))."""
-        nv = self.spaces.ndof_v
-        return -self._form(slice(nv, None), slice(nv, None))
+        jn, gram = self.lifting.normal_jumps, self._gamma_grams()
+
+        def face(f, s, t):
+            """jn_s^T G jn_t, G the multiplier penalty Gram."""
+            return np.swapaxes(jn[f, s], 1, 2) @ (gram[f] @ jn[f, t])
+        nq = self.spaces.ndof_q
+        return self._assemble(np.zeros((self.mesh.num_elements, nq, nq)),
+                              face, symmetric=True)
 
     @cached_property
     def b_lambda(self) -> csr_matrix:
@@ -333,28 +330,40 @@ class Discretization:
     # ------------------------------------------------------------------
     # systems
 
+    @cached_property
+    def system_order(self) -> np.ndarray:
+        """The (V, Q) unknown at each position of `primal_system`: per
+        element in elimination order its V dofs, then its Q dofs."""
+        sp, ne = self.spaces, self.mesh.num_elements
+        v = np.arange(sp.dim_V).reshape(ne, sp.ndof_v)
+        q = sp.dim_V + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
+        return np.hstack([v, q])[self.dissection[0]].ravel()
+
     def primal_system(self, ksq: float) -> bsr_matrix:
         """The (V, Q) system [[a - ksq m, b^T], [b, -c]] in blocks of one
-        element, the elements in elimination order; `dof_blocks` maps its
-        unknowns to the (V, Q) layout."""
-        sp = self.spaces
-        ne, nv = self.mesh.num_elements, sp.ndof_v
-        rows, cols, blocks = self._element_blocks()
+        element, the elements in elimination order; `system_order` maps
+        its unknowns to the (V, Q) layout."""
+        sp, ne = self.spaces, self.mesh.num_elements
+        nv, nb = sp.ndof_v, sp.ndof_v + sp.ndof_q
+        brow, bcol, _, transpose, _ = self._block_pattern
         rank = np.argsort(self.dissection[0])
-        rows, cols = rank[rows], rank[cols]
-        slot = np.lexsort((cols, rows))
-        data = blocks[slot]
-        own = slot < ne
+        rows, cols = rank[brow], rank[bcol]
+        source = np.lexsort((cols, rows))
+        b = self._blocks(self.b_matrix)
+        data = np.empty((len(source), nb, nb))
+        data[:, :nv, :nv] = self._blocks(self.a_matrix)[source]
+        data[:, :nv, nv:] = np.swapaxes(b[transpose[source]], 1, 2)
+        data[:, nv:, :nv] = b[source]
+        data[:, nv:, nv:] = -self._blocks(self.c_matrix)[source]
+        own = transpose[source] == source
         mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
-        data[own, :nv, :nv] -= ksq * mass[slot[own]]
-        indptr = np.searchsorted(rows[slot], np.arange(ne + 1))
-        n = ne * blocks.shape[1]
-        return bsr_matrix((data, cols[slot], indptr), shape=(n, n))
+        data[own, :nv, :nv] -= ksq * mass[brow[source[own]]]
+        indptr = np.searchsorted(rows[source], np.arange(ne + 1))
+        return bsr_matrix((data, cols[source], indptr), shape=(ne * nb, ne * nb))
 
     def auxiliary_system(self, ksq: float) -> AuxiliarySystem:
         """The (V, M, Q) system with the face multiplier, in the numbering
-        of `primal_system` followed by the multipliers; `dof_blocks(True)`
-        maps its unknowns to the (V, M, Q) layout."""
+        of `primal_system` followed by the multipliers, face by face."""
         sp, lift = self.spaces, self.lifting
         nf, nv, nq, m = self.mesh.num_faces, sp.ndof_v, sp.ndof_q, sp.ndof_m
         rank = np.argsort(self.dissection[0])
@@ -366,21 +375,6 @@ class Discretization:
                             keep=lift.side_mask)
         return AuxiliarySystem(self.primal_system(ksq), self._gamma_grams(),
                                jump, nv)
-
-    def dof_blocks(self, multiplier: bool = False) -> DofBlocks:
-        """The unknowns of the primal (V, Q) or, with the multiplier, the
-        auxiliary (V, M, Q) system in element blocks, the elements in the
-        mesh's nested-dissection order: per element its V dofs, then its Q
-        dofs, and per face its M dofs."""
-        sp, mesh = self.spaces, self.mesh
-        ne, nf = mesh.num_elements, mesh.num_faces
-        nm = sp.dim_M if multiplier else 0
-        v = np.arange(sp.dim_V).reshape(ne, sp.ndof_v)
-        q = sp.dim_V + nm + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
-        faces = (sp.dim_V + np.arange(nm).reshape(nf, sp.ndof_m)
-                 if multiplier else None)
-        order, bounds = self.dissection
-        return DofBlocks(np.hstack([v, q])[order], bounds, faces)
 
     @cached_property
     def constraint_w(self) -> csr_matrix:

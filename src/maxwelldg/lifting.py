@@ -33,7 +33,7 @@ from scipy.sparse import csr_matrix
 
 from .basis import face_modes
 from .quadrature import segment_rule
-from .spaces import Spaces, block_sparse
+from .spaces import Spaces, block_sparse, element_block_diag
 
 __all__ = ["Lifting"]
 
@@ -154,6 +154,17 @@ class Lifting:
         grams = np.sum(self.weight[:, :, None, None, None, None] * kron, axis=1)
         return grams.reshape(nf, 2 * self.n_modes, 2 * self.n_modes)
 
+    def block_diag_scalar(self, factors: np.ndarray,
+                          weight: np.ndarray | None = None) -> csr_matrix:
+        """Block diagonal of per-face scalar Grams scaled by factors[f]."""
+        grams = self.face_grams_scalar(weight)
+        return element_block_diag(np.asarray(factors)[:, None, None] * grams)
+
+    def block_diag_vector(self, factors: np.ndarray,
+                          eps: np.ndarray | None = None) -> csr_matrix:
+        grams = self.face_grams_vector(eps)
+        return element_block_diag(np.asarray(factors)[:, None, None] * grams)
+
     # ------------------------------------------------------------------
     # pairings against V fields
 
@@ -168,7 +179,7 @@ class Lifting:
         """The curl pairing with rows (face, mode), columns V dofs."""
         return self._face_csr(self.curl_pair_blocks(weight))
 
-    def value_pair_blocks(self, eps: np.ndarray) -> np.ndarray:
+    def vector_value_pair(self, eps: np.ndarray) -> np.ndarray:
         """(eps v, R_F(mode, component)) per (face, side) for the side's V
         basis v and the per-element 2x2 field eps, mode-major,
         component-minor, (nf, 2, 2(l+1), nv)."""

@@ -332,9 +332,8 @@ def _solve(disc: Discretization, system, load: np.ndarray) -> Solution:
     """Factor and refined solve in the numbering of the system, element
     blocks then any face multipliers; the load is in the (V, Q) layout and
     carries no multiplier data."""
-    blocks = disc.dof_blocks()
-    lu, factor = factorize(system, blocks.bounds)
-    order = blocks.element_dofs.ravel()
+    lu, factor = factorize(system, disc.dissection[1])
+    order = disc.system_order
     nw = order.size
     rhs = np.zeros(system.shape[0])
     rhs[:nw] = load[order]

@@ -4,6 +4,8 @@ from scipy.spatial import Delaunay
 
 from maxwelldg import Coefficients, Discretization, Mesh, unit_square
 
+import reference_assembly as refasm
+
 
 @pytest.fixture(scope="session")
 def square2():
@@ -70,7 +72,7 @@ def delaunay_mesh(rng, npoints):
 def finest_blocks(disc):
     """The (V, Q) unknowns in blocks on the finest nested dissection of
     the mesh, whose parts of at most 4 elements stay whole."""
-    blocks = disc.dof_blocks()
+    blocks = refasm.dof_blocks(disc)
     # element e holds the e-th run of V dofs, so its first dof sorts it
     elements = blocks.element_dofs
     elements = elements[np.argsort(elements[:, 0])]

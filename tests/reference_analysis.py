@@ -234,9 +234,8 @@ def self_adjointness_gap(disc: Discretization, nprobe: int = 4,
     in the eps inner product, probed with random source densities: the
     source of density c is eps times the V field with coefficients c."""
     system = disc.primal_system(0.0)
-    blocks = disc.dof_blocks()
-    lu, _ = factorize(system, blocks.bounds)
-    dofs = blocks.element_dofs.ravel()
+    lu, _ = factorize(system, disc.dissection[1])
+    dofs = disc.system_order
     nv = disc.spaces.dim_V
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((nprobe, nv))

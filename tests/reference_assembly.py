@@ -15,12 +15,14 @@ of a study) have no caller in the package.  Nothing in the package imports this 
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg import solve
 from scipy.sparse import bmat, bsr_matrix, csc_matrix, csr_matrix
 
 from maxwelldg.analysis import ConvergenceReport
-from maxwelldg.assembly import AuxiliarySystem, Discretization, DofBlocks
+from maxwelldg.assembly import AuxiliarySystem, Discretization
 from maxwelldg.lifting import Lifting
 from maxwelldg.mesh import Mesh, _signed_areas
 from maxwelldg.quadrature import triangle_rule
@@ -33,7 +35,7 @@ from maxwelldg.spaces import Spaces, block_sparse
 def vector_value_pair(lifting: Lifting, eps: np.ndarray) -> csr_matrix:
     """Rows (face, mode, component), columns V dofs:
     (eps v, R_F(mode, component)) for the per-element 2x2 field eps."""
-    return lifting._face_csr(lifting.value_pair_blocks(eps))
+    return lifting._face_csr(lifting.vector_value_pair(eps))
 
 
 def a_matrix(disc: Discretization) -> csr_matrix:
@@ -67,6 +69,38 @@ def auxiliary_system(disc: Discretization, ksq: float) -> csc_matrix:
         [lhs, None, b.T],
         [None, disc.gamma_gram, -gamma_jn],
         [b, -gamma_jn.T, None]], format="csc")
+
+
+class DofBlocks(NamedTuple):
+    """Unknowns of a (V, Q) or (V, M, Q) layout in element blocks.
+
+    element_dofs : (ne, b) unknowns of each element, the elements in
+        elimination order
+    bounds : the elements in rows bounds[j] to bounds[j + 1] - 1 are
+        eliminated in one front
+    face_dofs : (nf, m) face multiplier unknowns, or None when the layout
+        has none
+    """
+
+    element_dofs: np.ndarray
+    bounds: np.ndarray
+    face_dofs: np.ndarray | None
+
+
+def dof_blocks(disc: Discretization, multiplier: bool = False) -> DofBlocks:
+    """The unknowns of the (V, Q) or, with the multiplier, the (V, M, Q)
+    layout in the element blocks of ``disc.primal_system``: per element in
+    the mesh's nested-dissection order its V dofs, then its Q dofs, and
+    per face its M dofs."""
+    sp, mesh = disc.spaces, disc.mesh
+    ne, nf = mesh.num_elements, mesh.num_faces
+    nm = sp.dim_M if multiplier else 0
+    v = np.arange(sp.dim_V).reshape(ne, sp.ndof_v)
+    q = sp.dim_V + nm + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
+    faces = (sp.dim_V + np.arange(nm).reshape(nf, sp.ndof_m)
+             if multiplier else None)
+    order, bounds = disc.dissection
+    return DofBlocks(np.hstack([v, q])[order], bounds, faces)
 
 
 def layout(blocks: DofBlocks) -> np.ndarray:
@@ -126,7 +160,7 @@ def system_gaps(disc: Discretization, ksq: float,
     (its forms, its 1-norm) and the sparse-product route, relative to the
     largest entry of the latter's system, in the element-block
     numbering."""
-    blocks = disc.dof_blocks(multiplier)
+    blocks = dof_blocks(disc, multiplier)
     if multiplier:
         system = disc.auxiliary_system(ksq)
         mine, norm = system @ np.eye(system.shape[0]), system.one_norm()

@@ -249,7 +249,7 @@ class TestBlockAssembly:
             np.linalg.norm(b.toarray()) * np.linalg.norm(u)
             + np.linalg.norm(c.toarray()) * np.linalg.norm(p))
         system = disc2.primal_system(0.7)
-        w = np.concatenate([u, p])[disc2.dof_blocks().element_dofs.ravel()]
+        w = np.concatenate([u, p])[disc2.system_order]
         gap = _constraint_gap(system, sp.ndof_v, w, system @ w)
         assert gap == pytest.approx(expect, rel=1e-12)
 

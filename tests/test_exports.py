@@ -20,16 +20,18 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-# builders only the tests call, kept beside the tests with their bodies
+# builders only the tests call, kept beside the tests
 TEST_ONLY = {
     ("maxwelldg.lifting", "Lifting"): [
         "lift_scalar_matrix", "lift_vector_matrix", "project_scalar_data",
-        "vector_value_pair", "scalar_data_dofs", "dim_scalar_data",
-        "dim_vector_data"],
+        "scalar_data_dofs", "dim_scalar_data", "dim_vector_data"],
     ("maxwelldg.spaces", "Spaces"): [
         "v_dof_matrices", "v_dofs", "q_dofs", "eval_q", "eval_lift_vector",
         "project_v", "project_q"],
-    ("maxwelldg.assembly", "Discretization"): ["seminorm_v", "norm_m"],
+    ("maxwelldg.assembly", "Discretization"): ["seminorm_v", "norm_m",
+                                               "dof_blocks"],
+    # a module of the package, for its classes
+    ("maxwelldg", "assembly"): ["DofBlocks"],
     ("maxwelldg.mesh", "Mesh"): ["element_areas"],
     ("maxwelldg.analysis", "ConvergenceReport"): ["terminal_eoc"],
 }

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse.linalg import splu
 
-from maxwelldg.assembly import Discretization, DofBlocks
+from maxwelldg.assembly import Discretization
 from maxwelldg.materials import Coefficients
 from maxwelldg.mesh import Mesh, lshape, unit_square
 from maxwelldg.problems import gradient_null_data, sine_problem
@@ -159,7 +159,7 @@ class TestResonance:
 class TestResonanceNestedDissection(TestResonance):
     def factor_input(self, disc, system):
         blocks = finest_blocks(disc)
-        return (refasm.reordered(system, disc.dof_blocks(), blocks),
+        return (refasm.reordered(system, refasm.dof_blocks(disc), blocks),
                 blocks.bounds)
 
 
@@ -177,7 +177,7 @@ class TestFactorization:
         n = 4
         dense = np.ones((n, n)) + np.diag(np.full(n, 1e-12 - 1.0))
         dense += np.diag(np.arange(1.0, n), 1) + np.diag(np.arange(1.0, n), -1)
-        chain = DofBlocks(np.arange(n)[:, None], np.arange(n + 1), None)
+        chain = refasm.DofBlocks(np.arange(n)[:, None], np.arange(n + 1), None)
         matrix = refasm.element_system(dense, chain)
         # the dense matrix makes the tree a chain: each front updates all
         # later unknowns
@@ -201,8 +201,8 @@ class TestFactorization:
         dense = rng.standard_normal((n, n))
         dense = dense + dense.T + np.diag(np.full(n, 10.0))
         order = rng.permutation(6)
-        blocks = DofBlocks(rng.permutation(n).reshape(6, 2)[order],
-                           [0, 2, 4, 6], None)
+        blocks = refasm.DofBlocks(rng.permutation(n).reshape(6, 2)[order],
+                                  [0, 2, 4, 6], None)
         dofs = blocks.element_dofs.ravel()
         lu, factor = factorize(refasm.element_system(dense, blocks),
                                blocks.bounds)
@@ -229,14 +229,14 @@ class TestFactorization:
             with pytest.raises(ValueError, match="do not partition"):
                 factorize(system, bounds)
         # a numbering of the unknowns that leaves one out, or takes one twice
-        blocks = disc2.dof_blocks()
+        blocks = refasm.dof_blocks(disc2)
         for elements in (blocks.element_dofs[1:],
                          np.vstack([blocks.element_dofs[:1],
                                     blocks.element_dofs[:-1]])):
             with pytest.raises(ValueError, match="do not partition"):
-                refasm.element_system(refasm.primal_system(disc2, 1.0),
-                                      DofBlocks(elements, [0, len(elements)],
-                                                None))
+                refasm.element_system(
+                    refasm.primal_system(disc2, 1.0),
+                    refasm.DofBlocks(elements, [0, len(elements)], None))
 
     @pytest.mark.parametrize("multiplier", [False, True],
                              ids=["primal", "auxiliary"])
@@ -272,7 +272,7 @@ class TestFactorization:
         system = disc.primal_system(ksq)
         lu, factor = factorize(system, disc.dissection[1])
         assert factor.pivoting == "symmetric"
-        rhs = load[disc.dof_blocks().element_dofs.ravel()]
+        rhs = load[disc.system_order]
         once = lu.solve(rhs)
         assert (np.linalg.norm(system @ once - rhs)
                 > 1e-10 * np.linalg.norm(rhs))
@@ -305,7 +305,7 @@ class TestNestedDissection:
                   else disc.primal_system(1.0))
         oracle = refasm.block_numbered(
             (refasm.auxiliary_system if multiplier else refasm.primal_system)(
-                disc, 1.0), disc.dof_blocks(multiplier))
+                disc, 1.0), refasm.dof_blocks(disc, multiplier))
         rhs = rng.standard_normal(system.shape[0])
         lu, factor = factorize(system, disc.dissection[1])
         assert (factor.ordering, factor.pivoting) == ("nested_dissection",

@@ -147,7 +147,7 @@ class TestDissectionOrder:
         sp = disc.spaces
         for multiplier, n in ((False, sp.dim_V + sp.dim_Q),
                               (True, sp.dim_V + sp.dim_M + sp.dim_Q)):
-            blocks = disc.dof_blocks(multiplier)
+            blocks = refasm.dof_blocks(disc, multiplier)
             dofs = [blocks.element_dofs.ravel()]
             if multiplier:
                 dofs.append(blocks.face_dofs.ravel())
@@ -230,8 +230,8 @@ class TestMultifrontalFactor:
         assembled = (disc.auxiliary_system(ksq) if multiplier
                      else disc.primal_system(ksq))
         rhs = rng.standard_normal(assembled.shape[0])
-        for blocks in (disc.dof_blocks(), finest_blocks(disc)):
-            system = refasm.reordered(assembled, disc.dof_blocks(), blocks)
+        for blocks in (refasm.dof_blocks(disc), finest_blocks(disc)):
+            system = refasm.reordered(assembled, refasm.dof_blocks(disc), blocks)
             expect = np.linalg.solve(system @ np.eye(len(rhs)), rhs)
             lu, factor = factorize(system, blocks.bounds)
             assert (factor.ordering, factor.pivoting) == ("nested_dissection",
