@@ -72,6 +72,7 @@ class AuxiliarySystem:
         return self.primal.nnz + self.gram.size + 2 * self.jump.nnz
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector or a block of columns."""
         nw = self.primal.shape[0]
         d = x[nw:] - self.jump @ x[:nw]
         d = (self.gram @ d.reshape(*self.gram.shape[:2], -1)).reshape(d.shape)
@@ -119,12 +120,15 @@ class Discretization:
     # ------------------------------------------------------------------
     # volume operators
 
-    @cached_property
-    def curl_stiffness(self) -> csr_matrix:
+    def _curl_blocks(self) -> np.ndarray:
+        """(mu_bar^-1 curl v, curl v') per element, (ne, nv, nv)."""
         sp = self.spaces
         scale = self.materials.mu_bar_inv / sp.det_jac
-        blocks = scale[:, None, None] * sp.ref_curl_gram[None, :, :]
-        return element_block_diag(blocks)
+        return scale[:, None, None] * sp.ref_curl_gram
+
+    @cached_property
+    def curl_stiffness(self) -> csr_matrix:
+        return element_block_diag(self._curl_blocks())
 
     def mass_v(self, field: np.ndarray | None = None) -> csr_matrix:
         """V mass matrix with an optional per-element 2x2 weight."""
@@ -259,9 +263,9 @@ class Discretization:
     def a_matrix(self) -> csr_matrix:
         """Curl form: the volume term plus the lifted consistency and
         penalty terms of the tangential jumps."""
-        sp, lift, mats = self.spaces, self.lifting, self.materials
+        lift = self.lifting
         jt = SIGNS[:, None, None] * lift.trace_v
-        curl = lift.curl_pair_blocks(mats.mu_bar_inv)
+        curl = lift.curl_pair_blocks(self.materials.mu_bar_inv)
         penalty = self._alpha_grams()
         tr = np.swapaxes
 
@@ -270,8 +274,7 @@ class Discretization:
             the curl pairing."""
             return (tr(jt[f, s], 1, 2) @ (penalty[f] @ jt[f, t] - curl[f, t])
                     - tr(curl[f, s], 1, 2) @ jt[f, t])
-        volume = (mats.mu_bar_inv / sp.det_jac)[:, None, None] * sp.ref_curl_gram
-        return self._assemble(volume, face, symmetric=True)
+        return self._assemble(self._curl_blocks(), face, symmetric=True)
 
     @cached_property
     def b_matrix(self) -> csr_matrix:
@@ -409,25 +412,40 @@ class Discretization:
     # ------------------------------------------------------------------
     # norm values
 
-    # The V and Q norms are sums of quadratic forms of their parts (the
-    # jump terms through the face Grams), so evaluating one builds none of
-    # the Gram triple products above.
+    # The V and Q norms sum their quadratic forms element by element and
+    # face by face, from the blocks the forms are made of, so evaluating
+    # one builds none of the sparse Grams and jump maps above.
 
     @staticmethod
-    def _quad_form(gram, coeffs) -> float:
-        return float(coeffs @ (gram @ coeffs))
+    def _element_form(blocks: np.ndarray, coeffs: np.ndarray) -> float:
+        """sum_K c_K^T B_K c_K over the element blocks B (ne, n, n)."""
+        c = coeffs.reshape(len(blocks), -1, 1)
+        return float((np.swapaxes(c, 1, 2) @ blocks @ c).sum())
+
+    def _face_form(self, jumps: np.ndarray, grams: np.ndarray,
+                   coeffs: np.ndarray) -> float:
+        """sum_F j_F^T G_F j_F over the faces, G (nf, r, r), for the jumps
+        j_F = sum_s jumps[F, s] c_K(F, s) of the element coefficients,
+        jumps (nf, 2, r, n) zero on a missing side."""
+        c = coeffs.reshape(self.mesh.num_elements, -1)[self.lifting.side_elements]
+        j = (jumps @ c[..., None]).sum(axis=1)
+        return float((np.swapaxes(j, 1, 2) @ grams @ j).sum())
 
     def _seminorm_sq(self, coeffs: np.ndarray) -> float:
-        return (self._quad_form(self.curl_stiffness, coeffs)
-                + self._quad_form(self.lift_gram_scalar, self.jump_t @ coeffs))
+        lift, mu_inv = self.lifting, self.materials.mu_bar_inv
+        return (self._element_form(self._curl_blocks(), coeffs)
+                + self._face_form(SIGNS[:, None, None] * lift.trace_v,
+                                  lift.face_grams_scalar(mu_inv), coeffs))
 
     def norm_v(self, coeffs: np.ndarray) -> float:
+        sp = self.spaces
+        mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
         return np.sqrt(max(self._seminorm_sq(coeffs)
-                           + self._quad_form(self.mass_eps, coeffs), 0.0))
+                           + self._element_form(mass, coeffs), 0.0))
 
     def norm_q(self, coeffs: np.ndarray) -> float:
+        sp, lift, eps = self.spaces, self.lifting, self.materials.eps
         return np.sqrt(max(
-            self._quad_form(self.q_grad_gram, coeffs)
-            + self._quad_form(self.lift_gram_vector, self.jump_n @ coeffs),
-            0.0))
-
+            self._element_form(sp.mapped_gram(sp.ref_qgrad_gram, eps), coeffs)
+            + self._face_form(lift.normal_jumps, lift.face_grams_vector(eps),
+                              coeffs), 0.0))

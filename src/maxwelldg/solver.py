@@ -10,19 +10,27 @@ with partial pivoting inside the front's fully summed block only, and
 passes its Schur complement to its parent, so nearly all the work is
 dense BLAS-3.  Eliminating the auxiliary system's face multipliers
 leaves the primal system, so it is factored the same way and the
-multipliers are recovered face by face.  Pivoting
-restricted to the fronts may grow the factor's error, so every solve
-takes one step of iterative refinement in working precision, which
+multipliers are recovered face by face.
+
+Pivoting restricted to the fronts may grow the factor's error, so every
+solve takes one step of iterative refinement in working precision, which
 restores a small backward error when the factor is not too unstable
-(Skeel, Math. Comp. 1980).  A refined probe solve checks that at
-factorization time; if it fails, or a front is singular, the primal
-system is refactored by SuperLU with partial pivoting and a COLAMD column
-order.
+(Skeel, Math. Comp. 1980).  A factor is judged on the refined solves of
+a fixed random probe and of the load; if either backward error is too
+large, or a front is singular, the primal system is refactored by SuperLU
+with partial pivoting and a COLAMD column order.  The load alone does not
+suffice: a smooth load can miss the growth of a factor that the probe
+sees.
 
 A wavenumber at a discrete resonance makes the matrix singular.  That is
-judged by a 1-norm condition estimate (Higham and Tisseur, SIAM J. Matrix
-Anal. Appl. 2000), which, unlike the pivots of the factor, depends on
-neither the scale of the system nor the fill-reducing ordering.
+judged by a 1-norm condition estimate (Hager, SIAM J. Sci. Stat. Comput.
+1984; Higham, ACM Trans. Math. Softw. 1988, as LAPACK's dlacn2), which,
+unlike the pivots of the factor, depends on neither the scale of the
+system nor the fill-reducing ordering.  Its first two solves ride along
+with the refined ones: one multi-column tree solve takes the probe, the
+load and the estimator's two start vectors, the next the two residual
+corrections and the estimator's sign vector, so a solve usually makes
+four passes over the factor, the last two of one column each.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse import bsr_matrix
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
+from scipy.sparse.linalg import splu
 
 from .assembly import AuxiliarySystem, Discretization
 
@@ -41,9 +49,12 @@ __all__ = ["ResonanceError", "Factor", "MultifrontalLU", "FaceElimination",
            "Solution", "backward_error", "factorize", "refined_solve",
            "solve_mixed", "solve_auxiliary"]
 
-# Normwise backward error of the refined probe solve above which the
-# multifrontal factor is refused.  A stable factor stays near eps.
+# Normwise backward error of the refined probe or load solve above which
+# the multifrontal factor is refused.  A stable factor stays near eps.
 BACKWARD_TOL = 10.0 * np.finfo(float).eps
+# Most unit vectors e_j whose solves the condition estimator tries
+# (dlacn2's ITMAX - 1).
+ESTIMATE_STEPS = 4
 # Condition estimate above which the system is declared singular: past it
 # the forward error bound cond * eps exceeds 1%.  Regular systems up to
 # square:128 read below 1e10, exact discrete eigenvalues 1e16 and above.
@@ -223,7 +234,8 @@ class MultifrontalLU:
             w[offsets[j]:offsets[j + 1]] = block @ w[at]
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve with the matrix, or its transpose, which is the same."""
+        """Solve with the matrix, or its transpose, which is the same, for
+        a vector or a block of columns."""
         w = np.array(rhs, dtype=float)
         self._tree_solve(w)
         return w
@@ -234,7 +246,8 @@ class FaceElimination:
     which eliminating the face multipliers leaves: the element unknowns
     w solve K w = f_w + J^T f_m, then the multipliers are
     G^-1 f_m + J w, face by face.  The factor stores the inverse face
-    Grams besides that of K."""
+    Grams besides that of K.  Solves take a vector or a block of
+    columns."""
 
     def __init__(self, system: AuxiliarySystem, lu):
         self.lu, self.jump = lu, system.jump
@@ -268,50 +281,118 @@ def backward_error(matrix, norm: float, x: np.ndarray, rhs: np.ndarray) -> float
     return float(gap / scale) if scale > 0 else float(gap)
 
 
-def _stable(matrix, norm: float, lu) -> bool:
-    """Whether a refined solve of a fixed probe has a backward error
-    within tolerance."""
-    probe = np.random.default_rng(0).standard_normal(matrix.shape[0])
-    return backward_error(matrix, norm, refined_solve(matrix, lu, probe),
-                          probe) <= BACKWARD_TOL
+def _one_norm(matrix: bsr_matrix) -> float:
+    """Largest absolute column sum of a matrix in blocks.  Each column is
+    summed block by block in block-row order and row by row inside a
+    block, the order of scipy's `abs(matrix).sum(axis=0)`, so the sums are
+    bitwise the same; gathering the blocks a few at a time keeps the
+    peak memory below that of scipy's absolute copy and transpose."""
+    nb = matrix.blocksize[1]
+    order = np.argsort(matrix.indices, kind="stable")
+    count = np.bincount(matrix.indices, minlength=matrix.shape[1] // nb)
+    first = np.cumsum(count) - count
+    sums = np.zeros((count.size, nb))
+    for k in range(count.max()):
+        cols = np.flatnonzero(count > k)
+        part = sums[cols]
+        for row in np.swapaxes(np.abs(matrix.data[order[first[cols] + k]]), 0, 1):
+            part += row
+        sums[cols] = part
+    return float(sums.max())
 
 
-def factorize(system, bounds):
+def _sign(y: np.ndarray) -> np.ndarray:
+    return np.where(y >= 0.0, 1.0, -1.0)
+
+
+def _two_passes(system, lu, loads: np.ndarray):
+    """The refined solves of the columns of loads, and the start of the
+    condition estimator, in two multi-column solves: the first with the
+    loads, e/n and the alternating vector (-1)^i (1 + i/(n-1)), the second
+    with the loads' residuals and the sign vector of the solve with e/n.
+    Returns the refined solutions, the solve with e/n, the solve with its
+    sign vector and that with the alternating vector."""
+    n, k = loads.shape
+    alternating = np.linspace(1.0, 2.0, n)
+    alternating[1::2] *= -1.0
+    first = lu.solve(np.column_stack([loads, np.full(n, 1.0 / n), alternating]))
+    x = first[:, :k]
+    second = lu.solve(np.column_stack([loads - system @ x, _sign(first[:, k])]))
+    x += second[:, :k]
+    return x, first[:, k], second[:, k], first[:, k + 1]
+
+
+def _inverse_norm(lu, y: np.ndarray, z: np.ndarray,
+                  alternating: np.ndarray) -> float:
+    """Lower bound of ||A^-1||_1 by Hager and Higham's estimator, with
+    dlacn2's stopping rules, from y = A^-1 e/n, z = A^-1 sign(y) and the
+    solve with the alternating vector; A is symmetric.  Each further step
+    solves with the unit vector e_j at the largest entry of z, and with
+    the sign vector of that solve; the largest norm seen is kept."""
+    n = y.size
+    est, sign = float(np.abs(y).sum()), _sign(y)
+    j = int(np.argmax(np.abs(z)))
+    for step in range(ESTIMATE_STEPS):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        y = lu.solve(unit)
+        value = float(np.abs(y).sum())
+        if not value > est:
+            break
+        est, last = value, sign
+        sign = _sign(y)
+        if np.array_equal(sign, last) or step == ESTIMATE_STEPS - 1:
+            break
+        z = lu.solve(sign)
+        previous, j = j, int(np.argmax(np.abs(z)))
+        if z[previous] == abs(z[j]):
+            break
+    return max(est, 2.0 * float(np.abs(alternating).sum()) / (3.0 * n))
+
+
+def factorize(system, bounds, rhs: np.ndarray | None = None):
     """LU of a primal system in element blocks, the elements in
     elimination order and eliminated in the runs of bounds, or of an
     `AuxiliarySystem` through its primal system, with the fallback to
     partial pivoting and the condition check.  Returns the factor (a
     `MultifrontalLU`, or SuperLU's after the fallback, wrapped in a
     `FaceElimination` for the auxiliary system), which solves in the
-    numbering of the system, and its `Factor` record."""
+    numbering of the system, and its `Factor` record; given a load rhs,
+    also the refined solution of system x = rhs."""
     faces = isinstance(system, AuxiliarySystem)
     primal = system.primal if faces else system
-    norm = system.one_norm() if faces else float(abs(system).sum(axis=0).max())
+    norm = system.one_norm() if faces else _one_norm(system)
+    probe = np.random.default_rng(0).standard_normal(system.shape[0])
+    loads = probe[:, None] if rhs is None else np.column_stack([probe, rhs])
 
     def eliminate(lu):
         return FaceElimination(system, lu) if faces else lu
-    pivoting, ordering = "symmetric", "nested_dissection"
+    pivoting, ordering, stable = "symmetric", "nested_dissection", False
     try:
         lu = eliminate(MultifrontalLU(primal, bounds))
     except np.linalg.LinAlgError:
-        lu = None
-    if lu is None or not _stable(system, norm, lu):
+        pass
+    else:
+        passes = _two_passes(system, lu, loads)
+        stable = all(backward_error(system, norm, x, b) <= BACKWARD_TOL
+                     for x, b in zip(passes[0].T, loads.T))
+    if not stable:
         pivoting, ordering = "partial", "colamd"
         try:
             lu = eliminate(splu(primal.tocsc()))
         except RuntimeError as err:
             raise ResonanceError(
                 f"saddle point factorization failed: {err}") from err
-    # t=1 starts from the constant vector and draws no random columns
-    inverse = LinearOperator(system.shape, matvec=lu.solve,
-                             rmatvec=lambda y: lu.solve(y, trans="T"),
-                             dtype=float)
-    cond = float(onenormest(inverse, t=1)) * norm
+        passes = _two_passes(system, lu, loads)
+    cond = _inverse_norm(lu, *passes[1:]) * norm
     if not cond <= COND_MAX:
         raise ResonanceError(
             "saddle point matrix is numerically singular "
             f"(condition estimate {cond:.2e})")
-    return lu, Factor(pivoting, ordering, int(lu.nnz), cond, norm)
+    factor = Factor(pivoting, ordering, int(lu.nnz), cond, norm)
+    if rhs is None:
+        return lu, factor
+    return lu, factor, np.ascontiguousarray(passes[0][:, 1])
 
 
 def _constraint_gap(primal: bsr_matrix, nv: int, w: np.ndarray,
@@ -332,12 +413,11 @@ def _solve(disc: Discretization, system, load: np.ndarray) -> Solution:
     """Factor and refined solve in the numbering of the system, element
     blocks then any face multipliers; the load is in the (V, Q) layout and
     carries no multiplier data."""
-    lu, factor = factorize(system, disc.dissection[1])
     order = disc.system_order
     nw = order.size
     rhs = np.zeros(system.shape[0])
     rhs[:nw] = load[order]
-    x = refined_solve(system, lu, rhs)
+    _, factor, x = factorize(system, disc.dissection[1], rhs)
     product = system @ x
     scale = np.linalg.norm(rhs)
     residual = float(np.linalg.norm(product - rhs) / (scale if scale > 0 else 1.0))

@@ -248,7 +248,7 @@ def seminorm_v(disc: Discretization, coeffs: np.ndarray) -> float:
 
 
 def norm_m(disc: Discretization, coeffs: np.ndarray) -> float:
-    return np.sqrt(max(disc._quad_form(disc.lift_gram_vector, coeffs), 0.0))
+    return np.sqrt(max(coeffs @ (disc.lift_gram_vector @ coeffs), 0.0))
 
 
 def scalar_data_dofs(lifting: Lifting, face: int) -> np.ndarray:

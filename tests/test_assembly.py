@@ -8,12 +8,18 @@ from maxwelldg.assembly import Discretization
 from maxwelldg.materials import Coefficients
 from maxwelldg.mesh import Mesh, unit_square
 from maxwelldg.quadrature import segment_rule, triangle_rule
-from maxwelldg.solver import _constraint_gap
+from maxwelldg.problems import gradient_null_data
+from maxwelldg.solver import _constraint_gap, solve_mixed
 from maxwelldg.spaces import element_block_diag
 
-from conftest import random_materials, random_spd, two_tag_mesh
+from conftest import delaunay_mesh, random_materials, random_spd, two_tag_mesh
 from reference_lifting import assemble_a_face_integral, assemble_b_face_integral
 import reference_assembly as refasm
+
+# the sparse Grams and jump maps that evaluating a norm does not build
+NORM_OPERATORS = ("curl_stiffness", "mass_eps", "q_grad_gram",
+                  "lift_gram_scalar", "lift_gram_vector", "jump_t", "jump_n",
+                  "seminorm_gram", "norm_v_gram", "norm_q_gram")
 
 
 def rel_frobenius(a, b):
@@ -328,6 +334,44 @@ class TestNorms:
                 u @ (disc.norm_v_gram @ u), rel=1e-12)
             assert disc.norm_q(q) ** 2 == pytest.approx(
                 q @ (disc.norm_q_gram @ q), rel=1e-12)
+
+    @pytest.mark.parametrize("make_mesh", [
+        lambda: two_tag_mesh(4),
+        lambda: delaunay_mesh(np.random.default_rng(2), 30)[0]],
+        ids=["square4", "delaunay"])
+    def test_norms_match_csr_forms(self, degree, make_mesh):
+        # the norms sum element and face blocks; the sparse operators of
+        # the same quadratic forms, built only afterwards, give the same
+        # squares
+        mesh = make_mesh()
+        rng = np.random.default_rng(38)
+        tags = np.unique(mesh.tags)
+        disc = Discretization(mesh, degree, Coefficients(
+            mu={t: random_spd(rng) for t in tags},
+            eps={t: random_spd(rng) for t in tags}))
+        sp = disc.spaces
+        u = rng.standard_normal((3, sp.dim_V))
+        q = rng.standard_normal((3, sp.dim_Q))
+        norms = [(disc.norm_v(a), disc.norm_q(b)) for a, b in zip(u, q)]
+        assert not set(NORM_OPERATORS) & set(vars(disc))
+        for (norm_v, norm_q), a, b in zip(norms, u, q):
+            jt, jn = disc.jump_t @ a, disc.jump_n @ b
+            assert norm_v ** 2 == pytest.approx(
+                a @ (disc.curl_stiffness @ a) + a @ (disc.mass_eps @ a)
+                + jt @ (disc.lift_gram_scalar @ jt), rel=1e-13)
+            assert norm_q ** 2 == pytest.approx(
+                b @ (disc.q_grad_gram @ b) + jn @ (disc.lift_gram_vector @ jn),
+                rel=1e-13)
+
+    def test_gradient_solve_builds_no_norm_operators(self, degree):
+        # a solve of the gradient problem and its printed norms read the
+        # forms' blocks only
+        disc = Discretization(two_tag_mesh(3), degree, random_materials(16))
+        load, q = gradient_null_data(disc)
+        sol = solve_mixed(disc, 1.0, load)
+        assert disc.norm_v(sol.u) < 1e-9 * disc.norm_q(q)
+        assert disc.norm_q(sol.p + q) < 1e-9 * disc.norm_q(q)
+        assert not set(NORM_OPERATORS) & set(vars(disc))
 
     def test_norm_m_brute_force(self, disc2):
         rng = np.random.default_rng(34)

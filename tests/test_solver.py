@@ -8,9 +8,11 @@ from maxwelldg.materials import Coefficients
 from maxwelldg.mesh import Mesh, lshape, unit_square
 from maxwelldg.problems import gradient_null_data, sine_problem
 from maxwelldg.solver import (
+    BACKWARD_TOL,
     COND_MAX,
     MultifrontalLU,
     ResonanceError,
+    backward_error,
     factorize,
     refined_solve,
     solve_auxiliary,
@@ -191,6 +193,47 @@ class TestFactorization:
         x = refined_solve(matrix, lu, rhs)
         assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
+    def test_factor_check_does_not_rest_on_the_load(self):
+        # the refined solve of a smooth load reads a backward error of
+        # 4e-17 on the tiny-pivot chain's factor, that of the probe 3e-10:
+        # the probe still refuses the factor when a load comes along
+        matrix, bounds = tiny_pivot_chain()
+        rhs = np.arange(1.0, 5.0)
+        _, factor, x = factorize(matrix, bounds, rhs)
+        assert (factor.pivoting, factor.ordering) == ("partial", "colamd")
+        assert backward_error(matrix, factor.norm, x, rhs) <= BACKWARD_TOL
+
+    @pytest.mark.parametrize("multiplier", [False, True],
+                             ids=["primal", "auxiliary"])
+    def test_load_solve_comes_with_the_factor(self, disc2, sine_load,
+                                              multiplier):
+        system = (disc2.auxiliary_system(1.0) if multiplier
+                  else disc2.primal_system(1.0))
+        rhs = np.zeros(system.shape[0])
+        rhs[:disc2.system_order.size] = sine_load[disc2.system_order]
+        lu, factor, x = factorize(system, disc2.dissection[1], rhs)
+        assert factor.pivoting == "symmetric"
+        expect = refined_solve(system, lu, rhs)
+        assert np.linalg.norm(x - expect) <= 1e-13 * np.linalg.norm(expect)
+        assert backward_error(system, factor.norm, x, rhs) <= BACKWARD_TOL
+
+    def test_solve_makes_four_passes(self, disc2, sine_load, monkeypatch):
+        # the refined solves of probe and load and the condition
+        # estimate share their passes over the factor (eight one-column
+        # passes when each took its own)
+        widths = []
+        solve = MultifrontalLU.solve
+
+        def counted(lu, rhs, trans="N"):
+            widths.append(1 if np.ndim(rhs) == 1 else rhs.shape[1])
+            return solve(lu, rhs, trans)
+        monkeypatch.setattr(MultifrontalLU, "solve", counted)
+        for run in (solve_mixed, solve_auxiliary):
+            widths.clear()
+            assert run(disc2, 1.0, sine_load).factor.pivoting == "symmetric"
+            assert len(widths) <= 4
+            assert widths[:2] == [4, 3]
+
     def test_permuted_factor_solves_in_original_numbering(self):
         # six blocks of two unknowns, all joined, eliminated in a random
         # order in runs of two, with the unknowns numbered at random: the
@@ -279,6 +322,74 @@ class TestFactorization:
         sol = solve_mixed(disc, ksq, load)
         assert sol.residual <= 1e-10
         assert disc.norm_v(sol.u) <= 1e-9 * disc.norm_q(q)
+
+
+def tiny_pivot_chain():
+    """A 4 x 4 matrix in blocks of one unknown whose diagonal entries are
+    1e-12 against off-diagonal entries of order one, and its runs of one
+    block each."""
+    n = 4
+    dense = np.ones((n, n)) + np.diag(np.full(n, 1e-12 - 1.0))
+    dense += np.diag(np.arange(1.0, n), 1) + np.diag(np.arange(1.0, n), -1)
+    chain = refasm.DofBlocks(np.arange(n)[:, None], np.arange(n + 1), None)
+    return refasm.element_system(dense, chain), chain.bounds
+
+
+def halves(mesh):
+    """The mesh with the elements left of its mean centroid tagged 0,
+    the others 1."""
+    cx = mesh.vertices[mesh.elements].mean(axis=1)[:, 0]
+    return Mesh(mesh.vertices, mesh.elements, (cx > cx.mean()).astype(np.int64))
+
+
+class TestConditionEstimate:
+    @pytest.mark.parametrize("make_mesh", [lambda: halves(unit_square(4)),
+                                           lambda: delaunay_case()],
+                             ids=["square4", "delaunay"])
+    def test_norm_is_the_one_norm(self, degree, make_mesh):
+        # summed in scipy's order, the column sums are scipy's bit for bit,
+        # so the condition estimate prints the same digits
+        mesh = make_mesh()
+        rng = np.random.default_rng(22)
+        tags = np.unique(mesh.tags)
+        disc = Discretization(mesh, degree, Coefficients(
+            mu={t: random_spd(rng) for t in tags},
+            eps={t: random_spd(rng) for t in tags}))
+        system = disc.primal_system(1.3)
+        norm = factorize(system, disc.dissection[1])[1].norm
+        assert norm == float(abs(system).sum(axis=0).max())
+        assert norm == pytest.approx(np.linalg.norm(system.toarray(), 1),
+                                     rel=1e-15)
+
+    # the estimate is a lower bound that reads 0.81 to 1.0 of the exact
+    # condition number here, as scipy's onenormest(t=1) did
+    @pytest.mark.parametrize("multiplier", [False, True],
+                             ids=["primal", "auxiliary"])
+    @pytest.mark.parametrize("make_mesh", [lambda: unit_square(4),
+                                           lambda: lshape(3),
+                                           lambda: unit_square(5)],
+                             ids=["square4", "lshape3", "square5"])
+    def test_estimate_against_dense(self, degree, make_mesh, multiplier):
+        disc = Discretization(halves(make_mesh()), degree, random_materials(21))
+        system = (disc.auxiliary_system(1.0) if multiplier
+                  else disc.primal_system(1.0))
+        dense = system @ np.eye(system.shape[0])
+        exact = (np.linalg.norm(dense, 1)
+                 * np.linalg.norm(np.linalg.inv(dense), 1))
+        estimate = factorize(system, disc.dissection[1])[1].cond_estimate
+        assert 0.5 * exact <= estimate <= (1.0 + 1e-12) * exact
+
+    def test_block_right_hand_sides(self, disc2):
+        # a block of columns gives, column by column, what one column does
+        system = disc2.auxiliary_system(1.0)
+        lu, _ = factorize(system, disc2.dissection[1])
+        block = np.random.default_rng(8).standard_normal((system.shape[0], 3))
+        for apply in (system.__matmul__, lu.solve):
+            both = apply(block)
+            assert both.shape == block.shape
+            for column, rhs in zip(both.T, block.T):
+                one = apply(rhs)
+                assert np.linalg.norm(column - one) <= 1e-15 * np.linalg.norm(one)
 
 
 def delaunay_case():
