@@ -3,8 +3,10 @@
 What the ``study`` and ``constants`` commands run: discrete Friedrichs /
 inf-sup / ellipticity constants through dense generalized eigenproblems
 (size-guarded; these are verification probes, not scalable algorithms),
-a sampled coercivity margin, error norms against exact solutions, and
-convergence studies with CSV/markdown reports.
+a sampled coercivity margin, error norms against exact solutions (their
+volume terms by fine quadrature, their jump terms face by face from the
+discretization's per-face Grams), and convergence studies with
+CSV/markdown reports.
 """
 
 from __future__ import annotations
@@ -170,16 +172,12 @@ def error_norms(disc: Discretization, problem: ModelProblem,
     dcurl = sp.eval_v_curl(u, pts) - np.asarray(problem.exact_curl_u(x, y))
     err_curl = float(np.vdot(wdet * dcurl, mats.mu_bar_inv[:, None] * dcurl))
 
-    jump = disc.jump_t @ u
-    if g_data is not None:
-        jump = jump - g_data
-    err_jump = float(jump @ (disc.lift_gram_scalar @ jump))
+    err_jump = disc.tangential_jump_sq(u, g_data)
 
     dgp = sp.eval_q_grad(p, pts) - np.asarray(problem.exact_grad_p(x, y))
     err_pgrad = _energy(wdet, dgp, mats.eps)
     # Exact p is continuous with zero trace, so the jump error is p_h's.
-    pjump = disc.jump_n @ p
-    err_pjump = float(pjump @ (disc.lift_gram_vector @ pjump))
+    err_pjump = disc.normal_jump_sq(p)
 
     return {
         "e_v": float(np.sqrt(max(err_l2 + err_curl + err_jump, 0.0))),

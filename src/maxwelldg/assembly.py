@@ -15,8 +15,13 @@ blocks, and a nested-dissection order of the elements is an elimination
 order of the system's unknowns.
 The forms a, b and c are assembled face by face straight into those
 blocks: each face adds one dense block per pair of its sides, and each
-element its volume block.  The system is made of the forms' blocks, in
-the elimination order the multifrontal factor reads.
+element its volume block.  Each form is a `bsr_array` of its element
+blocks, and the system is made of their `data`, in the elimination order
+the multifrontal factor reads.  The boundary load, the norms and the
+jump terms of the error norms are summed from the same (face, side)
+tables and per-face Grams, so a primal solve needs no other sparse
+operator; the CSR Grams and jump maps serve the stability constants and
+the sampled coercivity margin.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import block_diag, bmat, bsr_matrix, csr_matrix
+from scipy.sparse import block_diag, bmat, bsr_array, bsr_matrix, csr_matrix
 
-from .lifting import SIGNS, Lifting
+from .lifting import Lifting
 from .materials import Coefficients, MaterialArrays
 from .mesh import Mesh
 from .quadrature import triangle_rule
@@ -165,10 +170,6 @@ class Discretization:
         return self.lifting.jump_normal
 
     @cached_property
-    def curl_pair(self) -> csr_matrix:
-        return self.lifting.curl_pair(self.materials.mu_bar_inv)
-
-    @cached_property
     def lift_gram_scalar(self) -> csr_matrix:
         """Block diagonal of (mu_bar^-1 r_F(.), r_F(.)), no penalty factor."""
         return self.lifting.block_diag_scalar(
@@ -185,19 +186,23 @@ class Discretization:
         return self.lifting.block_diag_vector(self.gamma, self.materials.eps)
 
     @cached_property
-    def penalty_gram(self) -> csr_matrix:
-        return self.lifting.block_diag_scalar(self.alpha,
-                                              self.materials.mu_bar_inv)
+    def _mu_grams(self) -> np.ndarray:
+        """(mu_bar^-1 r_F(.), r_F(.)) per face, no penalty factor,
+        (nf, l+1, l+1)."""
+        return self.lifting.face_grams_scalar(self.materials.mu_bar_inv)
+
+    @cached_property
+    def _eps_grams(self) -> np.ndarray:
+        """(eps R_F(.), R_F(.)) per face, no penalty factor, (nf, m, m)."""
+        return self.lifting.face_grams_vector(self.materials.eps)
 
     def _alpha_grams(self) -> np.ndarray:
         """alpha (mu_bar^-1 r_F(.), r_F(.)) per face, (nf, l+1, l+1)."""
-        grams = self.lifting.face_grams_scalar(self.materials.mu_bar_inv)
-        return self.alpha[:, None, None] * grams
+        return self.alpha[:, None, None] * self._mu_grams
 
     def _gamma_grams(self) -> np.ndarray:
         """gamma (eps R_F(.), R_F(.)) per face, (nf, m, m)."""
-        grams = self.lifting.face_grams_vector(self.materials.eps)
-        return self.gamma[:, None, None] * grams
+        return self.gamma[:, None, None] * self._eps_grams
 
     # ------------------------------------------------------------------
     # element blocks
@@ -228,19 +233,26 @@ class Discretization:
         return (rows[made], cols[made], made, np.argsort(made)[mate[made]],
                 np.searchsorted(rows[made], np.arange(ne + 1)))
 
-    def _assemble(self, volume: np.ndarray, face, symmetric: bool) -> csr_matrix:
+    @cached_property
+    def _element_sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """The face each element has in each of its three places and the
+        element's side of it, (3, ne) each."""
+        mesh = self.mesh
+        sides = (mesh.face_elements[mesh.element_faces, 1]
+                 == np.arange(mesh.num_elements)[:, None])
+        return mesh.element_faces.T, sides.T.astype(np.int64)
+
+    def _assemble(self, volume: np.ndarray, face, symmetric: bool) -> bsr_array:
         """A form in blocks between elements: an element's own block sums
         its volume block (ne, r, c) and the blocks face(f, s, s) its three
         faces f add on its side s; each interior face adds its (plus,
         minus) block face(f, 0, 1) and its (minus, plus) block, for a
         symmetric form the transpose of the first.  The face blocks are
-        summed into volume in place.  The form stores every entry of its
-        blocks, so `_blocks` reads them back in the order of
-        `_block_pattern`."""
+        summed into volume in place.  The form's `data` holds its blocks
+        in the order of `_block_pattern`."""
         mesh = self.mesh
         ne = mesh.num_elements
-        sides = mesh.face_elements[mesh.element_faces, 1] == np.arange(ne)[:, None]
-        for f, side in zip(mesh.element_faces.T, sides.T.astype(np.int64)):
+        for f, side in zip(*self._element_sides):
             volume += face(f, side, side)
         inner = np.flatnonzero(~mesh.boundary)
         cross = face(inner, 0, 1)
@@ -248,23 +260,17 @@ class Discretization:
         _, cols, made, _, first = self._block_pattern
         nr, nc = volume.shape[1:]
         blocks = np.concatenate([volume, cross, back])[made]
-        return bsr_matrix((blocks, cols, first),
-                          shape=(ne * nr, ne * nc)).tocsr()
-
-    def _blocks(self, form: csr_matrix) -> np.ndarray:
-        """The element blocks of a form in the order of `_block_pattern`."""
-        ne = self.mesh.num_elements
-        return form.tobsr(blocksize=(form.shape[0] // ne, form.shape[1] // ne)).data
+        return bsr_array((blocks, cols, first), shape=(ne * nr, ne * nc))
 
     # ------------------------------------------------------------------
     # forms
 
     @cached_property
-    def a_matrix(self) -> csr_matrix:
+    def a_matrix(self) -> bsr_array:
         """Curl form: the volume term plus the lifted consistency and
         penalty terms of the tangential jumps."""
         lift = self.lifting
-        jt = SIGNS[:, None, None] * lift.trace_v
+        jt = lift.tangential_jumps
         curl = lift.curl_pair_blocks(self.materials.mu_bar_inv)
         penalty = self._alpha_grams()
         tr = np.swapaxes
@@ -277,7 +283,7 @@ class Discretization:
         return self._assemble(self._curl_blocks(), face, symmetric=True)
 
     @cached_property
-    def b_matrix(self) -> csr_matrix:
+    def b_matrix(self) -> bsr_array:
         """Mixed form -(eps v, grad q) plus the lifted normal-jump term;
         rows Q dofs, columns V dofs."""
         sp, lift = self.spaces, self.lifting
@@ -291,7 +297,7 @@ class Discretization:
         return self._assemble(-np.swapaxes(grad, 1, 2), face, symmetric=False)
 
     @cached_property
-    def c_matrix(self) -> csr_matrix:
+    def c_matrix(self) -> bsr_array:
         """Multiplier penalty: gamma (eps R_F(jump q), R_F(jump q'))."""
         jn, gram = self.lifting.normal_jumps, self._gamma_grams()
 
@@ -352,12 +358,12 @@ class Discretization:
         rank = np.argsort(self.dissection[0])
         rows, cols = rank[brow], rank[bcol]
         source = np.lexsort((cols, rows))
-        b = self._blocks(self.b_matrix)
+        b = self.b_matrix.data
         data = np.empty((len(source), nb, nb))
-        data[:, :nv, :nv] = self._blocks(self.a_matrix)[source]
+        data[:, :nv, :nv] = self.a_matrix.data[source]
         data[:, :nv, nv:] = np.swapaxes(b[transpose[source]], 1, 2)
         data[:, nv:, :nv] = b[source]
-        data[:, nv:, nv:] = -self._blocks(self.c_matrix)[source]
+        data[:, nv:, nv:] = -self.c_matrix.data[source]
         own = transpose[source] == source
         mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
         data[own, :nv, :nv] -= ksq * mass[brow[source[own]]]
@@ -402,19 +408,28 @@ class Discretization:
     def load_boundary(self, g_data: np.ndarray) -> np.ndarray:
         """Moves inhomogeneous tangential boundary data into the right hand
         side: the flux jumps are penalized against jump - g, so g enters
-        through the lifted consistency and penalty terms."""
-        vec = (-self.curl_pair.T @ g_data
-               + self.jump_t.T @ (self.penalty_gram @ g_data))
+        through the lifted consistency and penalty terms, on each (face,
+        side) -W_s^T g_F + jt_s^T (P_F g_F), W the curl pairing and P the
+        penalty Gram, summed into the V rows of the side's element."""
+        lift = self.lifting
+        g = g_data.reshape(-1, lift.n_modes, 1)[:, None]
+        jt = lift.tangential_jumps
+        curl = lift.curl_pair_blocks(self.materials.mu_bar_inv)
+        side = (np.swapaxes(jt, 2, 3) @ (self._alpha_grams()[:, None] @ g)
+                - np.swapaxes(curl, 2, 3) @ g)
+        vec = np.zeros((self.mesh.num_elements, self.spaces.ndof_v))
+        for f, s in zip(*self._element_sides):
+            vec += side[f, s, :, 0]
         out = np.zeros(self.spaces.dim_V + self.spaces.dim_Q)
-        out[:self.spaces.dim_V] = vec
+        out[:self.spaces.dim_V] = vec.ravel()
         return out
 
     # ------------------------------------------------------------------
     # norm values
 
-    # The V and Q norms sum their quadratic forms element by element and
-    # face by face, from the blocks the forms are made of, so evaluating
-    # one builds none of the sparse Grams and jump maps above.
+    # The norms sum their quadratic forms element by element and face by
+    # face, from the blocks the forms are made of, so evaluating one
+    # builds none of the sparse Grams and jump maps above.
 
     @staticmethod
     def _element_form(blocks: np.ndarray, coeffs: np.ndarray) -> float:
@@ -423,19 +438,33 @@ class Discretization:
         return float((np.swapaxes(c, 1, 2) @ blocks @ c).sum())
 
     def _face_form(self, jumps: np.ndarray, grams: np.ndarray,
-                   coeffs: np.ndarray) -> float:
+                   coeffs: np.ndarray, data: np.ndarray | None = None) -> float:
         """sum_F j_F^T G_F j_F over the faces, G (nf, r, r), for the jumps
         j_F = sum_s jumps[F, s] c_K(F, s) of the element coefficients,
-        jumps (nf, 2, r, n) zero on a missing side."""
+        jumps (nf, 2, r, n) zero on a missing side, less the face data
+        (nf r) when given."""
         c = coeffs.reshape(self.mesh.num_elements, -1)[self.lifting.side_elements]
         j = (jumps @ c[..., None]).sum(axis=1)
+        if data is not None:
+            j -= data.reshape(j.shape)
         return float((np.swapaxes(j, 1, 2) @ grams @ j).sum())
 
+    def tangential_jump_sq(self, coeffs: np.ndarray,
+                           data: np.ndarray | None = None) -> float:
+        """sum_F (mu_bar^-1 r_F(eta), r_F(eta)) for eta the tangential jump
+        of the V coefficients less the scalar face data, when given."""
+        return self._face_form(self.lifting.tangential_jumps, self._mu_grams,
+                               coeffs, data)
+
+    def normal_jump_sq(self, coeffs: np.ndarray) -> float:
+        """sum_F (eps R_F(lam), R_F(lam)) for lam the normal jump of the Q
+        coefficients."""
+        return self._face_form(self.lifting.normal_jumps, self._eps_grams,
+                               coeffs)
+
     def _seminorm_sq(self, coeffs: np.ndarray) -> float:
-        lift, mu_inv = self.lifting, self.materials.mu_bar_inv
         return (self._element_form(self._curl_blocks(), coeffs)
-                + self._face_form(SIGNS[:, None, None] * lift.trace_v,
-                                  lift.face_grams_scalar(mu_inv), coeffs))
+                + self.tangential_jump_sq(coeffs))
 
     def norm_v(self, coeffs: np.ndarray) -> float:
         sp = self.spaces
@@ -444,8 +473,7 @@ class Discretization:
                            + self._element_form(mass, coeffs), 0.0))
 
     def norm_q(self, coeffs: np.ndarray) -> float:
-        sp, lift, eps = self.spaces, self.lifting, self.materials.eps
-        return np.sqrt(max(
-            self._element_form(sp.mapped_gram(sp.ref_qgrad_gram, eps), coeffs)
-            + self._face_form(lift.normal_jumps, lift.face_grams_vector(eps),
-                              coeffs), 0.0))
+        sp = self.spaces
+        grad = sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps)
+        return np.sqrt(max(self._element_form(grad, coeffs)
+                           + self.normal_jump_sq(coeffs), 0.0))

@@ -29,13 +29,16 @@ from .assembly import DEFAULT_ALPHA, DEFAULT_GAMMA, Discretization
 from .materials import Coefficients
 from .mesh import Mesh, MeshFormatError, lshape, read_mesh, refine_uniform, unit_square
 from .problems import get_problem, gradient_null_data
-from .solver import ResonanceError, solve_auxiliary, solve_mixed
+from .solver import BACKWARD_TOL, ResonanceError, solve_auxiliary, solve_mixed
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config",
            "resolve_penalties"]
 
-# Residual thresholds behind the exit status contract.
-RESIDUAL_TOL = 1e-10
+# Exit status contract: a solve passes when the normwise backward error
+# of its refined solution is within solver.BACKWARD_TOL, which, unlike
+# the residual relative to the load, does not grow with the condition
+# number as the mesh is refined, and its constraint gap within this.
+CONSTRAINT_TOL = 1e-10
 
 CONFIG_KEYS = {"command", "mesh", "degree", "k", "coefficients", "alpha",
                "gamma", "levels", "problem", "output", "formulation"}
@@ -318,7 +321,8 @@ def run_solve(cfg: RunConfig) -> int:
     sys.stdout.write(text)
     if cfg.output:
         _emit(cfg, ".json", text)
-    ok = sol.residual <= RESIDUAL_TOL and sol.constraint_gap <= RESIDUAL_TOL
+    ok = (sol.backward_error <= BACKWARD_TOL
+          and sol.constraint_gap <= CONSTRAINT_TOL)
     return 0 if ok else 1
 
 
@@ -341,8 +345,8 @@ def run_study(cfg: RunConfig) -> int:
         _emit(cfg, ".json", _json_text(report.diagnostics()))
     else:
         sys.stdout.write(csv_text)
-    ok = all(r.solver_residual <= RESIDUAL_TOL
-             and r.constraint_residual <= RESIDUAL_TOL
+    ok = all(r.backward_error <= BACKWARD_TOL
+             and r.constraint_residual <= CONSTRAINT_TOL
              for r in report.records)
     return 0 if ok else 1
 

@@ -107,10 +107,16 @@ class Lifting:
     # sparse jump/trace maps
 
     @cached_property
+    def tangential_jumps(self) -> np.ndarray:
+        """Blocks of the tangential jump of each side's V coefficients,
+        the signed trace_v, (nf, 2, l+1, nv)."""
+        return SIGNS[:, None, None] * self.trace_v
+
+    @cached_property
     def jump_tangential(self) -> csr_matrix:
         """Map V coefficients to face coefficients of the tangential jump
         (n x v on the boundary)."""
-        return self._face_csr(SIGNS[:, None, None] * self.trace_v)
+        return self._face_csr(self.tangential_jumps)
 
     @cached_property
     def normal_jumps(self) -> np.ndarray:

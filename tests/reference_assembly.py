@@ -2,9 +2,11 @@
 only the tests use.
 
 A test oracle: ``maxwelldg.assembly.Discretization`` assembles its system
-face by face into element blocks in elimination order.  Here the forms
-are the sparse triple products of the face operators (``jt^T P jt``,
-``jn^T G jn``, ...), the systems their ``bmat`` in the (V, Q) or (V, M, Q)
+face by face into element blocks in elimination order, and sums its
+boundary load and jump terms face by face.  Here the forms are the sparse
+triple products of the face operators (``jt^T P jt``, ``jn^T G jn``,
+...), the boundary load and the jump terms of the error norms their CSR
+expressions, the systems their ``bmat`` in the (V, Q) or (V, M, Q)
 layout, and ``element_system`` turns such a matrix plus a ``DofBlocks``
 into the element-block matrix the multifrontal factor reads.  The
 builders below the forms (lifting coefficient maps, face projections,
@@ -38,10 +40,29 @@ def vector_value_pair(lifting: Lifting, eps: np.ndarray) -> csr_matrix:
     return lifting._face_csr(lifting.vector_value_pair(eps))
 
 
+def curl_pair_matrix(disc: Discretization) -> csr_matrix:
+    """The curl pairing W, rows (face, mode), columns V dofs."""
+    return disc.lifting.curl_pair(disc.materials.mu_bar_inv)
+
+
+def penalty_gram(disc: Discretization) -> csr_matrix:
+    """Block diagonal P of the alpha-scaled scalar lifting Grams."""
+    return disc.lifting.block_diag_scalar(disc.alpha,
+                                          disc.materials.mu_bar_inv)
+
+
+def form_blocks(disc: Discretization, form) -> np.ndarray:
+    """The element blocks of a form, rows ascending, then columns, read
+    back through scipy's BSR conversion."""
+    ne = disc.mesh.num_elements
+    csr = csr_matrix(form)
+    return csr.tobsr(blocksize=(csr.shape[0] // ne, csr.shape[1] // ne)).data
+
+
 def a_matrix(disc: Discretization) -> csr_matrix:
-    jt, w = disc.jump_t, disc.curl_pair
+    jt, w = disc.jump_t, curl_pair_matrix(disc)
     return csr_matrix(disc.curl_stiffness - jt.T @ w - w.T @ jt
-                      + jt.T @ disc.penalty_gram @ jt)
+                      + jt.T @ penalty_gram(disc) @ jt)
 
 
 def b_matrix(disc: Discretization) -> csr_matrix:
@@ -51,6 +72,26 @@ def b_matrix(disc: Discretization) -> csr_matrix:
 
 def c_matrix(disc: Discretization) -> csr_matrix:
     return csr_matrix(disc.jump_n.T @ disc.gamma_gram @ disc.jump_n)
+
+
+def load_boundary(disc: Discretization, g_data: np.ndarray) -> np.ndarray:
+    """-W^T g + jt^T P g in the V rows of the (V, Q) layout."""
+    out = np.zeros(disc.spaces.dim_V + disc.spaces.dim_Q)
+    out[:disc.spaces.dim_V] = (-curl_pair_matrix(disc).T @ g_data
+                               + disc.jump_t.T @ (penalty_gram(disc) @ g_data))
+    return out
+
+
+def jump_errors(disc: Discretization, u: np.ndarray, p: np.ndarray,
+                g_data: np.ndarray | None = None) -> tuple[float, float]:
+    """The lifted jump terms of the field and multiplier errors, (jt u -
+    g)^T G_mu (jt u - g) and (jn p)^T G_eps (jn p)."""
+    jump = disc.jump_t @ u
+    if g_data is not None:
+        jump = jump - g_data
+    pjump = disc.jump_n @ p
+    return (float(jump @ (disc.lift_gram_scalar @ jump)),
+            float(pjump @ (disc.lift_gram_vector @ pjump)))
 
 
 def primal_system(disc: Discretization, ksq: float) -> csc_matrix:

@@ -303,4 +303,4 @@ def assemble_a_face_integral(disc) -> csr_matrix:
                 mat[np.ix_(du, dv)] -= block
     out = csr_matrix(mat)
     jt = disc.jump_t
-    return csr_matrix(out + jt.T @ disc.penalty_gram @ jt)
+    return csr_matrix(out + jt.T @ refasm.penalty_gram(disc) @ jt)

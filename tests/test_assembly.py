@@ -229,6 +229,14 @@ class TestBlockAssembly:
                 gaps = refasm.system_gaps(disc, ksq, multiplier)
                 assert max(gaps.values()) <= 1e-13, gaps
 
+    def test_forms_are_their_element_blocks(self, degree):
+        """Each form is a BSR array whose data are its element blocks, as
+        scipy reads them back from its CSR copy."""
+        disc = Discretization(two_tag_mesh(2), degree, random_materials(3))
+        for form in (disc.a_matrix, disc.b_matrix, disc.c_matrix):
+            assert isinstance(form, sparse.bsr_array)
+            assert np.array_equal(form.data, refasm.form_blocks(disc, form))
+
     def test_system_nnz_is_structural(self, degree):
         # one dense block per element and two per interior face, whatever
         # the wavenumber and the materials

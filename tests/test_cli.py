@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
+from maxwelldg import analysis, cli, solver, spaces
 from maxwelldg.analysis import ConvergenceReport
 from maxwelldg.cli import (
     CONSTANT_COLUMNS,
@@ -13,7 +17,7 @@ from maxwelldg.cli import (
     resolve_penalties,
 )
 from maxwelldg.mesh import Mesh, unit_square, write_mesh
-from maxwelldg.solver import COND_MAX
+from maxwelldg.solver import BACKWARD_TOL, COND_MAX
 
 
 # 1 followed by this: an integer beyond the float range
@@ -248,6 +252,87 @@ class TestSolveCommand:
         assert code == 0
         written = (tmp_path / "out" / "run.json").read_text()
         assert written == stdout
+
+
+class TestExitGate:
+    """solve and study exit 0 on the backward error of the refined solve
+    and the constraint gap, not on the residual relative to the load,
+    which grows with the condition number under refinement."""
+
+    @pytest.fixture
+    def doctor(self, monkeypatch):
+        """Overrides fields of every primal solve's `Solution`."""
+        def apply(**fields):
+            real = solver.solve_mixed
+            for module in (cli, analysis):
+                monkeypatch.setattr(module, "solve_mixed", lambda *args: (
+                    dataclasses.replace(real(*args), **fields)))
+        return apply
+
+    @pytest.mark.parametrize("command", ["solve", "study"])
+    @pytest.mark.parametrize("fields, code", [
+        ({"residual": 1e-8}, 0),
+        ({"backward_error": BACKWARD_TOL}, 0),
+        ({"backward_error": 2.0 * BACKWARD_TOL}, 1),
+        ({"constraint_gap": 1e-9}, 1),
+    ])
+    def test_gate(self, tmp_path, capsys, doctor, command, fields, code):
+        doctor(**fields)
+        path = write_config(tmp_path, {"problem": "sine", "mesh": "square:2",
+                                       "levels": 1})
+        assert main([command, "--config", path]) == code
+
+    def test_perturbed_solution_fails(self, tmp_path, capsys, monkeypatch):
+        """A solution off by 1e-13 relative passes the residual bound of
+        1e-10 but not the backward error bound."""
+        real = solver.factorize
+
+        def perturbed(*args):
+            lu, factor, x = real(*args)
+            noise = np.random.default_rng(1).standard_normal(x.size)
+            return lu, factor, x + 1e-13 * np.abs(x).max() * noise
+        monkeypatch.setattr(solver, "factorize", perturbed)
+        path = write_config(tmp_path, {"problem": "sine", "mesh": "square:4"})
+        assert main(["solve", "--config", path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["residual"] <= 1e-10
+        assert out["backward_error"] > BACKWARD_TOL
+
+
+class TestSolveAllocations:
+    """A primal solve builds its forms, its load, its norms and its error
+    norms from the per-element and per-face blocks: no sparse map from
+    the block builder, and no conversion to CSR or BSR."""
+
+    SPARSE = (sparse.bsr_array, sparse.bsr_matrix, sparse.csr_array,
+              sparse.csr_matrix, sparse.csc_array, sparse.csc_matrix,
+              sparse.coo_array, sparse.coo_matrix)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_builds_no_sparse_copies(self, tmp_path, capsys, monkeypatch,
+                                     degree):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+        builder = spaces.block_sparse
+        for key, module in list(sys.modules.items()):
+            if (key.startswith("maxwelldg")
+                    and getattr(module, "block_sparse", None) is builder):
+                monkeypatch.setattr(module, "block_sparse",
+                                    counted("block_sparse", builder))
+        for cls in self.SPARSE:
+            for name in ("tocsr", "tobsr"):
+                monkeypatch.setattr(cls, name, counted(
+                    f"{cls.__name__}.{name}", getattr(cls, name)))
+        path = write_config(tmp_path, {"problem": "sine", "mesh": "square:4",
+                                       "degree": degree})
+        assert main(["solve", "--config", path]) == 0
+        assert "e_v" in json.loads(capsys.readouterr().out)
+        assert calls == []
 
 
 class TestStudyCommand:

@@ -299,10 +299,11 @@ class TestFactorization:
     def test_refinement_step_is_needed(self):
         # degree 2, four tags with full-tensor materials of anisotropy up
         # to 10, gradient source: the factor passes the probe, but a
-        # single solve with it misses the 1e-10 residual the command line
-        # promises (7.1e-10 here, 1.9e-15 refined; with anisotropy up to 2
-        # no seed of 400 on unit_square(3) misses it, the worst reads
-        # 2.9e-13)
+        # single solve with it misses a 1e-10 residual (7.1e-10 here,
+        # 1.9e-15 refined; with anisotropy up to 2 no seed of 400 on
+        # unit_square(3) misses it, the worst reads 2.9e-13) and the
+        # backward error the command line's exit status asks for (4.1e-12
+        # here, 1.5e-17 refined)
         rng = np.random.default_rng(94)
         base = unit_square(3)
         mesh = Mesh(base.vertices, base.elements,
@@ -319,8 +320,10 @@ class TestFactorization:
         once = lu.solve(rhs)
         assert (np.linalg.norm(system @ once - rhs)
                 > 1e-10 * np.linalg.norm(rhs))
+        assert backward_error(system, factor.norm, once, rhs) > BACKWARD_TOL
         sol = solve_mixed(disc, ksq, load)
         assert sol.residual <= 1e-10
+        assert sol.backward_error <= BACKWARD_TOL
         assert disc.norm_v(sol.u) <= 1e-9 * disc.norm_q(q)
 
 

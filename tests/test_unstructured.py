@@ -1,6 +1,6 @@
 """Property tests of the mesh incidence, the nested-dissection order and
-the factor on its tree, the conforming maps and the element kernels on
-unstructured meshes.
+the factor on its tree, the conforming maps, the element kernels and the
+method's form-level invariants on unstructured meshes.
 
 Each example is the Delaunay triangulation of random points in the unit
 square, with the elements shuffled, the vertices of every element permuted
@@ -20,16 +20,19 @@ from maxwelldg import Coefficients, Discretization, Mesh, refine_uniform
 from maxwelldg.analysis import error_norms
 from maxwelldg.basis import face_modes
 from maxwelldg.mesh import nested_dissection
-from maxwelldg.problems import ModelProblem
+from maxwelldg.problems import ModelProblem, gradient_null_data
 from maxwelldg.quadrature import segment_rule, triangle_rule
 from maxwelldg.solver import (BACKWARD_TOL, backward_error, factorize,
-                              refined_solve)
+                              refined_solve, solve_mixed)
 
 from conftest import delaunay_mesh, finest_blocks, front_entries, random_spd
 from reference_analysis import conforming_average
+from reference_lifting import assemble_a_face_integral, assemble_b_face_integral
 import reference_assembly as refasm
 
 PROPERTY = settings(max_examples=15, deadline=None)
+# the face-integral oracles loop over faces in Python
+FACE_LOOPS = settings(max_examples=8, deadline=None)
 MATERIALS = Coefficients(mu=dict.fromkeys(range(3), 1.0),
                          eps=dict.fromkeys(range(3), 1.0))
 MIN_QUALITY = 0.03
@@ -471,3 +474,74 @@ class TestKernelOracles:
         errs = error_norms(disc, problem, u, p_coeffs)
         for key, value in oracle.items():
             assert errs[key] == pytest.approx(value, rel=KERNEL_TOL, abs=0.0)
+
+
+# ----------------------------------------------------------------------
+# form-level invariants
+
+
+def frobenius_gap(mine, oracle, scale) -> float:
+    """||mine - oracle||_F / ||scale||_F."""
+    diff = (mine - oracle).toarray()
+    return float(np.linalg.norm(diff) / np.linalg.norm(scale.toarray()))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+class TestFormInvariants:
+    """The method's invariants with random tags, SPD materials, penalties
+    and wavenumbers: symmetric systems, the lifted forms against their
+    face-integral definitions, the face-by-face boundary load and jump
+    errors against the sparse products they replace, and gradient
+    sources that leave the field at zero."""
+
+    @FACE_LOOPS
+    @given(case=kernel_cases())
+    def test_symmetric_systems_and_face_integrals(self, case, degree):
+        mesh, coeffs, rng = case
+        disc = Discretization(mesh, degree, coeffs)
+        ksq = rng.uniform(0.25, 2.0)
+        aux = disc.auxiliary_system(ksq)
+        for system in (disc.primal_system(ksq).toarray(),
+                       aux @ np.eye(aux.shape[0])):
+            assert (np.abs(system - system.T).max()
+                    <= 1e-13 * np.abs(system).max())
+        a = assemble_a_face_integral(disc)
+        assert frobenius_gap(disc.a_matrix, a, a) <= 1e-12
+        # b of a lone degree-1 element is zero up to roundoff, so its gap
+        # is measured against its volume term
+        assert frobenius_gap(disc.b_matrix, assemble_b_face_integral(disc),
+                             disc.grad_pair) <= 1e-12
+
+    @PROPERTY
+    @given(case=kernel_cases())
+    def test_load_and_jump_errors(self, case, degree):
+        mesh, coeffs, rng = case
+        disc = Discretization(mesh, degree, coeffs,
+                              alpha=rng.uniform(6.5, 9.0, mesh.num_faces))
+        sp = disc.spaces
+        g = rng.standard_normal(mesh.num_faces * disc.lifting.n_modes)
+        assert rel_gap(disc.load_boundary(g),
+                       refasm.load_boundary(disc, g)) <= 1e-13
+        u, p = rng.standard_normal(sp.dim_V), rng.standard_normal(sp.dim_Q)
+        problem = ModelProblem(
+            "oracle", 1.0, None, None, exact_u=vector_field,
+            exact_curl_u=lambda x, y: np.sin(x - 3 * y),
+            exact_grad_p=lambda x, y: vector_field(y, x))
+        for data in (None, g):
+            jump, pjump = refasm.jump_errors(disc, u, p, data)
+            errs = error_norms(disc, problem, u, p, g_data=data)
+            assert errs["e_jump"] ** 2 == pytest.approx(jump, rel=1e-13)
+            assert disc.tangential_jump_sq(u, data) == pytest.approx(
+                jump, rel=1e-13)
+        assert disc.normal_jump_sq(p) == pytest.approx(pjump, rel=1e-13)
+
+    @PROPERTY
+    @given(case=kernel_cases())
+    def test_gradient_sources_are_annihilated(self, case, degree):
+        mesh, coeffs, rng = case
+        disc = Discretization(refine_uniform(mesh) if degree == 1 else mesh,
+                              degree, coeffs)
+        assume(disc.spaces.conforming_q_basis().shape[1] > 0)
+        load, q = gradient_null_data(disc, seed=int(rng.integers(2 ** 31)))
+        sol = solve_mixed(disc, rng.uniform(0.25, 2.0), load)
+        assert disc.norm_v(sol.u) <= 1e-9 * disc.norm_q(q)
