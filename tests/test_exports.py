@@ -29,16 +29,19 @@ TEST_ONLY = {
         "v_dof_matrices", "v_dofs", "q_dofs", "eval_q", "eval_lift_vector",
         "project_v", "project_q"],
     ("maxwelldg.assembly", "Discretization"): ["seminorm_v", "norm_m",
-                                               "dof_blocks", "penalty_gram"],
+                                               "dof_blocks"],
     # a module of the package, for its classes
     ("maxwelldg", "assembly"): ["DofBlocks"],
     ("maxwelldg.mesh", "Mesh"): ["element_areas"],
     ("maxwelldg.analysis", "ConvergenceReport"): ["terminal_eoc"],
 }
+# later additions go last, so the earlier cases keep their ids
+TEST_ONLY_LATER = [(("maxwelldg.assembly", "Discretization"), "penalty_gram")]
 
 
 @pytest.mark.parametrize("owner, name", [
-    (owner, name) for owner, names in TEST_ONLY.items() for name in names])
+    (owner, name) for owner, names in TEST_ONLY.items() for name in names]
+    + TEST_ONLY_LATER)
 def test_test_only_builders_live_beside_the_tests(owner, name):
     module, cls = owner
     assert not hasattr(getattr(importlib.import_module(module), cls), name)
