@@ -149,12 +149,15 @@ def indefinite_infsup(disc: Discretization, ksq: float,
 def error_norms(disc: Discretization, problem: ModelProblem,
                 u: np.ndarray, p: np.ndarray,
                 g_data: np.ndarray | None = None,
-                degree: int | None = None) -> dict:
+                degree: int | None = None,
+                jumps: tuple[float, float] | None = None) -> dict:
     """Energy-type errors against the exact fields by fine quadrature.
 
     The jump part of the field error uses the lifted tangential jump of
     u_h minus the face expansion of the boundary data (the lifting sees
     only that expansion, so this is exact for the lifted seminorm).
+    jumps holds the face sums `disc.tangential_jump_sq(u, g_data)` and
+    `disc.normal_jump_sq(p)` when the caller has them.
     """
     sp = disc.spaces
     deg = sp.deg_err if degree is None else degree
@@ -172,12 +175,13 @@ def error_norms(disc: Discretization, problem: ModelProblem,
     dcurl = sp.eval_v_curl(u, pts) - np.asarray(problem.exact_curl_u(x, y))
     err_curl = float(np.vdot(wdet * dcurl, mats.mu_bar_inv[:, None] * dcurl))
 
-    err_jump = disc.tangential_jump_sq(u, g_data)
+    # Exact p is continuous with zero trace, so the jump error is p_h's.
+    if jumps is None:
+        jumps = disc.tangential_jump_sq(u, g_data), disc.normal_jump_sq(p)
+    err_jump, err_pjump = jumps
 
     dgp = sp.eval_q_grad(p, pts) - np.asarray(problem.exact_grad_p(x, y))
     err_pgrad = _energy(wdet, dgp, mats.eps)
-    # Exact p is continuous with zero trace, so the jump error is p_h's.
-    err_pjump = disc.normal_jump_sq(p)
 
     return {
         "e_v": float(np.sqrt(max(err_l2 + err_curl + err_jump, 0.0))),

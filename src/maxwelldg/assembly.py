@@ -462,18 +462,25 @@ class Discretization:
         return self._face_form(self.lifting.normal_jumps, self._eps_grams,
                                coeffs)
 
-    def _seminorm_sq(self, coeffs: np.ndarray) -> float:
-        return (self._element_form(self._curl_blocks(), coeffs)
-                + self.tangential_jump_sq(coeffs))
+    def _seminorm_sq(self, coeffs: np.ndarray,
+                     jump_sq: float | None = None) -> float:
+        if jump_sq is None:
+            jump_sq = self.tangential_jump_sq(coeffs)
+        return self._element_form(self._curl_blocks(), coeffs) + jump_sq
 
-    def norm_v(self, coeffs: np.ndarray) -> float:
+    def norm_v(self, coeffs: np.ndarray, jump_sq: float | None = None) -> float:
+        """The V norm; jump_sq is `tangential_jump_sq(coeffs)` when the
+        caller has it."""
         sp = self.spaces
         mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
-        return np.sqrt(max(self._seminorm_sq(coeffs)
+        return np.sqrt(max(self._seminorm_sq(coeffs, jump_sq)
                            + self._element_form(mass, coeffs), 0.0))
 
-    def norm_q(self, coeffs: np.ndarray) -> float:
+    def norm_q(self, coeffs: np.ndarray, jump_sq: float | None = None) -> float:
+        """The Q norm; jump_sq is `normal_jump_sq(coeffs)` when the caller
+        has it."""
         sp = self.spaces
         grad = sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps)
-        return np.sqrt(max(self._element_form(grad, coeffs)
-                           + self.normal_jump_sq(coeffs), 0.0))
+        if jump_sq is None:
+            jump_sq = self.normal_jump_sq(coeffs)
+        return np.sqrt(max(self._element_form(grad, coeffs) + jump_sq, 0.0))

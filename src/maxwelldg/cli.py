@@ -300,11 +300,14 @@ def run_solve(cfg: RunConfig) -> int:
         sol = solve_mixed(disc, cfg.ksq, load)
     else:
         sol = solve_auxiliary(disc, cfg.ksq, load)
+    # the face sums of the norms, which the error norms share unless
+    # boundary data enters the tangential jump
+    jump_u, jump_p = disc.tangential_jump_sq(sol.u), disc.normal_jump_sq(sol.p)
     summary.update({
         "dofs_u": disc.spaces.dim_V,
         "dofs_p": disc.spaces.dim_Q,
-        "norm_u": disc.norm_v(sol.u),
-        "norm_p": disc.norm_q(sol.p),
+        "norm_u": disc.norm_v(sol.u, jump_u),
+        "norm_p": disc.norm_q(sol.p, jump_p),
         "residual": sol.residual,
         "backward_error": sol.backward_error,
         "cond_estimate": sol.factor.cond_estimate,
@@ -314,7 +317,10 @@ def run_solve(cfg: RunConfig) -> int:
                    "lu_nnz": sol.factor.lu_nnz},
     })
     if problem is not None:
-        errs = error_norms(disc, problem, sol.u, sol.p, g_data=g_data)
+        if g_data is not None:
+            jump_u = disc.tangential_jump_sq(sol.u, g_data)
+        errs = error_norms(disc, problem, sol.u, sol.p, g_data=g_data,
+                           jumps=(jump_u, jump_p))
         summary["e_v"] = errs["e_v"]
         summary["e_q"] = errs["e_q"]
     text = _json_text(summary)

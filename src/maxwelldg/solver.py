@@ -8,9 +8,12 @@ as they are by a multifrontal LU (Duff and Reid, ACM Trans. Math. Softw.
 matrix: each tree node eliminates a run of elements in one dense front,
 with partial pivoting inside the front's fully summed block only, and
 passes its Schur complement to its parent, so nearly all the work is
-dense BLAS-3.  Eliminating the auxiliary system's face multipliers
-leaves the primal system, so it is factored the same way and the
-multipliers are recovered face by face.
+dense BLAS-3.  The matrix is symmetric, so a front keeps its own columns
+and its update block apart and never forms the block above its pivot
+block: the factor reads only the diagonal blocks and those below them,
+and LAPACK and BLAS work in place on the fronts.  Eliminating the
+auxiliary system's face multipliers leaves the primal system, so it is
+factored the same way and the multipliers are recovered face by face.
 
 Pivoting restricted to the fronts may grow the factor's error, so every
 solve takes one step of iterative refinement in working precision, which
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse import bsr_matrix
 from scipy.sparse.linalg import splu
@@ -97,16 +101,22 @@ class MultifrontalLU:
 
     Each run of elements is one node of the elimination tree, which is
     read from the block pattern of the matrix (Liu, SIAM J. Matrix Anal.
-    Appl. 1990).  The front of a tree
-    node holds the blocks of its own elements (p unknowns) and of its
-    update elements (u unknowns): the matrix blocks whose earlier element
-    is its own, plus the updates of its children.  Its
-    fully summed p x p block F11 is LU-factored by LAPACK with partial
-    pivoting inside it and inverted; the node keeps F11^-1 and the panel
-    V = F11^-1 F12, and hands F22 - F21 V to its parent.  So the factor
-    is L D L^T with L unit lower triangular, its blocks V^T, and D block
-    diagonal.  A node stores p^2 + p u entries, which make `nnz`, a count
-    fixed by the mesh and the degree.
+    Appl. 1990).  The front of a tree node holds the blocks of its own
+    elements (p unknowns) and of its update elements (u unknowns): the
+    matrix blocks whose earlier element is its own, plus the updates of
+    its children, added in by runs of element blocks.  The matrix is
+    symmetric, so a front is two arrays, its own columns [F11; F21],
+    (p + u) x p, and its update block F22, u x u; F12 = F21^T is never
+    formed.  A matrix block never lands in F22, and a block of F11 above
+    its diagonal is taken as the transpose of the one below, so the
+    factor reads only the diagonal blocks and those below them.  F11 is
+    LU-factored by LAPACK with partial pivoting inside it and inverted in
+    place; the node keeps X = F11^-1 and the panel V = X F21^T, and hands
+    F22 - F21 V to its parent, both products GEMMs that write into the
+    node's stored block and its update block.  So the factor is L D L^T
+    with L unit lower triangular, its blocks V^T, and D block diagonal.
+    A node stores p^2 + p u entries, which make `nnz`, a count fixed by
+    the mesh and the degree.
 
     A singular front raises `numpy.linalg.LinAlgError`; runs that do not
     partition the elements raise ValueError.
@@ -132,23 +142,24 @@ class MultifrontalLU:
         nodes = len(bounds) - 1
         own = np.diff(bounds)
         run = np.repeat(np.arange(nodes), own)
-        # the matrix blocks, each to the front of its earlier element
+        # the diagonal blocks and those below them, each to the front of
+        # its column element, the earlier one; the blocks above are their
+        # transposes, so the factor never reads them
         brow = np.repeat(np.arange(system.shape[0] // nb),
                          np.diff(system.indptr))
-        node = run[np.minimum(brow, system.indices)]
-        by_node = np.argsort(node, kind="stable")
-        cut = np.searchsorted(node[by_node], np.arange(nodes + 1))
-        node = node[by_node]
+        lower = np.flatnonzero(brow >= system.indices)
+        by_node = lower[np.argsort(run[system.indices[lower]], kind="stable")]
         brow, bcol = brow[by_node], system.indices[by_node]
+        node = run[bcol]
+        cut = np.searchsorted(node, np.arange(nodes + 1))
         # symbolic elimination: a node's update elements are the later
         # elements its blocks join plus those of its children that it does
         # not eliminate itself; its parent eliminates the first of them
-        joined = np.maximum(brow, bcol)
         parent = np.full(nodes, -1, dtype=np.int64)
         inherited = [[] for _ in range(nodes)]
         update = []
         for j in range(nodes):
-            rows = np.unique(np.concatenate([joined[cut[j]:cut[j + 1]],
+            rows = np.unique(np.concatenate([brow[cut[j]:cut[j + 1]],
                                              *inherited[j]]))
             rows = rows[rows >= bounds[j + 1]]
             update.append(rows)
@@ -173,51 +184,74 @@ class MultifrontalLU:
                 keys, node[outside] * span + pos[outside])]
             return out
 
-        blk_row = slot(node, brow)
-        blk_col = slot(node, bcol)
+        # a block goes to the own columns [F11; F21] of its front, and
+        # one inside F11 also to its transpose's place above the diagonal
+        blk_row, blk_col = slot(node, brow), bcol - bounds[node]
+        mirror = np.flatnonzero((brow > bcol) & (run[brow] == node))
+        mcut = np.searchsorted(node[mirror], np.arange(nodes + 1))
         # each node's update rows in its parent's front, as runs of
-        # consecutive blocks: (start in the update, start in the front,
-        # length), in unknowns
+        # consecutive blocks, split where the parent's own blocks end:
+        # (start in the update, start in the front, length), in unknowns
         dest = slot(parent[owner], later)
+        edge = own[parent[owner]]
         head = np.ones(later.size, dtype=bool)
-        head[1:] = (owner[1:] != owner[:-1]) | (dest[1:] != dest[:-1] + 1)
+        head[1:] = ((owner[1:] != owner[:-1]) | (dest[1:] != dest[:-1] + 1)
+                    | (dest[1:] == edge[1:]))
         head = np.flatnonzero(head)
         runs = nb * np.stack([head - first[owner[head]], dest[head],
                               np.diff(np.append(head, later.size))], axis=1)
-        runs = np.split(runs, np.searchsorted(owner[head], np.arange(1, nodes)))
+        # per node: its runs, those into the parent's own columns, and
+        # those into the parent's update block, counted from its start
+        inside = dest[head] < edge[head]
+        below = runs - nb * np.outer(edge[head], [0, 1, 0])
+        split = np.searchsorted(owner[head], np.arange(1, nodes))
+        moves = [(r.tolist(), r[i].tolist(), b[~i].tolist()) for r, i, b in
+                 zip(*(np.split(a, split) for a in (runs, inside, below)))]
         rows = np.split((later[:, None] * nb + np.arange(nb)).ravel(),
                         nb * np.cumsum(sizes)[:-1])
 
-        # per node [F11^-1, -V] and the positions of its own and update
-        # unknowns
+        # per node [X, -V], X = F11^-1 and V = X F21^T, and the positions
+        # of its own and update unknowns
         piv, upd = own * nb, sizes * nb
         pending = [[] for _ in range(nodes)]
         self.offsets = bounds * nb
         self.fronts = []
         for j in range(nodes):
             k, p, u = own[j] + sizes[j], piv[j], upd[j]
-            front = np.zeros((p + u, p + u))
-            sl = slice(cut[j], cut[j + 1])
-            front.reshape(k, nb, k, nb)[blk_row[sl], :, blk_col[sl], :] = (
-                system.data[by_node[sl]])
-            for segments, schur in pending[j]:
-                for a, b, r in segments:
-                    for c, d, s in segments:
-                        front[b:b + r, d:d + s] += schur[a:a + r, c:c + s]
+            left, schur = np.zeros((p + u, p)), np.zeros((u, u))
+            view = left.reshape(k, nb, own[j], nb)
+            sl, ml = slice(cut[j], cut[j + 1]), mirror[mcut[j]:mcut[j + 1]]
+            view[blk_row[sl], :, blk_col[sl], :] = system.data[by_node[sl]]
+            view[blk_col[ml], :, blk_row[ml], :] = np.swapaxes(
+                system.data[by_node[ml]], 1, 2)
+            for segments, columns, inner, child in pending[j]:
+                for c, d, s in columns:
+                    for a, b, r in segments:
+                        left[b:b + r, d:d + s] += child[a:a + r, c:c + s]
+                for c, d, s in inner:
+                    for a, b, r in inner:
+                        schur[b:b + r, d:d + s] += child[a:a + r, c:c + s]
             pending[j] = None
-            lu, ipiv, info = dgetrf(front[:p, :p])
+            # left[:p].T is F11^T in Fortran order: LAPACK factors and
+            # inverts it in place, leaving X^T
+            lu, ipiv, info = dgetrf(left[:p].T, overwrite_a=1)
             if info == 0:
-                inverse, info = dgetri(lu, ipiv)
+                inverse, info = dgetri(lu, ipiv, overwrite_lu=1)
             if info:
                 raise np.linalg.LinAlgError(f"front {j} is singular")
-            block = np.empty((p, p + u))
-            block[:, :p] = inverse
+            block = np.empty((p, p + u), order="F")
+            block[:, :p] = inverse.T
             if u:
-                panel = inverse @ front[:p, p:]
-                np.negative(panel, out=block[:, p:])
-                schur = front[p:, p:]
-                schur -= front[p:, :p] @ panel
-                pending[parent[j]].append((runs[j].tolist(), schur))
+                # -V straight into the block (the assignment copies only if
+                # the wrapper did not write in place), then F22 - F21 V into
+                # the update block through its Fortran-ordered transpose
+                f21t = left[p:].T
+                block[:, p:] = panel = dgemm(-1.0, inverse, f21t,
+                                             c=block[:, p:], trans_a=1,
+                                             overwrite_c=1)
+                schur = dgemm(1.0, panel, f21t, beta=1.0, c=schur.T,
+                              trans_a=1, overwrite_c=1).T
+                pending[parent[j]].append((*moves[j], schur))
             self.fronts.append((block, np.concatenate(
                 [np.arange(self.offsets[j], self.offsets[j + 1]), rows[j]])))
 

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import bsr_matrix
 from scipy.sparse.linalg import splu
 
+from maxwelldg import solver
 from maxwelldg.assembly import Discretization
 from maxwelldg.materials import Coefficients
 from maxwelldg.mesh import Mesh, lshape, unit_square
@@ -10,6 +14,7 @@ from maxwelldg.problems import gradient_null_data, sine_problem
 from maxwelldg.solver import (
     BACKWARD_TOL,
     COND_MAX,
+    FaceElimination,
     MultifrontalLU,
     ResonanceError,
     backward_error,
@@ -393,6 +398,74 @@ class TestConditionEstimate:
             for column, rhs in zip(both.T, block.T):
                 one = apply(rhs)
                 assert np.linalg.norm(column - one) <= 1e-15 * np.linalg.norm(one)
+
+
+def upper_blocks_nan(matrix: bsr_matrix) -> bsr_matrix:
+    """The matrix with every block above the block diagonal NaN."""
+    nb = matrix.blocksize[0]
+    rows = np.repeat(np.arange(matrix.shape[0] // nb), np.diff(matrix.indptr))
+    data = matrix.data.copy()
+    data[rows < matrix.indices] = np.nan
+    return bsr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
+class TestFrontsInPlace:
+    """The fronts hold their own columns [F11; F21] and their update block
+    F22 apart and never form F12 = F21^T, so the factor reads only the
+    diagonal blocks and those below; the dense kernels write in place."""
+
+    @pytest.fixture
+    def disc(self, degree):
+        # several levels of fronts, leaves of several elements
+        return Discretization(halves(unit_square(8)), degree,
+                              random_materials(17))
+
+    @pytest.mark.parametrize("multiplier", [False, True],
+                             ids=["primal", "auxiliary"])
+    def test_reads_only_the_lower_blocks(self, disc, multiplier):
+        system = (disc.auxiliary_system(1.0) if multiplier
+                  else disc.primal_system(1.0))
+        bounds = disc.dissection[1]
+        lu, factor = factorize(system, bounds)
+        assert factor.pivoting == "symmetric"
+        primal = upper_blocks_nan(system.primal if multiplier else system)
+        blind = MultifrontalLU(primal, bounds)
+        if multiplier:
+            blind = FaceElimination(
+                dataclasses.replace(system, primal=primal), blind)
+            fronts, blind_fronts = lu.lu.fronts, blind.lu.fronts
+        else:
+            fronts, blind_fronts = lu.fronts, blind.fronts
+        assert len(fronts) == len(blind_fronts)
+        for (block, at), (other, other_at) in zip(fronts, blind_fronts):
+            assert np.array_equal(at, other_at)
+            assert np.array_equal(block, other)
+        rhs = np.random.default_rng(4).standard_normal(system.shape[0])
+        assert np.array_equal(blind.solve(rhs), lu.solve(rhs))
+
+    def test_kernels_write_in_place(self, disc, monkeypatch):
+        # -V lands in the block the front keeps, F22 - F21 V in the
+        # pending update it was handed: a copy made by the BLAS wrapper,
+        # for a layout it cannot take as it is, would show here
+        calls = []
+        gemm = solver.dgemm
+
+        def recorded(*args, **kwargs):
+            out = gemm(*args, **kwargs)
+            calls.append((kwargs["c"], out))
+            return out
+        monkeypatch.setattr(solver, "dgemm", recorded)
+        lu = MultifrontalLU(disc.primal_system(1.0), disc.dissection[1])
+        updating = [block for block, at in lu.fronts if at.size > block.shape[0]]
+        assert len(updating) > 1
+        assert len(calls) == 2 * len(updating)
+        for block, (_, panel), (update, schur) in zip(updating, calls[::2],
+                                                      calls[1::2]):
+            p = block.shape[0]
+            assert np.shares_memory(panel, block)
+            assert np.array_equal(panel, block[:, p:])
+            assert np.shares_memory(schur, update)
+            assert schur.shape == update.shape == (block.shape[1] - p,) * 2
 
 
 def delaunay_case():
