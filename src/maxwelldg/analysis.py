@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh, null_space
 from scipy.sparse import block_diag
-from scipy.sparse.linalg import splu
 
 from .assembly import Discretization
 from .mesh import Mesh
@@ -96,6 +95,7 @@ def infsup_constant_B(disc: Discretization,
                       include_multiplier: bool = True) -> float:
     """Inf-sup constant of the constraint form over (V x M) x Q via the
     generalized singular value problem in the norm geometries."""
+    from scipy.sparse.linalg import splu
     sp = disc.spaces
     _guard(sp.dim_Q)
     if include_multiplier:
@@ -318,12 +318,14 @@ def convergence_study(problem: ModelProblem, degree: int, levels: int,
             report = ConvergenceReport(problem.name, degree, problem.ksq,
                                        disc.alpha[0], disc.gamma[0],
                                        formulation)
+        # the margin caches a, which the system then reads, so a level
+        # builds each form once
+        margin = coercivity_margin(disc, nsamples=margin_samples)
         if formulation == "primal":
             sol = solve_mixed(disc, problem.ksq, load)
         else:
             sol = solve_auxiliary(disc, problem.ksq, load)
         errs = error_norms(disc, problem, sol.u, sol.p, g_data=g_data)
-        margin = coercivity_margin(disc, nsamples=margin_samples)
         h = mesh.mesh_size()
         eoc_v = eoc_q = None
         if prev is not None:

@@ -17,9 +17,11 @@ The forms a, b and c are assembled face by face straight into those
 blocks: each face adds one dense block per pair of its sides, and each
 element its volume block.  Each form is a `bsr_array` of its element
 blocks, and the system is made of their `data`, in the elimination order
-the multifrontal factor reads.  The boundary load, the norms and the
-jump terms of the error norms are summed from the same (face, side)
-tables and per-face Grams, so a primal solve needs no other sparse
+the multifrontal factor reads.  The forms are cached for the analysis
+that reads them; a solve builds each one for its system alone and lets it
+go, so it holds every element block once.  The boundary load, the norms
+and the jump terms of the error norms are summed from the same (face,
+side) tables and per-face Grams, so a primal solve needs no other sparse
 operator; the CSR Grams and jump maps serve the stability constants and
 the sampled coercivity margin.
 """
@@ -172,18 +174,16 @@ class Discretization:
     @cached_property
     def lift_gram_scalar(self) -> csr_matrix:
         """Block diagonal of (mu_bar^-1 r_F(.), r_F(.)), no penalty factor."""
-        return self.lifting.block_diag_scalar(
-            np.ones(self.mesh.num_faces), self.materials.mu_bar_inv)
+        return element_block_diag(self._mu_grams)
 
     @cached_property
     def lift_gram_vector(self) -> csr_matrix:
         """Block diagonal of (eps R_F(.), R_F(.)), no penalty factor."""
-        return self.lifting.block_diag_vector(
-            np.ones(self.mesh.num_faces), self.materials.eps)
+        return element_block_diag(self._eps_grams)
 
     @cached_property
     def gamma_gram(self) -> csr_matrix:
-        return self.lifting.block_diag_vector(self.gamma, self.materials.eps)
+        return element_block_diag(self._gamma_grams())
 
     @cached_property
     def _mu_grams(self) -> np.ndarray:
@@ -348,22 +348,32 @@ class Discretization:
         q = sp.dim_V + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
         return np.hstack([v, q])[self.dissection[0]].ravel()
 
+    def _form(self, name: str) -> bsr_array:
+        """The form of that name: its cached copy if a reader has cached
+        it, else one built by its cached property's getter, the one path
+        that assembles it, for the caller alone."""
+        form = self.__dict__.get(name)
+        return getattr(type(self), name).func(self) if form is None else form
+
     def primal_system(self, ksq: float) -> bsr_matrix:
         """The (V, Q) system [[a - ksq m, b^T], [b, -c]] in blocks of one
         element, the elements in elimination order; `system_order` maps
-        its unknowns to the (V, Q) layout."""
+        its unknowns to the (V, Q) layout.  The forms a, b and c that no
+        reader has cached are built one at a time and released before the
+        next, so a solve holds each element block only once, here."""
         sp, ne = self.spaces, self.mesh.num_elements
         nv, nb = sp.ndof_v, sp.ndof_v + sp.ndof_q
         brow, bcol, _, transpose, _ = self._block_pattern
         rank = np.argsort(self.dissection[0])
         rows, cols = rank[brow], rank[bcol]
         source = np.lexsort((cols, rows))
-        b = self.b_matrix.data
         data = np.empty((len(source), nb, nb))
-        data[:, :nv, :nv] = self.a_matrix.data[source]
+        data[:, :nv, :nv] = self._form("a_matrix").data[source]
+        b = self._form("b_matrix").data
         data[:, :nv, nv:] = np.swapaxes(b[transpose[source]], 1, 2)
         data[:, nv:, :nv] = b[source]
-        data[:, nv:, nv:] = -self.c_matrix.data[source]
+        del b
+        data[:, nv:, nv:] = -self._form("c_matrix").data[source]
         own = transpose[source] == source
         mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
         data[own, :nv, :nv] -= ksq * mass[brow[source[own]]]

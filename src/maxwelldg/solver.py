@@ -21,9 +21,9 @@ restores a small backward error when the factor is not too unstable
 (Skeel, Math. Comp. 1980).  A factor is judged on the refined solves of
 a fixed random probe and of the load; if either backward error is too
 large, or a front is singular, the primal system is refactored by SuperLU
-with partial pivoting and a COLAMD column order.  The load alone does not
-suffice: a smooth load can miss the growth of a factor that the probe
-sees.
+with partial pivoting and a COLAMD column order; only then is SuperLU's
+module imported.  The load alone does not suffice: a smooth load can miss
+the growth of a factor that the probe sees.
 
 A wavenumber at a discrete resonance makes the matrix singular.  That is
 judged by a 1-norm condition estimate (Hager, SIAM J. Sci. Stat. Comput.
@@ -33,7 +33,9 @@ system nor the fill-reducing ordering.  Its first two solves ride along
 with the refined ones: one multi-column tree solve takes the probe, the
 load and the estimator's two start vectors, the next the two residual
 corrections and the estimator's sign vector, so a solve usually makes
-four passes over the factor, the last two of one column each.
+four passes over the factor, the last two of one column each.  The
+first of those two is a unit vector e_j, whose L^-1 sweep runs only along
+the path from the tree node of j to the root.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse import bsr_matrix
-from scipy.sparse.linalg import splu
 
 from .assembly import AuxiliarySystem, Discretization
 
@@ -166,6 +167,7 @@ class MultifrontalLU:
             if rows.size:
                 parent[j] = run[rows[0]]
                 inherited[parent[j]].append(rows)
+        self.parent = parent
         sizes = np.array([u.size for u in update], dtype=np.int64)
         later = np.concatenate(update)
         owner = np.repeat(np.arange(nodes), sizes)
@@ -231,7 +233,8 @@ class MultifrontalLU:
                 for c, d, s in inner:
                     for a, b, r in inner:
                         schur[b:b + r, d:d + s] += child[a:a + r, c:c + s]
-            pending[j] = None
+            # the last child's update goes too, before the dense calls
+            pending[j] = child = None
             # left[:p].T is F11^T in Fortran order: LAPACK factors and
             # inverts it in place, leaving X^T
             lu, ipiv, info = dgetrf(left[:p].T, overwrite_a=1)
@@ -255,17 +258,35 @@ class MultifrontalLU:
             self.fronts.append((block, np.concatenate(
                 [np.arange(self.offsets[j], self.offsets[j + 1]), rows[j]])))
 
+    def _lower_nodes(self, w: np.ndarray):
+        """The nodes the L^-1 sweep visits, in postorder: all of them, or,
+        for one column whose nonzeros all lie in one node, that node's
+        path to the root, since every other node would add exact zeros."""
+        nz = np.flatnonzero(w) if w.ndim == 1 else []
+        if len(nz):
+            first, last = np.searchsorted(self.offsets, nz[[0, -1]],
+                                          side="right") - 1
+            if first == last:
+                path = [int(first)]
+                while self.parent[path[-1]] >= 0:
+                    path.append(int(self.parent[path[-1]]))
+                return path
+        return range(len(self.fronts))
+
     def _tree_solve(self, w: np.ndarray) -> None:
         """Solve in place with the element-block factor, in tree order:
         L^-1 in postorder, as F21 F11^-1 = V^T for a symmetric front, then
         D^-1 and L^-T from the root down, one product per node."""
         offsets, fronts = self.offsets, self.fronts
-        for j, (block, at) in enumerate(fronts):
+        # gathers by take, not fancy indexing: faster on blocks of columns
+        for j in self._lower_nodes(w):
+            block, at = fronts[j]
             p = block.shape[0]
-            w[at[p:]] += block[:, p:].T @ w[offsets[j]:offsets[j + 1]]
+            w[at[p:]] = (w.take(at[p:], axis=0)
+                         + block[:, p:].T @ w[offsets[j]:offsets[j + 1]])
         for j in range(len(fronts) - 1, -1, -1):
             block, at = fronts[j]
-            w[offsets[j]:offsets[j + 1]] = block @ w[at]
+            w[offsets[j]:offsets[j + 1]] = block @ w.take(at, axis=0)
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve with the matrix, or its transpose, which is the same, for
@@ -307,10 +328,14 @@ def refined_solve(matrix, lu, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def backward_error(matrix, norm: float, x: np.ndarray, rhs: np.ndarray) -> float:
+def backward_error(matrix, norm: float, x: np.ndarray, rhs: np.ndarray,
+                   product: np.ndarray | None = None) -> float:
     """Normwise backward error of x as a solution of matrix x = rhs in the
-    1-norm (Rigal and Gaches, J. ACM 1967), given the matrix's 1-norm."""
-    gap = np.abs(rhs - matrix @ x).sum()
+    1-norm (Rigal and Gaches, J. ACM 1967), given the matrix's 1-norm and,
+    when the caller has it, the product matrix @ x."""
+    if product is None:
+        product = matrix @ x
+    gap = np.abs(rhs - product).sum()
     scale = norm * np.abs(x).sum() + np.abs(rhs).sum()
     return float(gap / scale) if scale > 0 else float(gap)
 
@@ -411,6 +436,7 @@ def factorize(system, bounds, rhs: np.ndarray | None = None):
         stable = all(backward_error(system, norm, x, b) <= BACKWARD_TOL
                      for x, b in zip(passes[0].T, loads.T))
     if not stable:
+        from scipy.sparse.linalg import splu
         pivoting, ordering = "partial", "colamd"
         try:
             lu = eliminate(splu(primal.tocsc()))
@@ -452,6 +478,8 @@ def _solve(disc: Discretization, system, load: np.ndarray) -> Solution:
     rhs = np.zeros(system.shape[0])
     rhs[:nw] = load[order]
     _, factor, x = factorize(system, disc.dissection[1], rhs)
+    # the one product with the system: residual, backward error and, for
+    # the primal system, the constraint gap
     product = system @ x
     scale = np.linalg.norm(rhs)
     residual = float(np.linalg.norm(product - rhs) / (scale if scale > 0 else 1.0))
@@ -462,7 +490,7 @@ def _solve(disc: Discretization, system, load: np.ndarray) -> Solution:
     fields[order] = x[:nw]
     nv = disc.spaces.dim_V
     return Solution(fields[:nv], fields[nv:], x[nw:] if x.size > nw else None,
-                    residual, backward_error(system, factor.norm, x, rhs),
+                    residual, backward_error(system, factor.norm, x, rhs, product),
                     factor, gap)
 
 

@@ -237,6 +237,35 @@ class TestBlockAssembly:
             assert isinstance(form, sparse.bsr_array)
             assert np.array_equal(form.data, refasm.form_blocks(disc, form))
 
+    @pytest.mark.parametrize("multiplier", [False, True],
+                             ids=["primal", "auxiliary"])
+    def test_system_caches_no_form(self, degree, multiplier, monkeypatch):
+        """A system builds the forms for itself and caches none of them,
+        so a solve holds each element block once; where a reader cached
+        a form, the system reads that copy.  Either way its blocks are
+        the same bits."""
+        mesh, coeffs = two_tag_mesh(3), random_materials(12)
+        forms = ("a_matrix", "b_matrix", "c_matrix")
+
+        def build(disc):
+            return (disc.auxiliary_system(0.9) if multiplier
+                    else disc.primal_system(0.9))
+        fresh = Discretization(mesh, degree, coeffs)
+        system = build(fresh)
+        assert not set(forms) & set(vars(fresh))
+        cached = Discretization(mesh, degree, coeffs)
+        for name in forms:
+            getattr(cached, name)
+            # a form built again would call None
+            monkeypatch.setattr(getattr(Discretization, name), "func", None)
+        again = build(cached)
+        if multiplier:
+            assert np.array_equal(again.gram, system.gram)
+            assert (again.jump != system.jump).nnz == 0
+            system, again = system.primal, again.primal
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(again, key), getattr(system, key))
+
     def test_system_nnz_is_structural(self, degree):
         # one dense block per element and two per interior face, whatever
         # the wavenumber and the materials
@@ -475,6 +504,22 @@ class TestPenaltyWeights:
 
 
 class TestBlockDiag:
+    def test_face_grams_from_the_cached_blocks(self, degree):
+        # the block diagonals of the per-face Grams, read from the cached
+        # blocks, are bitwise those the lifting builds afresh
+        mesh = two_tag_mesh(2)
+        disc = Discretization(mesh, degree, random_materials(4),
+                              gamma=np.linspace(0.5, 2.0, mesh.num_faces))
+        lift, mats = disc.lifting, disc.materials
+        ones = np.ones(disc.mesh.num_faces)
+        for mine, oracle in (
+                (disc.lift_gram_scalar,
+                 lift.block_diag_scalar(ones, mats.mu_bar_inv)),
+                (disc.lift_gram_vector, lift.block_diag_vector(ones, mats.eps)),
+                (disc.gamma_gram, lift.block_diag_vector(disc.gamma, mats.eps))):
+            for key in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(mine, key), getattr(oracle, key))
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(39)
         blocks = rng.standard_normal((5, 3, 4))

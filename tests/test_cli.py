@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +246,30 @@ class TestSolveCommand:
         assert code == 0
         assert np.isfinite(out["backward_error"])
         assert 0.0 <= out["backward_error"] <= 1e-14
+
+    def test_solve_loads_no_superlu(self, tmp_path):
+        """SuperLU's module is imported on the fallback only: in a fresh
+        interpreter, solves that keep the multifrontal factor leave it
+        out of sys.modules."""
+        paths = [write_config(tmp_path, {"problem": "sine", "mesh": "square:4",
+                                         "degree": degree,
+                                         "formulation": formulation},
+                              f"{degree}-{formulation}.json")
+                 for degree in (1, 2) for formulation in ("primal", "auxiliary")]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import maxwelldg.cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert maxwelldg.cli.main(['solve', '--config', path]) == 0\n"
+            "    factor = json.loads(out.getvalue())['factor']\n"
+            "    assert factor['pivoting'] == 'symmetric', factor\n"
+            "sys.exit('scipy.sparse.linalg' in sys.modules)\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, *paths],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
 
     def test_output_file(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "zero", "mesh": "square:2",

@@ -387,6 +387,35 @@ class TestConditionEstimate:
         estimate = factorize(system, disc.dissection[1])[1].cond_estimate
         assert 0.5 * exact <= estimate <= (1.0 + 1e-12) * exact
 
+    @pytest.mark.parametrize("multiplier", [False, True],
+                             ids=["primal", "auxiliary"])
+    def test_unit_solves_start_sparse(self, degree, multiplier, monkeypatch):
+        """A unit vector's L^-1 sweep visits only its node's path to the
+        root, and gives the full sweep's bits: every other node would add
+        exact zeros."""
+        disc = Discretization(halves(unit_square(8)), degree,
+                              random_materials(5))
+        system = (disc.auxiliary_system(1.0) if multiplier
+                  else disc.primal_system(1.0))
+        lu, factor = factorize(system, disc.dissection[1])
+        assert factor.pivoting == "symmetric"
+        tree = lu.lu if multiplier else lu
+
+        def unit(j):
+            e = np.zeros(system.shape[0])
+            e[j] = 1.0
+            return e
+        columns = range(0, system.shape[0], 7)
+        sparse = [lu.solve(unit(j)) for j in columns]
+        assert len(tree._lower_nodes(unit(0))) < len(tree.fronts)
+        monkeypatch.setattr(MultifrontalLU, "_lower_nodes",
+                            lambda self, w: range(len(self.fronts)))
+        for j, start in zip(columns, sparse):
+            assert np.array_equal(start, lu.solve(unit(j)))
+        # so the condition estimate reads the same bits
+        full = factorize(system, disc.dissection[1])[1]
+        assert full.cond_estimate == factor.cond_estimate
+
     def test_block_right_hand_sides(self, disc2):
         # a block of columns gives, column by column, what one column does
         system = disc2.auxiliary_system(1.0)
