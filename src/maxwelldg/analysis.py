@@ -63,11 +63,13 @@ def _energy(wdet: np.ndarray, vals: np.ndarray, field: np.ndarray) -> float:
 def coercivity_margin(disc: Discretization, nsamples: int = 200,
                       seed: int = 0) -> float:
     """Minimum over random coefficient vectors of
-    (a(v,v) - 1/2 |v|^2) / |v|^2; nonnegative at the default penalty."""
+    (a(v,v) - 1/2 |v|^2) / |v|^2; nonnegative at the default penalty.
+    The forms are applied as CSR copies, which multiply a block of columns
+    about twice as fast as their element blocks."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((disc.spaces.dim_V, nsamples))
-    av = np.sum(x * (disc.a_matrix @ x), axis=0)
-    sv = np.sum(x * (disc.seminorm_gram @ x), axis=0)
+    av = np.sum(x * (disc.a_matrix.tocsr() @ x), axis=0)
+    sv = np.sum(x * (disc.seminorm_gram.tocsr() @ x), axis=0)
     mask = sv > 0
     return float(((av[mask] - 0.5 * sv[mask]) / sv[mask]).min())
 
@@ -148,21 +150,16 @@ def indefinite_infsup(disc: Discretization, ksq: float,
 
 def error_norms(disc: Discretization, problem: ModelProblem,
                 u: np.ndarray, p: np.ndarray,
-                g_data: np.ndarray | None = None,
-                degree: int | None = None,
-                jumps: tuple[float, float] | None = None) -> dict:
+                g_data: np.ndarray | None = None) -> dict:
     """Energy-type errors against the exact fields by fine quadrature.
 
     The jump part of the field error uses the lifted tangential jump of
     u_h minus the face expansion of the boundary data (the lifting sees
     only that expansion, so this is exact for the lifted seminorm).
-    jumps holds the face sums `disc.tangential_jump_sq(u, g_data)` and
-    `disc.normal_jump_sq(p)` when the caller has them.
     """
     sp = disc.spaces
-    deg = sp.deg_err if degree is None else degree
     mats = disc.materials
-    rule = triangle_rule(deg)
+    rule = triangle_rule(sp.deg_err)
     pts, wts = rule.points, rule.weights
     phys = sp.phys_points(pts)
     x, y = phys[..., 0], phys[..., 1]
@@ -176,9 +173,8 @@ def error_norms(disc: Discretization, problem: ModelProblem,
     err_curl = float(np.vdot(wdet * dcurl, mats.mu_bar_inv[:, None] * dcurl))
 
     # Exact p is continuous with zero trace, so the jump error is p_h's.
-    if jumps is None:
-        jumps = disc.tangential_jump_sq(u, g_data), disc.normal_jump_sq(p)
-    err_jump, err_pjump = jumps
+    err_jump = disc.tangential_jump_sq(u, g_data)
+    err_pjump = disc.normal_jump_sq(p)
 
     dgp = sp.eval_q_grad(p, pts) - np.asarray(problem.exact_grad_p(x, y))
     err_pgrad = _energy(wdet, dgp, mats.eps)
@@ -190,8 +186,6 @@ def error_norms(disc: Discretization, problem: ModelProblem,
         "e_curl": float(np.sqrt(max(err_curl, 0.0))),
         "e_jump": float(np.sqrt(max(err_jump, 0.0))),
     }
-
-
 
 
 # ----------------------------------------------------------------------

@@ -19,11 +19,11 @@ element its volume block.  Each form is a `bsr_array` of its element
 blocks, and the system is made of their `data`, in the elimination order
 the multifrontal factor reads.  The forms are cached for the analysis
 that reads them; a solve builds each one for its system alone and lets it
-go, so it holds every element block once.  The boundary load, the norms
-and the jump terms of the error norms are summed from the same (face,
-side) tables and per-face Grams, so a primal solve needs no other sparse
-operator; the CSR Grams and jump maps serve the stability constants and
-the sampled coercivity margin.
+go, so it holds every element block once.  The Grams of the norms, which
+the stability constants and the sampled coercivity margin read, are
+assembled the same way, and the boundary load and the norm values are
+summed from the same (face, side) tables and per-face Grams, so no
+command builds the CSR jump maps.
 """
 
 from __future__ import annotations
@@ -133,10 +133,6 @@ class Discretization:
         scale = self.materials.mu_bar_inv / sp.det_jac
         return scale[:, None, None] * sp.ref_curl_gram
 
-    @cached_property
-    def curl_stiffness(self) -> csr_matrix:
-        return element_block_diag(self._curl_blocks())
-
     def mass_v(self, field: np.ndarray | None = None) -> csr_matrix:
         """V mass matrix with an optional per-element 2x2 weight."""
         sp = self.spaces
@@ -146,23 +142,10 @@ class Discretization:
     def mass_eps(self) -> csr_matrix:
         return self.mass_v(self.materials.eps)
 
-    @cached_property
-    def grad_pair(self) -> csr_matrix:
-        """(eps v, grad q) pairing, rows V dofs, columns Q dofs."""
-        sp = self.spaces
-        return element_block_diag(
-            sp.mapped_gram(sp.ref_v_qgrad, self.materials.eps))
-
-    @cached_property
-    def q_grad_gram(self) -> csr_matrix:
-        """(eps grad q, grad q') broken gradient Gram on Q."""
-        sp = self.spaces
-        return element_block_diag(
-            sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps))
-
     # ------------------------------------------------------------------
     # face operators
 
+    # No command reads the CSR jump maps; perfbench's tracer wraps them.
     @cached_property
     def jump_t(self) -> csr_matrix:
         return self.lifting.jump_tangential
@@ -170,11 +153,6 @@ class Discretization:
     @cached_property
     def jump_n(self) -> csr_matrix:
         return self.lifting.jump_normal
-
-    @cached_property
-    def lift_gram_scalar(self) -> csr_matrix:
-        """Block diagonal of (mu_bar^-1 r_F(.), r_F(.)), no penalty factor."""
-        return element_block_diag(self._mu_grams)
 
     @cached_property
     def lift_gram_vector(self) -> csr_matrix:
@@ -296,39 +274,53 @@ class Discretization:
         grad = sp.mapped_gram(sp.ref_v_qgrad, self.materials.eps)
         return self._assemble(-np.swapaxes(grad, 1, 2), face, symmetric=False)
 
+    def _jump_form(self, volume: np.ndarray, jumps: np.ndarray,
+                   grams: np.ndarray) -> bsr_array:
+        """The symmetric form of the volume blocks plus, per face F, the
+        lifted jumps jumps_s^T G_F jumps_t of its sides, G (nf, r, r)."""
+        def face(f, s, t):
+            return np.swapaxes(jumps[f, s], 1, 2) @ (grams[f] @ jumps[f, t])
+        return self._assemble(volume, face, symmetric=True)
+
     @cached_property
     def c_matrix(self) -> bsr_array:
         """Multiplier penalty: gamma (eps R_F(jump q), R_F(jump q'))."""
-        jn, gram = self.lifting.normal_jumps, self._gamma_grams()
-
-        def face(f, s, t):
-            """jn_s^T G jn_t, G the multiplier penalty Gram."""
-            return np.swapaxes(jn[f, s], 1, 2) @ (gram[f] @ jn[f, t])
         nq = self.spaces.ndof_q
-        return self._assemble(np.zeros((self.mesh.num_elements, nq, nq)),
-                              face, symmetric=True)
+        return self._jump_form(np.zeros((self.mesh.num_elements, nq, nq)),
+                               self.lifting.normal_jumps, self._gamma_grams())
 
     @cached_property
     def b_lambda(self) -> csr_matrix:
-        """Multiplier block of the constraint row, rows Q, columns face dofs."""
-        return csr_matrix(-self.jump_n.T @ self.gamma_gram)
+        """Multiplier block of the constraint row, rows Q, columns face
+        dofs: -jn_s^T G_F per (face, side), G the multiplier penalty Gram."""
+        sp, lift = self.spaces, self.lifting
+        nf, nq, m = self.mesh.num_faces, sp.ndof_q, sp.ndof_m
+        blocks = (-np.swapaxes(lift.normal_jumps, 2, 3)
+                  @ self._gamma_grams()[:, None])
+        rows = lift.side_elements[:, :, None] * nq + np.arange(nq)
+        return block_sparse(blocks, rows, np.arange(nf * m).reshape(nf, 1, m),
+                            (sp.dim_Q, nf * m), keep=lift.side_mask)
 
     # ------------------------------------------------------------------
     # norms
 
     @cached_property
-    def seminorm_gram(self) -> csr_matrix:
-        jt = self.jump_t
-        return csr_matrix(self.curl_stiffness + jt.T @ self.lift_gram_scalar @ jt)
+    def seminorm_gram(self) -> bsr_array:
+        return self._jump_form(self._curl_blocks(),
+                               self.lifting.tangential_jumps, self._mu_grams)
 
     @cached_property
-    def norm_v_gram(self) -> csr_matrix:
-        return csr_matrix(self.seminorm_gram + self.mass_eps)
+    def norm_v_gram(self) -> bsr_array:
+        sp = self.spaces
+        mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
+        return self._jump_form(self._curl_blocks() + mass,
+                               self.lifting.tangential_jumps, self._mu_grams)
 
     @cached_property
-    def norm_q_gram(self) -> csr_matrix:
-        jn = self.jump_n
-        return csr_matrix(self.q_grad_gram + jn.T @ self.lift_gram_vector @ jn)
+    def norm_q_gram(self) -> bsr_array:
+        sp = self.spaces
+        grad = sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps)
+        return self._jump_form(grad, self.lifting.normal_jumps, self._eps_grams)
 
     @cached_property
     def norm_w_gram(self) -> csr_matrix:
@@ -403,10 +395,10 @@ class Discretization:
     # ------------------------------------------------------------------
     # loads
 
-    def load_volume(self, func, degree: int | None = None) -> np.ndarray:
+    def load_volume(self, func) -> np.ndarray:
         """(f, v) for a vector callable f(x, y) -> (..., 2)."""
         sp = self.spaces
-        rule = triangle_rule(sp.deg_load if degree is None else degree)
+        rule = triangle_rule(sp.deg_load)
         pts, wts = rule.points, rule.weights
         phys = sp.phys_points(pts)
         fvals = np.asarray(func(phys[..., 0], phys[..., 1]))
@@ -472,25 +464,20 @@ class Discretization:
         return self._face_form(self.lifting.normal_jumps, self._eps_grams,
                                coeffs)
 
-    def _seminorm_sq(self, coeffs: np.ndarray,
-                     jump_sq: float | None = None) -> float:
-        if jump_sq is None:
-            jump_sq = self.tangential_jump_sq(coeffs)
-        return self._element_form(self._curl_blocks(), coeffs) + jump_sq
+    def _seminorm_sq(self, coeffs: np.ndarray) -> float:
+        return (self._element_form(self._curl_blocks(), coeffs)
+                + self.tangential_jump_sq(coeffs))
 
-    def norm_v(self, coeffs: np.ndarray, jump_sq: float | None = None) -> float:
-        """The V norm; jump_sq is `tangential_jump_sq(coeffs)` when the
-        caller has it."""
+    def norm_v(self, coeffs: np.ndarray) -> float:
+        """The V norm of the coefficients."""
         sp = self.spaces
         mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
-        return np.sqrt(max(self._seminorm_sq(coeffs, jump_sq)
+        return np.sqrt(max(self._seminorm_sq(coeffs)
                            + self._element_form(mass, coeffs), 0.0))
 
-    def norm_q(self, coeffs: np.ndarray, jump_sq: float | None = None) -> float:
-        """The Q norm; jump_sq is `normal_jump_sq(coeffs)` when the caller
-        has it."""
+    def norm_q(self, coeffs: np.ndarray) -> float:
+        """The Q norm of the coefficients."""
         sp = self.spaces
         grad = sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps)
-        if jump_sq is None:
-            jump_sq = self.normal_jump_sq(coeffs)
-        return np.sqrt(max(self._element_form(grad, coeffs) + jump_sq, 0.0))
+        return np.sqrt(max(self._element_form(grad, coeffs)
+                           + self.normal_jump_sq(coeffs), 0.0))

@@ -203,7 +203,7 @@ class Lifting:
     # ------------------------------------------------------------------
     # face data projections
 
-    def _face_samples(self, faces: np.ndarray, degree: int | None):
+    def _face_samples(self, faces: np.ndarray, degree: int | None = None):
         """The projection rule and its points on the given faces,
         (len(faces), np, 2)."""
         sp = self.spaces
@@ -218,12 +218,12 @@ class Lifting:
         data[faces] = vals @ (rule.weights[:, None] * modes)
         return data.ravel()
 
-    def tangential_boundary_data(self, u_func, degree: int | None = None) -> np.ndarray:
+    def tangential_boundary_data(self, u_func) -> np.ndarray:
         """Face coefficients of n x u on the boundary (zero on interior
         faces) for a vector callable u_func(x, y) -> (..., 2)."""
         mesh = self.spaces.mesh
         faces = np.flatnonzero(mesh.boundary)
-        rule, phys = self._face_samples(faces, degree)
+        rule, phys = self._face_samples(faces)
         vals = np.asarray(u_func(phys[..., 0], phys[..., 1]))
         n = mesh.face_normals[faces, None, :]
         cross = n[..., 0] * vals[..., 1] - n[..., 1] * vals[..., 0]

@@ -28,11 +28,9 @@ class ModelProblem:
     source: Callable
     exact_u: Callable | None = None
     exact_curl_u: Callable | None = None
-    exact_p: Callable | None = None
     exact_grad_p: Callable | None = None
     boundary_u: Callable | None = None
     coeffs: Coefficients = field(default_factory=Coefficients.vacuum)
-    expected_rate: dict = field(default_factory=dict)
     div_free: bool = False
     regularity: float | None = None     # Sobolev index limiting the rate
 
@@ -64,10 +62,8 @@ def sine_problem(ksq: float = 1.0) -> ModelProblem:
         source=source,
         exact_u=exact_u,
         exact_curl_u=exact_curl,
-        exact_p=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         exact_grad_p=lambda x, y: np.zeros(np.shape(x) + (2,)),
         boundary_u=exact_u,
-        expected_rate={1: 1.0, 2: 2.0},
         div_free=True,
     )
 
@@ -112,10 +108,8 @@ def lshape_problem(ksq: float = 1.0) -> ModelProblem:
         source=source,
         exact_u=exact_u,
         exact_curl_u=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        exact_p=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         exact_grad_p=lambda x, y: np.zeros(np.shape(x) + (2,)),
         boundary_u=exact_u,
-        expected_rate={1: lam, 2: lam},
         div_free=True,
         regularity=lam,
     )
@@ -139,14 +133,16 @@ def gradient_null_data(disc: Discretization, seed: int = 0):
     The exact discrete solution of the mixed system for this source is
     (u, p) = (0, -q): the field vanishes and the multiplier eats the
     gradient.  Returns the load vector and the Q coefficients of q.
-    The load is exact (assembled from the gradient pairing, not
-    quadrature of a callable).
+    The load is exact: the element blocks of the pairing (eps v, grad q),
+    not quadrature of a callable.
     """
     rng = np.random.default_rng(seed)
-    conf = disc.spaces.conforming_q_basis()
+    sp = disc.spaces
+    conf = sp.conforming_q_basis()
     if conf.shape[1] == 0:
         raise ValueError("mesh has no interior scalar degrees of freedom")
     q_coeffs = conf @ rng.standard_normal(conf.shape[1])
-    load = np.zeros(disc.spaces.dim_V + disc.spaces.dim_Q)
-    load[:disc.spaces.dim_V] = disc.grad_pair @ q_coeffs
+    pair = sp.mapped_gram(sp.ref_v_qgrad, disc.materials.eps)
+    load = np.zeros(sp.dim_V + sp.dim_Q)
+    load[:sp.dim_V] = (pair @ q_coeffs.reshape(len(pair), -1, 1)).ravel()
     return load, q_coeffs

@@ -220,8 +220,9 @@ def best_approximation_error(disc: Discretization, problem: ModelProblem,
     const = _energy(wdet, u_ex, mats.eps)
     const += float(np.vdot(wdet * curl_ex, wcurl))
     if g_data is not None and np.any(g_data):
-        rhs += disc.jump_t.T @ (disc.lift_gram_scalar @ g_data)
-        const += float(g_data @ (disc.lift_gram_scalar @ g_data))
+        gram = refasm.lift_gram_scalar(disc)
+        rhs += disc.jump_t.T @ (gram @ g_data)
+        const += float(g_data @ (gram @ g_data))
 
     lu = splu(disc.norm_v_gram.tocsc())
     best = lu.solve(rhs)

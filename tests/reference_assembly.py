@@ -1,13 +1,15 @@
 """The sparse-product route to the forms and systems, and the builders
 only the tests use.
 
-A test oracle: ``maxwelldg.assembly.Discretization`` assembles its system
-face by face into element blocks in elimination order, and sums its
-boundary load and jump terms face by face.  Here the forms are the sparse
-triple products of the face operators (``jt^T P jt``, ``jn^T G jn``,
-...), the boundary load and the jump terms of the error norms their CSR
-expressions, the systems their ``bmat`` in the (V, Q) or (V, M, Q)
-layout, and ``element_system`` turns such a matrix plus a ``DofBlocks``
+A test oracle: ``maxwelldg.assembly.Discretization`` assembles its forms
+and norm Grams face by face into element blocks in elimination order,
+and sums its boundary load and jump terms face by face.  Here the forms
+and the norm Grams are the sparse triple products of the face operators
+(``jt^T P jt``, ``jn^T G jn``, ...) added to the CSR block diagonals of
+the volume terms; the gradient pairing, the multiplier block
+``b_lambda``, the boundary load and the jump terms of the error norms
+are their CSR expressions, the systems their ``bmat`` in the (V, Q) or
+(V, M, Q) layout, and ``element_system`` turns such a matrix plus a ``DofBlocks``
 into the element-block matrix the multifrontal factor reads.  The
 builders below the forms (lifting coefficient maps, face projections,
 curl-conforming dof matrices, the V seminorm and M norm, index helpers,
@@ -28,10 +30,52 @@ from maxwelldg.assembly import AuxiliarySystem, Discretization
 from maxwelldg.lifting import Lifting
 from maxwelldg.mesh import Mesh, _signed_areas
 from maxwelldg.quadrature import triangle_rule
-from maxwelldg.spaces import Spaces, block_sparse
+from maxwelldg.spaces import Spaces, block_sparse, element_block_diag
 
 # ----------------------------------------------------------------------
 # forms and systems as sparse products
+
+
+def curl_stiffness(disc: Discretization) -> csr_matrix:
+    return element_block_diag(disc._curl_blocks())
+
+
+def grad_pair(disc: Discretization) -> csr_matrix:
+    """(eps v, grad q) pairing, rows V dofs, columns Q dofs."""
+    sp = disc.spaces
+    return element_block_diag(
+        sp.mapped_gram(sp.ref_v_qgrad, disc.materials.eps))
+
+
+def q_grad_gram(disc: Discretization) -> csr_matrix:
+    """(eps grad q, grad q') broken gradient Gram on Q."""
+    sp = disc.spaces
+    return element_block_diag(
+        sp.mapped_gram(sp.ref_qgrad_gram, disc.materials.eps))
+
+
+def lift_gram_scalar(disc: Discretization) -> csr_matrix:
+    """Block diagonal of (mu_bar^-1 r_F(.), r_F(.)), no penalty factor."""
+    return element_block_diag(disc._mu_grams)
+
+
+def seminorm_gram(disc: Discretization) -> csr_matrix:
+    jt = disc.jump_t
+    return csr_matrix(curl_stiffness(disc) + jt.T @ lift_gram_scalar(disc) @ jt)
+
+
+def norm_v_gram(disc: Discretization) -> csr_matrix:
+    return csr_matrix(seminorm_gram(disc) + disc.mass_eps)
+
+
+def norm_q_gram(disc: Discretization) -> csr_matrix:
+    jn = disc.jump_n
+    return csr_matrix(q_grad_gram(disc) + jn.T @ disc.lift_gram_vector @ jn)
+
+
+def b_lambda(disc: Discretization) -> csr_matrix:
+    """Multiplier block of the constraint row, rows Q, columns face dofs."""
+    return csr_matrix(-disc.jump_n.T @ disc.gamma_gram)
 
 
 def vector_value_pair(lifting: Lifting, eps: np.ndarray) -> csr_matrix:
@@ -61,13 +105,13 @@ def form_blocks(disc: Discretization, form) -> np.ndarray:
 
 def a_matrix(disc: Discretization) -> csr_matrix:
     jt, w = disc.jump_t, curl_pair_matrix(disc)
-    return csr_matrix(disc.curl_stiffness - jt.T @ w - w.T @ jt
+    return csr_matrix(curl_stiffness(disc) - jt.T @ w - w.T @ jt
                       + jt.T @ penalty_gram(disc) @ jt)
 
 
 def b_matrix(disc: Discretization) -> csr_matrix:
     value_pair = vector_value_pair(disc.lifting, disc.materials.eps)
-    return csr_matrix(-disc.grad_pair.T + disc.jump_n.T @ value_pair)
+    return csr_matrix(-grad_pair(disc).T + disc.jump_n.T @ value_pair)
 
 
 def c_matrix(disc: Discretization) -> csr_matrix:
@@ -90,7 +134,7 @@ def jump_errors(disc: Discretization, u: np.ndarray, p: np.ndarray,
     if g_data is not None:
         jump = jump - g_data
     pjump = disc.jump_n @ p
-    return (float(jump @ (disc.lift_gram_scalar @ jump)),
+    return (float(jump @ (lift_gram_scalar(disc) @ jump)),
             float(pjump @ (disc.lift_gram_vector @ pjump)))
 
 

@@ -17,8 +17,7 @@ from reference_lifting import assemble_a_face_integral, assemble_b_face_integral
 import reference_assembly as refasm
 
 # the sparse Grams and jump maps that evaluating a norm does not build
-NORM_OPERATORS = ("curl_stiffness", "mass_eps", "q_grad_gram",
-                  "lift_gram_scalar", "lift_gram_vector", "jump_t", "jump_n",
+NORM_OPERATORS = ("mass_eps", "lift_gram_vector", "jump_t", "jump_n",
                   "seminorm_gram", "norm_v_gram", "norm_q_gram")
 
 
@@ -26,6 +25,14 @@ def rel_frobenius(a, b):
     diff = np.sqrt(((a - b).power(2)).sum())
     scale = np.sqrt((a.power(2)).sum())
     return diff / scale
+
+
+def assert_grams_match_oracles(disc):
+    """The norm Grams and the multiplier block, assembled from element and
+    face blocks, against their sparse products."""
+    for name in ("seminorm_gram", "norm_v_gram", "norm_q_gram", "b_lambda"):
+        oracle = getattr(refasm, name)(disc)
+        assert rel_frobenius(oracle, csr(getattr(disc, name))) <= 1e-13, name
 
 
 def quad_volume(disc, integrand_efn, degree=None):
@@ -98,7 +105,8 @@ class TestVolumeOperators:
         mbi = disc2.materials.mu_bar_inv
         oracle = quad_volume(disc2, lambda pts: mbi[:, None]
                              * disc2.spaces.eval_v_curl(u, pts) ** 2)
-        assert u @ (disc2.curl_stiffness @ u) == pytest.approx(oracle, rel=1e-12)
+        assert u @ (refasm.curl_stiffness(disc2) @ u) == pytest.approx(
+            oracle, rel=1e-12)
 
     def test_mass_eps(self, degree):
         disc = Discretization(two_tag_mesh(), degree, random_materials(9))
@@ -134,7 +142,7 @@ class TestVolumeOperators:
             return np.einsum("epc,epc->ep", weighted, grads)
 
         oracle = quad_volume(disc, integrand)
-        assert u @ (disc.grad_pair @ q) == pytest.approx(oracle, rel=1e-12)
+        assert u @ (refasm.grad_pair(disc) @ q) == pytest.approx(oracle, rel=1e-12)
 
     def test_q_grad_gram(self, degree):
         disc = Discretization(two_tag_mesh(), degree, random_materials(11))
@@ -147,7 +155,7 @@ class TestVolumeOperators:
             return np.einsum("epc,epc->ep", weighted, grads)
 
         oracle = quad_volume(disc, integrand)
-        assert q @ (disc.q_grad_gram @ q) == pytest.approx(oracle, rel=1e-12)
+        assert q @ (refasm.q_grad_gram(disc) @ q) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestConstraintOperators:
@@ -333,7 +341,7 @@ class TestNorms:
     def test_seminorm_brute_force(self, disc2):
         rng = np.random.default_rng(31)
         u = rng.standard_normal(disc2.spaces.dim_V)
-        curl_part = u @ (disc2.curl_stiffness @ u)
+        curl_part = u @ (refasm.curl_stiffness(disc2) @ u)
         jumps = disc2.jump_t @ u
         lift_part = lifted_scalar_energy(disc2, jumps,
                                          disc2.materials.mu_bar_inv)
@@ -350,7 +358,7 @@ class TestNorms:
         disc = Discretization(two_tag_mesh(), degree, random_materials(14))
         rng = np.random.default_rng(33)
         q = rng.standard_normal(disc.spaces.dim_Q)
-        grad_part = q @ (disc.q_grad_gram @ q)
+        grad_part = q @ (refasm.q_grad_gram(disc) @ q)
         jumps = disc.jump_n @ q
         lift_part = lifted_vector_energy(disc, jumps, disc.materials.eps)
         assert disc.norm_q(q) ** 2 == pytest.approx(
@@ -358,8 +366,10 @@ class TestNorms:
 
     def test_norms_match_their_grams(self, degree):
         # norm_v and norm_q sum the quadratic forms of their parts; the
-        # Gram matrices the analysis reads must give the same squares
+        # Gram matrices the analysis reads must give the same squares and
+        # match their sparse products
         disc = Discretization(two_tag_mesh(4), degree, random_materials(15))
+        assert_grams_match_oracles(disc)
         sp = disc.spaces
         rng = np.random.default_rng(37)
         for _ in range(3):
@@ -379,7 +389,7 @@ class TestNorms:
     def test_norms_match_csr_forms(self, degree, make_mesh):
         # the norms sum element and face blocks; the sparse operators of
         # the same quadratic forms, built only afterwards, give the same
-        # squares
+        # squares, and the Grams match their sparse products
         mesh = make_mesh()
         rng = np.random.default_rng(38)
         tags = np.unique(mesh.tags)
@@ -391,14 +401,16 @@ class TestNorms:
         q = rng.standard_normal((3, sp.dim_Q))
         norms = [(disc.norm_v(a), disc.norm_q(b)) for a, b in zip(u, q)]
         assert not set(NORM_OPERATORS) & set(vars(disc))
+        curl, grad = refasm.curl_stiffness(disc), refasm.q_grad_gram(disc)
+        lift = refasm.lift_gram_scalar(disc)
         for (norm_v, norm_q), a, b in zip(norms, u, q):
             jt, jn = disc.jump_t @ a, disc.jump_n @ b
             assert norm_v ** 2 == pytest.approx(
-                a @ (disc.curl_stiffness @ a) + a @ (disc.mass_eps @ a)
-                + jt @ (disc.lift_gram_scalar @ jt), rel=1e-13)
-            assert norm_q ** 2 == pytest.approx(
-                b @ (disc.q_grad_gram @ b) + jn @ (disc.lift_gram_vector @ jn),
+                a @ (curl @ a) + a @ (disc.mass_eps @ a) + jt @ (lift @ jt),
                 rel=1e-13)
+            assert norm_q ** 2 == pytest.approx(
+                b @ (grad @ b) + jn @ (disc.lift_gram_vector @ jn), rel=1e-13)
+        assert_grams_match_oracles(disc)
 
     def test_gradient_solve_builds_no_norm_operators(self, degree):
         # a solve of the gradient problem and its printed norms read the
@@ -513,7 +525,7 @@ class TestBlockDiag:
         lift, mats = disc.lifting, disc.materials
         ones = np.ones(disc.mesh.num_faces)
         for mine, oracle in (
-                (disc.lift_gram_scalar,
+                (refasm.lift_gram_scalar(disc),
                  lift.block_diag_scalar(ones, mats.mu_bar_inv)),
                 (disc.lift_gram_vector, lift.block_diag_vector(ones, mats.eps)),
                 (disc.gamma_gram, lift.block_diag_vector(disc.gamma, mats.eps))):

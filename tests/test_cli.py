@@ -536,6 +536,19 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "study"])
+    def test_unwritable_output_prefix_exits_two(self, tmp_path, capsys,
+                                                command):
+        # the prefix's directory is a file: rejected before any numerics
+        path = write_config(tmp_path, {"problem": "sine", "mesh": "square:2",
+                                       "levels": 1})
+        code = main([command, "--config", path, "--output", f"{path}/out"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: cannot write output")
+        assert "Traceback" not in err
+
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])

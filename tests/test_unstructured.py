@@ -465,7 +465,7 @@ class TestKernelOracles:
                 dgp = jit @ (cp[e] @ gref[p]) - problem.exact_grad_p(*x)
                 pgrad += w * det * dgp @ mats.eps[e] @ dgp
         jump = disc.jump_t @ u
-        jump_sq = jump @ (disc.lift_gram_scalar @ jump)
+        jump_sq = jump @ (refasm.lift_gram_scalar(disc) @ jump)
         pjump = disc.jump_n @ p_coeffs
         pjump_sq = pjump @ (disc.lift_gram_vector @ pjump)
         oracle = {"e_v": np.sqrt(l2 + curl + jump_sq),
@@ -510,7 +510,7 @@ class TestFormInvariants:
         # b of a lone degree-1 element is zero up to roundoff, so its gap
         # is measured against its volume term
         assert frobenius_gap(disc.b_matrix, assemble_b_face_integral(disc),
-                             disc.grad_pair) <= 1e-12
+                             refasm.grad_pair(disc)) <= 1e-12
 
     @PROPERTY
     @given(case=kernel_cases())
