@@ -22,8 +22,8 @@ that reads them; a solve builds each one for its system alone and lets it
 go, so it holds every element block once.  The Grams of the norms, which
 the stability constants and the sampled coercivity margin read, are
 assembled the same way, and the boundary load and the norm values are
-summed from the same (face, side) tables and per-face Grams, so no
-command builds the CSR jump maps.
+summed from the same (face, side) tables and per-face Grams, the one
+form of the face operators in the package.
 """
 
 from __future__ import annotations
@@ -133,26 +133,15 @@ class Discretization:
         scale = self.materials.mu_bar_inv / sp.det_jac
         return scale[:, None, None] * sp.ref_curl_gram
 
-    def mass_v(self, field: np.ndarray | None = None) -> csr_matrix:
-        """V mass matrix with an optional per-element 2x2 weight."""
-        sp = self.spaces
-        return element_block_diag(sp.mapped_gram(sp.ref_vcomp_gram, field))
-
     @cached_property
     def mass_eps(self) -> csr_matrix:
-        return self.mass_v(self.materials.eps)
+        """V mass matrix weighted by eps."""
+        sp = self.spaces
+        return element_block_diag(
+            sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps))
 
     # ------------------------------------------------------------------
     # face operators
-
-    # No command reads the CSR jump maps; perfbench's tracer wraps them.
-    @cached_property
-    def jump_t(self) -> csr_matrix:
-        return self.lifting.jump_tangential
-
-    @cached_property
-    def jump_n(self) -> csr_matrix:
-        return self.lifting.jump_normal
 
     @cached_property
     def lift_gram_vector(self) -> csr_matrix:
@@ -431,7 +420,7 @@ class Discretization:
 
     # The norms sum their quadratic forms element by element and face by
     # face, from the blocks the forms are made of, so evaluating one
-    # builds none of the sparse Grams and jump maps above.
+    # builds none of the sparse Grams above.
 
     @staticmethod
     def _element_form(blocks: np.ndarray, coeffs: np.ndarray) -> float:

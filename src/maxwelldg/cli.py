@@ -9,7 +9,8 @@ Three subcommands, each driven by a JSON config file:
 
 The config accepts mesh specs "square:n", "lshape:n", or a mesh file
 path; --levels, --degree, and --output override the config.  Runs are
-deterministic: the same config produces byte-identical CSV output.
+deterministic at a fixed BLAS thread count: the same config produces
+byte-identical CSV output.
 """
 
 from __future__ import annotations

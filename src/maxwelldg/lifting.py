@@ -1,4 +1,4 @@
-"""Face lifting operators and trace moment maps.
+"""Face lifting operators and trace moment tables.
 
 Face data is stored modewise: every face carries an orthonormal Legendre
 basis in its arclength parameter s in [0, 1] (modes 0..l).  Scalar face
@@ -20,8 +20,7 @@ face contributes a rank-(l+1) block.
 
 All tables are arrays over (face, side): side 0 is the plus element of
 the face, side 1 the minus element.  ``side_mask`` is False on the
-missing minus side of a boundary face; the tables hold zeros there and
-the sparse maps drop it.
+missing minus side of a boundary face; the tables hold zeros there.
 """
 
 from __future__ import annotations
@@ -29,11 +28,10 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .basis import face_modes
 from .quadrature import segment_rule
-from .spaces import Spaces, block_sparse, element_block_diag
+from .spaces import Spaces
 
 __all__ = ["Lifting"]
 
@@ -91,32 +89,13 @@ class Lifting:
         self.weight = self.side_mask * avg_h ** 2 / spaces.det_jac[elems]
 
     # ------------------------------------------------------------------
-    # index layout
-
-    def _face_csr(self, blocks: np.ndarray) -> csr_matrix:
-        """Map from broken coefficients to face data of the per-(face,
-        side) blocks (nf, 2, r, n): r rows of face data per face, the n
-        dofs of the side's element as columns; masked sides are dropped."""
-        nf, _, r, n = blocks.shape
-        cols = self.side_elements[:, :, None] * n + np.arange(n)
-        return block_sparse(blocks, np.arange(nf * r).reshape(nf, 1, r), cols,
-                            (nf * r, self.spaces.mesh.num_elements * n),
-                            keep=self.side_mask)
-
-    # ------------------------------------------------------------------
-    # sparse jump/trace maps
+    # jump blocks
 
     @cached_property
     def tangential_jumps(self) -> np.ndarray:
         """Blocks of the tangential jump of each side's V coefficients,
         the signed trace_v, (nf, 2, l+1, nv)."""
         return SIGNS[:, None, None] * self.trace_v
-
-    @cached_property
-    def jump_tangential(self) -> csr_matrix:
-        """Map V coefficients to face coefficients of the tangential jump
-        (n x v on the boundary)."""
-        return self._face_csr(self.tangential_jumps)
 
     @cached_property
     def normal_jumps(self) -> np.ndarray:
@@ -127,12 +106,6 @@ class Lifting:
                   * sp.mesh.face_normals[:, None, None, :, None]
                   * self.trace_q[:, :, :, None, :])             # (f, s, m, c, r)
         return blocks.reshape(sp.mesh.num_faces, 2, sp.ndof_m, sp.ndof_q)
-
-    @cached_property
-    def jump_normal(self) -> csr_matrix:
-        """Map Q coefficients to face coefficients of the vector-valued
-        normal jump (q n on the boundary)."""
-        return self._face_csr(self.normal_jumps)
 
     # ------------------------------------------------------------------
     # per-face Gram matrices of lifted data
@@ -160,17 +133,6 @@ class Lifting:
         grams = np.sum(self.weight[:, :, None, None, None, None] * kron, axis=1)
         return grams.reshape(nf, 2 * self.n_modes, 2 * self.n_modes)
 
-    def block_diag_scalar(self, factors: np.ndarray,
-                          weight: np.ndarray | None = None) -> csr_matrix:
-        """Block diagonal of per-face scalar Grams scaled by factors[f]."""
-        grams = self.face_grams_scalar(weight)
-        return element_block_diag(np.asarray(factors)[:, None, None] * grams)
-
-    def block_diag_vector(self, factors: np.ndarray,
-                          eps: np.ndarray | None = None) -> csr_matrix:
-        grams = self.face_grams_vector(eps)
-        return element_block_diag(np.asarray(factors)[:, None, None] * grams)
-
     # ------------------------------------------------------------------
     # pairings against V fields
 
@@ -180,10 +142,6 @@ class Lifting:
         element, (nf, 2, l+1, nv)."""
         scale = weight[self.side_elements] * self.lift_scale
         return scale[:, :, None, None] * (self.trace_q @ self.spaces.ref_curl_coeff)
-
-    def curl_pair(self, weight: np.ndarray) -> csr_matrix:
-        """The curl pairing with rows (face, mode), columns V dofs."""
-        return self._face_csr(self.curl_pair_blocks(weight))
 
     def vector_value_pair(self, eps: np.ndarray) -> np.ndarray:
         """(eps v, R_F(mode, component)) per (face, side) for the side's V

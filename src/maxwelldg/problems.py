@@ -32,7 +32,6 @@ class ModelProblem:
     boundary_u: Callable | None = None
     coeffs: Coefficients = field(default_factory=Coefficients.vacuum)
     div_free: bool = False
-    regularity: float | None = None     # Sobolev index limiting the rate
 
     def mesh(self, level: int) -> Mesh:
         return self.mesh_factory(level)
@@ -74,9 +73,9 @@ def lshape_problem(ksq: float = 1.0) -> ModelProblem:
     u is the gradient of the harmonic function r^(2/3) sin(2 theta / 3)
     at the reentrant corner, so curl u = 0, p = 0, and the source is
     -ksq u.  The tangential trace vanishes on the two legs through the
-    corner and is prescribed on the outer boundary.  The field has the
-    limiting corner regularity, so the energy rate is 2/3 for every
-    degree.  The first resonance of this domain is near 1.4756,
+    corner and is prescribed on the outer boundary.  Near the corner the
+    field lies in H^s only for s < 2/3, so the energy rate is 2/3 for
+    every degree.  The first resonance of this domain is near 1.4756,
     separating it from the default ksq.
     """
 
@@ -111,7 +110,6 @@ def lshape_problem(ksq: float = 1.0) -> ModelProblem:
         exact_grad_p=lambda x, y: np.zeros(np.shape(x) + (2,)),
         boundary_u=exact_u,
         div_free=True,
-        regularity=lam,
     )
 
 

@@ -288,9 +288,8 @@ class MultifrontalLU:
             block, at = fronts[j]
             w[offsets[j]:offsets[j + 1]] = block @ w.take(at, axis=0)
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve with the matrix, or its transpose, which is the same, for
-        a vector or a block of columns."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the matrix for a vector or a block of columns."""
         w = np.array(rhs, dtype=float)
         self._tree_solve(w)
         return w
@@ -313,10 +312,10 @@ class FaceElimination:
         self.U = SimpleNamespace(nnz=lu.U.nnz + self.inverse.size - below)
         self.nnz = self.L.nnz + self.U.nnz
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         nw = self.jump.shape[1]
         faces = rhs[nw:]
-        w = self.lu.solve(rhs[:nw] + self.jump.T @ faces, trans)
+        w = self.lu.solve(rhs[:nw] + self.jump.T @ faces)
         return np.concatenate([w, (self.inverse @ faces.reshape(
             *self.inverse.shape[:2], -1)).reshape(faces.shape) + self.jump @ w])
 

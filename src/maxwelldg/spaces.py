@@ -8,8 +8,8 @@
 * the face space M (2(l+1) vector Legendre modes per face),
 * the broken "lifting" scalar/vector spaces P_l and (P_l)^2 with the mapped
   orthonormal basis (their local mass matrices are 2|K| times identity),
-* geometry tables, evaluation, and the conforming subspace constructions
-  used by the verification machinery.
+* geometry tables, evaluation, and the conforming scalar subspace and the
+  gradient map that the verification machinery reads.
 
 Degrees of freedom are blocked per element (V, Q) or per face (M), in
 element/face order; all orderings are deterministic.
@@ -23,9 +23,9 @@ import numpy as np
 from scipy.linalg import inv, solve
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 
-from .basis import curl_basis, face_modes, scalar_basis
+from .basis import curl_basis, scalar_basis
 from .mesh import Mesh
-from .quadrature import segment_rule, triangle_rule
+from .quadrature import triangle_rule
 
 __all__ = ["Spaces", "block_sparse", "element_block_diag"]
 
@@ -196,45 +196,7 @@ class Spaces:
         return self.mapped_gram(self.ref_vcomp_gram)
 
     # ------------------------------------------------------------------
-    # curl-conforming degrees of freedom (edge moments + interior moments)
-
-    @cached_property
-    def _dof_blocks(self):
-        """Per element, the local dof matrix (3 x l edge moment rows, then
-        interior rows) and its inverse."""
-        mesh = self.mesh
-        l = self.degree
-        ne = mesh.num_elements
-        rule = segment_rule(2 * l + 2)
-        s, w = rule.points, rule.weights
-        modes = face_modes(l - 1, s)                       # (np, l)
-        # one pull-back of every face point into the element, per
-        # (element, local face)
-        faces = mesh.element_faces
-        phys = self.face_points(faces, s)                  # (ne, 3, np, 2)
-        ref = self.ref_coords(np.arange(ne)[:, None], phys)
-        npts = len(s)
-        vals = self.vbasis.eval(ref.reshape(-1, 2)).reshape(
-            ne, 3, npts * self.ndof_v, 2)
-        # t . (inv(J)^T v) = (inv(J) t) . v, (ne, 3, 2, 1)
-        pulled = (mesh.face_tangents[faces] @ self.inv_jac_t)[..., None]
-        tang = (vals @ pulled).reshape(ne, 3, npts, self.ndof_v)
-        # moment_m(v) = int_e (t . v) mode_m ds, global orientation
-        edge = mesh.face_lengths[faces][..., None, None] * (
-            (w[:, None] * modes).T @ tang)
-        rows = [edge.reshape(ne, 3 * l, self.ndof_v)]
-        if self.ndof_v > 3 * l:
-            tri = triangle_rule(self.deg_stiff)
-            # reference moments int_T v[n, k], (2, nv)
-            ref_int = np.tensordot(tri.weights, self.vbasis.eval(tri.points),
-                                   axes=1).T
-            rows.append((self.det_jac[:, None, None] * self.inv_jac_t)
-                        @ ref_int)                          # (ne, 2, nv)
-        dmats = np.concatenate(rows, axis=1)
-        return dmats, inv(dmats)
-
-    def v_dof_inverses(self) -> np.ndarray:
-        return self._dof_blocks[1]
+    # conforming scalar subspace (zero boundary trace)
 
     def _conforming_map(self, local: np.ndarray, cols: np.ndarray,
                         ncols: int) -> csc_matrix:
@@ -245,27 +207,6 @@ class Spaces:
         keep = np.broadcast_to((cols >= 0)[:, None, :], local.shape)
         return block_sparse(local, np.arange(ne * n).reshape(ne, n), cols,
                             (ne * n, ncols), keep=keep).tocsc()
-
-    def conforming_v_basis(self) -> csc_matrix:
-        """Tangentially continuous subspace with zero boundary trace,
-        as columns of V-coefficient vectors: l columns per interior face,
-        then the interior moments of each element."""
-        mesh = self.mesh
-        l = self.degree
-        ne = mesh.num_elements
-        n_int = self.ndof_v - 3 * l
-        interior = ~mesh.boundary
-        n_face_cols = l * int(interior.sum())
-        face_cols = np.full((mesh.num_faces, l), -1)
-        face_cols[interior] = np.arange(n_face_cols).reshape(-1, l)
-        cols = np.concatenate([
-            face_cols[mesh.element_faces].reshape(ne, 3 * l),
-            n_face_cols + np.arange(ne * n_int).reshape(ne, n_int)], axis=1)
-        return self._conforming_map(self.v_dof_inverses(), cols,
-                                    n_face_cols + ne * n_int)
-
-    # ------------------------------------------------------------------
-    # conforming scalar subspace (zero boundary trace)
 
     def _scalar_ref_nodes(self) -> np.ndarray:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -51,7 +51,7 @@ def conforming_average(disc: Discretization, coeffs: np.ndarray) -> np.ndarray:
     mean[mesh.boundary[faces]] = 0.0
     new = dofs.copy()
     new[:, :3 * l] = mean.reshape(ne, 3 * l)
-    return (sp.v_dof_inverses() @ new[..., None]).ravel()
+    return (refasm.v_dof_inverses(sp) @ new[..., None]).ravel()
 
 
 def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
@@ -66,7 +66,7 @@ def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
     mass = np.sum((sp.local_v_grams @ diff[..., None])[..., 0] * diff, axis=1)
     curl = np.sum((diff @ sp.ref_curl_gram) * diff, axis=1) / sp.det_jac
     num = mass / h_elem ** 2 + curl
-    jumps = disc.jump_t @ coeffs
+    jumps = refasm.jump_t(disc) @ coeffs
     gram = element_block_diag(disc.lifting.face_grams_scalar())
     den = float(jumps @ (gram @ jumps))
     return float(num.sum() / den) if den > 0 else 0.0
@@ -116,8 +116,8 @@ def residual_R2(disc: Discretization, problem: ModelProblem,
     grad_term = sp.mapped_moments(sp.qbasis.grad(rule.points), rule.weights,
                                   vals).ravel()
     moments = _lift_vector_moments(disc, eps_u, deg)
-    r = -grad_term + disc.jump_n.T @ (refasm.lift_vector_matrix(disc.lifting).T
-                                      @ moments)
+    lift = refasm.lift_vector_matrix(disc.lifting)
+    r = -grad_term + refasm.jump_n(disc).T @ (lift.T @ moments)
     lu = splu(disc.norm_q_gram.tocsc())
     return float(np.sqrt(max(r @ lu.solve(r), 0.0)))
 
@@ -145,7 +145,7 @@ def consistency_residual(disc: Discretization, problem: ModelProblem,
         disc, lambda a, b: np.asarray(problem.exact_curl_u(a, b)), deg)
     wcurl_moments = (wcurl_moments.reshape(sp.mesh.num_elements, sp.ndof_q)
                      * mats.mu_bar_inv[:, None]).ravel()
-    rho -= disc.jump_t.T @ (refasm.lift_scalar_matrix(disc.lifting).T
+    rho -= refasm.jump_t(disc).T @ (refasm.lift_scalar_matrix(disc.lifting).T
                             @ wcurl_moments)
 
     # the volume terms ksq eps u + eps grad p + j, paired with the test
@@ -170,7 +170,7 @@ def consistency_check_R1(disc: Discretization, problem: ModelProblem,
     as the nonconforming negative control."""
     rho = consistency_residual(disc, problem, degree=degree)
     if probes is None:
-        probes = _dense(disc.spaces.conforming_v_basis())
+        probes = _dense(refasm.conforming_v_basis(disc.spaces))
     worst = 0.0
     for k in range(probes.shape[1]):
         v = probes[:, k]
@@ -221,7 +221,7 @@ def best_approximation_error(disc: Discretization, problem: ModelProblem,
     const += float(np.vdot(wdet * curl_ex, wcurl))
     if g_data is not None and np.any(g_data):
         gram = refasm.lift_gram_scalar(disc)
-        rhs += disc.jump_t.T @ (gram @ g_data)
+        rhs += refasm.jump_t(disc).T @ (gram @ g_data)
         const += float(g_data @ (gram @ g_data))
 
     lu = splu(disc.norm_v_gram.tocsc())

@@ -3,18 +3,22 @@ only the tests use.
 
 A test oracle: ``maxwelldg.assembly.Discretization`` assembles its forms
 and norm Grams face by face into element blocks in elimination order,
-and sums its boundary load and jump terms face by face.  Here the forms
-and the norm Grams are the sparse triple products of the face operators
-(``jt^T P jt``, ``jn^T G jn``, ...) added to the CSR block diagonals of
-the volume terms; the gradient pairing, the multiplier block
-``b_lambda``, the boundary load and the jump terms of the error norms
-are their CSR expressions, the systems their ``bmat`` in the (V, Q) or
-(V, M, Q) layout, and ``element_system`` turns such a matrix plus a ``DofBlocks``
-into the element-block matrix the multifrontal factor reads.  The
-builders below the forms (lifting coefficient maps, face projections,
-curl-conforming dof matrices, the V seminorm and M norm, index helpers,
+and sums its boundary load and jump terms face by face.  Here the face
+operators are CSR maps (``face_csr`` of the lifting's per-(face, side)
+blocks: the tangential and normal jumps ``jump_t``/``jump_n`` and the
+curl pairing), and the forms and the norm Grams are their sparse triple
+products (``jt^T P jt``, ``jn^T G jn``, ...) added to the CSR block
+diagonals of the volume terms; the gradient pairing, the multiplier
+block ``b_lambda``, the boundary load and the jump terms of the error
+norms are their CSR expressions, the systems their ``bmat`` in the
+(V, Q) or (V, M, Q) layout, and ``element_system`` turns such a matrix
+plus a ``DofBlocks`` into the element-block matrix the multifrontal
+factor reads.  The builders below the forms (lifting coefficient maps,
+face projections, the curl-conforming dof matrices, their inverses and
+the conforming V basis, the V seminorm and M norm, index helpers,
 evaluations, elementwise projections, element areas, the terminal rates
-of a study) have no caller in the package.  Nothing in the package imports this module.
+of a study) have no caller in the package.  Nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
@@ -22,15 +26,56 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve
+from scipy.linalg import inv, solve
 from scipy.sparse import bmat, bsr_matrix, csc_matrix, csr_matrix
 
 from maxwelldg.analysis import ConvergenceReport
 from maxwelldg.assembly import AuxiliarySystem, Discretization
+from maxwelldg.basis import face_modes
 from maxwelldg.lifting import Lifting
 from maxwelldg.mesh import Mesh, _signed_areas
-from maxwelldg.quadrature import triangle_rule
+from maxwelldg.quadrature import segment_rule, triangle_rule
 from maxwelldg.spaces import Spaces, block_sparse, element_block_diag
+
+# ----------------------------------------------------------------------
+# face maps as CSR
+
+
+def face_csr(lifting: Lifting, blocks: np.ndarray) -> csr_matrix:
+    """Map from broken coefficients to face data of the per-(face, side)
+    blocks (nf, 2, r, n): r rows of face data per face, the n dofs of the
+    side's element as columns; masked sides are dropped."""
+    nf, _, r, n = blocks.shape
+    cols = lifting.side_elements[:, :, None] * n + np.arange(n)
+    return block_sparse(blocks, np.arange(nf * r).reshape(nf, 1, r), cols,
+                        (nf * r, lifting.spaces.mesh.num_elements * n),
+                        keep=lifting.side_mask)
+
+
+def jump_tangential(lifting: Lifting) -> csr_matrix:
+    """Map V coefficients to face coefficients of the tangential jump
+    (n x v on the boundary)."""
+    return face_csr(lifting, lifting.tangential_jumps)
+
+
+def jump_normal(lifting: Lifting) -> csr_matrix:
+    """Map Q coefficients to face coefficients of the vector-valued normal
+    jump (q n on the boundary)."""
+    return face_csr(lifting, lifting.normal_jumps)
+
+
+def curl_pair(lifting: Lifting, weight: np.ndarray) -> csr_matrix:
+    """The curl pairing with rows (face, mode), columns V dofs."""
+    return face_csr(lifting, lifting.curl_pair_blocks(weight))
+
+
+def jump_t(disc: Discretization) -> csr_matrix:
+    return jump_tangential(disc.lifting)
+
+
+def jump_n(disc: Discretization) -> csr_matrix:
+    return jump_normal(disc.lifting)
+
 
 # ----------------------------------------------------------------------
 # forms and systems as sparse products
@@ -60,7 +105,7 @@ def lift_gram_scalar(disc: Discretization) -> csr_matrix:
 
 
 def seminorm_gram(disc: Discretization) -> csr_matrix:
-    jt = disc.jump_t
+    jt = jump_t(disc)
     return csr_matrix(curl_stiffness(disc) + jt.T @ lift_gram_scalar(disc) @ jt)
 
 
@@ -69,30 +114,29 @@ def norm_v_gram(disc: Discretization) -> csr_matrix:
 
 
 def norm_q_gram(disc: Discretization) -> csr_matrix:
-    jn = disc.jump_n
+    jn = jump_n(disc)
     return csr_matrix(q_grad_gram(disc) + jn.T @ disc.lift_gram_vector @ jn)
 
 
 def b_lambda(disc: Discretization) -> csr_matrix:
     """Multiplier block of the constraint row, rows Q, columns face dofs."""
-    return csr_matrix(-disc.jump_n.T @ disc.gamma_gram)
+    return csr_matrix(-jump_n(disc).T @ disc.gamma_gram)
 
 
 def vector_value_pair(lifting: Lifting, eps: np.ndarray) -> csr_matrix:
     """Rows (face, mode, component), columns V dofs:
     (eps v, R_F(mode, component)) for the per-element 2x2 field eps."""
-    return lifting._face_csr(lifting.vector_value_pair(eps))
+    return face_csr(lifting, lifting.vector_value_pair(eps))
 
 
 def curl_pair_matrix(disc: Discretization) -> csr_matrix:
     """The curl pairing W, rows (face, mode), columns V dofs."""
-    return disc.lifting.curl_pair(disc.materials.mu_bar_inv)
+    return curl_pair(disc.lifting, disc.materials.mu_bar_inv)
 
 
 def penalty_gram(disc: Discretization) -> csr_matrix:
     """Block diagonal P of the alpha-scaled scalar lifting Grams."""
-    return disc.lifting.block_diag_scalar(disc.alpha,
-                                          disc.materials.mu_bar_inv)
+    return element_block_diag(disc._alpha_grams())
 
 
 def form_blocks(disc: Discretization, form) -> np.ndarray:
@@ -104,25 +148,27 @@ def form_blocks(disc: Discretization, form) -> np.ndarray:
 
 
 def a_matrix(disc: Discretization) -> csr_matrix:
-    jt, w = disc.jump_t, curl_pair_matrix(disc)
+    jt, w = jump_t(disc), curl_pair_matrix(disc)
     return csr_matrix(curl_stiffness(disc) - jt.T @ w - w.T @ jt
                       + jt.T @ penalty_gram(disc) @ jt)
 
 
 def b_matrix(disc: Discretization) -> csr_matrix:
     value_pair = vector_value_pair(disc.lifting, disc.materials.eps)
-    return csr_matrix(-grad_pair(disc).T + disc.jump_n.T @ value_pair)
+    return csr_matrix(-grad_pair(disc).T + jump_n(disc).T @ value_pair)
 
 
 def c_matrix(disc: Discretization) -> csr_matrix:
-    return csr_matrix(disc.jump_n.T @ disc.gamma_gram @ disc.jump_n)
+    jn = jump_n(disc)
+    return csr_matrix(jn.T @ disc.gamma_gram @ jn)
 
 
 def load_boundary(disc: Discretization, g_data: np.ndarray) -> np.ndarray:
     """-W^T g + jt^T P g in the V rows of the (V, Q) layout."""
     out = np.zeros(disc.spaces.dim_V + disc.spaces.dim_Q)
+    jt = jump_t(disc)
     out[:disc.spaces.dim_V] = (-curl_pair_matrix(disc).T @ g_data
-                               + disc.jump_t.T @ (penalty_gram(disc) @ g_data))
+                               + jt.T @ (penalty_gram(disc) @ g_data))
     return out
 
 
@@ -130,10 +176,10 @@ def jump_errors(disc: Discretization, u: np.ndarray, p: np.ndarray,
                 g_data: np.ndarray | None = None) -> tuple[float, float]:
     """The lifted jump terms of the field and multiplier errors, (jt u -
     g)^T G_mu (jt u - g) and (jn p)^T G_eps (jn p)."""
-    jump = disc.jump_t @ u
+    jump = jump_t(disc) @ u
     if g_data is not None:
         jump = jump - g_data
-    pjump = disc.jump_n @ p
+    pjump = jump_n(disc) @ p
     return (float(jump @ (lift_gram_scalar(disc) @ jump)),
             float(pjump @ (disc.lift_gram_vector @ pjump)))
 
@@ -149,7 +195,7 @@ def auxiliary_system(disc: Discretization, ksq: float) -> csc_matrix:
     """The (V, M, Q) system in the (V, M, Q) layout."""
     lhs = a_matrix(disc) - ksq * disc.mass_eps
     b = b_matrix(disc)
-    gamma_jn = disc.gamma_gram @ disc.jump_n
+    gamma_jn = disc.gamma_gram @ jump_n(disc)
     return bmat([
         [lhs, None, b.T],
         [None, disc.gamma_gram, -gamma_jn],
@@ -324,8 +370,66 @@ def project_scalar_data(lifting: Lifting, func, degree: int | None = None,
     return lifting._face_data(faces, rule, vals)
 
 
+def _dof_blocks(spaces: Spaces) -> tuple[np.ndarray, np.ndarray]:
+    """Per element, the local curl-conforming dof matrix (3 x l edge
+    moment rows, then interior rows) and its inverse."""
+    mesh = spaces.mesh
+    l = spaces.degree
+    ne = mesh.num_elements
+    rule = segment_rule(2 * l + 2)
+    s, w = rule.points, rule.weights
+    modes = face_modes(l - 1, s)                       # (np, l)
+    # one pull-back of every face point into the element, per
+    # (element, local face)
+    faces = mesh.element_faces
+    phys = spaces.face_points(faces, s)                # (ne, 3, np, 2)
+    ref = spaces.ref_coords(np.arange(ne)[:, None], phys)
+    npts = len(s)
+    vals = spaces.vbasis.eval(ref.reshape(-1, 2)).reshape(
+        ne, 3, npts * spaces.ndof_v, 2)
+    # t . (inv(J)^T v) = (inv(J) t) . v, (ne, 3, 2, 1)
+    pulled = (mesh.face_tangents[faces] @ spaces.inv_jac_t)[..., None]
+    tang = (vals @ pulled).reshape(ne, 3, npts, spaces.ndof_v)
+    # moment_m(v) = int_e (t . v) mode_m ds, global orientation
+    edge = mesh.face_lengths[faces][..., None, None] * (
+        (w[:, None] * modes).T @ tang)
+    rows = [edge.reshape(ne, 3 * l, spaces.ndof_v)]
+    if spaces.ndof_v > 3 * l:
+        tri = triangle_rule(spaces.deg_stiff)
+        # reference moments int_T v[n, k], (2, nv)
+        ref_int = np.tensordot(tri.weights, spaces.vbasis.eval(tri.points),
+                               axes=1).T
+        rows.append((spaces.det_jac[:, None, None] * spaces.inv_jac_t)
+                    @ ref_int)                          # (ne, 2, nv)
+    dmats = np.concatenate(rows, axis=1)
+    return dmats, inv(dmats)
+
+
 def v_dof_matrices(spaces: Spaces) -> np.ndarray:
-    return spaces._dof_blocks[0]
+    return _dof_blocks(spaces)[0]
+
+
+def v_dof_inverses(spaces: Spaces) -> np.ndarray:
+    return _dof_blocks(spaces)[1]
+
+
+def conforming_v_basis(spaces: Spaces) -> csc_matrix:
+    """Tangentially continuous subspace with zero boundary trace, as
+    columns of V-coefficient vectors: l columns per interior face, then
+    the interior moments of each element."""
+    mesh = spaces.mesh
+    l = spaces.degree
+    ne = mesh.num_elements
+    n_int = spaces.ndof_v - 3 * l
+    interior = ~mesh.boundary
+    n_face_cols = l * int(interior.sum())
+    face_cols = np.full((mesh.num_faces, l), -1)
+    face_cols[interior] = np.arange(n_face_cols).reshape(-1, l)
+    cols = np.concatenate([
+        face_cols[mesh.element_faces].reshape(ne, 3 * l),
+        n_face_cols + np.arange(ne * n_int).reshape(ne, n_int)], axis=1)
+    return spaces._conforming_map(v_dof_inverses(spaces), cols,
+                                  n_face_cols + ne * n_int)
 
 
 def seminorm_v(disc: Discretization, coeffs: np.ndarray) -> float:

@@ -302,5 +302,5 @@ def assemble_a_face_integral(disc) -> csr_matrix:
                 mat[np.ix_(dv, du)] -= block.T
                 mat[np.ix_(du, dv)] -= block
     out = csr_matrix(mat)
-    jt = disc.jump_t
+    jt = refasm.jump_t(disc)
     return csr_matrix(out + jt.T @ refasm.penalty_gram(disc) @ jt)

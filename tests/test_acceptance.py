@@ -161,7 +161,7 @@ def test_05_formulations_agree():
         aux = solve_auxiliary(disc, ksq, load)
         du = disc.norm_v(aux.u - primal.u)
         du /= disc.norm_v(primal.u)
-        jump = disc.jump_n @ aux.p
+        jump = refasm.jump_n(disc) @ aux.p
         pscale = max(disc.norm_q(primal.p), disc.norm_q(aux.p))
         dp = disc.norm_q(aux.p - primal.p) / pscale
         dlam = (refasm.norm_m(disc, aux.lam - jump)

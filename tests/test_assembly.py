@@ -17,8 +17,8 @@ from reference_lifting import assemble_a_face_integral, assemble_b_face_integral
 import reference_assembly as refasm
 
 # the sparse Grams and jump maps that evaluating a norm does not build
-NORM_OPERATORS = ("mass_eps", "lift_gram_vector", "jump_t", "jump_n",
-                  "seminorm_gram", "norm_v_gram", "norm_q_gram")
+NORM_OPERATORS = ("mass_eps", "lift_gram_vector", "seminorm_gram",
+                  "norm_v_gram", "norm_q_gram")
 
 
 def rel_frobenius(a, b):
@@ -127,7 +127,8 @@ class TestVolumeOperators:
         oracle = quad_volume(disc2, lambda pts: np.einsum(
             "epc,epc->ep", disc2.spaces.eval_v(u, pts),
             disc2.spaces.eval_v(u, pts)))
-        assert u @ (disc2.mass_v() @ u) == pytest.approx(oracle, rel=1e-12)
+        mass = element_block_diag(disc2.spaces.local_v_grams)
+        assert u @ (mass @ u) == pytest.approx(oracle, rel=1e-12)
 
     def test_grad_pair(self, degree):
         disc = Discretization(two_tag_mesh(), degree, random_materials(10))
@@ -197,11 +198,12 @@ class TestConstraintOperators:
         assert q @ (disc.b_matrix @ u) == pytest.approx(oracle, rel=1e-10)
 
     def test_c_matrix_identity(self, disc2):
-        expected = disc2.jump_n.T @ disc2.gamma_gram @ disc2.jump_n
+        jn = refasm.jump_n(disc2)
+        expected = jn.T @ disc2.gamma_gram @ jn
         assert rel_frobenius(disc2.c_matrix, csr(expected)) < 1e-14
 
     def test_b_lambda_identity(self, disc2):
-        expected = -disc2.jump_n.T @ disc2.gamma_gram
+        expected = -refasm.jump_n(disc2).T @ disc2.gamma_gram
         assert rel_frobenius(disc2.b_lambda, csr(expected)) < 1e-14
 
     def test_constraint_w_layout(self, disc2):
@@ -342,7 +344,7 @@ class TestNorms:
         rng = np.random.default_rng(31)
         u = rng.standard_normal(disc2.spaces.dim_V)
         curl_part = u @ (refasm.curl_stiffness(disc2) @ u)
-        jumps = disc2.jump_t @ u
+        jumps = refasm.jump_t(disc2) @ u
         lift_part = lifted_scalar_energy(disc2, jumps,
                                          disc2.materials.mu_bar_inv)
         assert refasm.seminorm_v(disc2, u) ** 2 == pytest.approx(
@@ -359,7 +361,7 @@ class TestNorms:
         rng = np.random.default_rng(33)
         q = rng.standard_normal(disc.spaces.dim_Q)
         grad_part = q @ (refasm.q_grad_gram(disc) @ q)
-        jumps = disc.jump_n @ q
+        jumps = refasm.jump_n(disc) @ q
         lift_part = lifted_vector_energy(disc, jumps, disc.materials.eps)
         assert disc.norm_q(q) ** 2 == pytest.approx(
             grad_part + lift_part, rel=1e-11)
@@ -403,8 +405,9 @@ class TestNorms:
         assert not set(NORM_OPERATORS) & set(vars(disc))
         curl, grad = refasm.curl_stiffness(disc), refasm.q_grad_gram(disc)
         lift = refasm.lift_gram_scalar(disc)
+        jump_t, jump_n = refasm.jump_t(disc), refasm.jump_n(disc)
         for (norm_v, norm_q), a, b in zip(norms, u, q):
-            jt, jn = disc.jump_t @ a, disc.jump_n @ b
+            jt, jn = jump_t @ a, jump_n @ b
             assert norm_v ** 2 == pytest.approx(
                 a @ (curl @ a) + a @ (disc.mass_eps @ a) + jt @ (lift @ jt),
                 rel=1e-13)
@@ -472,7 +475,8 @@ class TestCoercivity:
 
 class TestLoads:
     def test_load_volume_polynomial(self, disc2, degree):
-        # an in-space source makes the load exactly mass_v() @ coefficients
+        # an in-space source makes the load exactly the V mass matrix times
+        # its coefficients
         sp = disc2.spaces
         if degree == 1:
             func = lambda x, y: np.stack(
@@ -485,8 +489,8 @@ class TestLoads:
         load = disc2.load_volume(func)
         assert load.shape == (sp.dim_V + sp.dim_Q,)
         assert np.abs(load[sp.dim_V:]).max() == 0.0
-        assert np.abs(load[:sp.dim_V]
-                      - disc2.mass_v() @ coeffs).max() < 1e-12
+        mass = element_block_diag(sp.local_v_grams)
+        assert np.abs(load[:sp.dim_V] - mass @ coeffs).max() < 1e-12
 
     def test_load_boundary_zero_data(self, disc2):
         g = np.zeros(refasm.dim_scalar_data(disc2.lifting))
@@ -518,17 +522,22 @@ class TestPenaltyWeights:
 class TestBlockDiag:
     def test_face_grams_from_the_cached_blocks(self, degree):
         # the block diagonals of the per-face Grams, read from the cached
-        # blocks, are bitwise those the lifting builds afresh
+        # blocks, are bitwise those of Grams the lifting builds afresh
         mesh = two_tag_mesh(2)
         disc = Discretization(mesh, degree, random_materials(4),
                               gamma=np.linspace(0.5, 2.0, mesh.num_faces))
         lift, mats = disc.lifting, disc.materials
         ones = np.ones(disc.mesh.num_faces)
+
+        def block_diag(factors, grams):
+            return element_block_diag(factors[:, None, None] * grams)
         for mine, oracle in (
                 (refasm.lift_gram_scalar(disc),
-                 lift.block_diag_scalar(ones, mats.mu_bar_inv)),
-                (disc.lift_gram_vector, lift.block_diag_vector(ones, mats.eps)),
-                (disc.gamma_gram, lift.block_diag_vector(disc.gamma, mats.eps))):
+                 block_diag(ones, lift.face_grams_scalar(mats.mu_bar_inv))),
+                (disc.lift_gram_vector,
+                 block_diag(ones, lift.face_grams_vector(mats.eps))),
+                (disc.gamma_gram,
+                 block_diag(disc.gamma, lift.face_grams_vector(mats.eps)))):
             for key in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(mine, key), getattr(oracle, key))
 

@@ -81,18 +81,12 @@ def test_trace_tables(pair):
     "lift_vector_matrix", "curl_pair", "vector_value_pair"])
 def test_sparse_builders(pair, name):
     disc, ref = pair
+    # the two pairings take a material; all six maps are test builders
+    # over the lifting's per-(face, side) blocks
     args = {"curl_pair": (disc.materials.mu_bar_inv,),
-            "vector_value_pair": (disc.materials.eps,)}.get(name)
-    # the two pairings take a material; the jump maps are cached
-    # properties, the lifting maps and the sparse value pairing test
-    # builders (the package's value pairing hands out its blocks)
-    if hasattr(reference_assembly, name):
-        mine = getattr(reference_assembly, name)(disc.lifting, *(args or ()))
-    else:
-        mine = getattr(disc.lifting, name)
-        if args is not None:
-            mine = mine(*args)
-    oracle = getattr(ref, name)(*(args or ()))
+            "vector_value_pair": (disc.materials.eps,)}.get(name, ())
+    mine = getattr(reference_assembly, name)(disc.lifting, *args)
+    oracle = getattr(ref, name)(*args)
     assert rel_diff(mine, oracle) < RTOL
     # same stored entries: masked sides dropped, nothing else
     assert np.array_equal(mine.indptr, oracle.indptr)
