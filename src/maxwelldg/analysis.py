@@ -60,13 +60,12 @@ def _energy(wdet: np.ndarray, vals: np.ndarray, field: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 # sampled coercivity
 
-def coercivity_margin(disc: Discretization, nsamples: int = 200,
-                      seed: int = 0) -> float:
+def coercivity_margin(disc: Discretization, nsamples: int = 200) -> float:
     """Minimum over random coefficient vectors of
     (a(v,v) - 1/2 |v|^2) / |v|^2; nonnegative at the default penalty.
     The forms are applied as CSR copies, which multiply a block of columns
     about twice as fast as their element blocks."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = rng.standard_normal((disc.spaces.dim_V, nsamples))
     av = np.sum(x * (disc.a_matrix.tocsr() @ x), axis=0)
     sv = np.sum(x * (disc.seminorm_gram.tocsr() @ x), axis=0)
@@ -93,20 +92,13 @@ def friedrichs_constant(disc: Discretization) -> float:
     return float(np.sqrt(max(ev[-1], 0.0)))
 
 
-def infsup_constant_B(disc: Discretization,
-                      include_multiplier: bool = True) -> float:
+def infsup_constant_B(disc: Discretization) -> float:
     """Inf-sup constant of the constraint form over (V x M) x Q via the
     generalized singular value problem in the norm geometries."""
     from scipy.sparse.linalg import splu
-    sp = disc.spaces
-    _guard(sp.dim_Q)
-    if include_multiplier:
-        bw = disc.constraint_w
-        nw = disc.norm_w_gram
-    else:
-        bw = disc.b_matrix
-        nw = disc.norm_v_gram
-    lu = splu(nw.tocsc())
+    _guard(disc.spaces.dim_Q)
+    bw = disc.constraint_w
+    lu = splu(disc.norm_w_gram.tocsc())
     s = bw @ lu.solve(_dense(bw.T))
     ev = eigh(np.asarray(s), _dense(disc.norm_q_gram), eigvals_only=True)
     return float(np.sqrt(max(ev[0], 0.0)))
@@ -119,10 +111,10 @@ def _kernel_basis(disc: Discretization) -> np.ndarray:
 
 def _kernel_eigenvalues(disc: Discretization, form,
                         kernel: np.ndarray | None) -> np.ndarray:
-    """Generalized eigenvalues of the block-diagonal [form, gamma_gram]
-    against the W norm, on the constraint kernel."""
+    """Generalized eigenvalues of the block-diagonal [form, gamma Gram of
+    the lifted multipliers] against the W norm, on the constraint kernel."""
     z = _kernel_basis(disc) if kernel is None else kernel
-    blk = block_diag([form, disc.gamma_gram], format="csr")
+    blk = block_diag([form, disc.gamma * disc.lift_gram_vector], format="csr")
     a1 = z.T @ (blk @ z)
     a2 = z.T @ (disc.norm_w_gram @ z)
     return eigh(a1, a2, eigvals_only=True)
@@ -274,23 +266,17 @@ class ConvergenceReport:
 def setup_problem(problem: ModelProblem, mesh: Mesh, degree: int,
                   alpha=None, gamma=None):
     """Discretize a model problem on a mesh: returns the discretization,
-    the load vector (volume plus boundary terms), and the boundary face
-    data."""
+    the load vector (volume plus boundary terms), and the face data of
+    the tangential trace of exact_u, or None where it vanishes."""
     disc = Discretization(mesh, degree, problem.coeffs, alpha=alpha,
                           gamma=gamma)
-    load = np.zeros(disc.spaces.dim_V + disc.spaces.dim_Q)
-    if problem.source is not None:
-        load += disc.load_volume(problem.source)
-    g_data = None
-    if problem.boundary_u is not None:
-        g_data = disc.lifting.tangential_boundary_data(problem.boundary_u)
-        # quadrature roundoff of an analytically zero trace stays well
-        # below this; genuine boundary data sits far above it
-        if np.abs(g_data).max() > 1e-13:
-            load += disc.load_boundary(g_data)
-        else:
-            g_data = None
-    return disc, load, g_data
+    load = disc.load_volume(problem.source)
+    g_data = disc.lifting.tangential_boundary_data(problem.exact_u)
+    # quadrature roundoff of an analytically zero trace stays well below
+    # this; genuine boundary data sits far above it
+    if np.abs(g_data).max() <= 1e-13:
+        return disc, load, None
+    return disc, load + disc.load_boundary(g_data), g_data
 
 
 def convergence_study(problem: ModelProblem, degree: int, levels: int,
@@ -306,12 +292,11 @@ def convergence_study(problem: ModelProblem, degree: int, levels: int,
     prev = None
     for level in range(levels):
         t0 = time.perf_counter()
-        mesh = problem.mesh(level)
+        mesh = problem.mesh_factory(level)
         disc, load, g_data = setup_problem(problem, mesh, degree, alpha, gamma)
         if report is None:
             report = ConvergenceReport(problem.name, degree, problem.ksq,
-                                       disc.alpha[0], disc.gamma[0],
-                                       formulation)
+                                       disc.alpha, disc.gamma, formulation)
         # the margin caches a, which the system then reads, so a level
         # builds each form once
         margin = coercivity_margin(disc, nsamples=margin_samples)

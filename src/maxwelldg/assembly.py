@@ -103,25 +103,20 @@ class AuxiliarySystem:
 class Discretization:
     """Spaces, liftings, materials, and the assembled operators.
 
-    alpha (curl penalty) and gamma (multiplier penalty) may be scalars or
-    per-face arrays; alpha defaults to the coercivity threshold 6.5.
+    alpha (curl penalty) and gamma (multiplier penalty) are positive finite
+    numbers; they default to the thresholds 6.5 and 0.5.
     """
 
     def __init__(self, mesh: Mesh, degree: int, coeffs: Coefficients | None = None,
-                 alpha=None, gamma=None):
-        nf = mesh.num_faces
-        self.alpha = np.broadcast_to(
-            np.asarray(DEFAULT_ALPHA if alpha is None else alpha, dtype=float),
-            (nf,)).copy()
-        self.gamma = np.broadcast_to(
-            np.asarray(DEFAULT_GAMMA if gamma is None else gamma, dtype=float),
-            (nf,)).copy()
-        if np.any(self.alpha <= 0.0) or np.any(self.gamma <= 0.0):
-            raise ValueError("penalty weights must be positive")
+                 alpha: float | None = None, gamma: float | None = None):
+        self.alpha = float(DEFAULT_ALPHA if alpha is None else alpha)
+        self.gamma = float(DEFAULT_GAMMA if gamma is None else gamma)
+        if not (0.0 < self.alpha < np.inf and 0.0 < self.gamma < np.inf):
+            raise ValueError("penalty weights must be positive and finite")
         self.mesh = mesh
         self.spaces = Spaces(mesh, degree)
         self.lifting = Lifting(self.spaces)
-        self.coeffs = coeffs if coeffs is not None else Coefficients.vacuum()
+        self.coeffs = coeffs if coeffs is not None else Coefficients()
         self.materials: MaterialArrays = self.coeffs.expand(mesh)
 
     # ------------------------------------------------------------------
@@ -149,10 +144,6 @@ class Discretization:
         return element_block_diag(self._eps_grams)
 
     @cached_property
-    def gamma_gram(self) -> csr_matrix:
-        return element_block_diag(self._gamma_grams())
-
-    @cached_property
     def _mu_grams(self) -> np.ndarray:
         """(mu_bar^-1 r_F(.), r_F(.)) per face, no penalty factor,
         (nf, l+1, l+1)."""
@@ -165,11 +156,11 @@ class Discretization:
 
     def _alpha_grams(self) -> np.ndarray:
         """alpha (mu_bar^-1 r_F(.), r_F(.)) per face, (nf, l+1, l+1)."""
-        return self.alpha[:, None, None] * self._mu_grams
+        return self.alpha * self._mu_grams
 
     def _gamma_grams(self) -> np.ndarray:
         """gamma (eps R_F(.), R_F(.)) per face, (nf, m, m)."""
-        return self.gamma[:, None, None] * self._eps_grams
+        return self.gamma * self._eps_grams
 
     # ------------------------------------------------------------------
     # element blocks

@@ -41,6 +41,12 @@ __all__ = ["main", "RunConfig", "ConfigError", "load_config",
 # number as the mesh is refined, and its constraint gap within this.
 CONSTRAINT_TOL = 1e-10
 
+
+def _passes(backward_error: float, constraint_gap: float) -> bool:
+    """The exit gate of one solve, on the two bounds above."""
+    return backward_error <= BACKWARD_TOL and constraint_gap <= CONSTRAINT_TOL
+
+
 CONFIG_KEYS = {"command", "mesh", "degree", "k", "coefficients", "alpha",
                "gamma", "levels", "problem", "output", "formulation"}
 PROBLEM_NAMES = ("sine", "lshape", "gradient", "zero")
@@ -97,7 +103,7 @@ def _parse_tensor(value, what: str):
 
 def _parse_coefficients(table) -> Coefficients:
     if table is None:
-        return Coefficients.vacuum()
+        return Coefficients()
     if not isinstance(table, dict):
         raise ConfigError("coefficients must map material tags to entries")
     mu, eps = {}, {}
@@ -328,9 +334,7 @@ def run_solve(cfg: RunConfig) -> int:
     sys.stdout.write(text)
     if cfg.output:
         _emit(cfg, ".json", text)
-    ok = (sol.backward_error <= BACKWARD_TOL
-          and sol.constraint_gap <= CONSTRAINT_TOL)
-    return 0 if ok else 1
+    return 0 if _passes(sol.backward_error, sol.constraint_gap) else 1
 
 
 def run_study(cfg: RunConfig) -> int:
@@ -352,8 +356,7 @@ def run_study(cfg: RunConfig) -> int:
         _emit(cfg, ".json", _json_text(report.diagnostics()))
     else:
         sys.stdout.write(csv_text)
-    ok = all(r.backward_error <= BACKWARD_TOL
-             and r.constraint_residual <= CONSTRAINT_TOL
+    ok = all(_passes(r.backward_error, r.constraint_residual)
              for r in report.records)
     return 0 if ok else 1
 

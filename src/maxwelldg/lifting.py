@@ -122,13 +122,11 @@ class Lifting:
         scale = self.weight if weight is None else self.weight * weight[self.side_elements]
         return np.sum(scale[:, :, None, None] * self._trace_grams, axis=1)
 
-    def face_grams_vector(self, eps: np.ndarray | None = None) -> np.ndarray:
-        """(eps R_F(mode_i), R_F(mode_j)) for a per-element 2x2 SPD field;
-        identity weight when eps is None.  Mode-major, component-minor,
-        shape (nf, 2(l+1), 2(l+1))."""
+    def face_grams_vector(self, eps: np.ndarray) -> np.ndarray:
+        """(eps R_F(mode_i), R_F(mode_j)) for a per-element 2x2 SPD field.
+        Mode-major, component-minor, shape (nf, 2(l+1), 2(l+1))."""
         nf = self.spaces.mesh.num_faces
-        mat = np.eye(2) if eps is None else eps[self.side_elements]
-        mat = mat[..., None, :, None, :]                          # (.., 1, c, 1, d)
+        mat = eps[self.side_elements][..., None, :, None, :]      # (.., 1, c, 1, d)
         kron = self._trace_grams[..., None, :, None] * mat       # (nf, 2, i, c, j, d)
         grams = np.sum(self.weight[:, :, None, None, None, None] * kron, axis=1)
         return grams.reshape(nf, 2 * self.n_modes, 2 * self.n_modes)
@@ -161,11 +159,11 @@ class Lifting:
     # ------------------------------------------------------------------
     # face data projections
 
-    def _face_samples(self, faces: np.ndarray, degree: int | None = None):
+    def _face_samples(self, faces: np.ndarray):
         """The projection rule and its points on the given faces,
         (len(faces), np, 2)."""
         sp = self.spaces
-        rule = segment_rule(2 * sp.degree + 8 if degree is None else degree)
+        rule = segment_rule(2 * sp.degree + 8)
         return rule, sp.face_points(faces, rule.points)
 
     def _face_data(self, faces: np.ndarray, rule, vals: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ __all__ = ["Coefficients", "MaterialArrays"]
 
 def _as_tensor(value) -> np.ndarray:
     mat = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"material tensor must be finite, got {value}")
     if mat.ndim == 0:
         mat = float(mat) * np.eye(2)
     if mat.shape != (2, 2):
@@ -33,10 +35,6 @@ class Coefficients:
     def __init__(self, mu=None, eps=None):
         self.mu = {k: _as_tensor(v) for k, v in (mu or {0: 1.0}).items()}
         self.eps = {k: _as_tensor(v) for k, v in (eps or {0: 1.0}).items()}
-
-    @classmethod
-    def vacuum(cls) -> "Coefficients":
-        return cls()
 
     def missing_tags(self, mesh: Mesh) -> list:
         """Tags of the mesh that lack a mu or an eps entry, sorted."""

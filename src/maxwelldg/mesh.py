@@ -288,7 +288,7 @@ def _split_cells(corners: np.ndarray) -> np.ndarray:
     return corners[:, [0, 1, 3, 0, 3, 2]].reshape(-1, 3)
 
 
-def unit_square(n: int, tag: int = 0) -> Mesh:
+def unit_square(n: int) -> Mesh:
     """Uniform n-by-n grid of the unit square, each cell split along the
     lower-left to upper-right diagonal; 2 n^2 congruent triangles."""
     if n < 1:
@@ -298,10 +298,10 @@ def unit_square(n: int, tag: int = 0) -> Mesh:
     vertices = np.stack([xv.ravel(), yv.ravel()], axis=1)
     i, j = np.divmod(np.arange(n * n), n)
     elements = _split_cells(_grid_cells(i, j, n))
-    return Mesh(vertices, elements, np.full(len(elements), tag, dtype=np.int64))
+    return Mesh(vertices, elements, np.zeros(len(elements), dtype=np.int64))
 
 
-def lshape(n: int, tag: int = 0) -> Mesh:
+def lshape(n: int) -> Mesh:
     """L-shaped domain (-1,1)^2 minus the fourth-quadrant unit square,
     reentrant corner at the origin; 6 n^2 triangles, area 3.  Vertices are
     numbered in order of first use by the cells, corner by corner."""
@@ -319,7 +319,7 @@ def lshape(n: int, tag: int = 0) -> Mesh:
     number[used] = np.arange(len(used))
     vertices = np.stack([xs[used // (m + 1)], xs[used % (m + 1)]], axis=1)
     elements = number[_split_cells(corners)]
-    return Mesh(vertices, elements, np.full(len(elements), tag, dtype=np.int64))
+    return Mesh(vertices, elements, np.zeros(len(elements), dtype=np.int64))
 
 
 def read_mesh(text: str) -> Mesh:

@@ -493,8 +493,18 @@ def _solve(disc: Discretization, system, load: np.ndarray) -> Solution:
                     factor, gap)
 
 
+def _check_finite(ksq: float, load: np.ndarray):
+    """Non-finite inputs are input errors, caught before any assembly,
+    not discrete resonances."""
+    if not np.isfinite(ksq):
+        raise ValueError(f"ksq must be finite, got {ksq}")
+    if not np.all(np.isfinite(load)):
+        raise ValueError("the load must be finite")
+
+
 def solve_mixed(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
     """Solve the two-field system for (u, p)."""
+    _check_finite(ksq, load)
     return _solve(disc, disc.primal_system(ksq), load)
 
 
@@ -505,4 +515,5 @@ def solve_auxiliary(disc: Discretization, ksq: float, load: np.ndarray) -> Solut
     data.  The returned (u, p) match the two-field solve and the
     multiplier carries the normal jump of p.
     """
+    _check_finite(ksq, load)
     return _solve(disc, disc.auxiliary_system(ksq), load)

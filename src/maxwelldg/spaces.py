@@ -67,7 +67,6 @@ class Spaces:
         self.det_jac = det
         self.inv_jac = np.linalg.inv(jac)
         self.inv_jac_t = np.transpose(self.inv_jac, (0, 2, 1))
-        self.areas = 0.5 * det
         self.origins = tri[:, 0]
 
         self.vbasis = curl_basis(degree)

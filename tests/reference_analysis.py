@@ -2,9 +2,9 @@
 
 The conforming averaging (smoothed-interpolation) operator and its defect
 bound, the consistency residual R1 of the lifted fluxes and the
-constraint residual R2 of exact solutions, the sampled continuity bound
-of ``a``, the best approximation error in the V(h) norm and the
-self-adjointness of the source-to-field operator at k = 0.  None of the
+constraint residual R2 of exact solutions, the inf-sup constant of b
+without the face multiplier, the sampled continuity bound of ``a``, the
+best approximation error in the V(h) norm and the self-adjointness of the source-to-field operator at k = 0.  None of the
 ``solve``, ``study`` or ``constants`` commands runs them, so they live
 here and not in ``maxwelldg.analysis``.  Nothing in the package imports
 this module.
@@ -13,9 +13,10 @@ this module.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from maxwelldg.analysis import _dense, _energy
+from maxwelldg.analysis import _dense, _energy, _guard
 from maxwelldg.assembly import Discretization
 from maxwelldg.problems import ModelProblem
 from maxwelldg.quadrature import triangle_rule
@@ -101,8 +102,6 @@ def residual_R2(disc: Discretization, problem: ModelProblem,
                 degree: int | None = None) -> float:
     """Constraint residual of the exact field: sup over q of b(u, q)
     divided by the Q norm, with u entering by quadrature only."""
-    if not problem.div_free:
-        raise ValueError("constraint residual requires a divergence-free field")
     sp = disc.spaces
     deg = sp.deg_err if degree is None else degree
     eps = disc.materials.eps
@@ -182,6 +181,17 @@ def consistency_check_R1(disc: Discretization, problem: ModelProblem,
 
 # ----------------------------------------------------------------------
 # sampled continuity, best approximation, self-adjointness
+
+def infsup_without_multiplier(disc: Discretization) -> float:
+    """Inf-sup constant of b alone over V x Q, in the norm geometries of
+    V and Q: `infsup_constant_B` without the face multiplier, which alone
+    controls the checkerboard modes of Q."""
+    _guard(disc.spaces.dim_Q)
+    b = disc.b_matrix
+    s = b @ splu(disc.norm_v_gram.tocsc()).solve(_dense(b.T))
+    ev = eigh(np.asarray(s), _dense(disc.norm_q_gram), eigvals_only=True)
+    return float(np.sqrt(max(ev[0], 0.0)))
+
 
 def continuity_bound(disc: Discretization, nsamples: int = 200,
                      seed: int = 0) -> float:

@@ -120,7 +120,7 @@ def norm_q_gram(disc: Discretization) -> csr_matrix:
 
 def b_lambda(disc: Discretization) -> csr_matrix:
     """Multiplier block of the constraint row, rows Q, columns face dofs."""
-    return csr_matrix(-jump_n(disc).T @ disc.gamma_gram)
+    return csr_matrix(-jump_n(disc).T @ (disc.gamma * disc.lift_gram_vector))
 
 
 def vector_value_pair(lifting: Lifting, eps: np.ndarray) -> csr_matrix:
@@ -160,7 +160,7 @@ def b_matrix(disc: Discretization) -> csr_matrix:
 
 def c_matrix(disc: Discretization) -> csr_matrix:
     jn = jump_n(disc)
-    return csr_matrix(jn.T @ disc.gamma_gram @ jn)
+    return csr_matrix(jn.T @ (disc.gamma * disc.lift_gram_vector) @ jn)
 
 
 def load_boundary(disc: Discretization, g_data: np.ndarray) -> np.ndarray:
@@ -195,10 +195,11 @@ def auxiliary_system(disc: Discretization, ksq: float) -> csc_matrix:
     """The (V, M, Q) system in the (V, M, Q) layout."""
     lhs = a_matrix(disc) - ksq * disc.mass_eps
     b = b_matrix(disc)
-    gamma_jn = disc.gamma_gram @ jump_n(disc)
+    gram = disc.gamma * disc.lift_gram_vector
+    gamma_jn = gram @ jump_n(disc)
     return bmat([
         [lhs, None, b.T],
-        [None, disc.gamma_gram, -gamma_jn],
+        [None, gram, -gamma_jn],
         [b, -gamma_jn.T, None]], format="csc")
 
 
@@ -359,13 +360,13 @@ def lift_vector_matrix(lifting: Lifting) -> csr_matrix:
                         keep=lifting.side_mask)
 
 
-def project_scalar_data(lifting: Lifting, func, degree: int | None = None,
+def project_scalar_data(lifting: Lifting, func,
                         boundary_only: bool = False) -> np.ndarray:
     """L^2-project a scalar callable onto the face mode basis."""
     mesh = lifting.spaces.mesh
     faces = (np.flatnonzero(mesh.boundary) if boundary_only
              else np.arange(mesh.num_faces))
-    rule, phys = lifting._face_samples(faces, degree)
+    rule, phys = lifting._face_samples(faces)
     vals = np.asarray(func(phys[..., 0], phys[..., 1]))
     return lifting._face_data(faces, rule, vals)
 

@@ -29,6 +29,7 @@ from reference_analysis import (
     conforming_average,
     consistency_check_R1,
     continuity_bound,
+    infsup_without_multiplier,
     residual_R2,
     self_adjointness_gap,
 )
@@ -50,8 +51,6 @@ def rotation_problem(ksq=1.0):
         exact_u=exact_u,
         exact_curl_u=lambda x, y: 1.6 * np.ones_like(np.asarray(x, float)),
         exact_grad_p=lambda x, y: np.zeros(np.shape(x) + (2,)),
-        boundary_u=exact_u,
-        div_free=True,
     )
 
 
@@ -103,19 +102,10 @@ class TestResidualR2:
             name="scaled", ksq=base.ksq, mesh_factory=base.mesh_factory,
             source=base.source,
             exact_u=lambda x, y: 2.0 * base.exact_u(x, y),
-            exact_curl_u=base.exact_curl_u, div_free=True)
+            exact_curl_u=base.exact_curl_u)
         r1 = residual_R2(disc, base)
         r2 = residual_R2(disc, scaled)
         assert r2 == pytest.approx(2.0 * r1, rel=1e-10)
-
-    def test_requires_divergence_free(self, disc2):
-        bad = ModelProblem(
-            name="bad", ksq=1.0, mesh_factory=unit_square,
-            source=lambda x, y: np.zeros(np.shape(x) + (2,)),
-            exact_u=lambda x, y: np.stack([x, np.zeros_like(y)], axis=-1),
-            div_free=False)
-        with pytest.raises(ValueError, match="divergence-free"):
-            residual_R2(disc2, bad)
 
     def test_decreases_under_refinement(self):
         problem = sine_problem()
@@ -178,8 +168,8 @@ class TestStabilityConstants:
     def test_infsup_collapses_without_multiplier(self, square2):
         # checkerboard multipliers are only controlled through M_h
         disc = Discretization(square2, 1)
-        with_m = infsup_constant_B(disc, include_multiplier=True)
-        without = infsup_constant_B(disc, include_multiplier=False)
+        with_m = infsup_constant_B(disc)
+        without = infsup_without_multiplier(disc)
         assert without < 1e-7
         assert without <= with_m
 
@@ -197,8 +187,7 @@ class TestStabilityConstants:
         # package has no CSR jump maps to build (see test_exports)
         disc = Discretization(square2, degree)
         values = [coercivity_margin(disc), friedrichs_constant(disc),
-                  infsup_constant_B(disc),
-                  infsup_constant_B(disc, include_multiplier=False),
+                  infsup_constant_B(disc), infsup_without_multiplier(disc),
                   kernel_ellipticity(disc), indefinite_infsup(disc, 1.0)]
         assert np.all(np.isfinite(values))
 
@@ -297,8 +286,8 @@ class TestSetupProblem:
     def test_sine_has_no_boundary_data(self, square4):
         disc, load, g_data = setup_problem(sine_problem(), square4, 1)
         assert g_data is None
-        assert disc.alpha[0] == 6.5
-        assert disc.gamma[0] == 0.5
+        assert disc.alpha == 6.5
+        assert disc.gamma == 0.5
         assert load.shape == (disc.spaces.dim_V + disc.spaces.dim_Q,)
 
     def test_rotation_has_boundary_data(self, square2):
@@ -311,8 +300,8 @@ class TestSetupProblem:
     def test_penalty_overrides(self, square2):
         disc, _, _ = setup_problem(sine_problem(), square2, 1,
                                    alpha=8.0, gamma=1.5)
-        assert disc.alpha[0] == 8.0
-        assert disc.gamma[0] == 1.5
+        assert disc.alpha == 8.0
+        assert disc.gamma == 1.5
 
 
 @pytest.fixture(scope="module")

@@ -199,11 +199,11 @@ class TestConstraintOperators:
 
     def test_c_matrix_identity(self, disc2):
         jn = refasm.jump_n(disc2)
-        expected = jn.T @ disc2.gamma_gram @ jn
+        expected = jn.T @ (disc2.gamma * disc2.lift_gram_vector) @ jn
         assert rel_frobenius(disc2.c_matrix, csr(expected)) < 1e-14
 
     def test_b_lambda_identity(self, disc2):
-        expected = -refasm.jump_n(disc2).T @ disc2.gamma_gram
+        expected = -refasm.jump_n(disc2).T @ (disc2.gamma * disc2.lift_gram_vector)
         assert rel_frobenius(disc2.b_lambda, csr(expected)) < 1e-14
 
     def test_constraint_w_layout(self, disc2):
@@ -231,8 +231,8 @@ class TestBlockAssembly:
                     rng.integers(0, 3, base.num_elements))
         coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
                               eps={t: random_spd(rng) for t in range(3)})
-        for alpha, gamma in ((None, None), (rng.uniform(7.0, 9.0, mesh.num_faces),
-                                            rng.uniform(0.5, 2.0, mesh.num_faces))):
+        for alpha, gamma in ((None, None), (rng.uniform(7.0, 9.0),
+                                            rng.uniform(0.5, 2.0))):
             disc = Discretization(mesh, degree, coeffs, alpha=alpha,
                                   gamma=gamma)
             for ksq in (0.0, 1.3):
@@ -507,16 +507,31 @@ class TestLoads:
 
 class TestPenaltyWeights:
     def test_per_face_alpha(self, square2):
-        nf = square2.num_faces
-        alpha = np.full(nf, 7.0)
-        alpha[0] = 9.0
-        disc = Discretization(square2, 1, alpha=alpha)
-        assert disc.alpha[0] == 9.0
-        assert disc.alpha[1] == 7.0
+        # one penalty per form: an array of per-face weights is refused
+        with pytest.raises(TypeError):
+            Discretization(square2, 1, alpha=np.full(square2.num_faces, 7.0))
+        assert Discretization(square2, 1, alpha=9).alpha == 9.0
 
     def test_nonpositive_array_rejected(self, square2):
         with pytest.raises(ValueError):
             Discretization(square2, 1, alpha=0.0)
+
+    @pytest.mark.parametrize("name", ["alpha", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, square2, name, value):
+        # refused on construction, not reported later as a resonance
+        with pytest.raises(ValueError, match="finite"):
+            Discretization(square2, 1, **{name: value})
+
+
+class TestMaterialValidation:
+    @pytest.mark.parametrize("name", ["mu", "eps"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan,
+                                       [[1.0, np.inf], [np.inf, 1.0]]])
+    def test_non_finite_named(self, name, value):
+        # named as such, not as an asymmetric or indefinite tensor
+        with pytest.raises(ValueError, match="must be finite"):
+            Coefficients(**{name: {0: value}})
 
 
 class TestBlockDiag:
@@ -524,20 +539,18 @@ class TestBlockDiag:
         # the block diagonals of the per-face Grams, read from the cached
         # blocks, are bitwise those of Grams the lifting builds afresh
         mesh = two_tag_mesh(2)
-        disc = Discretization(mesh, degree, random_materials(4),
-                              gamma=np.linspace(0.5, 2.0, mesh.num_faces))
+        gamma = np.random.default_rng(5).uniform(0.5, 2.0)
+        disc = Discretization(mesh, degree, random_materials(4), gamma=gamma)
         lift, mats = disc.lifting, disc.materials
-        ones = np.ones(disc.mesh.num_faces)
-
-        def block_diag(factors, grams):
-            return element_block_diag(factors[:, None, None] * grams)
         for mine, oracle in (
                 (refasm.lift_gram_scalar(disc),
-                 block_diag(ones, lift.face_grams_scalar(mats.mu_bar_inv))),
+                 element_block_diag(lift.face_grams_scalar(mats.mu_bar_inv))),
                 (disc.lift_gram_vector,
-                 block_diag(ones, lift.face_grams_vector(mats.eps))),
-                (disc.gamma_gram,
-                 block_diag(disc.gamma, lift.face_grams_vector(mats.eps)))):
+                 element_block_diag(lift.face_grams_vector(mats.eps))),
+                # the multiplier penalty's Gram, which the oracles and the
+                # kernel eigenvalues read as this product
+                (disc.gamma * disc.lift_gram_vector,
+                 element_block_diag(gamma * lift.face_grams_vector(mats.eps)))):
             for key in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(mine, key), getattr(oracle, key))
 

@@ -1,11 +1,16 @@
 """Every public name the package and its submodules declare resolves."""
 
+import functools
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import maxwelldg
+from maxwelldg.lifting import Lifting
+from maxwelldg.mesh import unit_square
+from maxwelldg.spaces import Spaces
 import reference_assembly
 
 MODULES = ["maxwelldg"] + [
@@ -69,18 +74,47 @@ REPLACED = {
 }
 # later removals go last, so the earlier cases keep their ids: the rest
 # of the CSR face layer (`face_csr` builds the test-side maps) and the
-# unweighted V mass, and metadata nothing read
+# unweighted V mass, and metadata nothing read; then the settings no
+# command sets: the block diagonal of the multiplier penalty (one gamma
+# makes it gamma times `lift_gram_vector`), the model problem's derived
+# fields (`exact_u` gives the boundary data), the vacuum alias of
+# `Coefficients()`, an attribute only a test read, and parameters only
+# the tests passed, named after the function that took them
 REPLACED_LATER = [
     (("maxwelldg.lifting", "Lifting"), "_face_csr"),
     (("maxwelldg.lifting", "Lifting"), "block_diag_scalar"),
     (("maxwelldg.lifting", "Lifting"), "block_diag_vector"),
     (("maxwelldg.assembly", "Discretization"), "mass_v"),
-    (("maxwelldg.problems", "ModelProblem"), "regularity")]
+    (("maxwelldg.problems", "ModelProblem"), "regularity"),
+    (("maxwelldg.assembly", "Discretization"), "gamma_gram"),
+    (("maxwelldg.problems", "ModelProblem"), "boundary_u"),
+    (("maxwelldg.problems", "ModelProblem"), "div_free"),
+    (("maxwelldg.problems", "ModelProblem"), "mesh"),
+    (("maxwelldg.materials", "Coefficients"), "vacuum"),
+    (("maxwelldg.spaces", "Spaces"), "areas"),
+    (("maxwelldg.analysis", "infsup_constant_B"), "include_multiplier"),
+    (("maxwelldg.analysis", "coercivity_margin"), "seed"),
+    (("maxwelldg.lifting", "Lifting._face_samples"), "degree"),
+    (("maxwelldg.mesh", "unit_square"), "tag"),
+    (("maxwelldg.mesh", "lshape"), "tag")]
+# instances of the classes that lost an instance attribute
+INSTANCES = {("maxwelldg.spaces", "Spaces"): lambda: Spaces(unit_square(1), 1)}
 
 
 @pytest.mark.parametrize("owner, name", [
     (owner, name) for owner, names in REPLACED.items() for name in names]
     + REPLACED_LATER)
 def test_replaced_routes_stay_out(owner, name):
-    module, cls = owner
-    assert not hasattr(getattr(importlib.import_module(module), cls), name)
+    module, path = owner
+    obj = functools.reduce(getattr, path.split("."),
+                           importlib.import_module(module))
+    assert not hasattr(obj, name)
+    assert name not in inspect.signature(obj).parameters
+    if owner in INSTANCES:
+        assert not hasattr(INSTANCES[owner](), name)
+
+
+def test_vector_lifting_gram_needs_a_field():
+    # its identity-weight mode had no caller in the package
+    eps = inspect.signature(Lifting.face_grams_vector).parameters["eps"]
+    assert eps.default is inspect.Parameter.empty

@@ -97,7 +97,8 @@ def test_sparse_builders(pair, name):
 def test_face_grams(pair, weighted):
     disc, ref = pair
     mu_w = disc.materials.mu_bar_inv if weighted else None
-    eps = disc.materials.eps if weighted else None
+    eps = (disc.materials.eps if weighted
+           else np.broadcast_to(np.eye(2), disc.materials.eps.shape))
     scalar = disc.lifting.face_grams_scalar(mu_w)
     vector = disc.lifting.face_grams_vector(eps)
     assert rel_diff(scalar, np.array(ref.face_grams_scalar(mu_w))) < RTOL

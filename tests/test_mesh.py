@@ -150,7 +150,8 @@ class TestFaces:
 
 class TestSerialization:
     def test_round_trip(self):
-        mesh = lshape(2, tag=3)
+        base = lshape(2)
+        mesh = Mesh(base.vertices, base.elements, np.full(base.num_elements, 3))
         again = read_mesh(write_mesh(mesh))
         assert np.array_equal(again.vertices, mesh.vertices)
         assert np.array_equal(again.elements, mesh.elements)
@@ -208,7 +209,8 @@ class TestRefinement:
         assert fine.num_vertices == mesh.num_vertices + mesh.num_faces
 
     def test_refine_preserves_area_and_tags(self):
-        mesh = unit_square(2, tag=7)
+        base = unit_square(2)
+        mesh = Mesh(base.vertices, base.elements, np.full(base.num_elements, 7))
         fine = refine_uniform(mesh)
         assert refasm.element_areas(fine).sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(fine.tags == 7)

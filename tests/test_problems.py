@@ -38,7 +38,6 @@ class TestSine:
         rng = np.random.default_rng(52)
         x = rng.uniform(0.1, 0.9, 30)
         y = rng.uniform(0.1, 0.9, 30)
-        assert problem.div_free
         assert np.abs(fd_div(problem.exact_u, x, y)).max() < 1e-6
 
     def test_source_closes_the_equations(self):
@@ -72,8 +71,8 @@ class TestSine:
 
     def test_mesh_family(self):
         problem = sine_problem()
-        assert problem.mesh(0).num_elements == 2 * 4 ** 2
-        assert problem.mesh(1).num_elements == 2 * 8 ** 2
+        assert problem.mesh_factory(0).num_elements == 2 * 4 ** 2
+        assert problem.mesh_factory(1).num_elements == 2 * 8 ** 2
 
 
 class TestLshape:
@@ -107,11 +106,8 @@ class TestLshape:
         assert np.abs(problem.source(x, y)
                       + 3.0 * problem.exact_u(x, y)).max() < 1e-14
 
-    def test_div_free_metadata(self):
-        assert lshape_problem().div_free
-
     def test_mesh_family_excludes_quadrant(self):
-        mesh = lshape_problem().mesh(0)
+        mesh = lshape_problem().mesh_factory(0)
         centroids = mesh.vertices[mesh.elements].mean(axis=1)
         assert not np.any((centroids[:, 0] > 0) & (centroids[:, 1] < 0))
 

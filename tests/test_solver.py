@@ -163,6 +163,31 @@ class TestResonance:
         assert factorize(system, bounds)[1] == factorize(system, bounds)[1]
 
 
+@pytest.mark.parametrize("solve", [solve_mixed, solve_auxiliary])
+class TestNonFiniteInputs:
+    """A non-finite wavenumber or load is an input error, refused before
+    any assembly: not a resonance verdict, nor a NaN solution."""
+
+    @pytest.fixture(autouse=True)
+    def no_assembly(self, monkeypatch):
+        def assembled(*args):
+            raise AssertionError("a system was assembled")
+        for name in ("primal_system", "auxiliary_system"):
+            monkeypatch.setattr(Discretization, name, assembled)
+
+    @pytest.mark.parametrize("ksq", [np.nan, np.inf])
+    def test_wavenumber(self, disc2, sine_load, solve, ksq):
+        with pytest.raises(ValueError, match="ksq must be finite"):
+            solve(disc2, ksq, sine_load)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_load(self, disc2, sine_load, solve, value):
+        load = sine_load.copy()
+        load[3] = value
+        with pytest.raises(ValueError, match="load must be finite"):
+            solve(disc2, 1.0, load)
+
+
 class TestResonanceNestedDissection(TestResonance):
     def factor_input(self, disc, system):
         blocks = finest_blocks(disc)
