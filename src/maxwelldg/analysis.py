@@ -2,9 +2,11 @@
 
 What the ``study`` and ``constants`` commands run: discrete Friedrichs /
 inf-sup / ellipticity constants through dense generalized eigenproblems
-(size-guarded; these are verification probes, not scalable algorithms),
-a sampled coercivity margin, error norms against exact solutions (their
-volume terms by fine quadrature, their jump terms face by face from the
+(size-guarded; these are verification probes, not scalable algorithms;
+the Friedrichs constant is read off the whole (seminorm, eps mass)
+pencil, whose zero eigenspace is the conforming gradients), a sampled
+coercivity margin, error norms against exact solutions (their volume
+terms by fine quadrature, their jump terms face by face from the
 discretization's per-face Grams), and convergence studies with
 CSV/markdown reports.
 """
@@ -18,14 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh, null_space
-from scipy.sparse import block_diag
+from scipy.sparse import block_diag, coo_matrix
 
 from .assembly import Discretization
 from .mesh import Mesh
 from .problems import ModelProblem
 from .quadrature import triangle_rule
 from .solver import solve_auxiliary, solve_mixed
-from .spaces import element_block_diag
 
 __all__ = [
     "coercivity_margin", "friedrichs_constant", "infsup_constant_B",
@@ -76,20 +77,37 @@ def coercivity_margin(disc: Discretization, nsamples: int = 200) -> float:
 # ----------------------------------------------------------------------
 # stability constants (dense, coarse meshes)
 
+def _first_betti_number(mesh: Mesh) -> int:
+    """Number of holes: connected components minus the Euler
+    characteristic V - E + T."""
+    # csgraph loads SuperLU's module, which a solve never needs
+    from scipy.sparse.csgraph import connected_components
+    nv = mesh.num_vertices
+    graph = coo_matrix((np.ones(mesh.num_faces), mesh.faces.T), shape=(nv, nv))
+    components = connected_components(graph, directed=False)[0]
+    return components - (nv - mesh.num_faces + mesh.num_elements)
+
+
 def friedrichs_constant(disc: Discretization) -> float:
     """Largest ratio ||eps^(1/2) v|| / |v|_V over the eps-orthogonal
     complement of the conforming gradient space: the discrete Friedrichs
-    constant."""
+    constant.  The gradients are the zero eigenspace of the pencil
+    (seminorm, eps mass), one eigenvalue per conforming node, so the
+    constant is 1/sqrt of the next eigenvalue.  A hole adds a harmonic
+    field to that eigenspace, and such meshes are refused."""
     sp = disc.spaces
     _guard(sp.dim_V)
-    gmap = element_block_diag(sp.gradient_map())
-    kspace = _dense(gmap @ sp.conforming_q_basis())        # dim_V x nconf
-    m_eps = _dense(disc.mass_eps)
-    comp = null_space(kspace.T @ m_eps)
-    a1 = comp.T @ m_eps @ comp
-    a2 = comp.T @ _dense(disc.seminorm_gram) @ comp
-    ev = eigh(a1, a2, eigvals_only=True)
-    return float(np.sqrt(max(ev[-1], 0.0)))
+    holes = _first_betti_number(sp.mesh)
+    if holes:
+        raise ValueError(
+            f"the mesh has a hole (first Betti number {holes}): its harmonic "
+            "fields have zero seminorm, so the Friedrichs constant is "
+            "unbounded")
+    # the empty columns are vertices of no element
+    ngrad = np.count_nonzero(np.diff(sp.conforming_q_basis().indptr))
+    ev = eigh(_dense(disc.seminorm_gram), _dense(disc.mass_eps),
+              eigvals_only=True)
+    return float(1.0 / np.sqrt(ev[ngrad]))
 
 
 def infsup_constant_B(disc: Discretization) -> float:

@@ -115,11 +115,10 @@ class Lifting:
         """trace_q trace_q^T per (face, side), (nf, 2, l+1, l+1)."""
         return self.trace_q @ np.swapaxes(self.trace_q, 2, 3)
 
-    def face_grams_scalar(self, weight: np.ndarray | None = None) -> np.ndarray:
+    def face_grams_scalar(self, weight: np.ndarray) -> np.ndarray:
         """(w r_F(mode_i), r_F(mode_j)) with a piecewise-constant scalar
-        weight (per element); unweighted when weight is None.  Shape
-        (nf, l+1, l+1)."""
-        scale = self.weight if weight is None else self.weight * weight[self.side_elements]
+        weight (per element), shape (nf, l+1, l+1)."""
+        scale = self.weight * weight[self.side_elements]
         return np.sum(scale[:, :, None, None] * self._trace_grams, axis=1)
 
     def face_grams_vector(self, eps: np.ndarray) -> np.ndarray:
@@ -198,5 +197,6 @@ class Lifting:
         mode basis, so the quotient reduces to a plain eigenvalue problem.
         """
         njump = self.spaces.degree          # attainable jump modes per face
-        ev = np.linalg.eigvalsh(self.face_grams_scalar()[:, :njump, :njump])
+        unit = np.ones(self.spaces.mesh.num_elements)
+        ev = np.linalg.eigvalsh(self.face_grams_scalar(unit)[:, :njump, :njump])
         return np.sqrt(np.maximum(ev[:, 0], 0.0)), np.sqrt(ev[:, -1])

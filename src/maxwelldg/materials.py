@@ -52,16 +52,15 @@ class Coefficients:
 
 
 class MaterialArrays:
-    """Per-element material tensors plus derived scalar curl weights.
+    """Per-element material tensors plus the derived scalar curl weight.
 
-    The scalar weight attached to the curl-curl terms is the geometric
-    mean stiffness sqrt(det mu) of the 2x2 tensor, which reduces to mu
-    itself for isotropic materials.
+    The scalar weight attached to the curl-curl terms is the inverse
+    mu_bar_inv of the geometric mean stiffness sqrt(det mu) of the 2x2
+    tensor, which reduces to 1/mu for isotropic materials.
     """
 
     def __init__(self, mu: np.ndarray, eps: np.ndarray):
         self.mu = mu
         self.eps = eps
         det = mu[:, 0, 0] * mu[:, 1, 1] - mu[:, 0, 1] * mu[:, 1, 0]
-        self.mu_bar = np.sqrt(det)
-        self.mu_bar_inv = 1.0 / self.mu_bar
+        self.mu_bar_inv = 1.0 / np.sqrt(det)

@@ -8,8 +8,8 @@
 * the face space M (2(l+1) vector Legendre modes per face),
 * the broken "lifting" scalar/vector spaces P_l and (P_l)^2 with the mapped
   orthonormal basis (their local mass matrices are 2|K| times identity),
-* geometry tables, evaluation, and the conforming scalar subspace and the
-  gradient map that the verification machinery reads.
+* geometry tables, evaluation, and the conforming scalar subspace that
+  the gradient load reads and whose size counts the discrete gradients.
 
 Degrees of freedom are blocked per element (V, Q) or per face (M), in
 element/face order; all orderings are deterministic.
@@ -17,10 +17,8 @@ element/face order; all orderings are deterministic.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
-from scipy.linalg import inv, solve
+from scipy.linalg import inv
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 
 from .basis import curl_basis, scalar_basis
@@ -155,16 +153,12 @@ class Spaces:
         return (pulled.reshape(-1, 2 * npts)
                 @ ref.transpose(0, 2, 1).reshape(2 * npts, n))
 
-    def mapped_gram(self, ref_table: np.ndarray,
-                    field: np.ndarray | None = None) -> np.ndarray:
+    def mapped_gram(self, ref_table: np.ndarray, field: np.ndarray) -> np.ndarray:
         """Per-element Grams (field inv(J)^T a_i, inv(J)^T b_j)_K of two
         covariantly mapped reference tables, from their component Gram
-        ref_table (2, 2, i, j) and a per-element 2x2 weight field (the
-        identity when None), shape (ne, i, j)."""
-        if field is None:
-            metric = self.inv_jac @ self.inv_jac_t
-        else:
-            metric = self.inv_jac @ field @ self.inv_jac_t
+        ref_table (2, 2, i, j) and a per-element 2x2 weight field, shape
+        (ne, i, j)."""
+        metric = self.inv_jac @ field @ self.inv_jac_t
         ne = self.mesh.num_elements
         weighted = (self.det_jac[:, None, None] * metric).reshape(ne, 4)
         return (weighted @ ref_table.reshape(4, -1)).reshape(
@@ -185,14 +179,6 @@ class Spaces:
     def phys_points(self, ref_pts: np.ndarray) -> np.ndarray:
         """Physical images of reference points, shape (ne, np, 2)."""
         return self.origins[:, None, :] + ref_pts @ np.swapaxes(self.jac, 1, 2)
-
-    # ------------------------------------------------------------------
-    # local V Gram matrices
-
-    @cached_property
-    def local_v_grams(self) -> np.ndarray:
-        """Physical local V mass matrices, shape (ne, ndof_v, ndof_v)."""
-        return self.mapped_gram(self.ref_vcomp_gram)
 
     # ------------------------------------------------------------------
     # conforming scalar subspace (zero boundary trace)
@@ -237,10 +223,3 @@ class Spaces:
             ncols += int(interior.sum())
         local = np.broadcast_to(nodal, (mesh.num_elements, *nodal.shape))
         return self._conforming_map(local, cols, ncols)
-
-    def gradient_map(self) -> np.ndarray:
-        """Local matrices carrying Q coefficients to the V coefficients of
-        the elementwise gradient (exact: gradients of P_l lie in the local
-        curl space).  Shape (ne, ndof_v, ndof_q)."""
-        return solve(self.local_v_grams, self.mapped_gram(self.ref_v_qgrad),
-                     assume_a="pos")

@@ -49,6 +49,39 @@ def two_tag_mesh(n=2):
     return Mesh(base.vertices, base.elements, tags)
 
 
+def holed_square(n=6):
+    """unit_square(n) without the cells of its middle third: a square
+    hole, so the first Betti number is 1.  The vertices no element keeps
+    are dropped."""
+    base = unit_square(n)
+    centroids = base.vertices[base.elements].mean(axis=1)
+    keep = ~np.all(np.abs(centroids - 0.5) < 1.0 / 6.0, axis=1)
+    used, elements = np.unique(base.elements[keep], return_inverse=True)
+    return Mesh(base.vertices[used], elements.reshape(-1, 3),
+                np.zeros(int(keep.sum()), dtype=np.int64))
+
+
+def square_ring():
+    """Eight triangles around a square hole, every vertex on the
+    boundary: no conforming node, so every eigenvalue of the Friedrichs
+    pencil is above zero but the harmonic field's."""
+    outer = [[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [0.0, 3.0]]
+    inner = [[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]]
+    elements = [[k, (k + 1) % 4, 4 + (k + 1) % 4] for k in range(4)]
+    elements += [[k, 4 + (k + 1) % 4, 4 + k] for k in range(4)]
+    return Mesh(np.array(outer + inner), np.array(elements),
+                np.zeros(8, dtype=np.int64))
+
+
+def two_squares(n=3):
+    """Two disjoint copies of unit_square(n), side by side: two connected
+    components and no hole."""
+    base = unit_square(n)
+    vertices = np.vstack([base.vertices, base.vertices + [2.0, 0.0]])
+    elements = np.vstack([base.elements, base.elements + base.num_vertices])
+    return Mesh(vertices, elements, np.zeros(len(elements), dtype=np.int64))
+
+
 def random_materials(seed=0):
     """Random SPD piecewise-constant coefficients on tags {0, 1}."""
     rng = np.random.default_rng(seed)

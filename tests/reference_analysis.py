@@ -2,9 +2,11 @@
 
 The conforming averaging (smoothed-interpolation) operator and its defect
 bound, the consistency residual R1 of the lifted fluxes and the
-constraint residual R2 of exact solutions, the inf-sup constant of b
-without the face multiplier, the sampled continuity bound of ``a``, the
-best approximation error in the V(h) norm and the self-adjointness of the source-to-field operator at k = 0.  None of the
+constraint residual R2 of exact solutions, the Friedrichs constant on
+an explicit basis of the complement of the gradients, the inf-sup
+constant of b without the face multiplier, the sampled continuity bound
+of ``a``, the best approximation error in the V(h) norm and the
+self-adjointness of the source-to-field operator at k = 0.  None of the
 ``solve``, ``study`` or ``constants`` commands runs them, so they live
 here and not in ``maxwelldg.analysis``.  Nothing in the package imports
 this module.
@@ -13,7 +15,7 @@ this module.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, null_space
 from scipy.sparse.linalg import splu
 
 from maxwelldg.analysis import _dense, _energy, _guard
@@ -64,11 +66,13 @@ def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
     diff = (coeffs - conforming_average(disc, coeffs)).reshape(
         mesh.num_elements, sp.ndof_v)
     h_elem = mesh.face_lengths[mesh.element_faces].max(axis=1)
-    mass = np.sum((sp.local_v_grams @ diff[..., None])[..., 0] * diff, axis=1)
+    mass = np.sum((refasm.local_v_grams(sp) @ diff[..., None])[..., 0] * diff,
+                  axis=1)
     curl = np.sum((diff @ sp.ref_curl_gram) * diff, axis=1) / sp.det_jac
     num = mass / h_elem ** 2 + curl
     jumps = refasm.jump_t(disc) @ coeffs
-    gram = element_block_diag(disc.lifting.face_grams_scalar())
+    gram = element_block_diag(
+        disc.lifting.face_grams_scalar(np.ones(mesh.num_elements)))
     den = float(jumps @ (gram @ jumps))
     return float(num.sum() / den) if den > 0 else 0.0
 
@@ -180,7 +184,27 @@ def consistency_check_R1(disc: Discretization, problem: ModelProblem,
 
 
 # ----------------------------------------------------------------------
-# sampled continuity, best approximation, self-adjointness
+# the Friedrichs constant on the complement, sampled continuity, best
+# approximation, self-adjointness
+
+def friedrichs_on_complement(disc: Discretization) -> float:
+    """The discrete Friedrichs constant on an explicit basis of the
+    eps-orthogonal complement of the conforming gradients: the gradient
+    map times the conforming scalar basis spans the gradients, a dense
+    null space gives the complement, and the constant is sqrt of the
+    largest eigenvalue of (eps mass, seminorm) there.  The package reads
+    the same number off the unconstrained pencil."""
+    sp = disc.spaces
+    _guard(sp.dim_V)
+    gmap = element_block_diag(refasm.gradient_map(sp))
+    kspace = _dense(gmap @ sp.conforming_q_basis())
+    m_eps = _dense(disc.mass_eps)
+    comp = null_space(kspace.T @ m_eps)
+    a1 = comp.T @ m_eps @ comp
+    a2 = comp.T @ _dense(disc.seminorm_gram) @ comp
+    ev = eigh(a1, a2, eigvals_only=True)
+    return float(np.sqrt(max(ev[-1], 0.0)))
+
 
 def infsup_without_multiplier(disc: Discretization) -> float:
     """Inf-sup constant of b alone over V x Q, in the norm geometries of

@@ -15,7 +15,8 @@ norms are their CSR expressions, the systems their ``bmat`` in the
 plus a ``DofBlocks`` into the element-block matrix the multifrontal
 factor reads.  The builders below the forms (lifting coefficient maps,
 face projections, the curl-conforming dof matrices, their inverses and
-the conforming V basis, the V seminorm and M norm, index helpers,
+the conforming V basis, the unweighted local V masses and the gradient
+map, the V seminorm and M norm, index helpers,
 evaluations, elementwise projections, element areas, the terminal rates
 of a study) have no caller in the package.  Nothing in the package
 imports this module.
@@ -433,6 +434,21 @@ def conforming_v_basis(spaces: Spaces) -> csc_matrix:
                                   n_face_cols + ne * n_int)
 
 
+def local_v_grams(spaces: Spaces) -> np.ndarray:
+    """Physical local V mass matrices, shape (ne, ndof_v, ndof_v)."""
+    unit = np.broadcast_to(np.eye(2), (spaces.mesh.num_elements, 2, 2))
+    return spaces.mapped_gram(spaces.ref_vcomp_gram, unit)
+
+
+def gradient_map(spaces: Spaces) -> np.ndarray:
+    """Local matrices carrying Q coefficients to the V coefficients of
+    the elementwise gradient (exact: gradients of P_l lie in the local
+    curl space).  Shape (ne, ndof_v, ndof_q)."""
+    unit = np.broadcast_to(np.eye(2), (spaces.mesh.num_elements, 2, 2))
+    return solve(local_v_grams(spaces),
+                 spaces.mapped_gram(spaces.ref_v_qgrad, unit), assume_a="pos")
+
+
 def seminorm_v(disc: Discretization, coeffs: np.ndarray) -> float:
     return np.sqrt(max(disc._seminorm_sq(coeffs), 0.0))
 
@@ -478,7 +494,7 @@ def project_v(spaces: Spaces, func, degree: int | None = None) -> np.ndarray:
     phys = spaces.phys_points(pts)
     target = np.asarray(func(phys[..., 0], phys[..., 1]))
     rhs = spaces.mapped_moments(spaces.vbasis.eval(pts), wts, target)
-    return solve(spaces.local_v_grams, rhs[..., None], assume_a="pos").ravel()
+    return solve(local_v_grams(spaces), rhs[..., None], assume_a="pos").ravel()
 
 
 def project_q(spaces: Spaces, func, degree: int | None = None) -> np.ndarray:

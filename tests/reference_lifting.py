@@ -163,13 +163,12 @@ class ReferenceLifting:
     # ------------------------------------------------------------------
     # face Grams and face data
 
-    def face_grams_scalar(self, weight: np.ndarray | None = None) -> list:
+    def face_grams_scalar(self, weight: np.ndarray) -> list:
         out = []
         for f, side in enumerate(self.sides):
             g = np.zeros((self.n_modes, self.n_modes))
             for (e, _, _), tq, wt in zip(side, self.trace_q[f], self.weight[f]):
-                scale = wt if weight is None else wt * weight[e]
-                g += scale * (tq @ tq.T)
+                g += wt * weight[e] * (tq @ tq.T)
             out.append(g)
         return out
 

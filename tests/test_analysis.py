@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from maxwelldg.analysis import (
     DENSE_GUARD,
@@ -17,18 +18,22 @@ from maxwelldg.analysis import (
     constants_sweep,
 )
 from maxwelldg.assembly import Discretization
-from maxwelldg.mesh import unit_square
+from maxwelldg.materials import Coefficients
+from maxwelldg.mesh import Mesh, lshape, unit_square
 from maxwelldg.problems import ModelProblem, sine_problem
 from maxwelldg.quadrature import triangle_rule
 from maxwelldg.solver import solve_mixed
 from maxwelldg.spaces import element_block_diag
 
+from conftest import (delaunay_mesh, holed_square, random_spd, square_ring,
+                      two_squares)
 from reference_analysis import (
     averaging_defect_ratio,
     best_approximation_error,
     conforming_average,
     consistency_check_R1,
     continuity_bound,
+    friedrichs_on_complement,
     infsup_without_multiplier,
     residual_R2,
     self_adjointness_gap,
@@ -156,7 +161,7 @@ class TestStabilityConstants:
         conf = sp.conforming_q_basis()
         rng = np.random.default_rng(66)
         q = conf @ rng.standard_normal(conf.shape[1])
-        gmap = element_block_diag(sp.gradient_map())
+        gmap = element_block_diag(refasm.gradient_map(sp))
         v = gmap @ q
         # the squared seminorm cancels to roundoff; sqrt halves the exponent
         assert refasm.seminorm_v(disc2, v) < 1e-6 * disc2.norm_v(v)
@@ -208,6 +213,69 @@ class TestStabilityConstants:
             for key in keys - {"coercivity_margin"}:
                 assert row[key] > 0 or key == "h"
             assert row["coercivity_margin"] >= -1e-10
+
+
+PENCIL_MESHES = {
+    "square2": lambda rng: unit_square(2),
+    "square4": lambda rng: unit_square(4),
+    "square8": lambda rng: unit_square(8),
+    "lshape4": lambda rng: lshape(4),
+    "delaunay": lambda rng: delaunay_mesh(rng, 30)[0],
+}
+
+
+def random_tagged(mesh, rng):
+    """The mesh with three random material tags and random SPD mu and
+    eps on them."""
+    tagged = Mesh(mesh.vertices, mesh.elements,
+                  rng.integers(0, 3, mesh.num_elements))
+    coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
+                          eps={t: random_spd(rng) for t in range(3)})
+    return tagged, coeffs
+
+
+class TestFriedrichsPencil:
+    @pytest.mark.parametrize("name", list(PENCIL_MESHES))
+    def test_pencil_matches_complement(self, name, degree):
+        rng = np.random.default_rng(190 + degree)
+        mesh, coeffs = random_tagged(PENCIL_MESHES[name](rng), rng)
+        disc = Discretization(mesh, degree, coeffs)
+        oracle = friedrichs_on_complement(disc)
+        assert friedrichs_constant(disc) == pytest.approx(oracle, rel=1e-11)
+
+    def test_zero_eigenspace_is_the_gradients(self, degree):
+        # one zero eigenvalue per conforming node, then a gap of many
+        # orders; the zeros are roundoff of a mass matrix whose condition
+        # reaches 1e6 on the slivers of a random Delaunay mesh
+        rng = np.random.default_rng(191)
+        mesh, coeffs = random_tagged(delaunay_mesh(rng, 30)[0], rng)
+        disc = Discretization(mesh, degree, coeffs)
+        ev = eigh(disc.seminorm_gram.toarray(), disc.mass_eps.toarray(),
+                  eigvals_only=True)
+        ngrad = disc.spaces.conforming_q_basis().shape[1]
+        assert np.abs(ev[:ngrad]).max() < 1e-6 * ev[ngrad]
+
+    @pytest.mark.parametrize("holed", [holed_square, square_ring])
+    def test_hole_is_refused(self, holed, degree):
+        disc = Discretization(holed(), degree)
+        with pytest.raises(ValueError, match="hole"):
+            friedrichs_constant(disc)
+
+    def test_two_components_without_a_hole(self):
+        disc = Discretization(two_squares(), 1)
+        value = friedrichs_constant(disc)
+        assert value == pytest.approx(friedrichs_on_complement(disc),
+                                      rel=1e-11)
+        assert value == pytest.approx(0.46170615905430, rel=1e-12)
+
+    def test_vertex_of_no_element_is_not_a_gradient(self):
+        # its conforming column is empty, so it adds no zero eigenvalue
+        base = unit_square(3)
+        stray = Mesh(np.vstack([base.vertices, [[0.4, 0.3]]]), base.elements,
+                     base.tags)
+        value = friedrichs_constant(Discretization(stray, 1))
+        assert value == pytest.approx(
+            friedrichs_constant(Discretization(base, 1)), rel=1e-11)
 
 
 class TestErrorNorms:

@@ -22,6 +22,8 @@ from maxwelldg.cli import (
 from maxwelldg.mesh import Mesh, unit_square, write_mesh
 from maxwelldg.solver import BACKWARD_TOL, COND_MAX
 
+from conftest import holed_square
+
 
 # 1 followed by this: an integer beyond the float range
 BIG = "0" * 400
@@ -445,6 +447,20 @@ class TestConstantsCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "guard" in err
+
+    def test_hole_exits_one(self, tmp_path, capsys):
+        # the harmonic field of a hole has zero seminorm: the Friedrichs
+        # probe refuses the mesh by name instead of reading it as a number
+        (tmp_path / "hole.txt").write_text(write_mesh(holed_square()))
+        path = write_config(tmp_path, {"mesh": str(tmp_path / "hole.txt"),
+                                       "levels": 1})
+        code = main(["constants", "--config", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "hole" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ import pytest
 
 import maxwelldg
 from maxwelldg.lifting import Lifting
+from maxwelldg.materials import Coefficients
 from maxwelldg.mesh import unit_square
 from maxwelldg.spaces import Spaces
 import reference_assembly
@@ -54,7 +55,11 @@ TEST_ONLY_LATER = [
     (("maxwelldg.lifting", "Lifting"), "jump_normal"),
     (("maxwelldg.lifting", "Lifting"), "curl_pair"),
     (("maxwelldg.assembly", "Discretization"), "jump_t"),
-    (("maxwelldg.assembly", "Discretization"), "jump_n")]
+    (("maxwelldg.assembly", "Discretization"), "jump_n"),
+    # the complement route to the Friedrichs constant, which the
+    # (seminorm, eps mass) pencil replaced in the package
+    (("maxwelldg.spaces", "Spaces"), "gradient_map"),
+    (("maxwelldg.spaces", "Spaces"), "local_v_grams")]
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -79,7 +84,8 @@ REPLACED = {
 # makes it gamma times `lift_gram_vector`), the model problem's derived
 # fields (`exact_u` gives the boundary data), the vacuum alias of
 # `Coefficients()`, an attribute only a test read, and parameters only
-# the tests passed, named after the function that took them
+# the tests passed, named after the function that took them; then the
+# scalar curl stiffness, which nothing read but its own inverse
 REPLACED_LATER = [
     (("maxwelldg.lifting", "Lifting"), "_face_csr"),
     (("maxwelldg.lifting", "Lifting"), "block_diag_scalar"),
@@ -96,9 +102,14 @@ REPLACED_LATER = [
     (("maxwelldg.analysis", "coercivity_margin"), "seed"),
     (("maxwelldg.lifting", "Lifting._face_samples"), "degree"),
     (("maxwelldg.mesh", "unit_square"), "tag"),
-    (("maxwelldg.mesh", "lshape"), "tag")]
+    (("maxwelldg.mesh", "lshape"), "tag"),
+    (("maxwelldg.materials", "MaterialArrays"), "mu_bar")]
 # instances of the classes that lost an instance attribute
-INSTANCES = {("maxwelldg.spaces", "Spaces"): lambda: Spaces(unit_square(1), 1)}
+INSTANCES = {
+    ("maxwelldg.spaces", "Spaces"): lambda: Spaces(unit_square(1), 1),
+    ("maxwelldg.materials", "MaterialArrays"):
+        lambda: Coefficients().expand(unit_square(1)),
+}
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -118,3 +129,11 @@ def test_vector_lifting_gram_needs_a_field():
     # its identity-weight mode had no caller in the package
     eps = inspect.signature(Lifting.face_grams_vector).parameters["eps"]
     assert eps.default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("method, name", [
+    (Spaces.mapped_gram, "field"), (Lifting.face_grams_scalar, "weight")])
+def test_weighted_grams_need_a_weight(method, name):
+    # their identity-weight modes had no caller in the package
+    param = inspect.signature(method).parameters[name]
+    assert param.default is inspect.Parameter.empty

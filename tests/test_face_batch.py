@@ -96,7 +96,8 @@ def test_sparse_builders(pair, name):
 @pytest.mark.parametrize("weighted", [False, True])
 def test_face_grams(pair, weighted):
     disc, ref = pair
-    mu_w = disc.materials.mu_bar_inv if weighted else None
+    mu_w = (disc.materials.mu_bar_inv if weighted
+            else np.ones(disc.spaces.mesh.num_elements))
     eps = (disc.materials.eps if weighted
            else np.broadcast_to(np.eye(2), disc.materials.eps.shape))
     scalar = disc.lifting.face_grams_scalar(mu_w)
