@@ -4,11 +4,12 @@ What the ``study`` and ``constants`` commands run: discrete Friedrichs /
 inf-sup / ellipticity constants through dense generalized eigenproblems
 (size-guarded; these are verification probes, not scalable algorithms;
 the Friedrichs constant is read off the whole (seminorm, eps mass)
-pencil, whose zero eigenspace is the conforming gradients), a sampled
-coercivity margin, error norms against exact solutions (their volume
-terms by fine quadrature, their jump terms face by face from the
-discretization's per-face Grams), and convergence studies with
-CSV/markdown reports.
+pencil, whose zero eigenspace is the conforming gradients; the W-norm
+Gram N_w and the constraint row C_w on V x M are composed here from the
+discretization's Grams and forms), a sampled coercivity margin, error
+norms against exact solutions (their volume terms by fine quadrature,
+their jump terms face by face from the discretization's per-face
+Grams), and convergence studies with CSV/markdown reports.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh, null_space
-from scipy.sparse import block_diag, coo_matrix
+from scipy.sparse import block_diag, bmat, coo_matrix, csr_array
 
 from .assembly import Discretization
 from .mesh import Mesh
@@ -103,11 +104,22 @@ def friedrichs_constant(disc: Discretization) -> float:
             f"the mesh has a hole (first Betti number {holes}): its harmonic "
             "fields have zero seminorm, so the Friedrichs constant is "
             "unbounded")
-    # the empty columns are vertices of no element
-    ngrad = np.count_nonzero(np.diff(sp.conforming_q_basis().indptr))
+    ngrad = sp.conforming_q_basis().shape[1]
     ev = eigh(_dense(disc.seminorm_gram), _dense(disc.mass_eps),
               eigvals_only=True)
     return float(1.0 / np.sqrt(ev[ngrad]))
+
+
+def _norm_w_gram(disc: Discretization) -> csr_array:
+    """N_w, the Gram of the V x M norm: the V norm's, the seminorm plus
+    the eps mass, and the lifted multipliers' (eps R_F, R_F)."""
+    return block_diag([disc.seminorm_gram + disc.mass_eps,
+                       disc.lift_gram_vector], format="csr")
+
+
+def _constraint_w(disc: Discretization) -> csr_array:
+    """C_w, the constraint row on V x M: rows Q, columns (V, M)."""
+    return bmat([[disc.b_matrix, disc.b_lambda]], format="csr")
 
 
 def infsup_constant_B(disc: Discretization) -> float:
@@ -115,8 +127,8 @@ def infsup_constant_B(disc: Discretization) -> float:
     generalized singular value problem in the norm geometries."""
     from scipy.sparse.linalg import splu
     _guard(disc.spaces.dim_Q)
-    bw = disc.constraint_w
-    lu = splu(disc.norm_w_gram.tocsc())
+    bw = _constraint_w(disc)
+    lu = splu(_norm_w_gram(disc).tocsc())
     s = bw @ lu.solve(_dense(bw.T))
     ev = eigh(np.asarray(s), _dense(disc.norm_q_gram), eigvals_only=True)
     return float(np.sqrt(max(ev[0], 0.0)))
@@ -124,7 +136,7 @@ def infsup_constant_B(disc: Discretization) -> float:
 
 def _kernel_basis(disc: Discretization) -> np.ndarray:
     _guard(disc.spaces.dim_V + disc.spaces.dim_M)
-    return null_space(_dense(disc.constraint_w))
+    return null_space(_dense(_constraint_w(disc)))
 
 
 def _kernel_eigenvalues(disc: Discretization, form,
@@ -132,9 +144,10 @@ def _kernel_eigenvalues(disc: Discretization, form,
     """Generalized eigenvalues of the block-diagonal [form, gamma Gram of
     the lifted multipliers] against the W norm, on the constraint kernel."""
     z = _kernel_basis(disc) if kernel is None else kernel
+    # N_w first: its temporaries, freed between the dense products, pin RSS
+    a2 = z.T @ (_norm_w_gram(disc) @ z)
     blk = block_diag([form, disc.gamma * disc.lift_gram_vector], format="csr")
     a1 = z.T @ (blk @ z)
-    a2 = z.T @ (disc.norm_w_gram @ z)
     return eigh(a1, a2, eigvals_only=True)
 
 

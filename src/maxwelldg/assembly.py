@@ -19,11 +19,11 @@ element its volume block.  Each form is a `bsr_array` of its element
 blocks, and the system is made of their `data`, in the elimination order
 the multifrontal factor reads.  The forms are cached for the analysis
 that reads them; a solve builds each one for its system alone and lets it
-go, so it holds every element block once.  The Grams of the norms, which
-the stability constants and the sampled coercivity margin read, are
-assembled the same way, and the boundary load and the norm values are
-summed from the same (face, side) tables and per-face Grams, the one
-form of the face operators in the package.
+go, so it holds every element block once.  The seminorm and Q-norm
+Grams, which the stability constants and the sampled coercivity margin
+read, are assembled the same way, and the boundary load and the norm
+values are summed from the same (face, side) tables and per-face Grams,
+the one form of the face operators in the package.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import block_diag, bmat, bsr_array, bsr_matrix, csr_matrix
+from scipy.sparse import bsr_array, bsr_matrix, csr_matrix
 
 from .lifting import Lifting
 from .materials import Coefficients, MaterialArrays
@@ -290,23 +290,10 @@ class Discretization:
                                self.lifting.tangential_jumps, self._mu_grams)
 
     @cached_property
-    def norm_v_gram(self) -> bsr_array:
-        sp = self.spaces
-        mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
-        return self._jump_form(self._curl_blocks() + mass,
-                               self.lifting.tangential_jumps, self._mu_grams)
-
-    @cached_property
     def norm_q_gram(self) -> bsr_array:
         sp = self.spaces
         grad = sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps)
         return self._jump_form(grad, self.lifting.normal_jumps, self._eps_grams)
-
-    @cached_property
-    def norm_w_gram(self) -> csr_matrix:
-        """Norm of the composite field/multiplier space V x M."""
-        return block_diag([self.norm_v_gram, self.lift_gram_vector],
-                          format="csr")
 
     # ------------------------------------------------------------------
     # systems
@@ -366,11 +353,6 @@ class Discretization:
                             keep=lift.side_mask)
         return AuxiliarySystem(self.primal_system(ksq), self._gamma_grams(),
                                jump, nv)
-
-    @cached_property
-    def constraint_w(self) -> csr_matrix:
-        """Constraint operator on V x M: rows Q, columns (V, M)."""
-        return bmat([[self.b_matrix, self.b_lambda]], format="csr")
 
     # ------------------------------------------------------------------
     # loads

@@ -40,7 +40,7 @@ class Mesh:
 
     Attributes
     ----------
-    vertices : (nv, 2) float array
+    vertices : (nv, 2) float array, each a vertex of some element
     elements : (ne, 3) int array, counterclockwise vertex triples
     tags : (ne,) int array of material tags
     faces : (nf, 2) int array of sorted vertex pairs, lexicographically ordered
@@ -84,6 +84,10 @@ class Mesh:
         dedup = np.unique(np.round(span / extent, 12), axis=0)
         if len(dedup) != len(vertices):
             raise MeshFormatError("duplicate vertices")
+        unused = np.flatnonzero(
+            np.bincount(elements.ravel(), minlength=len(vertices)) == 0)
+        if len(unused):
+            raise MeshFormatError(f"vertex {unused[0]} belongs to no element")
 
         # Normalize orientation, then reject elements that stay degenerate.
         areas = _signed_areas(vertices, elements)

@@ -212,7 +212,8 @@ def infsup_without_multiplier(disc: Discretization) -> float:
     controls the checkerboard modes of Q."""
     _guard(disc.spaces.dim_Q)
     b = disc.b_matrix
-    s = b @ splu(disc.norm_v_gram.tocsc()).solve(_dense(b.T))
+    s = b @ splu((disc.seminorm_gram + disc.mass_eps).tocsc()).solve(
+        _dense(b.T))
     ev = eigh(np.asarray(s), _dense(disc.norm_q_gram), eigvals_only=True)
     return float(np.sqrt(max(ev[0], 0.0)))
 
@@ -224,8 +225,9 @@ def continuity_bound(disc: Discretization, nsamples: int = 200,
     x = rng.standard_normal((disc.spaces.dim_V, nsamples))
     y = rng.standard_normal((disc.spaces.dim_V, nsamples))
     num = np.abs(np.sum(y * (disc.a_matrix @ x), axis=0))
-    nx = np.sqrt(np.sum(x * (disc.norm_v_gram @ x), axis=0))
-    ny = np.sqrt(np.sum(y * (disc.norm_v_gram @ y), axis=0))
+    gram = disc.seminorm_gram + disc.mass_eps
+    nx = np.sqrt(np.sum(x * (gram @ x), axis=0))
+    ny = np.sqrt(np.sum(y * (gram @ y), axis=0))
     return float((num / (nx * ny)).max())
 
 
@@ -258,7 +260,7 @@ def best_approximation_error(disc: Discretization, problem: ModelProblem,
         rhs += refasm.jump_t(disc).T @ (gram @ g_data)
         const += float(g_data @ (gram @ g_data))
 
-    lu = splu(disc.norm_v_gram.tocsc())
+    lu = splu((disc.seminorm_gram + disc.mass_eps).tocsc())
     best = lu.solve(rhs)
     return float(np.sqrt(max(const - rhs @ best, 0.0)))
 

@@ -19,7 +19,7 @@ from maxwelldg.analysis import (
 )
 from maxwelldg.assembly import Discretization
 from maxwelldg.materials import Coefficients
-from maxwelldg.mesh import Mesh, lshape, unit_square
+from maxwelldg.mesh import Mesh, MeshFormatError, lshape, unit_square
 from maxwelldg.problems import ModelProblem, sine_problem
 from maxwelldg.quadrature import triangle_rule
 from maxwelldg.solver import solve_mixed
@@ -268,14 +268,15 @@ class TestFriedrichsPencil:
                                       rel=1e-11)
         assert value == pytest.approx(0.46170615905430, rel=1e-12)
 
-    def test_vertex_of_no_element_is_not_a_gradient(self):
-        # its conforming column is empty, so it adds no zero eigenvalue
+    def test_vertex_of_no_element_is_refused(self):
+        # it would give the conforming basis an empty column and the pencil
+        # no zero eigenvalue, so the probe could not count the gradients by
+        # the basis' columns
         base = unit_square(3)
-        stray = Mesh(np.vstack([base.vertices, [[0.4, 0.3]]]), base.elements,
-                     base.tags)
-        value = friedrichs_constant(Discretization(stray, 1))
-        assert value == pytest.approx(
-            friedrichs_constant(Discretization(base, 1)), rel=1e-11)
+        with pytest.raises(MeshFormatError,
+                           match=f"vertex {base.num_vertices} belongs to no"):
+            Mesh(np.vstack([base.vertices, [[0.4, 0.3]]]), base.elements,
+                 base.tags)
 
 
 class TestErrorNorms:

@@ -538,8 +538,10 @@ class TestExitCodes:
          "100000000000000 node lines declared"),
         ("nodes 3\n0 0\n1 0\n0 1\nelements 100000000000000\n0 1 2\n",
          "100000000000000 element lines declared"),
+        ("nodes 5\n0 0\n1 0\n1 1\n0 1\n0.4 0.3\n"
+         "elements 2\n0 1 2\n0 2 3\n", "vertex 4 belongs to no element"),
     ], ids=["nan-vertex", "hanging-node", "three-elements-on-a-face",
-            "huge-node-count", "huge-element-count"])
+            "huge-node-count", "huge-element-count", "unused-vertex"])
     def test_bad_mesh_exits_two(self, tmp_path, capsys, text, message):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)

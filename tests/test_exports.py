@@ -59,7 +59,10 @@ TEST_ONLY_LATER = [
     # the complement route to the Friedrichs constant, which the
     # (seminorm, eps mass) pencil replaced in the package
     (("maxwelldg.spaces", "Spaces"), "gradient_map"),
-    (("maxwelldg.spaces", "Spaces"), "local_v_grams")]
+    (("maxwelldg.spaces", "Spaces"), "local_v_grams"),
+    # the V-norm Gram, which the dense probes compose from the seminorm
+    # Gram and the eps mass
+    (("maxwelldg.assembly", "Discretization"), "norm_v_gram")]
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -85,7 +88,9 @@ REPLACED = {
 # fields (`exact_u` gives the boundary data), the vacuum alias of
 # `Coefficients()`, an attribute only a test read, and parameters only
 # the tests passed, named after the function that took them; then the
-# scalar curl stiffness, which nothing read but its own inverse
+# scalar curl stiffness, which nothing read but its own inverse; then the
+# W-norm Gram and the constraint row on V x M, which the dense probes in
+# `analysis` compose where they read them
 REPLACED_LATER = [
     (("maxwelldg.lifting", "Lifting"), "_face_csr"),
     (("maxwelldg.lifting", "Lifting"), "block_diag_scalar"),
@@ -103,7 +108,9 @@ REPLACED_LATER = [
     (("maxwelldg.lifting", "Lifting._face_samples"), "degree"),
     (("maxwelldg.mesh", "unit_square"), "tag"),
     (("maxwelldg.mesh", "lshape"), "tag"),
-    (("maxwelldg.materials", "MaterialArrays"), "mu_bar")]
+    (("maxwelldg.materials", "MaterialArrays"), "mu_bar"),
+    (("maxwelldg.assembly", "Discretization"), "norm_w_gram"),
+    (("maxwelldg.assembly", "Discretization"), "constraint_w")]
 # instances of the classes that lost an instance attribute
 INSTANCES = {
     ("maxwelldg.spaces", "Spaces"): lambda: Spaces(unit_square(1), 1),

@@ -195,6 +195,18 @@ class TestSerialization:
         ("nodes 5\n0 0\n1 0\n0.5 1\n0.5 -1\n0.5 2\n"
          "elements 3\n0 1 2\n0 1 3\n0 1 4\n",
          "face shared by more than two elements"),
+        ("nodes 3\n0 0\n1 x\n0 1\nelements 1\n0 1 2\n",
+         "bad coordinate on node line 1"),
+        ("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 a\n",
+         "bad index on element line 0"),
+        ("nodes 3\n0 0\n1 0\n0 1\nelements two\n0 1 2\n",
+         "element count is not an integer"),
+        ("nodes 3\n0 0\n1 0\n0 1\n0 1 2\n", "expected 'elements"),
+        ("nodes 2\n0 0\n1 0\nelements 1\n0 1 2\n", "at least three nodes"),
+        ("nodes 3\n0 0\n1 0\n0 1\nelements 0\n", "at least one element"),
+        # vertex 3 lies inside the one element but is none of its corners
+        ("nodes 4\n0 0\n1 0\n0 1\n0.4 0.3\nelements 1\n0 1 2\n",
+         "vertex 3 belongs to no element"),
     ])
     def test_malformed_inputs(self, text, match):
         with pytest.raises(MeshFormatError, match=match):

@@ -233,6 +233,28 @@ class TestFactorization:
         assert (factor.pivoting, factor.ordering) == ("partial", "colamd")
         assert backward_error(matrix, factor.norm, x, rhs) <= BACKWARD_TOL
 
+    def test_singular_front_falls_back(self):
+        # one unknown per front: the first pivot of [[0, 1], [1, 0]] is
+        # zero, so the multifrontal factor stops there, and SuperLU's
+        # partial pivoting swaps the rows
+        matrix = bsr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            blocksize=(1, 1))
+        bounds = np.array([0, 1, 2])
+        with pytest.raises(np.linalg.LinAlgError, match="front 0 is singular"):
+            MultifrontalLU(matrix, bounds)
+        rhs = np.array([2.0, 3.0])
+        lu, factor, x = factorize(matrix, bounds, rhs)
+        assert (factor.pivoting, factor.ordering) == ("partial", "colamd")
+        assert np.array_equal(x, [3.0, 2.0])
+        assert np.array_equal(lu.solve(rhs), [3.0, 2.0])
+
+    def test_singular_matrix_fails_both_factors(self):
+        # [[1, 1], [1, 1]] leaves a zero second front, and SuperLU finds
+        # the matrix exactly singular too
+        matrix = bsr_matrix(np.ones((2, 2)), blocksize=(1, 1))
+        with pytest.raises(ResonanceError, match="factorization failed"):
+            factorize(matrix, np.array([0, 1, 2]))
+
     @pytest.mark.parametrize("multiplier", [False, True],
                              ids=["primal", "auxiliary"])
     def test_load_solve_comes_with_the_factor(self, disc2, sine_load,
