@@ -17,7 +17,8 @@ Three families, all with deterministic orderings:
   x^{l-1}(-y,x), ..., y^{l-1}(-y,x).
 
 * ``face_modes``: Legendre polynomials rescaled to be orthonormal in
-  L^2(0, 1), used to expand all face data.
+  L^2(0, 1), used to expand all face data.  They are evaluated by the
+  three-term recurrence of ``numpy.polynomial.legendre.legvander``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from math import factorial
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.special import eval_legendre
 
 __all__ = ["ScalarBasis", "CurlBasis", "face_modes"]
 
@@ -138,10 +138,10 @@ class CurlBasis:
 def face_modes(degree: int, s: np.ndarray) -> np.ndarray:
     """L^2(0,1)-orthonormal Legendre modes, shape (npts, degree + 1)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty((len(s), degree + 1))
-    for m in range(degree + 1):
-        out[:, m] = np.sqrt(2 * m + 1) * eval_legendre(m, 2.0 * s - 1.0)
-    return out
+    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
+    # legvander returns a transposed view; the product is laid out in rows
+    modes = np.polynomial.legendre.legvander(2.0 * s - 1.0, degree)
+    return np.multiply(modes, scale, order="C")
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
+from scipy.special import eval_legendre
 
 from maxwelldg.basis import (
     CurlBasis,
@@ -164,3 +165,13 @@ class TestFaceModes:
             unit[m] = 1.0
             oracle = np.sqrt(2 * m + 1) * npleg.legval(2.0 * s - 1.0, unit)
             assert np.abs(vals[:, m] - oracle).max() < 1e-13
+
+    # the degrees of the face data: 0 to 2, for degree-1 and -2 spaces
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_matches_scipy_legendre(self, degree):
+        s = np.concatenate([np.linspace(0.0, 1.0, 33),
+                            segment_rule(2 * degree + 8).points])
+        vals = face_modes(degree, s)
+        for m in range(degree + 1):
+            oracle = np.sqrt(2 * m + 1) * eval_legendre(m, 2.0 * s - 1.0)
+            assert np.abs(vals[:, m] - oracle).max() <= 1e-14

@@ -273,6 +273,34 @@ class TestSolveCommand:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
 
+    def test_commands_load_no_scipy_special(self, tmp_path):
+        """The Gauss rules and the face modes come from numpy: in a fresh
+        interpreter, neither the import nor a solve, a study or a constants
+        run loads scipy.special."""
+        runs = [("solve", {"problem": "sine", "mesh": "square:2"}),
+                ("study", {"problem": "sine", "mesh": "square:2", "levels": 2}),
+                ("constants", {"mesh": "square:2", "levels": 2})]
+        args = [arg for command, payload in runs
+                for arg in (command, write_config(tmp_path, payload,
+                                                  f"{command}.json"))]
+        script = (
+            "import contextlib, io, sys\n"
+            "import maxwelldg.cli\n"
+            "if 'scipy.special' in sys.modules:\n"
+            "    sys.exit('import maxwelldg.cli loaded scipy.special')\n"
+            "for command, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = maxwelldg.cli.main([command, '--config', path])\n"
+            "    loaded = 'scipy.special' in sys.modules\n"
+            "    if status or loaded:\n"
+            "        sys.exit(f'{command}: exit {status}, scipy.special '\n"
+            "                 f'loaded: {loaded}')\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+
     def test_output_file(self, tmp_path, capsys):
         path = write_config(tmp_path, {"problem": "zero", "mesh": "square:2",
                                        "output": str(tmp_path / "out" / "run")})

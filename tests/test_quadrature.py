@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
-from maxwelldg.quadrature import MAX_EXACTNESS, segment_rule, triangle_rule
+from maxwelldg.quadrature import (
+    MAX_EXACTNESS,
+    _gauss_jacobi_10,
+    segment_rule,
+    triangle_rule,
+)
 
 
 def tri_monomial_integral(a, b):
@@ -76,3 +82,35 @@ class TestTriangle:
         val = sum(c * np.sum(rule.weights * x ** a * y ** b)
                   for (a, b), c in coeff.items())
         assert val == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+class TestGaussJacobi:
+    """The Golub-Welsch rule for the weight 1 - t against scipy's, at every
+    point count that triangle_rule reaches."""
+
+    @pytest.mark.parametrize("n", range(1, MAX_EXACTNESS // 2 + 2))
+    def test_matches_scipy(self, n):
+        nodes, weights = _gauss_jacobi_10(n)
+        expect_nodes, expect_weights = roots_jacobi(n, 1.0, 0.0)
+        assert np.abs(nodes - expect_nodes).max() <= 1e-14
+        assert np.abs(weights - expect_weights).max() <= 1e-14
+
+    @pytest.mark.parametrize("degree", range(0, MAX_EXACTNESS + 1))
+    def test_product_is_the_double_loop(self, degree):
+        """The outer-product rule is bitwise the rule of the double loop,
+        point i * n + j pairing Gauss-Legendre node i with Gauss-Jacobi
+        node j."""
+        n = degree // 2 + 1
+        ga, wa = np.polynomial.legendre.leggauss(n)
+        ga, wa = 0.5 * (ga + 1.0), 0.5 * wa
+        gb, wb = _gauss_jacobi_10(n)
+        gb, wb = 0.5 * (gb + 1.0), 0.25 * wb
+        pts = np.empty((n * n, 2))
+        wts = np.empty(n * n)
+        for i in range(n):
+            for j in range(n):
+                pts[i * n + j] = ga[i] * (1.0 - gb[j]), gb[j]
+                wts[i * n + j] = wa[i] * wb[j]
+        rule = triangle_rule(degree)
+        assert np.array_equal(rule.points, pts)
+        assert np.array_equal(rule.weights, wts)

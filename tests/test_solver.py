@@ -423,15 +423,39 @@ class TestConditionEstimate:
                                            lambda: lshape(3),
                                            lambda: unit_square(5)],
                              ids=["square4", "lshape3", "square5"])
-    def test_estimate_against_dense(self, degree, make_mesh, multiplier):
+    def test_estimate_against_dense(self, degree, make_mesh, multiplier,
+                                    monkeypatch):
         disc = Discretization(halves(make_mesh()), degree, random_materials(21))
         system = (disc.auxiliary_system(1.0) if multiplier
                   else disc.primal_system(1.0))
-        dense = system @ np.eye(system.shape[0])
-        exact = (np.linalg.norm(dense, 1)
-                 * np.linalg.norm(np.linalg.inv(dense), 1))
-        estimate = factorize(system, disc.dissection[1])[1].cond_estimate
-        assert 0.5 * exact <= estimate <= (1.0 + 1e-12) * exact
+        n = system.shape[0]
+        # every solve of the factor, whose backward errors bound the
+        # estimate's rounding
+        solves = []
+        factor_type = FaceElimination if multiplier else MultifrontalLU
+        real_solve = factor_type.solve
+
+        def recorded_solve(self, rhs):
+            x = real_solve(self, rhs)
+            solves.append((rhs.reshape(n, -1), x.reshape(n, -1)))
+            return x
+        monkeypatch.setattr(factor_type, "solve", recorded_solve)
+        factor = factorize(system, disc.dissection[1])[1]
+        dense = system @ np.eye(n)
+        inverse = np.linalg.inv(dense)
+        exact = np.linalg.norm(dense, 1) * np.linalg.norm(inverse, 1)
+
+        def worst_backward_error(rhs, x):
+            return max(backward_error(system, factor.norm, xj, bj)
+                       for xj, bj in zip(x.T, rhs.T))
+        eta = max(worst_backward_error(rhs, x) for rhs, x in solves)
+        eta_dense = worst_backward_error(np.eye(n), inverse)
+        # The estimate is ||A||_1 ||x||_1 / ||b||_1 for a computed solve x
+        # of A x = b.  To first order a computed solve lies within
+        # 2 cond eta of the exact one in the 1-norm, eta its backward error,
+        # and so does each column of the dense inverse.
+        bound = (1.0 + 2.0 * exact * (eta + eta_dense)) * exact
+        assert 0.5 * exact <= factor.cond_estimate <= bound
 
     @pytest.mark.parametrize("multiplier", [False, True],
                              ids=["primal", "auxiliary"])
