@@ -12,7 +12,7 @@ from .materials import Coefficients
 from .mesh import (Mesh, MeshFormatError, lshape, read_mesh, refine_uniform,
                    unit_square, write_mesh)
 from .problems import ModelProblem, get_problem, gradient_null_data, sine_problem, lshape_problem
-from .solver import ResonanceError, Solution, solve_auxiliary, solve_mixed
+from .solver import ResonanceError, Solution, solve_mixed
 from .spaces import Spaces
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __all__ = [
     "Spaces", "Lifting", "Coefficients",
     "Discretization",
     "Solution", "ResonanceError",
-    "solve_mixed", "solve_auxiliary",
+    "solve_mixed",
     "ModelProblem", "sine_problem", "lshape_problem", "get_problem",
     "gradient_null_data",
     "coercivity_margin", "friedrichs_constant", "infsup_constant_B",

@@ -27,7 +27,7 @@ from .assembly import Discretization
 from .mesh import Mesh
 from .problems import ModelProblem
 from .quadrature import triangle_rule
-from .solver import solve_auxiliary, solve_mixed
+from .solver import solve_mixed
 
 __all__ = [
     "coercivity_margin", "friedrichs_constant", "infsup_constant_B",
@@ -240,7 +240,6 @@ class ConvergenceReport:
     ksq: float
     alpha: float
     gamma: float
-    formulation: str
     records: list = field(default_factory=list)
 
     CSV_COLUMNS = ["level", "h", "dofs_u", "dofs_p", "eV", "eocV", "eQ",
@@ -263,7 +262,7 @@ class ConvergenceReport:
             f"# Convergence study: {self.problem}",
             "",
             f"degree {self.degree}, ksq = {self.ksq}, alpha = {self.alpha}, "
-            f"gamma = {self.gamma}, formulation = {self.formulation}",
+            f"gamma = {self.gamma}",
             "",
             "| level | h | dofs u | dofs p | e_V | EOC | e_Q | EOC |",
             "| --- | --- | --- | --- | --- | --- | --- | --- |",
@@ -311,14 +310,12 @@ def setup_problem(problem: ModelProblem, mesh: Mesh, degree: int,
 
 
 def convergence_study(problem: ModelProblem, degree: int, levels: int,
-                      alpha=None, gamma=None, formulation: str = "primal",
+                      alpha=None, gamma=None,
                       margin_samples: int = 100) -> ConvergenceReport:
     """Solve the problem on a refinement sweep and record errors, rates,
     and the per-level coercivity and constraint diagnostics."""
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    if formulation not in ("primal", "auxiliary"):
-        raise ValueError(f"unknown formulation {formulation!r}")
     report = None
     prev = None
     for level in range(levels):
@@ -327,14 +324,11 @@ def convergence_study(problem: ModelProblem, degree: int, levels: int,
         disc, load, g_data = setup_problem(problem, mesh, degree, alpha, gamma)
         if report is None:
             report = ConvergenceReport(problem.name, degree, problem.ksq,
-                                       disc.alpha, disc.gamma, formulation)
+                                       disc.alpha, disc.gamma)
         # the margin caches a, which the system then reads, so a level
         # builds each form once
         margin = coercivity_margin(disc, nsamples=margin_samples)
-        if formulation == "primal":
-            sol = solve_mixed(disc, problem.ksq, load)
-        else:
-            sol = solve_auxiliary(disc, problem.ksq, load)
+        sol = solve_mixed(disc, problem.ksq, load)
         errs = error_norms(disc, problem, sol.u, sol.p, g_data=g_data)
         h = mesh.mesh_size()
         eoc_v = eoc_q = None

@@ -1,8 +1,7 @@
 """Assembly of the mixed interior penalty system.
 
 The discrete problem couples a broken curl-conforming field u with a
-broken scalar multiplier p (and optionally the face multiplier carrying
-the normal jump of p):
+broken scalar multiplier p:
 
     a(u, v) - ksq (eps u, v) + b(v, p) = (j, v) + boundary terms
     b(u, q) - c(p, q)                  = 0
@@ -28,7 +27,6 @@ the one form of the face operators in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +38,7 @@ from .mesh import Mesh
 from .quadrature import triangle_rule
 from .spaces import Spaces, block_sparse, element_block_diag
 
-__all__ = ["AuxiliarySystem", "Discretization"]
+__all__ = ["Discretization"]
 
 # Each triangle has 3 face neighbors; the coercivity threshold for the
 # penalty weights is 1/2 + 2 * 3.
@@ -50,54 +48,6 @@ DEFAULT_GAMMA = 0.5
 # Parts of the mesh with at most this many unknowns are not cut further:
 # each is one front of the factor.
 FRONT_LEAF = 96
-
-
-@dataclass(frozen=True)
-class AuxiliarySystem:
-    """The three-field (V, M, Q) system in the numbering of its primal
-    system K, element blocks in elimination order, followed by the face
-    multipliers face by face:
-
-        [ K + J^T G J   -J^T G ]
-        [    -G J          G   ]
-
-    G holds the per-face Grams gamma (eps R_F, R_F), J the normal jumps of
-    the element unknowns.  Eliminating the multipliers leaves exactly K.
-    """
-
-    primal: bsr_matrix   # K
-    gram: np.ndarray     # G, (nf, m, m)
-    jump: csr_matrix     # J, (nf m, unknowns of K)
-    nv: int              # V unknowns at the head of each element block
-
-    @property
-    def shape(self) -> tuple:
-        return (self.primal.shape[0] + self.jump.shape[0],) * 2
-
-    @property
-    def nnz(self) -> int:
-        return self.primal.nnz + self.gram.size + 2 * self.jump.nnz
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The product with a vector or a block of columns."""
-        nw = self.primal.shape[0]
-        d = x[nw:] - self.jump @ x[:nw]
-        d = (self.gram @ d.reshape(*self.gram.shape[:2], -1)).reshape(d.shape)
-        return np.concatenate([self.primal @ x[:nw] - self.jump.T @ d, d])
-
-    def one_norm(self) -> float:
-        """Largest absolute column sum.  The system has no (Q, Q) block:
-        that of K is -J^T G J."""
-        k, nv = self.primal, self.nv
-        data = np.abs(k.data)
-        data[:, nv:, nv:] = 0.0
-        cols = np.zeros((k.shape[0] // k.blocksize[0], k.blocksize[1]))
-        np.add.at(cols, k.indices, data.sum(axis=1))
-        gj = abs(element_block_diag(self.gram) @ self.jump)
-        cols = cols.ravel() + np.asarray(gj.sum(axis=0)).ravel()
-        faces = (np.abs(self.gram).sum(axis=1).ravel()
-                 + np.asarray(gj.sum(axis=1)).ravel())
-        return float(max(cols.max(), faces.max()))
 
 
 class Discretization:
@@ -338,21 +288,6 @@ class Discretization:
         data[own, :nv, :nv] -= ksq * mass[brow[source[own]]]
         indptr = np.searchsorted(rows[source], np.arange(ne + 1))
         return bsr_matrix((data, cols[source], indptr), shape=(ne * nb, ne * nb))
-
-    def auxiliary_system(self, ksq: float) -> AuxiliarySystem:
-        """The (V, M, Q) system with the face multiplier, in the numbering
-        of `primal_system` followed by the multipliers, face by face."""
-        sp, lift = self.spaces, self.lifting
-        nf, nv, nq, m = self.mesh.num_faces, sp.ndof_v, sp.ndof_q, sp.ndof_m
-        rank = np.argsort(self.dissection[0])
-        cols = (rank[lift.side_elements] * (nv + nq) + nv)[:, :, None]
-        jump = block_sparse(lift.normal_jumps,
-                            np.arange(nf * m).reshape(nf, 1, m),
-                            cols + np.arange(nq),
-                            (nf * m, sp.dim_V + sp.dim_Q),
-                            keep=lift.side_mask)
-        return AuxiliarySystem(self.primal_system(ksq), self._gamma_grams(),
-                               jump, nv)
 
     # ------------------------------------------------------------------
     # loads

@@ -11,9 +11,7 @@ passes its Schur complement to its parent, so nearly all the work is
 dense BLAS-3.  The matrix is symmetric, so a front keeps its own columns
 and its update block apart and never forms the block above its pivot
 block: the factor reads only the diagonal blocks and those below them,
-and LAPACK and BLAS work in place on the fronts.  Eliminating the
-auxiliary system's face multipliers leaves the primal system, so it is
-factored the same way and the multipliers are recovered face by face.
+and LAPACK and BLAS work in place on the fronts.
 
 Pivoting restricted to the fronts may grow the factor's error, so every
 solve takes one step of iterative refinement in working precision, which
@@ -48,11 +46,10 @@ from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse import bsr_matrix
 
-from .assembly import AuxiliarySystem, Discretization
+from .assembly import Discretization
 
-__all__ = ["ResonanceError", "Factor", "MultifrontalLU", "FaceElimination",
-           "Solution", "backward_error", "factorize", "refined_solve",
-           "solve_mixed", "solve_auxiliary"]
+__all__ = ["ResonanceError", "Factor", "MultifrontalLU", "Solution",
+           "backward_error", "factorize", "refined_solve", "solve_mixed"]
 
 # Normwise backward error of the refined probe or load solve above which
 # the multifrontal factor is refused.  A stable factor stays near eps.
@@ -83,12 +80,11 @@ class Factor:
 
 @dataclass
 class Solution:
-    """Coefficient vectors of the discrete fields (u in V, p in Q, the
-    face multiplier lam in M or None) plus solver diagnostics."""
+    """Coefficient vectors of the discrete fields (u in V, p in Q) plus
+    solver diagnostics."""
 
     u: np.ndarray
     p: np.ndarray
-    lam: np.ndarray | None
     residual: float        # algebraic residual, relative to the load
     backward_error: float  # normwise 1-norm backward error of the solve
     factor: Factor         # how the system was factored
@@ -295,31 +291,6 @@ class MultifrontalLU:
         return w
 
 
-class FaceElimination:
-    """Solves an `AuxiliarySystem` with a factor of its primal system K,
-    which eliminating the face multipliers leaves: the element unknowns
-    w solve K w = f_w + J^T f_m, then the multipliers are
-    G^-1 f_m + J w, face by face.  The factor stores the inverse face
-    Grams besides that of K.  Solves take a vector or a block of
-    columns."""
-
-    def __init__(self, system: AuxiliarySystem, lu):
-        self.lu, self.jump = lu, system.jump
-        self.inverse = np.linalg.inv(system.gram)
-        nf, m, _ = system.gram.shape
-        below = nf * m * (m - 1) // 2
-        self.L = SimpleNamespace(nnz=lu.L.nnz + below)
-        self.U = SimpleNamespace(nnz=lu.U.nnz + self.inverse.size - below)
-        self.nnz = self.L.nnz + self.U.nnz
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        nw = self.jump.shape[1]
-        faces = rhs[nw:]
-        w = self.lu.solve(rhs[:nw] + self.jump.T @ faces)
-        return np.concatenate([w, (self.inverse @ faces.reshape(
-            *self.inverse.shape[:2], -1)).reshape(faces.shape) + self.jump @ w])
-
-
 def refined_solve(matrix, lu, rhs: np.ndarray) -> np.ndarray:
     """Solve with the factor plus one step of iterative refinement."""
     x = lu.solve(rhs)
@@ -408,26 +379,19 @@ def _inverse_norm(lu, y: np.ndarray, z: np.ndarray,
     return max(est, 2.0 * float(np.abs(alternating).sum()) / (3.0 * n))
 
 
-def factorize(system, bounds, rhs: np.ndarray | None = None):
-    """LU of a primal system in element blocks, the elements in
-    elimination order and eliminated in the runs of bounds, or of an
-    `AuxiliarySystem` through its primal system, with the fallback to
-    partial pivoting and the condition check.  Returns the factor (a
-    `MultifrontalLU`, or SuperLU's after the fallback, wrapped in a
-    `FaceElimination` for the auxiliary system), which solves in the
-    numbering of the system, and its `Factor` record; given a load rhs,
-    also the refined solution of system x = rhs."""
-    faces = isinstance(system, AuxiliarySystem)
-    primal = system.primal if faces else system
-    norm = system.one_norm() if faces else _one_norm(system)
+def factorize(system: bsr_matrix, bounds, rhs: np.ndarray | None = None):
+    """LU of a system in element blocks, the elements in elimination order
+    and eliminated in the runs of bounds, with the fallback to partial
+    pivoting and the condition check.  Returns the factor (a
+    `MultifrontalLU`, or SuperLU's after the fallback), which solves in
+    the numbering of the system, and its `Factor` record; given a load
+    rhs, also the refined solution of system x = rhs."""
+    norm = _one_norm(system)
     probe = np.random.default_rng(0).standard_normal(system.shape[0])
     loads = probe[:, None] if rhs is None else np.column_stack([probe, rhs])
-
-    def eliminate(lu):
-        return FaceElimination(system, lu) if faces else lu
     pivoting, ordering, stable = "symmetric", "nested_dissection", False
     try:
-        lu = eliminate(MultifrontalLU(primal, bounds))
+        lu = MultifrontalLU(system, bounds)
     except np.linalg.LinAlgError:
         pass
     else:
@@ -438,7 +402,7 @@ def factorize(system, bounds, rhs: np.ndarray | None = None):
         from scipy.sparse.linalg import splu
         pivoting, ordering = "partial", "colamd"
         try:
-            lu = eliminate(splu(primal.tocsc()))
+            lu = splu(system.tocsc())
         except RuntimeError as err:
             raise ResonanceError(
                 f"saddle point factorization failed: {err}") from err
@@ -468,31 +432,6 @@ def _constraint_gap(primal: bsr_matrix, nv: int, w: np.ndarray,
     return float(gap / (denom if denom > 0 else 1.0))
 
 
-def _solve(disc: Discretization, system, load: np.ndarray) -> Solution:
-    """Factor and refined solve in the numbering of the system, element
-    blocks then any face multipliers; the load is in the (V, Q) layout and
-    carries no multiplier data."""
-    order = disc.system_order
-    nw = order.size
-    rhs = np.zeros(system.shape[0])
-    rhs[:nw] = load[order]
-    _, factor, x = factorize(system, disc.dissection[1], rhs)
-    # the one product with the system: residual, backward error and, for
-    # the primal system, the constraint gap
-    product = system @ x
-    scale = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(product - rhs) / (scale if scale > 0 else 1.0))
-    primal = system if x.size == nw else system.primal
-    gap = _constraint_gap(primal, disc.spaces.ndof_v, x[:nw],
-                          product if primal is system else primal @ x[:nw])
-    fields = np.empty(nw)
-    fields[order] = x[:nw]
-    nv = disc.spaces.dim_V
-    return Solution(fields[:nv], fields[nv:], x[nw:] if x.size > nw else None,
-                    residual, backward_error(system, factor.norm, x, rhs, product),
-                    factor, gap)
-
-
 def _check_finite(ksq: float, load: np.ndarray):
     """Non-finite inputs are input errors, caught before any assembly,
     not discrete resonances."""
@@ -503,17 +442,22 @@ def _check_finite(ksq: float, load: np.ndarray):
 
 
 def solve_mixed(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
-    """Solve the two-field system for (u, p)."""
+    """Solve the two-field system for (u, p): factor and refined solve in
+    the numbering of the system; the load is in the (V, Q) layout."""
     _check_finite(ksq, load)
-    return _solve(disc, disc.primal_system(ksq), load)
-
-
-def solve_auxiliary(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
-    """Solve the three-field system with the explicit face multiplier.
-
-    The load is given in (V, Q) layout; the multiplier row carries no
-    data.  The returned (u, p) match the two-field solve and the
-    multiplier carries the normal jump of p.
-    """
-    _check_finite(ksq, load)
-    return _solve(disc, disc.auxiliary_system(ksq), load)
+    system = disc.primal_system(ksq)
+    order = disc.system_order
+    rhs = load[order]
+    _, factor, x = factorize(system, disc.dissection[1], rhs)
+    # the one product with the system: residual, backward error and the
+    # constraint gap
+    product = system @ x
+    scale = np.linalg.norm(rhs)
+    residual = float(np.linalg.norm(product - rhs) / (scale if scale > 0 else 1.0))
+    gap = _constraint_gap(system, disc.spaces.ndof_v, x, product)
+    fields = np.empty(order.size)
+    fields[order] = x
+    nv = disc.spaces.dim_V
+    return Solution(fields[:nv], fields[nv:], residual,
+                    backward_error(system, factor.norm, x, rhs, product),
+                    factor, gap)

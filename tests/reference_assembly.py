@@ -11,9 +11,11 @@ products (``jt^T P jt``, ``jn^T G jn``, ...) added to the CSR block
 diagonals of the volume terms; the gradient pairing, the multiplier
 block ``b_lambda``, the boundary load and the jump terms of the error
 norms are their CSR expressions, the systems their ``bmat`` in the
-(V, Q) or (V, M, Q) layout, and ``element_system`` turns such a matrix
+(V, Q) or (V, M, Q) layout, and ``element_system`` turns a (V, Q) matrix
 plus a ``DofBlocks`` into the element-block matrix the multifrontal
-factor reads.  The builders below the forms (lifting coefficient maps,
+factor reads.  The (V, M, Q) system, whose face multiplier the package
+never forms, is solved here by SuperLU, independently of the package's
+factor and of its (Q, Q) block.  The builders below the forms (lifting coefficient maps,
 face projections, the curl-conforming dof matrices, their inverses and
 the conforming V basis, the unweighted local V masses and the gradient
 map, the V seminorm and M norm, index helpers,
@@ -28,10 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import inv, solve
-from scipy.sparse import bmat, bsr_matrix, csc_matrix, csr_matrix
+from scipy.sparse import block_diag, bmat, bsr_matrix, csc_matrix, csr_matrix
+from scipy.sparse.linalg import splu
 
-from maxwelldg.analysis import ConvergenceReport
-from maxwelldg.assembly import AuxiliarySystem, Discretization
+from maxwelldg.analysis import ConvergenceReport, _constraint_w
+from maxwelldg.assembly import Discretization
 from maxwelldg.basis import face_modes
 from maxwelldg.lifting import Lifting
 from maxwelldg.mesh import Mesh, _signed_areas
@@ -193,7 +196,16 @@ def primal_system(disc: Discretization, ksq: float) -> csc_matrix:
 
 
 def auxiliary_system(disc: Discretization, ksq: float) -> csc_matrix:
-    """The (V, M, Q) system in the (V, M, Q) layout."""
+    """The (V, M, Q) system in the (V, M, Q) layout, the face multiplier
+    lam in M carrying the normal jump of p:
+
+        [ a - ksq m      0        b^T    ]
+        [     0         G      -G J_n    ]
+        [     b      -J_n^T G     0      ]
+
+    G = gamma (eps R_F, R_F) face by face.  It has no (Q, Q) block:
+    eliminating lam leaves -J_n^T G J_n there, the -c of the primal
+    system, so its solve is independent of ``c_matrix``."""
     lhs = a_matrix(disc) - ksq * disc.mass_eps
     b = b_matrix(disc)
     gram = disc.gamma * disc.lift_gram_vector
@@ -204,45 +216,48 @@ def auxiliary_system(disc: Discretization, ksq: float) -> csc_matrix:
         [b, -gamma_jn.T, None]], format="csc")
 
 
+def solve_auxiliary(disc: Discretization, ksq: float,
+                    load: np.ndarray) -> tuple[np.ndarray, ...]:
+    """u, p and lam of the (V, M, Q) system by SuperLU, the (V, Q) load
+    padded with zeros on M."""
+    nv, nm = disc.spaces.dim_V, disc.spaces.dim_M
+    rhs = np.concatenate([load[:nv], np.zeros(nm), load[nv:]])
+    x = splu(auxiliary_system(disc, ksq)).solve(rhs)
+    return x[:nv], x[nv + nm:], x[nv:nv + nm]
+
+
+def package_three_field(disc: Discretization, ksq: float) -> csr_matrix:
+    """The (V, M, Q) system in the (V, M, Q) layout as the dense constants
+    probes compose its blocks: [a - ksq m, gamma (eps R_F, R_F)] block
+    diagonal on V x M, and the constraint row C_w = [b, b_lambda]."""
+    cw = _constraint_w(disc)
+    lhs = block_diag([disc.a_matrix - ksq * disc.mass_eps,
+                      disc.gamma * disc.lift_gram_vector])
+    return bmat([[lhs, cw.T], [cw, None]], format="csr")
+
+
 class DofBlocks(NamedTuple):
-    """Unknowns of a (V, Q) or (V, M, Q) layout in element blocks.
+    """Unknowns of the (V, Q) layout in element blocks.
 
     element_dofs : (ne, b) unknowns of each element, the elements in
         elimination order
     bounds : the elements in rows bounds[j] to bounds[j + 1] - 1 are
         eliminated in one front
-    face_dofs : (nf, m) face multiplier unknowns, or None when the layout
-        has none
     """
 
     element_dofs: np.ndarray
     bounds: np.ndarray
-    face_dofs: np.ndarray | None
 
 
-def dof_blocks(disc: Discretization, multiplier: bool = False) -> DofBlocks:
-    """The unknowns of the (V, Q) or, with the multiplier, the (V, M, Q)
-    layout in the element blocks of ``disc.primal_system``: per element in
-    the mesh's nested-dissection order its V dofs, then its Q dofs, and
-    per face its M dofs."""
-    sp, mesh = disc.spaces, disc.mesh
-    ne, nf = mesh.num_elements, mesh.num_faces
-    nm = sp.dim_M if multiplier else 0
+def dof_blocks(disc: Discretization) -> DofBlocks:
+    """The unknowns of the (V, Q) layout in the element blocks of
+    ``disc.primal_system``: per element in the mesh's nested-dissection
+    order its V dofs, then its Q dofs."""
+    sp, ne = disc.spaces, disc.mesh.num_elements
     v = np.arange(sp.dim_V).reshape(ne, sp.ndof_v)
-    q = sp.dim_V + nm + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
-    faces = (sp.dim_V + np.arange(nm).reshape(nf, sp.ndof_m)
-             if multiplier else None)
+    q = sp.dim_V + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
     order, bounds = disc.dissection
-    return DofBlocks(np.hstack([v, q])[order], bounds, faces)
-
-
-def layout(blocks: DofBlocks) -> np.ndarray:
-    """The unknown of the (V, [M,] Q) layout at each position of the
-    element-block numbering."""
-    dofs = [blocks.element_dofs.ravel()]
-    if blocks.face_dofs is not None:
-        dofs.append(blocks.face_dofs.ravel())
-    return np.concatenate(dofs)
+    return DofBlocks(np.hstack([v, q])[order], bounds)
 
 
 def _permuted(matrix: csc_matrix, order: np.ndarray) -> csc_matrix:
@@ -258,51 +273,44 @@ def _permuted(matrix: csc_matrix, order: np.ndarray) -> csc_matrix:
 
 
 def block_numbered(matrix, blocks: DofBlocks) -> csc_matrix:
-    """A matrix in the (V, [M,] Q) layout renumbered as the element
-    blocks, then the face blocks, of blocks."""
-    order = layout(blocks)
+    """A matrix in the (V, Q) layout renumbered as the element blocks."""
+    order = blocks.element_dofs.ravel()
     if not np.array_equal(np.sort(order), np.arange(matrix.shape[0])):
         raise ValueError("the blocks do not partition the unknowns")
     return _permuted(csc_matrix(matrix), order)
 
 
-def reordered(system, blocks: DofBlocks, other: DofBlocks):
-    """A primal or auxiliary system, its element blocks numbered by the
-    (V, Q) blocks, with them numbered by the other blocks instead."""
-    perm = np.argsort(layout(blocks))[other.element_dofs.ravel()]
+def reordered(system: bsr_matrix, blocks: DofBlocks,
+              other: DofBlocks) -> bsr_matrix:
+    """A system in element blocks numbered by blocks, with them numbered
+    by the other blocks instead."""
+    perm = np.argsort(blocks.element_dofs.ravel())[other.element_dofs.ravel()]
     nb = other.element_dofs.shape[1]
-    aux = isinstance(system, AuxiliarySystem)
-    primal = _permuted(csc_matrix(system.primal if aux else system), perm)
-    primal = primal.tocsr().tobsr(blocksize=(nb, nb))
-    if not aux:
-        return primal
-    return AuxiliarySystem(primal, system.gram, system.jump[:, perm],
-                           system.nv)
+    return _permuted(csc_matrix(system), perm).tocsr().tobsr(blocksize=(nb, nb))
 
 
 def element_system(matrix, blocks: DofBlocks) -> bsr_matrix:
-    """A matrix without face blocks in elimination order and in blocks of
-    one element, the form the multifrontal factor reads."""
+    """A (V, Q) matrix in elimination order and in blocks of one element,
+    the form the multifrontal factor reads."""
     nb = blocks.element_dofs.shape[1]
     return block_numbered(matrix, blocks).tocsr().tobsr(blocksize=(nb, nb))
 
 
 def system_gaps(disc: Discretization, ksq: float,
                 multiplier: bool = False) -> dict:
-    """Largest entry of the difference between the block-assembled system
-    (its forms, its 1-norm) and the sparse-product route, relative to the
-    largest entry of the latter's system, in the element-block
-    numbering."""
-    blocks = dof_blocks(disc, multiplier)
+    """Largest entry of the difference between the package's system (its
+    forms, its 1-norm) and the sparse-product route, relative to the
+    largest entry of the latter's system: ``disc.primal_system`` in the
+    element-block numbering, or with the multiplier the (V, M, Q) system
+    of ``package_three_field`` in its layout."""
     if multiplier:
-        system = disc.auxiliary_system(ksq)
-        mine, norm = system @ np.eye(system.shape[0]), system.one_norm()
-        oracle = auxiliary_system(disc, ksq)
+        mine = package_three_field(disc, ksq).toarray()
+        oracle = auxiliary_system(disc, ksq).toarray()
     else:
         mine = disc.primal_system(ksq).toarray()
-        norm = np.abs(mine).sum(axis=0).max()
-        oracle = primal_system(disc, ksq)
-    oracle = block_numbered(oracle, blocks).toarray()
+        oracle = block_numbered(primal_system(disc, ksq),
+                                dof_blocks(disc)).toarray()
+    norm = np.abs(mine).sum(axis=0).max()
     scale = np.abs(oracle).max()
     gaps = {"system": np.abs(mine - oracle).max() / scale,
             "norm": abs(norm - np.abs(oracle).sum(axis=0).max()) / norm}

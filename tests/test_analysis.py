@@ -416,12 +416,3 @@ class TestConvergenceReport:
     def test_validation(self):
         with pytest.raises(ValueError):
             convergence_study(sine_problem(), 1, 0)
-        with pytest.raises(ValueError):
-            convergence_study(sine_problem(), 1, 1, formulation="dual")
-
-    def test_auxiliary_formulation_matches(self):
-        primal = convergence_study(sine_problem(), 1, 1, margin_samples=5)
-        aux = convergence_study(sine_problem(), 1, 1, margin_samples=5,
-                                formulation="auxiliary")
-        assert aux.records[0].e_v == pytest.approx(primal.records[0].e_v,
-                                                   rel=1e-7)

@@ -338,6 +338,18 @@ class TestExitGate:
         path = write_config(tmp_path, {"problem": "sine", "mesh": "square:2",
                                        "levels": 1})
         assert main([command, "--config", path]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+            return
+        # one line names the failed gate, its value and its bound
+        (field, value), = fields.items()
+        name, bound = {"backward_error": ("backward error", BACKWARD_TOL),
+                       "constraint_gap": ("constraint gap",
+                                          cli.CONSTRAINT_TOL)}[field]
+        level = "level 0: " if command == "study" else ""
+        assert err == [f"error: {level}{name} {value:.3e} exceeds its bound "
+                       f"{bound:.3e}"]
 
     def test_perturbed_solution_fails(self, tmp_path, capsys, monkeypatch):
         """A solution off by 1e-13 relative passes the residual bound of
@@ -354,6 +366,33 @@ class TestExitGate:
         out = json.loads(capsys.readouterr().out)
         assert out["residual"] <= 1e-10
         assert out["backward_error"] > BACKWARD_TOL
+
+
+class TestFormulationKey:
+    """Eliminating the auxiliary formulation's face multiplier leaves the
+    primal system, so both values of the key run the same solve: the
+    key is echoed, and nothing else in the output changes."""
+
+    def test_solve_json_differs_only_in_the_key(self, tmp_path, capsys):
+        outs = {}
+        for formulation in ("primal", "auxiliary"):
+            path = write_config(tmp_path, {"problem": "sine", "degree": 2,
+                                           "mesh": "square:2",
+                                           "formulation": formulation})
+            assert main(["solve", "--config", path]) == 0
+            outs[formulation] = json.loads(capsys.readouterr().out)
+            assert outs[formulation].pop("formulation") == formulation
+        assert outs["auxiliary"] == outs["primal"]
+
+    def test_study_csv_is_byte_identical(self, tmp_path, capsys):
+        texts = []
+        for formulation in ("primal", "auxiliary"):
+            path = write_config(tmp_path, {"problem": "lshape",
+                                           "mesh": "lshape:1", "levels": 2,
+                                           "formulation": formulation})
+            assert main(["study", "--config", path]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
 
 
 class TestSolveAllocations:
@@ -525,6 +564,9 @@ class TestExitCodes:
         # past the digit limit of Python's int parsing
         pytest.param('{"k": 1%s}' % ("0" * 5000), "config parse error",
                      id="k-digit-limit"),
+        # a finite k whose square overflows
+        pytest.param('{"k": 1e200}', "k squared must be finite",
+                     id="k-square-overflow"),
     ])
     def test_invalid_values_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.json"

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,19 +12,21 @@ from maxwelldg.problems import gradient_null_data, sine_problem
 from maxwelldg.solver import (
     BACKWARD_TOL,
     COND_MAX,
-    FaceElimination,
     MultifrontalLU,
     ResonanceError,
     backward_error,
     factorize,
     refined_solve,
-    solve_auxiliary,
     solve_mixed,
 )
 
 from conftest import (delaunay_mesh, finest_blocks, front_entries,
                       random_materials, random_spd, two_tag_mesh)
 import reference_assembly as refasm
+
+# The layout of the factored system, named in the test ids: the (V, Q)
+# layout of the primal system, the one system the package factors.
+LAYOUT = pytest.mark.parametrize("layout", ["primal"])
 
 
 @pytest.fixture
@@ -45,7 +45,6 @@ class TestMixedSolve:
 
     def test_solution_fields(self, disc2, sine_load):
         sol = solve_mixed(disc2, 1.0, sine_load)
-        assert sol.lam is None
         assert sol.residual < 1e-10
         assert 1.0 <= sol.factor.cond_estimate <= COND_MAX
         assert sol.constraint_gap < 1e-10
@@ -92,21 +91,25 @@ class TestMixedSolve:
 
 
 class TestAuxiliarySolve:
+    """The primal solve against a SuperLU solve of the auxiliary (V, M, Q)
+    system, whose (Q, Q) block comes from eliminating the face multiplier,
+    at both degrees (AC5 runs degree 1)."""
+
     def test_matches_primal(self, disc2, sine_load):
         primal = solve_mixed(disc2, 1.0, sine_load)
-        aux = solve_auxiliary(disc2, 1.0, sine_load)
+        u, p, _ = refasm.solve_auxiliary(disc2, 1.0, sine_load)
         uscale = disc2.norm_v(primal.u)
         pscale = max(disc2.norm_q(primal.p), 1e-30)
-        assert disc2.norm_v(aux.u - primal.u) < 1e-8 * uscale
-        assert disc2.norm_q(aux.p - primal.p) < 1e-8 * pscale
-        assert aux.residual < 1e-10
+        assert disc2.norm_v(u - primal.u) < 1e-8 * uscale
+        assert disc2.norm_q(p - primal.p) < 1e-8 * pscale
+        assert primal.residual < 1e-10
 
     def test_multiplier_is_normal_jump(self, disc2, sine_load):
-        aux = solve_auxiliary(disc2, 1.0, sine_load)
-        assert aux.lam is not None
-        jump = refasm.jump_n(disc2) @ aux.p
+        primal = solve_mixed(disc2, 1.0, sine_load)
+        _, _, lam = refasm.solve_auxiliary(disc2, 1.0, sine_load)
+        jump = refasm.jump_n(disc2) @ primal.p
         scale = max(refasm.norm_m(disc2, jump), 1e-30)
-        assert refasm.norm_m(disc2, aux.lam - jump) < 1e-8 * scale
+        assert refasm.norm_m(disc2, lam - jump) < 1e-8 * scale
 
 
 def exact_eigenvalue(mesh, degree):
@@ -163,7 +166,7 @@ class TestResonance:
         assert factorize(system, bounds)[1] == factorize(system, bounds)[1]
 
 
-@pytest.mark.parametrize("solve", [solve_mixed, solve_auxiliary])
+@pytest.mark.parametrize("solve", [solve_mixed])
 class TestNonFiniteInputs:
     """A non-finite wavenumber or load is an input error, refused before
     any assembly: not a resonance verdict, nor a NaN solution."""
@@ -172,8 +175,7 @@ class TestNonFiniteInputs:
     def no_assembly(self, monkeypatch):
         def assembled(*args):
             raise AssertionError("a system was assembled")
-        for name in ("primal_system", "auxiliary_system"):
-            monkeypatch.setattr(Discretization, name, assembled)
+        monkeypatch.setattr(Discretization, "primal_system", assembled)
 
     @pytest.mark.parametrize("ksq", [np.nan, np.inf])
     def test_wavenumber(self, disc2, sine_load, solve, ksq):
@@ -209,7 +211,7 @@ class TestFactorization:
         n = 4
         dense = np.ones((n, n)) + np.diag(np.full(n, 1e-12 - 1.0))
         dense += np.diag(np.arange(1.0, n), 1) + np.diag(np.arange(1.0, n), -1)
-        chain = refasm.DofBlocks(np.arange(n)[:, None], np.arange(n + 1), None)
+        chain = refasm.DofBlocks(np.arange(n)[:, None], np.arange(n + 1))
         matrix = refasm.element_system(dense, chain)
         # the dense matrix makes the tree a chain: each front updates all
         # later unknowns
@@ -255,14 +257,11 @@ class TestFactorization:
         with pytest.raises(ResonanceError, match="factorization failed"):
             factorize(matrix, np.array([0, 1, 2]))
 
-    @pytest.mark.parametrize("multiplier", [False, True],
-                             ids=["primal", "auxiliary"])
+    @LAYOUT
     def test_load_solve_comes_with_the_factor(self, disc2, sine_load,
-                                              multiplier):
-        system = (disc2.auxiliary_system(1.0) if multiplier
-                  else disc2.primal_system(1.0))
-        rhs = np.zeros(system.shape[0])
-        rhs[:disc2.system_order.size] = sine_load[disc2.system_order]
+                                              layout):
+        system = disc2.primal_system(1.0)
+        rhs = sine_load[disc2.system_order]
         lu, factor, x = factorize(system, disc2.dissection[1], rhs)
         assert factor.pivoting == "symmetric"
         expect = refined_solve(system, lu, rhs)
@@ -280,11 +279,9 @@ class TestFactorization:
             widths.append(1 if np.ndim(rhs) == 1 else rhs.shape[1])
             return solve(lu, rhs)
         monkeypatch.setattr(MultifrontalLU, "solve", counted)
-        for run in (solve_mixed, solve_auxiliary):
-            widths.clear()
-            assert run(disc2, 1.0, sine_load).factor.pivoting == "symmetric"
-            assert len(widths) <= 4
-            assert widths[:2] == [4, 3]
+        assert solve_mixed(disc2, 1.0, sine_load).factor.pivoting == "symmetric"
+        assert len(widths) <= 4
+        assert widths[:2] == [4, 3]
 
     def test_permuted_factor_solves_in_original_numbering(self):
         # six blocks of two unknowns, all joined, eliminated in a random
@@ -297,7 +294,7 @@ class TestFactorization:
         dense = dense + dense.T + np.diag(np.full(n, 10.0))
         order = rng.permutation(6)
         blocks = refasm.DofBlocks(rng.permutation(n).reshape(6, 2)[order],
-                                  [0, 2, 4, 6], None)
+                                  [0, 2, 4, 6])
         dofs = blocks.element_dofs.ravel()
         lu, factor = factorize(refasm.element_system(dense, blocks),
                                blocks.bounds)
@@ -330,20 +327,18 @@ class TestFactorization:
             with pytest.raises(ValueError, match="do not partition"):
                 refasm.element_system(
                     refasm.primal_system(disc2, 1.0),
-                    refasm.DofBlocks(elements, [0, len(elements)], None))
+                    refasm.DofBlocks(elements, [0, len(elements)]))
 
-    @pytest.mark.parametrize("multiplier", [False, True],
-                             ids=["primal", "auxiliary"])
-    def test_lu_nnz_is_structural(self, degree, multiplier):
-        # the count is of the fronts' blocks, fixed by the mesh, the degree
-        # and the layout, not of the entries that happen to be nonzero
+    @LAYOUT
+    def test_lu_nnz_is_structural(self, degree, layout):
+        # the count is of the fronts' blocks, fixed by the mesh and the
+        # degree, not of the entries that happen to be nonzero
         mesh = two_tag_mesh(4)
         counts = set()
         for coeffs in (random_materials(5), random_materials(6)):
             disc = Discretization(mesh, degree, coeffs)
             for ksq in (0.5, 1.7):
-                system = (disc.auxiliary_system(ksq) if multiplier
-                          else disc.primal_system(ksq))
+                system = disc.primal_system(ksq)
                 counts.add(factorize(system, disc.dissection[1])[1].lu_nnz)
         assert len(counts) == 1
 
@@ -385,7 +380,7 @@ def tiny_pivot_chain():
     n = 4
     dense = np.ones((n, n)) + np.diag(np.full(n, 1e-12 - 1.0))
     dense += np.diag(np.arange(1.0, n), 1) + np.diag(np.arange(1.0, n), -1)
-    chain = refasm.DofBlocks(np.arange(n)[:, None], np.arange(n + 1), None)
+    chain = refasm.DofBlocks(np.arange(n)[:, None], np.arange(n + 1))
     return refasm.element_system(dense, chain), chain.bounds
 
 
@@ -417,29 +412,26 @@ class TestConditionEstimate:
 
     # the estimate is a lower bound that reads 0.81 to 1.0 of the exact
     # condition number here, as scipy's onenormest(t=1) did
-    @pytest.mark.parametrize("multiplier", [False, True],
-                             ids=["primal", "auxiliary"])
+    @LAYOUT
     @pytest.mark.parametrize("make_mesh", [lambda: unit_square(4),
                                            lambda: lshape(3),
                                            lambda: unit_square(5)],
                              ids=["square4", "lshape3", "square5"])
-    def test_estimate_against_dense(self, degree, make_mesh, multiplier,
+    def test_estimate_against_dense(self, degree, make_mesh, layout,
                                     monkeypatch):
         disc = Discretization(halves(make_mesh()), degree, random_materials(21))
-        system = (disc.auxiliary_system(1.0) if multiplier
-                  else disc.primal_system(1.0))
+        system = disc.primal_system(1.0)
         n = system.shape[0]
         # every solve of the factor, whose backward errors bound the
         # estimate's rounding
         solves = []
-        factor_type = FaceElimination if multiplier else MultifrontalLU
-        real_solve = factor_type.solve
+        real_solve = MultifrontalLU.solve
 
         def recorded_solve(self, rhs):
             x = real_solve(self, rhs)
             solves.append((rhs.reshape(n, -1), x.reshape(n, -1)))
             return x
-        monkeypatch.setattr(factor_type, "solve", recorded_solve)
+        monkeypatch.setattr(MultifrontalLU, "solve", recorded_solve)
         factor = factorize(system, disc.dissection[1])[1]
         dense = system @ np.eye(n)
         inverse = np.linalg.inv(dense)
@@ -457,19 +449,16 @@ class TestConditionEstimate:
         bound = (1.0 + 2.0 * exact * (eta + eta_dense)) * exact
         assert 0.5 * exact <= factor.cond_estimate <= bound
 
-    @pytest.mark.parametrize("multiplier", [False, True],
-                             ids=["primal", "auxiliary"])
-    def test_unit_solves_start_sparse(self, degree, multiplier, monkeypatch):
+    @LAYOUT
+    def test_unit_solves_start_sparse(self, degree, layout, monkeypatch):
         """A unit vector's L^-1 sweep visits only its node's path to the
         root, and gives the full sweep's bits: every other node would add
         exact zeros."""
         disc = Discretization(halves(unit_square(8)), degree,
                               random_materials(5))
-        system = (disc.auxiliary_system(1.0) if multiplier
-                  else disc.primal_system(1.0))
+        system = disc.primal_system(1.0)
         lu, factor = factorize(system, disc.dissection[1])
         assert factor.pivoting == "symmetric"
-        tree = lu.lu if multiplier else lu
 
         def unit(j):
             e = np.zeros(system.shape[0])
@@ -477,7 +466,7 @@ class TestConditionEstimate:
             return e
         columns = range(0, system.shape[0], 7)
         sparse = [lu.solve(unit(j)) for j in columns]
-        assert len(tree._lower_nodes(unit(0))) < len(tree.fronts)
+        assert len(lu._lower_nodes(unit(0))) < len(lu.fronts)
         monkeypatch.setattr(MultifrontalLU, "_lower_nodes",
                             lambda self, w: range(len(self.fronts)))
         for j, start in zip(columns, sparse):
@@ -488,7 +477,7 @@ class TestConditionEstimate:
 
     def test_block_right_hand_sides(self, disc2):
         # a block of columns gives, column by column, what one column does
-        system = disc2.auxiliary_system(1.0)
+        system = disc2.primal_system(1.0)
         lu, _ = factorize(system, disc2.dissection[1])
         block = np.random.default_rng(8).standard_normal((system.shape[0], 3))
         for apply in (system.__matmul__, lu.solve):
@@ -519,24 +508,15 @@ class TestFrontsInPlace:
         return Discretization(halves(unit_square(8)), degree,
                               random_materials(17))
 
-    @pytest.mark.parametrize("multiplier", [False, True],
-                             ids=["primal", "auxiliary"])
-    def test_reads_only_the_lower_blocks(self, disc, multiplier):
-        system = (disc.auxiliary_system(1.0) if multiplier
-                  else disc.primal_system(1.0))
+    @LAYOUT
+    def test_reads_only_the_lower_blocks(self, disc, layout):
+        system = disc.primal_system(1.0)
         bounds = disc.dissection[1]
         lu, factor = factorize(system, bounds)
         assert factor.pivoting == "symmetric"
-        primal = upper_blocks_nan(system.primal if multiplier else system)
-        blind = MultifrontalLU(primal, bounds)
-        if multiplier:
-            blind = FaceElimination(
-                dataclasses.replace(system, primal=primal), blind)
-            fronts, blind_fronts = lu.lu.fronts, blind.lu.fronts
-        else:
-            fronts, blind_fronts = lu.fronts, blind.fronts
-        assert len(fronts) == len(blind_fronts)
-        for (block, at), (other, other_at) in zip(fronts, blind_fronts):
+        blind = MultifrontalLU(upper_blocks_nan(system), bounds)
+        assert len(lu.fronts) == len(blind.fronts)
+        for (block, at), (other, other_at) in zip(lu.fronts, blind.fronts):
             assert np.array_equal(at, other_at)
             assert np.array_equal(block, other)
         rhs = np.random.default_rng(4).standard_normal(system.shape[0])
@@ -575,23 +555,20 @@ def delaunay_case():
 class TestNestedDissection:
     """The multifrontal factor on the nested-dissection tree solves as a
     SuperLU factor in minimum degree order does, and keeps its pivoting
-    inside the fronts, for every degree and both layouts."""
+    inside the fronts, for every degree."""
 
-    @pytest.mark.parametrize("multiplier", [False, True],
-                             ids=["primal", "auxiliary"])
+    @LAYOUT
     @pytest.mark.parametrize("make_mesh", [lambda: unit_square(8),
                                            lambda: lshape(4), delaunay_case],
                              ids=["square8", "lshape4", "delaunay"])
-    def test_matches_minimum_degree(self, make_mesh, multiplier):
+    def test_matches_minimum_degree(self, make_mesh, layout):
         rng = np.random.default_rng(7)
         coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
                               eps={t: random_spd(rng) for t in range(3)})
         disc = Discretization(make_mesh(), 1, coeffs)
-        system = (disc.auxiliary_system(1.0) if multiplier
-                  else disc.primal_system(1.0))
-        oracle = refasm.block_numbered(
-            (refasm.auxiliary_system if multiplier else refasm.primal_system)(
-                disc, 1.0), refasm.dof_blocks(disc, multiplier))
+        system = disc.primal_system(1.0)
+        oracle = refasm.block_numbered(refasm.primal_system(disc, 1.0),
+                                       refasm.dof_blocks(disc))
         rhs = rng.standard_normal(system.shape[0])
         lu, factor = factorize(system, disc.dissection[1])
         assert (factor.ordering, factor.pivoting) == ("nested_dissection",
@@ -603,9 +580,8 @@ class TestNestedDissection:
 
     def test_degree_picks_the_ordering(self, disc2, sine_load):
         # one path: every degree takes the dissection tree
-        for solve in (solve_mixed, solve_auxiliary):
-            factor = solve(disc2, 1.0, sine_load).factor
-            assert (factor.ordering, factor.pivoting) == ("nested_dissection",
-                                                          "symmetric")
+        factor = solve_mixed(disc2, 1.0, sine_load).factor
+        assert (factor.ordering, factor.pivoting) == ("nested_dissection",
+                                                      "symmetric")
         factor = factorize(disc2.primal_system(0.0), disc2.dissection[1])[1]
         assert factor.ordering == "nested_dissection"

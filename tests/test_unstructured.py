@@ -148,13 +148,8 @@ class TestDissectionOrder:
             assert np.array_equal(again[1], bounds)
         disc = Discretization(fine, 1, MATERIALS)
         sp = disc.spaces
-        for multiplier, n in ((False, sp.dim_V + sp.dim_Q),
-                              (True, sp.dim_V + sp.dim_M + sp.dim_Q)):
-            blocks = refasm.dof_blocks(disc, multiplier)
-            dofs = [blocks.element_dofs.ravel()]
-            if multiplier:
-                dofs.append(blocks.face_dofs.ravel())
-            assert np.array_equal(np.sort(np.concatenate(dofs)), np.arange(n))
+        dofs = refasm.dof_blocks(disc).element_dofs.ravel()
+        assert np.array_equal(np.sort(dofs), np.arange(sp.dim_V + sp.dim_Q))
 
     @PROPERTY
     @given(delaunay_meshes())
@@ -220,8 +215,8 @@ class TestMultifrontalFactor:
     @PROPERTY
     @given(case=delaunay_meshes(min_quality=0.1),
            degree=st.sampled_from([1, 2]),
-           multiplier=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_dense_solve(self, case, degree, multiplier, seed):
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_solve(self, case, degree, seed):
         mesh, _ = case
         if degree == 1:
             mesh = refine_uniform(mesh)
@@ -230,29 +225,23 @@ class TestMultifrontalFactor:
                               eps={t: random_spd(rng) for t in range(3)})
         disc = Discretization(mesh, degree, coeffs)
         ksq = rng.uniform(0.25, 2.0)
-        assembled = (disc.auxiliary_system(ksq) if multiplier
-                     else disc.primal_system(ksq))
+        assembled = disc.primal_system(ksq)
         rhs = rng.standard_normal(assembled.shape[0])
         for blocks in (refasm.dof_blocks(disc), finest_blocks(disc)):
             system = refasm.reordered(assembled, refasm.dof_blocks(disc), blocks)
-            expect = np.linalg.solve(system @ np.eye(len(rhs)), rhs)
+            expect = np.linalg.solve(system.toarray(), rhs)
             lu, factor = factorize(system, blocks.bounds)
             assert (factor.ordering, factor.pivoting) == ("nested_dissection",
                                                           "symmetric")
             # the fronts read from the matrix are those of its element graph
-            fronts = lu.lu.fronts if multiplier else lu.fronts
             nb = blocks.element_dofs.shape[1]
             expect_updates = dual_graph_updates(
                 mesh, blocks.element_dofs[:, 0] // disc.spaces.ndof_v,
                 blocks.bounds)
-            for (block, at), rows in zip(fronts, expect_updates):
+            for (block, at), rows in zip(lu.fronts, expect_updates):
                 assert np.array_equal(at[block.shape[0]::nb] // nb, rows)
-            # the pivot blocks and panels of the fronts, and the face blocks
-            if multiplier:
-                stored = front_entries(lu.lu) + system.gram.size
-            else:
-                stored = front_entries(lu)
-            assert factor.lu_nnz == lu.nnz == stored
+            # the pivot blocks and panels of the fronts
+            assert factor.lu_nnz == lu.nnz == front_entries(lu)
             x = refined_solve(system, lu, rhs)
             eta = backward_error(system, factor.norm, x, rhs)
             assert eta <= BACKWARD_TOL
@@ -264,7 +253,8 @@ class TestMultifrontalFactor:
 
 
 class TestBlockAssembly:
-    """The system assembled face by face into element blocks against the
+    """The system assembled face by face into element blocks, and the
+    (V, M, Q) system composed of the package's blocks, against the
     sparse-product route, with random SPD materials and wavenumbers."""
 
     @PROPERTY
@@ -500,9 +490,8 @@ class TestFormInvariants:
         mesh, coeffs, rng = case
         disc = Discretization(mesh, degree, coeffs)
         ksq = rng.uniform(0.25, 2.0)
-        aux = disc.auxiliary_system(ksq)
         for system in (disc.primal_system(ksq).toarray(),
-                       aux @ np.eye(aux.shape[0])):
+                       refasm.package_three_field(disc, ksq).toarray()):
             assert (np.abs(system - system.T).max()
                     <= 1e-13 * np.abs(system).max())
         a = assemble_a_face_integral(disc)
