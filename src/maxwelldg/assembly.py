@@ -22,7 +22,9 @@ go, so it holds every element block once.  The seminorm and Q-norm
 Grams, which the stability constants and the sampled coercivity margin
 read, are assembled the same way, and the boundary load and the norm
 values are summed from the same (face, side) tables and per-face Grams,
-the one form of the face operators in the package.
+the one form of the face operators in the package.  Every sparse
+operator here is a `bsr_array` of the element or face blocks it is
+made of, the eps mass and the vector lifting Gram block diagonals.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import bsr_array, bsr_matrix, csr_matrix
+from scipy.sparse import bsr_array
 
 from .lifting import Lifting
 from .materials import Coefficients, MaterialArrays
 from .mesh import Mesh
 from .quadrature import triangle_rule
-from .spaces import Spaces, block_sparse, element_block_diag
+from .spaces import Spaces
 
 __all__ = ["Discretization"]
 
@@ -78,20 +80,30 @@ class Discretization:
         scale = self.materials.mu_bar_inv / sp.det_jac
         return scale[:, None, None] * sp.ref_curl_gram
 
-    @cached_property
-    def mass_eps(self) -> csr_matrix:
-        """V mass matrix weighted by eps."""
+    def _mass_blocks(self) -> np.ndarray:
+        """(eps v, v') per element, (ne, nv, nv)."""
         sp = self.spaces
-        return element_block_diag(
-            sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps))
+        return sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
+
+    def _q_grad_blocks(self) -> np.ndarray:
+        """(eps grad q, grad q') per element, (ne, nq, nq)."""
+        sp = self.spaces
+        return sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps)
+
+    @cached_property
+    def mass_eps(self) -> bsr_array:
+        """V mass matrix weighted by eps."""
+        ne = self.mesh.num_elements
+        return bsr_array((self._mass_blocks(), np.arange(ne), np.arange(ne + 1)))
 
     # ------------------------------------------------------------------
     # face operators
 
     @cached_property
-    def lift_gram_vector(self) -> csr_matrix:
+    def lift_gram_vector(self) -> bsr_array:
         """Block diagonal of (eps R_F(.), R_F(.)), no penalty factor."""
-        return element_block_diag(self._eps_grams)
+        nf = self.mesh.num_faces
+        return bsr_array((self._eps_grams, np.arange(nf), np.arange(nf + 1)))
 
     @cached_property
     def _mu_grams(self) -> np.ndarray:
@@ -220,16 +232,20 @@ class Discretization:
                                self.lifting.normal_jumps, self._gamma_grams())
 
     @cached_property
-    def b_lambda(self) -> csr_matrix:
+    def b_lambda(self) -> bsr_array:
         """Multiplier block of the constraint row, rows Q, columns face
-        dofs: -jn_s^T G_F per (face, side), G the multiplier penalty Gram."""
-        sp, lift = self.spaces, self.lifting
-        nf, nq, m = self.mesh.num_faces, sp.ndof_q, sp.ndof_m
-        blocks = (-np.swapaxes(lift.normal_jumps, 2, 3)
+        dofs: -jn_s^T G_F per (face, side), G the multiplier penalty Gram,
+        one block per element and face, the faces of each element
+        ascending."""
+        sp = self.spaces
+        blocks = (-np.swapaxes(self.lifting.normal_jumps, 2, 3)
                   @ self._gamma_grams()[:, None])
-        rows = lift.side_elements[:, :, None] * nq + np.arange(nq)
-        return block_sparse(blocks, rows, np.arange(nf * m).reshape(nf, 1, m),
-                            (sp.dim_Q, nf * m), keep=lift.side_mask)
+        order = np.argsort(self._element_sides[0], axis=0)
+        faces, sides = (np.take_along_axis(part, order, axis=0).T
+                        for part in self._element_sides)
+        return bsr_array((blocks[faces, sides].reshape(-1, *blocks.shape[2:]),
+                          faces.ravel(), np.arange(0, faces.size + 1, 3)),
+                         shape=(sp.dim_Q, sp.dim_M))
 
     # ------------------------------------------------------------------
     # norms
@@ -241,9 +257,8 @@ class Discretization:
 
     @cached_property
     def norm_q_gram(self) -> bsr_array:
-        sp = self.spaces
-        grad = sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps)
-        return self._jump_form(grad, self.lifting.normal_jumps, self._eps_grams)
+        return self._jump_form(self._q_grad_blocks(), self.lifting.normal_jumps,
+                               self._eps_grams)
 
     # ------------------------------------------------------------------
     # systems
@@ -264,7 +279,7 @@ class Discretization:
         form = self.__dict__.get(name)
         return getattr(type(self), name).func(self) if form is None else form
 
-    def primal_system(self, ksq: float) -> bsr_matrix:
+    def primal_system(self, ksq: float) -> bsr_array:
         """The (V, Q) system [[a - ksq m, b^T], [b, -c]] in blocks of one
         element, the elements in elimination order; `system_order` maps
         its unknowns to the (V, Q) layout.  The forms a, b and c that no
@@ -284,10 +299,9 @@ class Discretization:
         del b
         data[:, nv:, nv:] = -self._form("c_matrix").data[source]
         own = transpose[source] == source
-        mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
-        data[own, :nv, :nv] -= ksq * mass[brow[source[own]]]
+        data[own, :nv, :nv] -= ksq * self._mass_blocks()[brow[source[own]]]
         indptr = np.searchsorted(rows[source], np.arange(ne + 1))
-        return bsr_matrix((data, cols[source], indptr), shape=(ne * nb, ne * nb))
+        return bsr_array((data, cols[source], indptr), shape=(ne * nb, ne * nb))
 
     # ------------------------------------------------------------------
     # loads
@@ -367,14 +381,11 @@ class Discretization:
 
     def norm_v(self, coeffs: np.ndarray) -> float:
         """The V norm of the coefficients."""
-        sp = self.spaces
-        mass = sp.mapped_gram(sp.ref_vcomp_gram, self.materials.eps)
         return np.sqrt(max(self._seminorm_sq(coeffs)
-                           + self._element_form(mass, coeffs), 0.0))
+                           + self._element_form(self._mass_blocks(), coeffs),
+                           0.0))
 
     def norm_q(self, coeffs: np.ndarray) -> float:
         """The Q norm of the coefficients."""
-        sp = self.spaces
-        grad = sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps)
-        return np.sqrt(max(self._element_form(grad, coeffs)
+        return np.sqrt(max(self._element_form(self._q_grad_blocks(), coeffs)
                            + self.normal_jump_sq(coeffs), 0.0))

@@ -270,6 +270,13 @@ def mesh_family(spec: str):
     return lambda level: builder(n * 2 ** level)
 
 
+def _conforming_nodes(mesh: Mesh, degree: int) -> int:
+    """Columns of `Spaces.conforming_q_basis`: the interior vertices, and
+    at degree 2 the interior faces too."""
+    faces = np.count_nonzero(~mesh.boundary) if degree == 2 else 0
+    return mesh.num_vertices - np.unique(mesh.faces[mesh.boundary]).size + faces
+
+
 def _check_tags(cfg: RunConfig, mesh: Mesh):
     """Every material tag of the mesh needs a coefficient entry; checked
     on the coarsest mesh, since refinement keeps the tags."""
@@ -316,6 +323,9 @@ def run_solve(cfg: RunConfig) -> int:
         disc, load, g_data = setup_problem(problem, mesh, cfg.degree,
                                            cfg.alpha, cfg.gamma)
     else:
+        if cfg.problem == "gradient" and not _conforming_nodes(mesh, cfg.degree):
+            raise ConfigError(f"mesh {cfg.mesh!r} has no interior scalar node "
+                              f"at degree {cfg.degree} for the gradient problem")
         disc = Discretization(mesh, cfg.degree, cfg.coeffs,
                               alpha=cfg.alpha, gamma=cfg.gamma)
         problem = g_data = None

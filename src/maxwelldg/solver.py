@@ -44,7 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgetrf, dgetri
-from scipy.sparse import bsr_matrix
+from scipy.sparse import bsr_array
 
 from .assembly import Discretization
 
@@ -119,7 +119,7 @@ class MultifrontalLU:
     partition the elements raise ValueError.
     """
 
-    def __init__(self, matrix: bsr_matrix, bounds):
+    def __init__(self, matrix: bsr_array, bounds):
         nb = matrix.blocksize[0]
         bounds = np.asarray(bounds, dtype=np.int64)
         if (bounds[0] != 0 or bounds[-1] != matrix.shape[0] // nb
@@ -135,7 +135,7 @@ class MultifrontalLU:
         self.U = SimpleNamespace(nnz=pivots - below)
         self.nnz = self.L.nnz + self.U.nnz
 
-    def _factor(self, bounds: np.ndarray, nb: int, system: bsr_matrix):
+    def _factor(self, bounds: np.ndarray, nb: int, system: bsr_array):
         nodes = len(bounds) - 1
         own = np.diff(bounds)
         run = np.repeat(np.arange(nodes), own)
@@ -310,7 +310,7 @@ def backward_error(matrix, norm: float, x: np.ndarray, rhs: np.ndarray,
     return float(gap / scale) if scale > 0 else float(gap)
 
 
-def _one_norm(matrix: bsr_matrix) -> float:
+def _one_norm(matrix: bsr_array) -> float:
     """Largest absolute column sum of a matrix in blocks.  Each column is
     summed block by block in block-row order and row by row inside a
     block, the order of scipy's `abs(matrix).sum(axis=0)`, so the sums are
@@ -379,7 +379,7 @@ def _inverse_norm(lu, y: np.ndarray, z: np.ndarray,
     return max(est, 2.0 * float(np.abs(alternating).sum()) / (3.0 * n))
 
 
-def factorize(system: bsr_matrix, bounds, rhs: np.ndarray | None = None):
+def factorize(system: bsr_array, bounds, rhs: np.ndarray | None = None):
     """LU of a system in element blocks, the elements in elimination order
     and eliminated in the runs of bounds, with the fallback to partial
     pivoting and the condition check.  Returns the factor (a
@@ -418,7 +418,7 @@ def factorize(system: bsr_matrix, bounds, rhs: np.ndarray | None = None):
     return lu, factor, np.ascontiguousarray(passes[0][:, 1])
 
 
-def _constraint_gap(primal: bsr_matrix, nv: int, w: np.ndarray,
+def _constraint_gap(primal: bsr_array, nv: int, w: np.ndarray,
                     product: np.ndarray) -> float:
     """||B u - C p|| relative to ||B||_F ||u|| + ||C||_F ||p||, read from
     the Q rows of the primal system's blocks, [B -C], and of its product

@@ -12,41 +12,22 @@
   the gradient load reads and whose size counts the discrete gradients.
 
 Degrees of freedom are blocked per element (V, Q) or per face (M), in
-element/face order; all orderings are deterministic.
+element/face order; all orderings are deterministic.  The conforming
+scalar subspace is a `bsr_array` of (nq, 1) blocks, one per element and
+conforming node, like every sparse operator of the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import inv
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
+from scipy.sparse import bsr_array
 
 from .basis import curl_basis, scalar_basis
 from .mesh import Mesh
 from .quadrature import triangle_rule
 
-__all__ = ["Spaces", "block_sparse", "element_block_diag"]
-
-
-def block_sparse(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 shape: tuple, keep: np.ndarray | None = None) -> csr_matrix:
-    """Sparse matrix summing dense blocks (..., R, C) placed at row indices
-    (..., R) and column indices (..., C) that broadcast against them.  A
-    boolean mask keep over the leading axes drops the blocks where it is
-    False; a mask of the full block shape drops single entries."""
-    rows = np.broadcast_to(rows[..., :, None], blocks.shape)
-    cols = np.broadcast_to(cols[..., None, :], blocks.shape)
-    if keep is not None:
-        blocks, rows, cols = blocks[keep], rows[keep], cols[keep]
-    return coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=shape).tocsr()
-
-
-def element_block_diag(blocks: np.ndarray) -> csr_matrix:
-    """Sparse block diagonal from an (ne, n, m) array of local blocks."""
-    ne, n, m = blocks.shape
-    return block_sparse(blocks, np.arange(ne * n).reshape(ne, n),
-                        np.arange(ne * m).reshape(ne, m), (ne * n, ne * m))
+__all__ = ["Spaces"]
 
 
 class Spaces:
@@ -183,16 +164,6 @@ class Spaces:
     # ------------------------------------------------------------------
     # conforming scalar subspace (zero boundary trace)
 
-    def _conforming_map(self, local: np.ndarray, cols: np.ndarray,
-                        ncols: int) -> csc_matrix:
-        """Columns of a conforming subspace: local (ne, n, c) block columns,
-        placed at the element's dofs and the global columns cols (ne, c);
-        a column index of -1 drops the local column."""
-        ne, n = local.shape[:2]
-        keep = np.broadcast_to((cols >= 0)[:, None, :], local.shape)
-        return block_sparse(local, np.arange(ne * n).reshape(ne, n), cols,
-                            (ne * n, ncols), keep=keep).tocsc()
-
     def _scalar_ref_nodes(self) -> np.ndarray:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         if self.degree == 1:
@@ -201,10 +172,11 @@ class Spaces:
         mids = 0.5 * (verts[[1, 0, 0]] + verts[[2, 2, 1]])
         return np.vstack([verts, mids])
 
-    def conforming_q_basis(self) -> csc_matrix:
+    def conforming_q_basis(self) -> bsr_array:
         """Continuous P_l subspace with zero boundary trace, as columns of
         Q-coefficient vectors (nodal basis: vertices, then interior-edge
-        nodes for l = 2)."""
+        nodes for l = 2), in one (nq, 1) block per element and node, the
+        columns of each element ascending."""
         mesh = self.mesh
         nodes = self._scalar_ref_nodes()
         vander = self.qbasis.eval(nodes)            # (nnod, nq)
@@ -221,5 +193,11 @@ class Spaces:
             face_cols[interior] = ncols + np.arange(interior.sum())
             cols = np.concatenate([cols, face_cols[mesh.element_faces]], axis=1)
             ncols += int(interior.sum())
-        local = np.broadcast_to(nodal, (mesh.num_elements, *nodal.shape))
-        return self._conforming_map(local, cols, ncols)
+        # columns ascending, so that a product sums in column order; a
+        # column of -1 is a boundary node, which the subspace drops
+        order = np.argsort(cols, axis=1)
+        cols = np.take_along_axis(cols, order, axis=1)
+        keep = cols >= 0
+        indptr = np.append(0, np.cumsum(keep.sum(axis=1)))
+        return bsr_array((nodal.T[order][keep, :, None], cols[keep], indptr),
+                         shape=(self.dim_Q, ncols))

@@ -23,7 +23,6 @@ from maxwelldg.assembly import Discretization
 from maxwelldg.problems import ModelProblem
 from maxwelldg.quadrature import triangle_rule
 from maxwelldg.solver import factorize, refined_solve
-from maxwelldg.spaces import element_block_diag
 
 import reference_assembly as refasm
 
@@ -71,7 +70,7 @@ def averaging_defect_ratio(disc: Discretization, coeffs: np.ndarray) -> float:
     curl = np.sum((diff @ sp.ref_curl_gram) * diff, axis=1) / sp.det_jac
     num = mass / h_elem ** 2 + curl
     jumps = refasm.jump_t(disc) @ coeffs
-    gram = element_block_diag(
+    gram = refasm.element_block_diag(
         disc.lifting.face_grams_scalar(np.ones(mesh.num_elements)))
     den = float(jumps @ (gram @ jumps))
     return float(num.sum() / den) if den > 0 else 0.0
@@ -196,7 +195,7 @@ def friedrichs_on_complement(disc: Discretization) -> float:
     the same number off the unconstrained pencil."""
     sp = disc.spaces
     _guard(sp.dim_V)
-    gmap = element_block_diag(refasm.gradient_map(sp))
+    gmap = refasm.element_block_diag(refasm.gradient_map(sp))
     kspace = _dense(gmap @ sp.conforming_q_basis())
     m_eps = _dense(disc.mass_eps)
     comp = null_space(kspace.T @ m_eps)

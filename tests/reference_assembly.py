@@ -1,6 +1,13 @@
 """The sparse-product route to the forms and systems, and the builders
 only the tests use.
 
+The COO builders come first: ``block_sparse`` places dense blocks by
+COO triplets and converts them to CSR, ``element_block_diag`` and
+``conforming_map`` are its block diagonals and conforming columns, and
+the ``coo_*`` functions build ``mass_eps``, ``lift_gram_vector``,
+``b_lambda`` and ``conforming_q_basis`` that way, the oracles of the
+package's ``bsr_array``s of the same blocks.
+
 A test oracle: ``maxwelldg.assembly.Discretization`` assembles its forms
 and norm Grams face by face into element blocks in elimination order,
 and sums its boundary load and jump terms face by face.  Here the face
@@ -30,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import inv, solve
-from scipy.sparse import block_diag, bmat, bsr_matrix, csc_matrix, csr_matrix
+from scipy.sparse import (block_diag, bmat, bsr_matrix, coo_matrix, csc_matrix,
+                          csr_matrix)
 from scipy.sparse.linalg import splu
 
 from maxwelldg.analysis import ConvergenceReport, _constraint_w
@@ -39,7 +47,88 @@ from maxwelldg.basis import face_modes
 from maxwelldg.lifting import Lifting
 from maxwelldg.mesh import Mesh, _signed_areas
 from maxwelldg.quadrature import segment_rule, triangle_rule
-from maxwelldg.spaces import Spaces, block_sparse, element_block_diag
+from maxwelldg.spaces import Spaces
+
+# ----------------------------------------------------------------------
+# the COO builders: dense blocks as COO triplets, converted to CSR
+
+
+def block_sparse(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 shape: tuple, keep: np.ndarray | None = None) -> csr_matrix:
+    """Sparse matrix summing dense blocks (..., R, C) placed at row indices
+    (..., R) and column indices (..., C) that broadcast against them.  A
+    boolean mask keep over the leading axes drops the blocks where it is
+    False; a mask of the full block shape drops single entries."""
+    rows = np.broadcast_to(rows[..., :, None], blocks.shape)
+    cols = np.broadcast_to(cols[..., None, :], blocks.shape)
+    if keep is not None:
+        blocks, rows, cols = blocks[keep], rows[keep], cols[keep]
+    return coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=shape).tocsr()
+
+
+def element_block_diag(blocks: np.ndarray) -> csr_matrix:
+    """Sparse block diagonal from an (ne, n, m) array of local blocks."""
+    ne, n, m = blocks.shape
+    return block_sparse(blocks, np.arange(ne * n).reshape(ne, n),
+                        np.arange(ne * m).reshape(ne, m), (ne * n, ne * m))
+
+
+def conforming_map(local: np.ndarray, cols: np.ndarray,
+                   ncols: int) -> csc_matrix:
+    """Columns of a conforming subspace: local (ne, n, c) block columns,
+    placed at the element's dofs and the global columns cols (ne, c);
+    a column index of -1 drops the local column."""
+    ne, n = local.shape[:2]
+    keep = np.broadcast_to((cols >= 0)[:, None, :], local.shape)
+    return block_sparse(local, np.arange(ne * n).reshape(ne, n), cols,
+                        (ne * n, ncols), keep=keep).tocsc()
+
+
+def coo_mass_eps(disc: Discretization) -> csr_matrix:
+    """``Discretization.mass_eps``: the V mass matrix weighted by eps."""
+    sp = disc.spaces
+    return element_block_diag(
+        sp.mapped_gram(sp.ref_vcomp_gram, disc.materials.eps))
+
+
+def coo_lift_gram_vector(disc: Discretization) -> csr_matrix:
+    """``Discretization.lift_gram_vector``: the block diagonal of
+    (eps R_F(.), R_F(.))."""
+    return element_block_diag(disc._eps_grams)
+
+
+def coo_b_lambda(disc: Discretization) -> csr_matrix:
+    """``Discretization.b_lambda``: -jn_s^T G_F per (face, side)."""
+    sp, lift = disc.spaces, disc.lifting
+    nf, nq, m = disc.mesh.num_faces, sp.ndof_q, sp.ndof_m
+    blocks = (-np.swapaxes(lift.normal_jumps, 2, 3)
+              @ disc._gamma_grams()[:, None])
+    rows = lift.side_elements[:, :, None] * nq + np.arange(nq)
+    return block_sparse(blocks, rows, np.arange(nf * m).reshape(nf, 1, m),
+                        (sp.dim_Q, nf * m), keep=lift.side_mask)
+
+
+def coo_conforming_q_basis(spaces: Spaces) -> csc_matrix:
+    """``Spaces.conforming_q_basis``: the nodal basis of the continuous
+    P_l subspace with zero boundary trace."""
+    mesh = spaces.mesh
+    nodal = inv(spaces.qbasis.eval(spaces._scalar_ref_nodes()))
+    inner = np.ones(mesh.num_vertices, dtype=bool)
+    inner[mesh.faces[mesh.boundary]] = False
+    node_cols = np.full(mesh.num_vertices, -1)
+    node_cols[inner] = np.arange(inner.sum())
+    cols = node_cols[mesh.elements]
+    ncols = int(inner.sum())
+    if spaces.degree == 2:
+        interior = ~mesh.boundary
+        face_cols = np.full(mesh.num_faces, -1)
+        face_cols[interior] = ncols + np.arange(interior.sum())
+        cols = np.concatenate([cols, face_cols[mesh.element_faces]], axis=1)
+        ncols += int(interior.sum())
+    local = np.broadcast_to(nodal, (mesh.num_elements, *nodal.shape))
+    return conforming_map(local, cols, ncols)
+
 
 # ----------------------------------------------------------------------
 # face maps as CSR
@@ -438,8 +527,8 @@ def conforming_v_basis(spaces: Spaces) -> csc_matrix:
     cols = np.concatenate([
         face_cols[mesh.element_faces].reshape(ne, 3 * l),
         n_face_cols + np.arange(ne * n_int).reshape(ne, n_int)], axis=1)
-    return spaces._conforming_map(v_dof_inverses(spaces), cols,
-                                  n_face_cols + ne * n_int)
+    return conforming_map(v_dof_inverses(spaces), cols,
+                          n_face_cols + ne * n_int)
 
 
 def local_v_grams(spaces: Spaces) -> np.ndarray:

@@ -16,7 +16,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 
 from maxwelldg.basis import face_modes
 from maxwelldg.quadrature import segment_rule, triangle_rule
-from maxwelldg.spaces import Spaces, element_block_diag
+from maxwelldg.spaces import Spaces
 
 import reference_assembly as refasm
 
@@ -276,7 +276,7 @@ def assemble_a_face_integral(disc) -> csr_matrix:
     curls = sp.vbasis.curl(rule.points)                    # (np, nv)
     ref_gram = np.einsum("p,pi,pj->ij", rule.weights, curls, curls)
     blocks = (mubar_inv / sp.det_jac)[:, None, None] * ref_gram
-    mat = element_block_diag(blocks).tolil()
+    mat = refasm.element_block_diag(blocks).tolil()
 
     frule = segment_rule(sp.deg_stiff)
     s, w = frule.points, frule.weights

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from maxwelldg import analysis, cli, solver, spaces
+from maxwelldg import analysis, cli, solver
 from maxwelldg.analysis import ConvergenceReport
 from maxwelldg.cli import (
     CONSTANT_COLUMNS,
@@ -19,8 +19,10 @@ from maxwelldg.cli import (
     mesh_family,
     resolve_penalties,
 )
-from maxwelldg.mesh import Mesh, unit_square, write_mesh
+from maxwelldg.assembly import Discretization
+from maxwelldg.mesh import Mesh, lshape, unit_square, write_mesh
 from maxwelldg.solver import BACKWARD_TOL, COND_MAX
+from maxwelldg.spaces import Spaces
 
 from conftest import holed_square
 
@@ -396,17 +398,18 @@ class TestFormulationKey:
 
 
 class TestSolveAllocations:
-    """A primal solve builds its forms, its load, its norms and its error
-    norms from the per-element and per-face blocks: no sparse map from
-    the block builder, and no conversion to CSR or BSR."""
+    """A solve builds its forms, its load, its norms and its error norms
+    from the per-element and per-face blocks, and every sparse operator it
+    reads is a `bsr_array` of them: no conversion between sparse formats."""
 
     SPARSE = (sparse.bsr_array, sparse.bsr_matrix, sparse.csr_array,
               sparse.csr_matrix, sparse.csc_array, sparse.csc_matrix,
               sparse.coo_array, sparse.coo_matrix)
 
-    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("problem, degree", [
+        ("sine", 1), ("sine", 2), ("gradient", 1), ("gradient", 2)])
     def test_builds_no_sparse_copies(self, tmp_path, capsys, monkeypatch,
-                                     degree):
+                                     problem, degree):
         calls = []
 
         def counted(name, fn):
@@ -414,20 +417,14 @@ class TestSolveAllocations:
                 calls.append(name)
                 return fn(*args, **kwargs)
             return wrapper
-        builder = spaces.block_sparse
-        for key, module in list(sys.modules.items()):
-            if (key.startswith("maxwelldg")
-                    and getattr(module, "block_sparse", None) is builder):
-                monkeypatch.setattr(module, "block_sparse",
-                                    counted("block_sparse", builder))
         for cls in self.SPARSE:
-            for name in ("tocsr", "tobsr"):
+            for name in ("tocsr", "tocsc", "tobsr", "tocoo"):
                 monkeypatch.setattr(cls, name, counted(
                     f"{cls.__name__}.{name}", getattr(cls, name)))
-        path = write_config(tmp_path, {"problem": "sine", "mesh": "square:4",
+        path = write_config(tmp_path, {"problem": problem, "mesh": "square:4",
                                        "degree": degree})
         assert main(["solve", "--config", path]) == 0
-        assert "e_v" in json.loads(capsys.readouterr().out)
+        assert "norm_u" in json.loads(capsys.readouterr().out)
         assert calls == []
 
 
@@ -623,6 +620,37 @@ class TestExitCodes:
         assert err.startswith("error: bad mesh file")
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("degree, status", [(1, 2), (2, 0)])
+    def test_gradient_needs_an_interior_node(self, tmp_path, capsys,
+                                             monkeypatch, degree, status):
+        # square:1 has no interior vertex and one interior face, so only
+        # degree 2 has a conforming node; degree 1 is refused before the
+        # discretization is built
+        built = []
+
+        def recorded(*args, **kwargs):
+            built.append(args)
+            return Discretization(*args, **kwargs)
+        monkeypatch.setattr(cli, "Discretization", recorded)
+        path = write_config(tmp_path, {"problem": "gradient",
+                                       "mesh": "square:1", "degree": degree})
+        code = main(["solve", "--config", path])
+        err = capsys.readouterr().err
+        assert code == status
+        if status == 2:
+            assert built == []
+            assert err.splitlines()[-1].startswith("error:")
+            assert "no interior scalar node" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("mesh", [unit_square(1), unit_square(3),
+                                      lshape(1), holed_square()],
+                             ids=["square1", "square3", "lshape1", "holed"])
+    def test_conforming_node_count(self, mesh, degree):
+        assert (cli._conforming_nodes(mesh, degree)
+                == Spaces(mesh, degree).conforming_q_basis().shape[1])
 
     @pytest.mark.parametrize("command", ["solve", "study"])
     def test_unwritable_output_prefix_exits_two(self, tmp_path, capsys,

@@ -62,7 +62,11 @@ TEST_ONLY_LATER = [
     (("maxwelldg.spaces", "Spaces"), "local_v_grams"),
     # the V-norm Gram, which the dense probes compose from the seminorm
     # Gram and the eps mass
-    (("maxwelldg.assembly", "Discretization"), "norm_v_gram")]
+    (("maxwelldg.assembly", "Discretization"), "norm_v_gram"),
+    # the COO builders, which `bsr_array`s of the element and face blocks
+    # replaced in the package
+    (("maxwelldg", "spaces"), "block_sparse"),
+    (("maxwelldg", "spaces"), "element_block_diag")]
 
 
 @pytest.mark.parametrize("owner, name", [
@@ -93,7 +97,9 @@ REPLACED = {
 # `analysis` compose where they read them; then the three-field solve,
 # whose face multiplier, eliminated, leaves the primal system: its
 # system, its factor, its entry point (also in the package namespace,
-# owner path ""), the multiplier of its solution and the switch to it
+# owner path ""), the multiplier of its solution and the switch to it;
+# then the COO placement of conforming columns (`conforming_map` in
+# reference_assembly)
 REPLACED_LATER = [
     (("maxwelldg.lifting", "Lifting"), "_face_csr"),
     (("maxwelldg.lifting", "Lifting"), "block_diag_scalar"),
@@ -121,7 +127,8 @@ REPLACED_LATER = [
     (("maxwelldg", ""), "solve_auxiliary"),
     (("maxwelldg.solver", "Solution"), "lam"),
     (("maxwelldg.analysis", "convergence_study"), "formulation"),
-    (("maxwelldg.analysis", "ConvergenceReport"), "formulation")]
+    (("maxwelldg.analysis", "ConvergenceReport"), "formulation"),
+    (("maxwelldg.spaces", "Spaces"), "_conforming_map")]
 # instances of the classes that lost an instance attribute
 INSTANCES = {
     ("maxwelldg.spaces", "Spaces"): lambda: Spaces(unit_square(1), 1),

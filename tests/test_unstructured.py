@@ -13,6 +13,7 @@ element flattens.
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -267,6 +268,30 @@ class TestBlockAssembly:
         disc = Discretization(case[0], degree, coeffs)
         gaps = refasm.system_gaps(disc, rng.uniform(0.25, 2.0), multiplier)
         assert max(gaps.values()) <= 1e-13, gaps
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @PROPERTY
+    @given(case=delaunay_meshes(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_operators_are_block_arrays(self, case, degree, seed):
+        # the block diagonals, the multiplier block and the conforming Q
+        # basis are `bsr_array`s, bitwise those of their COO builders,
+        # with the block columns of each block row ascending
+        rng = np.random.default_rng(seed)
+        coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
+                              eps={t: random_spd(rng) for t in range(3)})
+        disc = Discretization(case[0], degree, coeffs)
+        for mine, oracle in (
+                (disc.mass_eps, refasm.coo_mass_eps(disc)),
+                (disc.lift_gram_vector, refasm.coo_lift_gram_vector(disc)),
+                (disc.b_lambda, refasm.coo_b_lambda(disc)),
+                (disc.spaces.conforming_q_basis(),
+                 refasm.coo_conforming_q_basis(disc.spaces))):
+            assert isinstance(mine, sparse.bsr_array)
+            assert np.array_equal(mine.toarray(), oracle.toarray())
+            rows = np.repeat(np.arange(len(mine.indptr) - 1),
+                             np.diff(mine.indptr))
+            same_row = rows[1:] == rows[:-1]
+            assert np.all(np.diff(mine.indices)[same_row] > 0)
 
 
 class TestConformingMaps:
