@@ -190,7 +190,7 @@ class Discretization:
         """Curl form: the volume term plus the lifted consistency and
         penalty terms of the tangential jumps."""
         lift = self.lifting
-        jt = lift.tangential_jumps
+        jt = lift.tangential_jumps()
         curl = lift.curl_pair_blocks(self.materials.mu_bar_inv)
         penalty = self._alpha_grams()
         tr = np.swapaxes
@@ -207,7 +207,7 @@ class Discretization:
         """Mixed form -(eps v, grad q) plus the lifted normal-jump term;
         rows Q dofs, columns V dofs."""
         sp, lift = self.spaces, self.lifting
-        jn = lift.normal_jumps
+        jn = lift.normal_jumps()
         value = lift.vector_value_pair(self.materials.eps)
 
         def face(f, s, t):
@@ -229,7 +229,7 @@ class Discretization:
         """Multiplier penalty: gamma (eps R_F(jump q), R_F(jump q'))."""
         nq = self.spaces.ndof_q
         return self._jump_form(np.zeros((self.mesh.num_elements, nq, nq)),
-                               self.lifting.normal_jumps, self._gamma_grams())
+                               self.lifting.normal_jumps(), self._gamma_grams())
 
     @cached_property
     def b_lambda(self) -> bsr_array:
@@ -238,7 +238,7 @@ class Discretization:
         one block per element and face, the faces of each element
         ascending."""
         sp = self.spaces
-        blocks = (-np.swapaxes(self.lifting.normal_jumps, 2, 3)
+        blocks = (-np.swapaxes(self.lifting.normal_jumps(), 2, 3)
                   @ self._gamma_grams()[:, None])
         order = np.argsort(self._element_sides[0], axis=0)
         faces, sides = (np.take_along_axis(part, order, axis=0).T
@@ -253,11 +253,11 @@ class Discretization:
     @cached_property
     def seminorm_gram(self) -> bsr_array:
         return self._jump_form(self._curl_blocks(),
-                               self.lifting.tangential_jumps, self._mu_grams)
+                               self.lifting.tangential_jumps(), self._mu_grams)
 
     @cached_property
     def norm_q_gram(self) -> bsr_array:
-        return self._jump_form(self._q_grad_blocks(), self.lifting.normal_jumps,
+        return self._jump_form(self._q_grad_blocks(), self.lifting.normal_jumps(),
                                self._eps_grams)
 
     # ------------------------------------------------------------------
@@ -326,7 +326,7 @@ class Discretization:
         penalty Gram, summed into the V rows of the side's element."""
         lift = self.lifting
         g = g_data.reshape(-1, lift.n_modes, 1)[:, None]
-        jt = lift.tangential_jumps
+        jt = lift.tangential_jumps()
         curl = lift.curl_pair_blocks(self.materials.mu_bar_inv)
         side = (np.swapaxes(jt, 2, 3) @ (self._alpha_grams()[:, None] @ g)
                 - np.swapaxes(curl, 2, 3) @ g)
@@ -366,13 +366,13 @@ class Discretization:
                            data: np.ndarray | None = None) -> float:
         """sum_F (mu_bar^-1 r_F(eta), r_F(eta)) for eta the tangential jump
         of the V coefficients less the scalar face data, when given."""
-        return self._face_form(self.lifting.tangential_jumps, self._mu_grams,
+        return self._face_form(self.lifting.tangential_jumps(), self._mu_grams,
                                coeffs, data)
 
     def normal_jump_sq(self, coeffs: np.ndarray) -> float:
         """sum_F (eps R_F(lam), R_F(lam)) for lam the normal jump of the Q
         coefficients."""
-        return self._face_form(self.lifting.normal_jumps, self._eps_grams,
+        return self._face_form(self.lifting.normal_jumps(), self._eps_grams,
                                coeffs)
 
     def _seminorm_sq(self, coeffs: np.ndarray) -> float:

@@ -346,7 +346,8 @@ def run_solve(cfg: RunConfig) -> int:
         "constraint_residual": sol.constraint_gap,
         "factor": {"pivoting": sol.factor.pivoting,
                    "ordering": sol.factor.ordering,
-                   "lu_nnz": sol.factor.lu_nnz},
+                   "lu_nnz": sol.factor.lu_nnz,
+                   "stored_nnz": sol.factor.stored_nnz},
     })
     if problem is not None:
         errs = error_norms(disc, problem, sol.u, sol.p, g_data=g_data)

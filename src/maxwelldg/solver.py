@@ -73,7 +73,8 @@ class Factor:
 
     pivoting: str          # "symmetric" (inside the fronts), or "partial"
     ordering: str          # "nested_dissection", or "colamd" after fallback
-    lu_nnz: int            # stored entries of the factor
+    lu_nnz: int            # entries of L and U
+    stored_nnz: int        # entries the factor keeps (lu_nnz after fallback)
     cond_estimate: float   # estimate of the 1-norm condition number
     norm: float            # 1-norm of the factored matrix
 
@@ -108,12 +109,27 @@ class MultifrontalLU:
     its diagonal is taken as the transpose of the one below, so the
     factor reads only the diagonal blocks and those below them.  F11 is
     LU-factored by LAPACK with partial pivoting inside it and inverted in
-    place; the node keeps X = F11^-1 and the panel V = X F21^T, and hands
-    F22 - F21 V to its parent, both products GEMMs that write into the
-    node's stored block and its update block.  So the factor is L D L^T
-    with L unit lower triangular, its blocks V^T, and D block diagonal.
-    A node stores p^2 + p u entries, which make `nnz`, a count fixed by
-    the mesh and the degree.
+    place; the node hands F22 - F21 V to its parent, X = F11^-1 and
+    V = X F21^T, both products GEMMs that write in place into the arrays
+    they are handed.  So the factor is L D L^T with L unit lower
+    triangular, its blocks V^T, and D block diagonal.
+
+    An inner node keeps X and -V in one block.  A leaf of the tree has no
+    children, so its F21 is nothing but blocks of the matrix, and its
+    panel would repeat them: a leaf writes -V into a temporary for its
+    update and keeps X alone.  The solve applies all leaves at once, from
+    their X, stacked by size, and the matrix's blocks below the leaves'
+    own ones, read through a reference to the matrix's block array: the
+    matrix must not change while the factor is used.  `nnz` counts the
+    entries of L and U, p^2 + p u per node, a count fixed by the mesh and
+    the degree; `stored_nnz` those the factor keeps, p^2 at a leaf.
+
+    A leaf's solve applies X to sums of products with the matrix blocks,
+    and the condition of F11 (about 1e4 on these saddle point fronts)
+    magnifies their rounding; a stored panel froze that rounding into
+    the factor.  So every product of the solve takes one right-hand side
+    at a time, matrix-vector products batched over the columns, and a
+    column gives the same bits alone or in a block.
 
     A singular front raises `numpy.linalg.LinAlgError`; runs that do not
     partition the elements raise ValueError.
@@ -126,14 +142,16 @@ class MultifrontalLU:
                 or np.any(np.diff(bounds) <= 0)):
             raise ValueError("the runs do not partition the elements")
         self._factor(bounds, nb, matrix)
-        # stored entries of L and U, as SuperLU reports them: L holds the
-        # panels, and the pivot blocks split at the diagonal
+        # entries of L and U, as SuperLU reports them: L holds the panels,
+        # and the pivot blocks split at the diagonal
         pivots = sum(block.shape[0] ** 2 for block, _ in self.fronts)
-        panels = sum(block.size for block, _ in self.fronts) - pivots
+        panels = sum(block.shape[0] * at.size
+                     for block, at in self.fronts) - pivots
         below = (pivots - matrix.shape[0]) // 2
         self.L = SimpleNamespace(nnz=below + panels)
         self.U = SimpleNamespace(nnz=pivots - below)
         self.nnz = self.L.nnz + self.U.nnz
+        self.stored_nnz = sum(block.size for block, _ in self.fronts)
 
     def _factor(self, bounds: np.ndarray, nb: int, system: bsr_array):
         nodes = len(bounds) - 1
@@ -208,11 +226,36 @@ class MultifrontalLU:
         rows = np.split((later[:, None] * nb + np.arange(nb)).ravel(),
                         nb * np.cumsum(sizes)[:-1])
 
-        # per node [X, -V], X = F11^-1 and V = X F21^T, and the positions
-        # of its own and update unknowns
+        # the leaves' X, stacked by size, and the matrix blocks below their
+        # own ones, which stand in for the leaves' panels: block-row ordered
+        # for L^-1, block-column ordered for L^-T
         piv, upd = own * nb, sizes * nb
-        pending = [[] for _ in range(nodes)]
         self.offsets = bounds * nb
+        leaf = np.ones(nodes, dtype=bool)
+        leaf[parent[parent >= 0]] = False
+        self._leaf, self._inner = leaf, np.flatnonzero(~leaf)
+        self._leaves, stacked = [], {}
+        for p in np.unique(piv[leaf]):
+            group = np.flatnonzero(leaf & (piv == p))
+            stack = np.empty((group.size, p, p))
+            stacked.update(zip(group.tolist(), stack))
+            self._leaves.append((stack, self.offsets[group, None] + np.arange(p)))
+        beyond = leaf[node] & (run[brow] != node)
+        pos, erow, ecol = by_node[beyond], brow[beyond], bcol[beyond]
+
+        def sweep(order, source, target):
+            """The panel blocks in that order, the element each multiplies,
+            and the runs of blocks that add into one element."""
+            target = target[order]
+            starts = np.flatnonzero(np.diff(target, prepend=-1))
+            return pos[order], source[order], starts, target[starts]
+        self._data = system.data
+        self._below = sweep(np.argsort(pos), ecol, erow)
+        self._beside = sweep(np.lexsort((erow, ecol)), erow, ecol)
+
+        # per node X = F11^-1, or [X, -V] with V = X F21^T for an inner
+        # node, and the positions of its own and update unknowns
+        pending = [[] for _ in range(nodes)]
         self.fronts = []
         for j in range(nodes):
             k, p, u = own[j] + sizes[j], piv[j], upd[j]
@@ -238,21 +281,27 @@ class MultifrontalLU:
                 inverse, info = dgetri(lu, ipiv, overwrite_lu=1)
             if info:
                 raise np.linalg.LinAlgError(f"front {j} is singular")
-            block = np.empty((p, p + u), order="F")
-            block[:, :p] = inverse.T
+            if leaf[j]:
+                block, panel = stacked.pop(j), np.empty((p, u), order="F")
+                block[:] = inverse.T
+            else:
+                block = np.empty((p, p + u), order="F")
+                block[:, :p] = inverse.T
+                panel = block[:, p:]
             if u:
-                # -V straight into the block (the assignment copies only if
-                # the wrapper did not write in place), then F22 - F21 V into
+                # -V into the panel (the assignment copies only if the
+                # wrapper did not write in place), then F22 - F21 V into
                 # the update block through its Fortran-ordered transpose
                 f21t = left[p:].T
-                block[:, p:] = panel = dgemm(-1.0, inverse, f21t,
-                                             c=block[:, p:], trans_a=1,
-                                             overwrite_c=1)
+                panel[:] = dgemm(-1.0, inverse, f21t, c=panel, trans_a=1,
+                                 overwrite_c=1)
                 schur = dgemm(1.0, panel, f21t, beta=1.0, c=schur.T,
                               trans_a=1, overwrite_c=1).T
                 pending[parent[j]].append((*moves[j], schur))
             self.fronts.append((block, np.concatenate(
                 [np.arange(self.offsets[j], self.offsets[j + 1]), rows[j]])))
+            # the working front goes before the next node allocates its own
+            left = view = lu = inverse = f21t = panel = None
 
     def _lower_nodes(self, w: np.ndarray):
         """The nodes the L^-1 sweep visits, in postorder: all of them, or,
@@ -269,26 +318,74 @@ class MultifrontalLU:
                 return path
         return range(len(self.fronts))
 
-    def _tree_solve(self, w: np.ndarray) -> None:
-        """Solve in place with the element-block factor, in tree order:
-        L^-1 in postorder, as F21 F11^-1 = V^T for a symmetric front, then
-        D^-1 and L^-T from the root down, one product per node."""
-        offsets, fronts = self.offsets, self.fronts
-        # gathers by take, not fancy indexing: faster on blocks of columns
-        for j in self._lower_nodes(w):
+    def _tree_solve(self, w: np.ndarray, rhs: np.ndarray) -> None:
+        """Solve in place with the element-block factor, in tree order, on
+        the right-hand sides rhs held as the rows of w: L^-1 in postorder,
+        as F21 F11^-1 = V^T for a symmetric front, then D^-1 and L^-T from
+        the root down, one product per inner node.  The leaves come first
+        in L^-1 and last in L^-T, all in one step, which L^-1 skips when
+        the nodes it visits hold no leaf."""
+        offsets, fronts, leaf = self.offsets, self.fronts, self._leaf
+        nodes = self._lower_nodes(rhs)
+        if leaf[nodes[0]]:
+            self._leaves_lower(w)
+        # gathers by take, not fancy indexing: faster, and each row comes
+        # out contiguous, so its products take the same path in any block
+        for j in nodes:
+            if not leaf[j]:
+                block, at = fronts[j]
+                p = block.shape[0]
+                w[:, at[p:]] = (w.take(at[p:], axis=1) + _row_products(
+                    w[:, offsets[j]:offsets[j + 1]], block[:, p:]))
+        for j in self._inner[::-1]:
             block, at = fronts[j]
-            p = block.shape[0]
-            w[at[p:]] = (w.take(at[p:], axis=0)
-                         + block[:, p:].T @ w[offsets[j]:offsets[j + 1]])
-        for j in range(len(fronts) - 1, -1, -1):
-            block, at = fronts[j]
-            w[offsets[j]:offsets[j + 1]] = block @ w.take(at, axis=0)
+            w[:, offsets[j]:offsets[j + 1]] = _row_products(
+                w.take(at, axis=1), block.T)
+        self._leaves_upper(w)
+
+    def _leaves_lower(self, w: np.ndarray) -> None:
+        """L^-1 at every leaf: w_e -= A(e, o) (X w_own)_o over the matrix
+        blocks below the leaves' own ones."""
+        t = np.empty_like(w)
+        for x, own in self._leaves:
+            t[:, own] = _row_products(w.take(own, axis=1), np.swapaxes(x, 1, 2))
+        self._panel_update(w, t, self._below, transpose=False)
+
+    def _leaves_upper(self, w: np.ndarray) -> None:
+        """D^-1 and L^-T at every leaf: w_own = X (w_own - A(e, o)^T w_e)
+        over the same blocks."""
+        self._panel_update(w, w, self._beside, transpose=True)
+        for x, own in self._leaves:
+            w[:, own] = _row_products(w.take(own, axis=1), np.swapaxes(x, 1, 2))
+
+    def _panel_update(self, w: np.ndarray, source: np.ndarray, panel,
+                      transpose: bool) -> None:
+        """w_e -= A(e, o) source_o over the panel blocks A(e, o), or
+        w_o -= A(e, o)^T source_e when transpose, summed block by block in
+        the panel's order; w and source hold one right-hand side a row."""
+        at, take, starts, into = panel
+        blocks = self._data[at]
+        if not transpose:
+            blocks = np.swapaxes(blocks, 1, 2)
+        cells = w.reshape(len(w), -1, self._data.shape[1])
+        products = _row_products(source.reshape(cells.shape).take(take, axis=1),
+                                 blocks)
+        cells[:, into] -= np.add.reduceat(products, starts, axis=1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve with the matrix for a vector or a block of columns."""
-        w = np.array(rhs, dtype=float)
-        self._tree_solve(w)
-        return w
+        """Solve with the matrix for a vector or a block of columns.  Each
+        column is solved by matrix-vector products, so it takes the same
+        arithmetic, and gives the same bits, alone or in a block."""
+        rhs = np.asarray(rhs, dtype=float)
+        w = np.array(rhs.reshape(len(rhs), -1).T, order="C")
+        self._tree_solve(w, rhs)
+        return np.ascontiguousarray(w.T).reshape(rhs.shape)
+
+
+def _row_products(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """rows[..., i, :] @ matrices[i] for every row: one matrix-vector
+    product per right-hand side, however many are solved together."""
+    return (rows[..., None, :] @ matrices)[..., 0, :]
 
 
 def refined_solve(matrix, lu, rhs: np.ndarray) -> np.ndarray:
@@ -412,7 +509,8 @@ def factorize(system: bsr_array, bounds, rhs: np.ndarray | None = None):
         raise ResonanceError(
             "saddle point matrix is numerically singular "
             f"(condition estimate {cond:.2e})")
-    factor = Factor(pivoting, ordering, int(lu.nnz), cond, norm)
+    stored = lu.nnz if pivoting == "partial" else lu.stored_nnz
+    factor = Factor(pivoting, ordering, int(lu.nnz), int(stored), cond, norm)
     if rhs is None:
         return lu, factor
     return lu, factor, np.ascontiguousarray(passes[0][:, 1])

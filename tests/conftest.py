@@ -117,17 +117,19 @@ def front_entries(lu):
     """Checks the fronts of a multifrontal factor against its elimination
     tree: each front eliminates its own unknowns, its parent is the front
     of its first update unknown, and its update unknowns lie in its
-    parent's front.  Returns the entries the fronts store, p^2 + p u for a
-    front of p own and u update unknowns."""
-    offsets, stored = lu.offsets, 0
+    parent's front; an inner node keeps [X, -V], p x (p + u), a leaf its
+    pivot block X alone, p x p.  Returns the entries of L and U, p^2 + p u
+    for a front of p own and u update unknowns."""
+    offsets, entries = lu.offsets, 0
+    inner = set(lu.parent[lu.parent >= 0].tolist())
     for j, (block, at) in enumerate(lu.fronts):
         p = offsets[j + 1] - offsets[j]
         assert np.array_equal(at[:p], np.arange(offsets[j], offsets[j + 1]))
         update = at[p:]
-        assert block.shape == (p, p + update.size)
-        stored += p * p + p * update.size
+        assert block.shape == (p, p + update.size if j in inner else p)
+        entries += p * p + p * update.size
         if update.size:
             parent = np.searchsorted(offsets, update[0], side="right") - 1
             assert parent > j
             assert np.isin(update, lu.fronts[parent][1]).all()
-    return stored
+    return entries

@@ -102,7 +102,7 @@ def coo_b_lambda(disc: Discretization) -> csr_matrix:
     """``Discretization.b_lambda``: -jn_s^T G_F per (face, side)."""
     sp, lift = disc.spaces, disc.lifting
     nf, nq, m = disc.mesh.num_faces, sp.ndof_q, sp.ndof_m
-    blocks = (-np.swapaxes(lift.normal_jumps, 2, 3)
+    blocks = (-np.swapaxes(lift.normal_jumps(), 2, 3)
               @ disc._gamma_grams()[:, None])
     rows = lift.side_elements[:, :, None] * nq + np.arange(nq)
     return block_sparse(blocks, rows, np.arange(nf * m).reshape(nf, 1, m),
@@ -148,13 +148,13 @@ def face_csr(lifting: Lifting, blocks: np.ndarray) -> csr_matrix:
 def jump_tangential(lifting: Lifting) -> csr_matrix:
     """Map V coefficients to face coefficients of the tangential jump
     (n x v on the boundary)."""
-    return face_csr(lifting, lifting.tangential_jumps)
+    return face_csr(lifting, lifting.tangential_jumps())
 
 
 def jump_normal(lifting: Lifting) -> csr_matrix:
     """Map Q coefficients to face coefficients of the vector-valued normal
     jump (q n on the boundary)."""
-    return face_csr(lifting, lifting.normal_jumps)
+    return face_csr(lifting, lifting.normal_jumps())
 
 
 def curl_pair(lifting: Lifting, weight: np.ndarray) -> csr_matrix:

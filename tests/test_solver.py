@@ -523,9 +523,11 @@ class TestFrontsInPlace:
         assert np.array_equal(blind.solve(rhs), lu.solve(rhs))
 
     def test_kernels_write_in_place(self, disc, monkeypatch):
-        # -V lands in the block the front keeps, F22 - F21 V in the
-        # pending update it was handed: a copy made by the BLAS wrapper,
-        # for a layout it cannot take as it is, would show here
+        # every GEMM writes into the array it is handed: -V into the block
+        # an inner node keeps or into a leaf's temporary, F22 - F21 V into
+        # the pending update; a copy made by the BLAS wrapper, for a layout
+        # it cannot take as it is, would show here.  Only an inner node's
+        # panel lands in its kept block: a leaf keeps X alone
         calls = []
         gemm = solver.dgemm
 
@@ -535,16 +537,25 @@ class TestFrontsInPlace:
             return out
         monkeypatch.setattr(solver, "dgemm", recorded)
         lu = MultifrontalLU(disc.primal_system(1.0), disc.dissection[1])
-        updating = [block for block, at in lu.fronts if at.size > block.shape[0]]
-        assert len(updating) > 1
+        inner = set(lu.parent[lu.parent >= 0].tolist())
+        updating = [(j, block, at.size - block.shape[0])
+                    for j, (block, at) in enumerate(lu.fronts)
+                    if at.size > block.shape[0]]
+        assert {j in inner for j, _, _ in updating} == {True, False}
         assert len(calls) == 2 * len(updating)
-        for block, (_, panel), (update, schur) in zip(updating, calls[::2],
-                                                      calls[1::2]):
+        for (j, block, u), (handed, panel), (update, schur) in zip(
+                updating, calls[::2], calls[1::2]):
             p = block.shape[0]
-            assert np.shares_memory(panel, block)
-            assert np.array_equal(panel, block[:, p:])
+            assert np.shares_memory(panel, handed)
+            assert panel.shape == (p, u)
             assert np.shares_memory(schur, update)
-            assert schur.shape == update.shape == (block.shape[1] - p,) * 2
+            assert schur.shape == update.shape == (u, u)
+            if j in inner:
+                assert np.shares_memory(panel, block)
+                assert np.array_equal(panel, block[:, p:])
+            else:
+                assert block.shape == (p, p)
+                assert not np.shares_memory(panel, block)
 
 
 def delaunay_case():
