@@ -6,6 +6,7 @@ broken scalar multiplier p:
     a(u, v) - ksq (eps u, v) + b(v, p) = (j, v) + boundary terms
     b(u, q) - c(p, q)                  = 0
 
+The constraint row has no load, so every load is a V vector.
 All nonlocal coupling runs through the face lifting operators; the
 penalty and jump terms are therefore sums of per-face rank-(l+1)
 contributions and the stencil never grows past face neighbors.  The
@@ -263,15 +264,6 @@ class Discretization:
     # ------------------------------------------------------------------
     # systems
 
-    @cached_property
-    def system_order(self) -> np.ndarray:
-        """The (V, Q) unknown at each position of `primal_system`: per
-        element in elimination order its V dofs, then its Q dofs."""
-        sp, ne = self.spaces, self.mesh.num_elements
-        v = np.arange(sp.dim_V).reshape(ne, sp.ndof_v)
-        q = sp.dim_V + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
-        return np.hstack([v, q])[self.dissection[0]].ravel()
-
     def _form(self, name: str) -> bsr_array:
         """The form of that name: its cached copy if a reader has cached
         it, else one built by its cached property's getter, the one path
@@ -281,10 +273,11 @@ class Discretization:
 
     def primal_system(self, ksq: float) -> bsr_array:
         """The (V, Q) system [[a - ksq m, b^T], [b, -c]] in blocks of one
-        element, the elements in elimination order; `system_order` maps
-        its unknowns to the (V, Q) layout.  The forms a, b and c that no
-        reader has cached are built one at a time and released before the
-        next, so a solve holds each element block only once, here."""
+        element, the elements in elimination order `dissection[0]`: each
+        block's first ndof_v rows and columns are the element's V dofs, the
+        rest its Q dofs.  The forms a, b and c that no reader has cached
+        are built one at a time and released before the next, so a solve
+        holds each element block only once, here."""
         sp, ne = self.spaces, self.mesh.num_elements
         nv, nb = sp.ndof_v, sp.ndof_v + sp.ndof_q
         brow, bcol, _, transpose, _ = self._block_pattern
@@ -307,23 +300,20 @@ class Discretization:
     # loads
 
     def load_volume(self, func) -> np.ndarray:
-        """(f, v) for a vector callable f(x, y) -> (..., 2)."""
+        """(f, v) for a vector callable f(x, y) -> (..., 2), a V vector."""
         sp = self.spaces
         rule = triangle_rule(sp.deg_load)
         pts, wts = rule.points, rule.weights
         phys = sp.phys_points(pts)
         fvals = np.asarray(func(phys[..., 0], phys[..., 1]))
-        out = np.zeros(sp.dim_V + sp.dim_Q)
-        out[:sp.dim_V] = sp.mapped_moments(sp.vbasis.eval(pts), wts,
-                                           fvals).ravel()
-        return out
+        return sp.mapped_moments(sp.vbasis.eval(pts), wts, fvals).ravel()
 
     def load_boundary(self, g_data: np.ndarray) -> np.ndarray:
         """Moves inhomogeneous tangential boundary data into the right hand
         side: the flux jumps are penalized against jump - g, so g enters
         through the lifted consistency and penalty terms, on each (face,
         side) -W_s^T g_F + jt_s^T (P_F g_F), W the curl pairing and P the
-        penalty Gram, summed into the V rows of the side's element."""
+        penalty Gram, summed into the V vector at the side's element."""
         lift = self.lifting
         g = g_data.reshape(-1, lift.n_modes, 1)[:, None]
         jt = lift.tangential_jumps()
@@ -333,9 +323,7 @@ class Discretization:
         vec = np.zeros((self.mesh.num_elements, self.spaces.ndof_v))
         for f, s in zip(*self._element_sides):
             vec += side[f, s, :, 0]
-        out = np.zeros(self.spaces.dim_V + self.spaces.dim_Q)
-        out[:self.spaces.dim_V] = vec.ravel()
-        return out
+        return vec.ravel()
 
     # ------------------------------------------------------------------
     # norm values

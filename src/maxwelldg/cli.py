@@ -333,7 +333,7 @@ def run_solve(cfg: RunConfig) -> int:
             load, q_coeffs = gradient_null_data(disc)
             summary["gradient_norm_q"] = disc.norm_q(q_coeffs)
         else:
-            load = np.zeros(disc.spaces.dim_V + disc.spaces.dim_Q)
+            load = np.zeros(disc.spaces.dim_V)
     sol = solve_mixed(disc, cfg.ksq, load)
     summary.update({
         "dofs_u": disc.spaces.dim_V,

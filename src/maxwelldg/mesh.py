@@ -135,11 +135,18 @@ class Mesh:
         # Candidate normal is the tangent rotated by -90 degrees; flip it to
         # point away from the plus element's centroid.
         normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
-        plus = face_elements[:, 0]
-        centroids = self.vertices[elements[plus]].mean(axis=1)
+        centroids = self.vertices[elements].mean(axis=1)[face_elements]
         mid = 0.5 * (a + b)
-        outward = np.einsum("fd,fd->f", normals, mid - centroids) > 0
+        outward = np.einsum("fd,fd->f", normals, mid - centroids[:, 0]) > 0
         normals[~outward] *= -1.0
+        # a repeated element or a folded mesh has both elements of a face
+        # on one side of it
+        beyond = np.einsum("fd,fd->f", normals, centroids[:, 1] - mid)
+        folded = np.flatnonzero(shared & (beyond <= 0))
+        if len(folded):
+            (p, m), (u, v) = face_elements[folded[0]], faces[folded[0]]
+            raise MeshFormatError(f"elements {p} and {m} overlap: both lie "
+                                  f"on one side of their face {u}-{v}")
 
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "face_elements", face_elements)
@@ -395,11 +402,12 @@ def read_mesh(text: str) -> Mesh:
             raise MeshFormatError(f"element line {i} must hold 3 indices and an optional tag")
         try:
             vals = [int(p) for p in parts]
+            elements[i] = vals[:3]
+            tags[i] = vals[3] if len(vals) == 4 else 0
         except ValueError as exc:
             raise MeshFormatError(f"bad index on element line {i}") from exc
-        elements[i] = vals[:3]
-        if len(vals) == 4:
-            tags[i] = vals[3]
+        except OverflowError as exc:
+            raise MeshFormatError(f"integer out of range on element line {i}") from exc
     if pos != len(lines):
         raise MeshFormatError("trailing content after element block")
     return Mesh(vertices, elements, tags)

@@ -124,7 +124,7 @@ def gradient_null_data(disc: Discretization, seed: int = 0):
 
     The exact discrete solution of the mixed system for this source is
     (u, p) = (0, -q): the field vanishes and the multiplier eats the
-    gradient.  Returns the load vector and the Q coefficients of q.
+    gradient.  Returns the load, a V vector, and the Q coefficients of q.
     The load is exact: the element blocks of the pairing (eps v, grad q),
     not quadrature of a callable.
     """
@@ -135,6 +135,4 @@ def gradient_null_data(disc: Discretization, seed: int = 0):
         raise ValueError("mesh has no interior scalar degrees of freedom")
     q_coeffs = conf @ rng.standard_normal(conf.shape[1])
     pair = sp.mapped_gram(sp.ref_v_qgrad, disc.materials.eps)
-    load = np.zeros(sp.dim_V + sp.dim_Q)
-    load[:sp.dim_V] = (pair @ q_coeffs.reshape(len(pair), -1, 1)).ravel()
-    return load, q_coeffs
+    return (pair @ q_coeffs.reshape(len(pair), -1, 1)).ravel(), q_coeffs

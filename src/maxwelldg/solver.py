@@ -530,32 +530,37 @@ def _constraint_gap(primal: bsr_array, nv: int, w: np.ndarray,
     return float(gap / (denom if denom > 0 else 1.0))
 
 
-def _check_finite(ksq: float, load: np.ndarray):
-    """Non-finite inputs are input errors, caught before any assembly,
-    not discrete resonances."""
+def _check_inputs(ksq: float, load: np.ndarray, dim_v: int):
+    """A non-finite input or a load that is not a V vector is an input
+    error, caught before any assembly, not a discrete resonance."""
     if not np.isfinite(ksq):
         raise ValueError(f"ksq must be finite, got {ksq}")
-    if not np.all(np.isfinite(load)):
-        raise ValueError("the load must be finite")
+    if np.shape(load) != (dim_v,) or not np.all(np.isfinite(load)):
+        raise ValueError("the load must be finite and a V vector of shape "
+                         f"({dim_v},), got shape {np.shape(load)}")
 
 
 def solve_mixed(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
     """Solve the two-field system for (u, p): factor and refined solve in
-    the numbering of the system; the load is in the (V, Q) layout."""
-    _check_finite(ksq, load)
+    the numbering of the system.  The load is a V vector; it goes into
+    the V rows of each element block, the elements in `disc.dissection[0]`
+    order, and u and p are read back out of the same blocks."""
+    _check_inputs(ksq, load, disc.spaces.dim_V)
     system = disc.primal_system(ksq)
-    order = disc.system_order
-    rhs = load[order]
-    _, factor, x = factorize(system, disc.dissection[1], rhs)
+    order, bounds = disc.dissection
+    nv = disc.spaces.ndof_v
+    blocks = np.zeros((len(order), system.blocksize[0]))
+    blocks[:, :nv] = np.reshape(load, (-1, nv))[order]
+    rhs = blocks.ravel()
+    _, factor, x = factorize(system, bounds, rhs)
     # the one product with the system: residual, backward error and the
     # constraint gap
     product = system @ x
     scale = np.linalg.norm(rhs)
     residual = float(np.linalg.norm(product - rhs) / (scale if scale > 0 else 1.0))
-    gap = _constraint_gap(system, disc.spaces.ndof_v, x, product)
-    fields = np.empty(order.size)
-    fields[order] = x
-    nv = disc.spaces.dim_V
-    return Solution(fields[:nv], fields[nv:], residual,
+    gap = _constraint_gap(system, nv, x, product)
+    fields = np.empty_like(blocks)
+    fields[order] = x.reshape(blocks.shape)
+    return Solution(fields[:, :nv].ravel(), fields[:, nv:].ravel(), residual,
                     backward_error(system, factor.norm, x, rhs, product),
                     factor, gap)

@@ -271,7 +271,7 @@ def self_adjointness_gap(disc: Discretization, nprobe: int = 4,
     source of density c is eps times the V field with coefficients c."""
     system = disc.primal_system(0.0)
     lu, _ = factorize(system, disc.dissection[1])
-    dofs = disc.system_order
+    dofs = refasm.dof_blocks(disc).element_dofs.ravel()
     nv = disc.spaces.dim_V
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((nprobe, nv))

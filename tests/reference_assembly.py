@@ -257,12 +257,10 @@ def c_matrix(disc: Discretization) -> csr_matrix:
 
 
 def load_boundary(disc: Discretization, g_data: np.ndarray) -> np.ndarray:
-    """-W^T g + jt^T P g in the V rows of the (V, Q) layout."""
-    out = np.zeros(disc.spaces.dim_V + disc.spaces.dim_Q)
+    """-W^T g + jt^T P g, a V vector."""
     jt = jump_t(disc)
-    out[:disc.spaces.dim_V] = (-curl_pair_matrix(disc).T @ g_data
-                               + jt.T @ (penalty_gram(disc) @ g_data))
-    return out
+    return (-curl_pair_matrix(disc).T @ g_data
+            + jt.T @ (penalty_gram(disc) @ g_data))
 
 
 def jump_errors(disc: Discretization, u: np.ndarray, p: np.ndarray,
@@ -307,10 +305,10 @@ def auxiliary_system(disc: Discretization, ksq: float) -> csc_matrix:
 
 def solve_auxiliary(disc: Discretization, ksq: float,
                     load: np.ndarray) -> tuple[np.ndarray, ...]:
-    """u, p and lam of the (V, M, Q) system by SuperLU, the (V, Q) load
-    padded with zeros on M."""
+    """u, p and lam of the (V, M, Q) system by SuperLU, the V load padded
+    with zeros on M and Q."""
     nv, nm = disc.spaces.dim_V, disc.spaces.dim_M
-    rhs = np.concatenate([load[:nv], np.zeros(nm), load[nv:]])
+    rhs = np.concatenate([load, np.zeros(nm + disc.spaces.dim_Q)])
     x = splu(auxiliary_system(disc, ksq)).solve(rhs)
     return x[:nv], x[nv + nm:], x[nv:nv + nm]
 
@@ -347,6 +345,13 @@ def dof_blocks(disc: Discretization) -> DofBlocks:
     q = sp.dim_V + np.arange(sp.dim_Q).reshape(ne, sp.ndof_q)
     order, bounds = disc.dissection
     return DofBlocks(np.hstack([v, q])[order], bounds)
+
+
+def block_load(disc: Discretization, load: np.ndarray) -> np.ndarray:
+    """The V load in the numbering of ``disc.primal_system``: zero on the
+    Q dofs, every dof placed by ``dof_blocks``."""
+    full = np.concatenate([load, np.zeros(disc.spaces.dim_Q)])
+    return full[dof_blocks(disc).element_dofs.ravel()]
 
 
 def _permuted(matrix: csc_matrix, order: np.ndarray) -> csc_matrix:

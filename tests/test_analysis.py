@@ -356,7 +356,7 @@ class TestSetupProblem:
         assert g_data is None
         assert disc.alpha == 6.5
         assert disc.gamma == 0.5
-        assert load.shape == (disc.spaces.dim_V + disc.spaces.dim_Q,)
+        assert load.shape == (disc.spaces.dim_V,)
 
     def test_rotation_has_boundary_data(self, square2):
         problem = rotation_problem()

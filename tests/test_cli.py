@@ -607,8 +607,18 @@ class TestExitCodes:
          "100000000000000 element lines declared"),
         ("nodes 5\n0 0\n1 0\n1 1\n0 1\n0.4 0.3\n"
          "elements 2\n0 1 2\n0 2 3\n", "vertex 4 belongs to no element"),
+        ("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 99999999999999999999999\n",
+         "integer out of range on element line 0"),
+        ("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 2 99999999999999999999999\n",
+         "integer out of range on element line 0"),
+        ("nodes 3\n0 0\n1 0\n0 1\nelements 2\n0 1 2\n0 1 2\n",
+         "elements 0 and 1 overlap"),
+        ("nodes 4\n0 0\n1 0\n0 1\n1 1\nelements 3\n0 1 2\n1 3 2\n0 1 3\n",
+         "elements 0 and 2 overlap"),
     ], ids=["nan-vertex", "hanging-node", "three-elements-on-a-face",
-            "huge-node-count", "huge-element-count", "unused-vertex"])
+            "huge-node-count", "huge-element-count", "unused-vertex",
+            "index-past-int64", "tag-past-int64", "repeated-element",
+            "folded-mesh"])
     def test_bad_mesh_exits_two(self, tmp_path, capsys, text, message):
         mesh_path = tmp_path / "bad.mesh"
         mesh_path.write_text(text)

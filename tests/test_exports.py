@@ -99,7 +99,9 @@ REPLACED = {
 # system, its factor, its entry point (also in the package namespace,
 # owner path ""), the multiplier of its solution and the switch to it;
 # then the COO placement of conforming columns (`conforming_map` in
-# reference_assembly)
+# reference_assembly); then the permutation of the (V, Q) unknowns into
+# the primal system, which V loads written into its element blocks
+# replaced (`dof_blocks` in reference_assembly)
 REPLACED_LATER = [
     (("maxwelldg.lifting", "Lifting"), "_face_csr"),
     (("maxwelldg.lifting", "Lifting"), "block_diag_scalar"),
@@ -128,7 +130,8 @@ REPLACED_LATER = [
     (("maxwelldg.solver", "Solution"), "lam"),
     (("maxwelldg.analysis", "convergence_study"), "formulation"),
     (("maxwelldg.analysis", "ConvergenceReport"), "formulation"),
-    (("maxwelldg.spaces", "Spaces"), "_conforming_map")]
+    (("maxwelldg.spaces", "Spaces"), "_conforming_map"),
+    (("maxwelldg.assembly", "Discretization"), "system_order")]
 # instances of the classes that lost an instance attribute
 INSTANCES = {
     ("maxwelldg.spaces", "Spaces"): lambda: Spaces(unit_square(1), 1),

@@ -4,6 +4,7 @@ import pytest
 from maxwelldg import (Mesh, MeshFormatError, lshape, read_mesh,
                        refine_uniform, unit_square, write_mesh)
 
+from conftest import delaunay_mesh
 import reference_assembly as refasm
 
 
@@ -77,6 +78,36 @@ class TestConstruction:
         tags = np.append(base.tags, 0)
         with pytest.raises(MeshFormatError, match="degenerate"):
             Mesh(verts, elements, tags)
+
+    def test_repeated_element_rejected(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshFormatError, match="elements 0 and 1 overlap"):
+            Mesh(verts, np.array([[0, 1, 2], [2, 0, 1]]), np.zeros(2, dtype=int))
+
+    def test_folded_mesh_rejected(self):
+        # the unit square once by 0 1 2 and 1 3 2, again by 0 1 3: elements
+        # 0 and 2 lie on the same side of their face 0-1
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(MeshFormatError, match="elements 0 and 2 overlap"):
+            Mesh(verts, np.array([[0, 1, 2], [1, 3, 2], [0, 1, 3]]),
+                 np.zeros(3, dtype=int))
+
+    def test_delaunay_meshes_accepted(self):
+        # every interior face of a valid mesh has its two elements on
+        # opposite sides, also after the elements are shuffled and flipped
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            mesh, _ = delaunay_mesh(rng, 40)
+            fine = refine_uniform(mesh)
+            for m in (mesh, fine):
+                plus, minus = m.face_elements[~m.boundary].T
+                centroids = m.vertices[m.elements].mean(axis=1)
+                mid = m.vertices[m.faces[~m.boundary]].mean(axis=1)
+                normals = m.face_normals[~m.boundary]
+                assert np.all(np.einsum("fd,fd->f", normals,
+                                        centroids[plus] - mid) < 0)
+                assert np.all(np.einsum("fd,fd->f", normals,
+                                        centroids[minus] - mid) > 0)
 
     def test_bad_index_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -207,6 +238,12 @@ class TestSerialization:
         # vertex 3 lies inside the one element but is none of its corners
         ("nodes 4\n0 0\n1 0\n0 1\n0.4 0.3\nelements 1\n0 1 2\n",
          "vertex 3 belongs to no element"),
+        # integers past int64: a node index, then a tag
+        ("nodes 3\n0 0\n1 0\n0 1\nelements 1\n0 99999999999999999999999 2\n",
+         "integer out of range on element line 0"),
+        ("nodes 3\n0 0\n1 0\n0 1\nelements 2\n0 1 2 4\n"
+         "0 1 2 -99999999999999999999999\n",
+         "integer out of range on element line 1"),
     ])
     def test_malformed_inputs(self, text, match):
         with pytest.raises(MeshFormatError, match=match):

@@ -37,8 +37,7 @@ def sine_load(disc2):
 
 class TestMixedSolve:
     def test_zero_load(self, disc2):
-        sol = solve_mixed(disc2, 1.0, np.zeros(disc2.spaces.dim_V
-                                               + disc2.spaces.dim_Q))
+        sol = solve_mixed(disc2, 1.0, np.zeros(disc2.spaces.dim_V))
         assert np.abs(sol.u).max() == 0.0
         assert np.abs(sol.p).max() == 0.0
         assert sol.residual == 0.0
@@ -51,7 +50,7 @@ class TestMixedSolve:
 
     def test_linearity(self, disc2, sine_load):
         rng = np.random.default_rng(41)
-        other = rng.standard_normal(sine_load.shape)
+        other = rng.standard_normal(disc2.spaces.dim_V)
         combined = solve_mixed(disc2, 1.0, sine_load + 2.0 * other)
         a = solve_mixed(disc2, 1.0, sine_load)
         b = solve_mixed(disc2, 1.0, other)
@@ -190,6 +189,30 @@ class TestNonFiniteInputs:
             solve(disc2, 1.0, load)
 
 
+class TestLoadShape:
+    """A load that is not a V vector is refused before any form is built.
+    A (V, Q) load would otherwise reshape without error whenever its
+    length is a multiple of ndof_v, as it is at degree 1."""
+
+    @pytest.fixture(autouse=True)
+    def no_assembly(self, monkeypatch):
+        def assembled(*args):
+            raise AssertionError("a form was built")
+        monkeypatch.setattr(Discretization, "primal_system", assembled)
+        monkeypatch.setattr(Discretization, "_form", assembled)
+
+    @pytest.mark.parametrize("shape", ["vq", "short", "column"])
+    def test_refused(self, disc2, sine_load, shape):
+        sp = disc2.spaces
+        load = {"vq": np.concatenate([sine_load, np.zeros(sp.dim_Q)]),
+                "short": sine_load[:-1],
+                "column": sine_load[:, None]}[shape]
+        cached = set(vars(disc2))
+        with pytest.raises(ValueError, match="V vector of shape"):
+            solve_mixed(disc2, 1.0, load)
+        assert set(vars(disc2)) == cached
+
+
 class TestResonanceNestedDissection(TestResonance):
     def factor_input(self, disc, system):
         blocks = finest_blocks(disc)
@@ -261,7 +284,7 @@ class TestFactorization:
     def test_load_solve_comes_with_the_factor(self, disc2, sine_load,
                                               layout):
         system = disc2.primal_system(1.0)
-        rhs = sine_load[disc2.system_order]
+        rhs = refasm.block_load(disc2, sine_load)
         lu, factor, x = factorize(system, disc2.dissection[1], rhs)
         assert factor.pivoting == "symmetric"
         expect = refined_solve(system, lu, rhs)
@@ -362,7 +385,7 @@ class TestFactorization:
         system = disc.primal_system(ksq)
         lu, factor = factorize(system, disc.dissection[1])
         assert factor.pivoting == "symmetric"
-        rhs = load[disc.system_order]
+        rhs = refasm.block_load(disc, load)
         once = lu.solve(rhs)
         assert (np.linalg.norm(system @ once - rhs)
                 > 1e-10 * np.linalg.norm(rhs))
