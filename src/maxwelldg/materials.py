@@ -25,16 +25,30 @@ def _as_tensor(value) -> np.ndarray:
     return mat
 
 
+def _curl_weight(mu: np.ndarray):
+    """1/sqrt(det mu) of a 2x2 tensor or a stack of them."""
+    det = mu[..., 0, 0] * mu[..., 1, 1] - mu[..., 0, 1] * mu[..., 1, 0]
+    return 1.0 / np.sqrt(det)
+
+
 class Coefficients:
     """Magnetic permeability mu and permittivity eps per mesh tag.
 
     Entries may be scalars (isotropic) or symmetric positive definite 2x2
-    matrices.  Tags without an entry raise on expansion.
+    matrices.  A mu whose curl weight 1/sqrt(det mu) overflows or
+    underflows is refused.  Tags without an entry raise on expansion.
     """
 
     def __init__(self, mu=None, eps=None):
         self.mu = {k: _as_tensor(v) for k, v in (mu or {0: 1.0}).items()}
         self.eps = {k: _as_tensor(v) for k, v in (eps or {0: 1.0}).items()}
+        for tag, mat in self.mu.items():
+            with np.errstate(all="ignore"):
+                weight = _curl_weight(mat)
+            if not (np.isfinite(weight) and weight > 0.0):
+                raise ValueError(
+                    f"mu of tag {tag}: its curl weight 1/sqrt(det mu) is "
+                    f"{weight}, not a finite positive number")
 
     def missing_tags(self, mesh: Mesh) -> list:
         """Tags of the mesh that lack a mu or an eps entry, sorted."""
@@ -62,5 +76,4 @@ class MaterialArrays:
     def __init__(self, mu: np.ndarray, eps: np.ndarray):
         self.mu = mu
         self.eps = eps
-        det = mu[:, 0, 0] * mu[:, 1, 1] - mu[:, 0, 1] * mu[:, 1, 0]
-        self.mu_bar_inv = 1.0 / np.sqrt(det)
+        self.mu_bar_inv = _curl_weight(mu)

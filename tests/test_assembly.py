@@ -540,6 +540,22 @@ class TestMaterialValidation:
         with pytest.raises(ValueError, match="must be finite"):
             Coefficients(**{name: {0: value}})
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mu", [1e200, 1e-200, [[1e160, 0.0], [0.0, 1e160]],
+                                    [[1e-170, 0.0], [0.0, 1e-170]]])
+    def test_curl_weight_must_be_representable(self, mu):
+        # the tag is named, and a second tag that is fine is not blamed
+        with pytest.raises(ValueError, match="mu of tag 3: .*1/sqrt"):
+            Coefficients(mu={0: 1.0, 3: mu})
+
+    @pytest.mark.parametrize("a, b", [(1e154, 1e154), (1e-154, 1e-154),
+                                      (1e200, 1e-200)])
+    def test_curl_weight_near_the_range_is_kept(self, a, b):
+        mu = [[a, 0.0], [0.0, b]]
+        weight = Coefficients(mu={0: mu}).expand(unit_square(1)).mu_bar_inv
+        expect = 1.0 / (np.sqrt(a) * np.sqrt(b))
+        assert weight == pytest.approx(np.full(2, expect), rel=1e-12)
+
 
 class TestBlockDiag:
     def test_face_grams_from_the_cached_blocks(self, degree):

@@ -398,18 +398,25 @@ class TestFormulationKey:
 
 
 class TestSolveAllocations:
-    """A solve builds its forms, its load, its norms and its error norms
-    from the per-element and per-face blocks, and every sparse operator it
-    reads is a `bsr_array` of them: no conversion between sparse formats."""
+    """A solve or a study builds its forms, its load, its norms, its error
+    norms and its sampled coercivity margin from the per-element and
+    per-face blocks, and every sparse operator it reads is a `bsr_array`
+    of them: no conversion between sparse formats."""
 
     SPARSE = (sparse.bsr_array, sparse.bsr_matrix, sparse.csr_array,
               sparse.csr_matrix, sparse.csc_array, sparse.csc_matrix,
               sparse.coo_array, sparse.coo_matrix)
 
-    @pytest.mark.parametrize("problem, degree", [
-        ("sine", 1), ("sine", 2), ("gradient", 1), ("gradient", 2)])
+    @pytest.mark.parametrize("command, problem, mesh, degree", [
+        pytest.param(command, problem, mesh, degree, id=f"{id}{degree}")
+        for command, problem, mesh, id in [
+            ("solve", "sine", "square:4", "sine-"),
+            ("solve", "gradient", "square:4", "gradient-"),
+            ("study", "sine", "square:2", "study-sine-"),
+            ("study", "lshape", "lshape:1", "study-lshape-")]
+        for degree in (1, 2)])
     def test_builds_no_sparse_copies(self, tmp_path, capsys, monkeypatch,
-                                     problem, degree):
+                                     command, problem, mesh, degree):
         calls = []
 
         def counted(name, fn):
@@ -421,10 +428,14 @@ class TestSolveAllocations:
             for name in ("tocsr", "tocsc", "tobsr", "tocoo"):
                 monkeypatch.setattr(cls, name, counted(
                     f"{cls.__name__}.{name}", getattr(cls, name)))
-        path = write_config(tmp_path, {"problem": problem, "mesh": "square:4",
-                                       "degree": degree})
-        assert main(["solve", "--config", path]) == 0
-        assert "norm_u" in json.loads(capsys.readouterr().out)
+        path = write_config(tmp_path, {"problem": problem, "mesh": mesh,
+                                       "degree": degree, "levels": 2})
+        assert main([command, "--config", path]) == 0
+        out = capsys.readouterr().out
+        if command == "solve":
+            assert "norm_u" in json.loads(out)
+        else:
+            assert out.startswith(",".join(ConvergenceReport.CSV_COLUMNS))
         assert calls == []
 
 
@@ -564,6 +575,15 @@ class TestExitCodes:
         # a finite k whose square overflows
         pytest.param('{"k": 1e200}', "k squared must be finite",
                      id="k-square-overflow"),
+        # a mu whose curl weight 1/sqrt(det mu) underflows to 0, which
+        # dropped the curl terms, or overflows, which failed the factor as
+        # if at a resonance
+        *(pytest.param(
+            '{"problem": "sine", "mesh": "square:2", '
+            '"coefficients": {"0": {"mu": %s}}}' % mu,
+            "coefficients: mu of tag 0", id=f"mu-{mu}",
+            marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+          for mu in ("1e200", "1e-200")),
     ])
     def test_invalid_values_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "run.json"
