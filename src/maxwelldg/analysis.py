@@ -4,9 +4,9 @@ What the ``study`` and ``constants`` commands run: discrete Friedrichs /
 inf-sup / ellipticity constants through dense generalized eigenproblems
 (size-guarded; these are verification probes, not scalable algorithms;
 the Friedrichs constant is read off the whole (seminorm, eps mass)
-pencil, whose zero eigenspace is the conforming gradients; the W-norm
-Gram N_w and the constraint row C_w on V x M are composed here from the
-discretization's Grams and forms), a sampled coercivity margin, error
+pencil, whose zero eigenspace is the conforming gradients; the W norm
+on V x M is applied part by part, and each form is projected on the
+constraint kernel once), a sampled coercivity margin, error
 norms against exact solutions (their volume terms by fine quadrature,
 their jump terms face by face from the discretization's per-face
 Grams), and convergence studies with CSV/markdown reports.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh, null_space
-from scipy.sparse import block_diag, bmat, coo_matrix, csr_array
+from scipy.sparse import coo_matrix
 
 from .assembly import Discretization
 from .mesh import Mesh
@@ -110,62 +110,59 @@ def friedrichs_constant(disc: Discretization) -> float:
     return float(1.0 / np.sqrt(ev[ngrad]))
 
 
-def _norm_w_gram(disc: Discretization) -> csr_array:
-    """N_w, the Gram of the V x M norm: the V norm's, the seminorm plus
-    the eps mass, and the lifted multipliers' (eps R_F, R_F)."""
-    return block_diag([disc.seminorm_gram + disc.mass_eps,
-                       disc.lift_gram_vector], format="csr")
-
-
-def _constraint_w(disc: Discretization) -> csr_array:
-    """C_w, the constraint row on V x M: rows Q, columns (V, M)."""
-    return bmat([[disc.b_matrix, disc.b_lambda]], format="csr")
-
-
 def infsup_constant_B(disc: Discretization) -> float:
-    """Inf-sup constant of the constraint form over (V x M) x Q via the
-    generalized singular value problem in the norm geometries."""
+    """Inf-sup constant of [b, b_lambda] over (V x M) x Q: sqrt of the least
+    eigenvalue of b N_V^-1 b^T + b_lambda L^-1 b_lambda^T against the Q norm
+    Gram, N_V the V norm Gram (by SuperLU), L the multipliers' (face by face)."""
     from scipy.sparse.linalg import splu
     _guard(disc.spaces.dim_Q)
-    bw = _constraint_w(disc)
-    lu = splu(_norm_w_gram(disc).tocsc())
-    s = bw @ lu.solve(_dense(bw.T))
-    ev = eigh(np.asarray(s), _dense(disc.norm_q_gram), eigvals_only=True)
+    b, b_lambda, grams = disc.b_matrix, disc.b_lambda, disc.lift_gram_vector.data
+    s = b @ splu((disc.seminorm_gram + disc.mass_eps).tocsc()).solve(_dense(b.T))
+    lifted = np.linalg.solve(grams, _dense(b_lambda.T).reshape(*grams.shape[:2], -1))
+    s += b_lambda @ lifted.reshape(b_lambda.shape[1], -1)
+    ev = eigh(s, _dense(disc.norm_q_gram), eigvals_only=True)
     return float(np.sqrt(max(ev[0], 0.0)))
 
 
-def _kernel_basis(disc: Discretization) -> np.ndarray:
-    _guard(disc.spaces.dim_V + disc.spaces.dim_M)
-    return null_space(_dense(_constraint_w(disc)))
+def _kernel_pencil(disc: Discretization, ksq: float) -> tuple[np.ndarray, ...]:
+    """The composite form A, the W norm N and the shifted form A - ksq M, M
+    the eps mass, on an orthonormal basis Z = (Z_V, Z_M) of the kernel of
+    C_w = [b, b_lambda], each form projected once: A = Z_V^T a Z_V + gamma
+    Z_M^T L Z_M and N = Z_V^T (seminorm + M) Z_V + Z_M^T L Z_M, L the lifted
+    multipliers' Gram.  At most three projections are alive at once."""
+    nv = disc.spaces.dim_V
+    _guard(nv + disc.spaces.dim_M)
+    # a contiguous copy of null_space's strided view of its SVD factor
+    z = np.ascontiguousarray(null_space(
+        np.hstack([_dense(disc.b_matrix), _dense(disc.b_lambda)])))
+    zv, zm = z[:nv], z[nv:]
+    form = zv.T @ (disc.a_matrix @ zv)
+    norm = zv.T @ (disc.seminorm_gram @ zv)
+    lift = zm.T @ (disc.lift_gram_vector @ zm)
+    norm += lift
+    lift *= disc.gamma
+    form += lift
+    del lift
+    shifted = zv.T @ (disc.mass_eps @ zv)
+    norm += shifted
+    shifted *= -ksq
+    shifted += form
+    return form, norm, shifted
 
 
-def _kernel_eigenvalues(disc: Discretization, form,
-                        kernel: np.ndarray | None) -> np.ndarray:
-    """Generalized eigenvalues of the block-diagonal [form, gamma Gram of
-    the lifted multipliers] against the W norm, on the constraint kernel."""
-    z = _kernel_basis(disc) if kernel is None else kernel
-    # N_w first: its temporaries, freed between the dense products, pin RSS
-    a2 = z.T @ (_norm_w_gram(disc) @ z)
-    blk = block_diag([form, disc.gamma * disc.lift_gram_vector], format="csr")
-    a1 = z.T @ (blk @ z)
-    return eigh(a1, a2, eigvals_only=True)
-
-
-def kernel_ellipticity(disc: Discretization,
-                       kernel: np.ndarray | None = None) -> float:
+def kernel_ellipticity(disc: Discretization) -> float:
     """Smallest generalized eigenvalue of the composite curl/multiplier
     form against the W norm on the constraint kernel."""
-    return float(_kernel_eigenvalues(disc, disc.a_matrix, kernel)[0])
+    form, norm, _ = _kernel_pencil(disc, 0.0)
+    return float(eigh(form, norm, eigvals_only=True)[0])
 
 
-def indefinite_infsup(disc: Discretization, ksq: float,
-                      kernel: np.ndarray | None = None) -> float:
+def indefinite_infsup(disc: Discretization, ksq: float) -> float:
     """Distance of the shifted kernel form from singularity: the smallest
     absolute generalized eigenvalue of the composite form minus ksq times
     the eps mass, against the W norm, on the constraint kernel."""
-    ev = _kernel_eigenvalues(disc, disc.a_matrix - ksq * disc.mass_eps,
-                             kernel)
-    return float(np.abs(ev).min())
+    _, norm, shifted = _kernel_pencil(disc, ksq)
+    return float(np.abs(eigh(shifted, norm, eigvals_only=True)).min())
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +356,7 @@ def constants_sweep(meshes: list[Mesh], degree: int, coeffs=None,
     for mesh in meshes:
         disc = Discretization(mesh, degree, coeffs, alpha=alpha, gamma=gamma)
         c1, c2 = disc.lifting.stability_constants()
-        kernel = _kernel_basis(disc)
+        form, norm, shifted = _kernel_pencil(disc, ksq)   # both kernel constants
         rows.append({
             "h": float(mesh.mesh_size()),
             "dofs": disc.spaces.dim_V,
@@ -368,7 +365,8 @@ def constants_sweep(meshes: list[Mesh], degree: int, coeffs=None,
             "coercivity_margin": coercivity_margin(disc),
             "friedrichs": friedrichs_constant(disc),
             "infsup_b": infsup_constant_B(disc),
-            "kernel_ellipticity": kernel_ellipticity(disc, kernel),
-            "indefinite_infsup": indefinite_infsup(disc, ksq, kernel),
+            "kernel_ellipticity": float(eigh(form, norm, eigvals_only=True)[0]),
+            "indefinite_infsup": float(
+                np.abs(eigh(shifted, norm, eigvals_only=True)).min()),
         })
     return rows

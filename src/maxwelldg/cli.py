@@ -121,6 +121,9 @@ def _parse_coefficients(table) -> Coefficients:
             tag = int(key)
         except ValueError:
             raise ConfigError(f"material tag {key!r} is not an integer") from None
+        if tag in mu:
+            first = next(k for k in table if int(k) == tag)
+            raise ConfigError(f"material tags {first!r} and {key!r} both name tag {tag}")
         if not isinstance(entry, dict) or not set(entry) <= {"mu", "eps"}:
             raise ConfigError(
                 f"coefficient entry for tag {key!r} must hold 'mu' and/or 'eps'")
@@ -165,7 +168,7 @@ def load_config(path: str, command: str, levels: int | None = None,
     """Read and validate a JSON config, applying CLI overrides."""
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
         raw = json.loads(text)
@@ -222,6 +225,8 @@ def load_config(path: str, command: str, levels: int | None = None,
         raise ConfigError("mesh must be a string spec or file path")
 
     out = output if output is not None else raw.get("output")
+    if not isinstance(out, (str, type(None))):
+        raise ConfigError(f"output must be a string prefix, got {out!r}")
     return RunConfig(command=command, mesh=mesh, degree=deg, ksq=ksq,
                      coeffs=coeffs, alpha=alpha, gamma=gamma,
                      levels=nlev, problem=problem, output=out,
@@ -244,7 +249,7 @@ def _base_mesh(spec: str) -> tuple[str, int] | Mesh:
             return kind, n
     try:
         text = Path(spec).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read mesh {spec!r}: {err}") from err
     try:
         return read_mesh(text)
@@ -288,11 +293,14 @@ def _check_tags(cfg: RunConfig, mesh: Mesh):
 # ----------------------------------------------------------------------
 # output plumbing
 
-def _make_output_dir(prefix: str):
-    """Create the directory of the output prefix, so that a prefix that
-    cannot be written is rejected before any numerics run."""
+def _make_output_dir(prefix: str, suffixes):
+    """Create the prefix's directory and refuse a target that is one, so
+    that a prefix that cannot be written is rejected before any numerics."""
     try:
         Path(f"{prefix}.csv").parent.mkdir(parents=True, exist_ok=True)
+        for suffix in suffixes:
+            if Path(prefix + suffix).is_dir():
+                raise IsADirectoryError(f"{prefix}{suffix} is a directory")
     except OSError as err:
         raise ConfigError(f"cannot write output prefix {prefix!r}: {err}") from err
 
@@ -300,7 +308,7 @@ def _make_output_dir(prefix: str):
 def _emit(cfg: RunConfig, suffix: str, text: str):
     if cfg.output:
         Path(f"{cfg.output}{suffix}").write_text(text)
-    elif suffix in (".csv", ".json"):
+    else:
         sys.stdout.write(text)
 
 
@@ -371,13 +379,10 @@ def run_study(cfg: RunConfig) -> int:
                                   mesh_factory=factory)
     report = convergence_study(problem, cfg.degree, cfg.levels,
                                alpha=cfg.alpha, gamma=cfg.gamma)
-    csv_text = report.to_csv()
+    _emit(cfg, ".csv", report.to_csv())
     if cfg.output:
-        _emit(cfg, ".csv", csv_text)
         _emit(cfg, ".md", report.to_markdown())
         _emit(cfg, ".json", _json_text(report.diagnostics()))
-    else:
-        sys.stdout.write(csv_text)
     # a list, not a generator: every level's missed gates are printed
     ok = all([_passes(r.backward_error, r.constraint_residual,
                       f"level {r.level}: ") for r in report.records])
@@ -419,19 +424,17 @@ def main(argv=None) -> int:
         p.add_argument("--degree", type=int, help="override config degree")
         p.add_argument("--output", help="override config output prefix")
     args = parser.parse_args(argv)
+    commands = {"solve": (run_solve, [".json"]),
+                "study": (run_study, [".csv", ".md", ".json"]),
+                "constants": (run_constants, [".csv"])}
     try:
         cfg = load_config(args.config, command=args.command,
                           levels=args.levels, degree=args.degree,
                           output=args.output)
+        run, suffixes = commands[cfg.command]
         if cfg.output:
-            _make_output_dir(cfg.output)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    runner = {"solve": run_solve, "study": run_study,
-              "constants": run_constants}[cfg.command]
-    try:
-        return runner(cfg)
+            _make_output_dir(cfg.output, suffixes)
+        return run(cfg)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -65,10 +65,8 @@ def _gauss_jacobi_10(n: int) -> tuple[np.ndarray, np.ndarray]:
 def triangle_rule(degree: int) -> QuadratureRule:
     """Rule on the reference triangle exact for total degree <= degree."""
     _check_degree(degree)
-    n = degree // 2 + 1
-    ga, wa = np.polynomial.legendre.leggauss(n)
-    ga = 0.5 * (ga + 1.0)
-    wa = 0.5 * wa
+    ga, wa = segment_rule(degree)       # n = degree // 2 + 1 points on [0, 1]
+    n = len(ga)
     # Gauss-Jacobi(1, 0): weight (1-t) on [-1, 1]; the map t -> (t+1)/2
     # carries the weight to 2*(1-b) with jacobian 1/2.
     gb, wb = _gauss_jacobi_10(n)

@@ -4,7 +4,10 @@ The conforming averaging (smoothed-interpolation) operator and its defect
 bound, the consistency residual R1 of the lifted fluxes and the
 constraint residual R2 of exact solutions, the Friedrichs constant on
 an explicit basis of the complement of the gradients, the inf-sup
-constant of b without the face multiplier, the sampled continuity bound
+constant of b without the face multiplier, the composed route to the
+inf-sup and kernel constants (the W-norm Gram N_w and the constraint row
+C_w composed whole, as CSR, and every form projected on the kernel
+basis of C_w), the sampled continuity bound
 of ``a``, the best approximation error in the V(h) norm and the
 self-adjointness of the source-to-field operator at k = 0.  None of the
 ``solve``, ``study`` or ``constants`` commands runs them, so they live
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigh, null_space
+from scipy.sparse import block_diag
 from scipy.sparse.linalg import splu
 
 from maxwelldg.analysis import _dense, _energy, _guard
@@ -215,6 +219,30 @@ def infsup_without_multiplier(disc: Discretization) -> float:
         _dense(b.T))
     ev = eigh(np.asarray(s), _dense(disc.norm_q_gram), eigvals_only=True)
     return float(np.sqrt(max(ev[0], 0.0)))
+
+
+def infsup_composed(disc: Discretization) -> float:
+    """`infsup_constant_B` with N_w and C_w composed whole: the smallest
+    generalized eigenvalue of (C_w N_w^-1 C_w^T, Q norm Gram), N_w
+    factored by SuperLU."""
+    _guard(disc.spaces.dim_Q)
+    bw = refasm.constraint_w(disc)
+    s = bw @ splu(refasm.norm_w_gram(disc).tocsc()).solve(_dense(bw.T))
+    ev = eigh(np.asarray(s), _dense(disc.norm_q_gram), eigvals_only=True)
+    return float(np.sqrt(max(ev[0], 0.0)))
+
+
+def kernel_eigenvalues_composed(disc: Discretization, form) -> np.ndarray:
+    """Generalized eigenvalues of the block diagonal [form, gamma Gram of
+    the lifted multipliers] against N_w, both composed whole and
+    projected on the kernel of C_w: `kernel_ellipticity` is the smallest
+    at form = a, `indefinite_infsup` the smallest in modulus at form =
+    a - ksq times the eps mass."""
+    _guard(disc.spaces.dim_V + disc.spaces.dim_M)
+    z = null_space(_dense(refasm.constraint_w(disc)))
+    blk = block_diag([form, disc.gamma * disc.lift_gram_vector], format="csr")
+    return eigh(z.T @ (blk @ z), z.T @ (refasm.norm_w_gram(disc) @ z),
+                eigvals_only=True)
 
 
 def continuity_bound(disc: Discretization, nsamples: int = 200,

@@ -18,7 +18,9 @@ products (``jt^T P jt``, ``jn^T G jn``, ...) added to the CSR block
 diagonals of the volume terms; the gradient pairing, the multiplier
 block ``b_lambda``, the boundary load and the jump terms of the error
 norms are their CSR expressions, the systems their ``bmat`` in the
-(V, Q) or (V, M, Q) layout, and ``element_system`` turns a (V, Q) matrix
+(V, Q) or (V, M, Q) layout, the W-norm Gram N_w and the constraint row
+C_w on V x M the ``block_diag`` and ``bmat`` that the composed route to
+the stability constants reads, and ``element_system`` turns a (V, Q) matrix
 plus a ``DofBlocks`` into the element-block matrix the multifrontal
 factor reads.  The (V, M, Q) system, whose face multiplier the package
 never forms, is solved here by SuperLU, independently of the package's
@@ -41,7 +43,7 @@ from scipy.sparse import (block_diag, bmat, bsr_matrix, coo_matrix, csc_matrix,
                           csr_matrix)
 from scipy.sparse.linalg import splu
 
-from maxwelldg.analysis import ConvergenceReport, _constraint_w
+from maxwelldg.analysis import ConvergenceReport
 from maxwelldg.assembly import Discretization
 from maxwelldg.basis import face_modes
 from maxwelldg.lifting import Lifting
@@ -313,11 +315,23 @@ def solve_auxiliary(disc: Discretization, ksq: float,
     return x[:nv], x[nv + nm:], x[nv:nv + nm]
 
 
+def norm_w_gram(disc: Discretization) -> csr_matrix:
+    """N_w, the Gram of the V x M norm: the V norm's, the seminorm plus
+    the eps mass, and the lifted multipliers' (eps R_F, R_F)."""
+    return block_diag([disc.seminorm_gram + disc.mass_eps,
+                       disc.lift_gram_vector], format="csr")
+
+
+def constraint_w(disc: Discretization) -> csr_matrix:
+    """C_w, the constraint row on V x M: rows Q, columns (V, M)."""
+    return bmat([[disc.b_matrix, disc.b_lambda]], format="csr")
+
+
 def package_three_field(disc: Discretization, ksq: float) -> csr_matrix:
-    """The (V, M, Q) system in the (V, M, Q) layout as the dense constants
-    probes compose its blocks: [a - ksq m, gamma (eps R_F, R_F)] block
-    diagonal on V x M, and the constraint row C_w = [b, b_lambda]."""
-    cw = _constraint_w(disc)
+    """The (V, M, Q) system in the (V, M, Q) layout composed of the
+    package's blocks: [a - ksq m, gamma (eps R_F, R_F)] block diagonal on
+    V x M, and the constraint row C_w = [b, b_lambda]."""
+    cw = constraint_w(disc)
     lhs = block_diag([disc.a_matrix - ksq * disc.mass_eps,
                       disc.gamma * disc.lift_gram_vector])
     return bmat([[lhs, cw.T], [cw, None]], format="csr")

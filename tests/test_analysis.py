@@ -1,10 +1,13 @@
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse import bsr_array
 
+from maxwelldg import analysis
 from maxwelldg.analysis import (
     DENSE_GUARD,
     coercivity_margin,
@@ -24,8 +27,8 @@ from maxwelldg.problems import ModelProblem, sine_problem
 from maxwelldg.quadrature import triangle_rule
 from maxwelldg.solver import solve_mixed
 
-from conftest import (delaunay_mesh, holed_square, random_spd, square_ring,
-                      two_squares)
+from conftest import (delaunay_mesh, holed_square, random_materials,
+                      random_spd, square_ring, two_squares, two_tag_mesh)
 from reference_analysis import (
     averaging_defect_ratio,
     best_approximation_error,
@@ -33,7 +36,9 @@ from reference_analysis import (
     consistency_check_R1,
     continuity_bound,
     friedrichs_on_complement,
+    infsup_composed,
     infsup_without_multiplier,
+    kernel_eigenvalues_composed,
     residual_R2,
     self_adjointness_gap,
 )
@@ -184,6 +189,57 @@ class TestStabilityConstants:
     def test_indefinite_infsup_at_default_wavenumber(self, square2):
         disc = Discretization(square2, 1)
         assert indefinite_infsup(disc, 1.0) == pytest.approx(0.5, rel=1e-8)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_probes_match_the_composed_route(self, degree):
+        # the norm applied part by part and the pencil projected form by
+        # form, against N_w and C_w composed whole; gamma = 2, so the
+        # kernel constants are not gamma itself
+        disc = Discretization(two_tag_mesh(3), degree, random_materials(7),
+                              gamma=2.0)
+        ksq = 3.0
+        shifted = kernel_eigenvalues_composed(
+            disc, disc.a_matrix - ksq * disc.mass_eps)
+        for value, oracle in [
+                (infsup_constant_B(disc), infsup_composed(disc)),
+                (kernel_ellipticity(disc),
+                 kernel_eigenvalues_composed(disc, disc.a_matrix)[0]),
+                (indefinite_infsup(disc, ksq), np.abs(shifted).min())]:
+            assert value == pytest.approx(oracle, rel=1e-10)
+        assert abs(kernel_ellipticity(disc) - 2.0) > 0.1
+
+    def test_sweep_projects_each_form_once(self, monkeypatch):
+        # both kernel constants read one projected pencil: a level of the
+        # sweep multiplies each form by the kernel basis once
+        forms = ("a_matrix", "seminorm_gram", "mass_eps", "lift_gram_vector")
+        widths, products = [], Counter()
+
+        class Recorded(bsr_array):
+            def __matmul__(self, other):
+                products[getattr(self, "form", None), np.shape(other)[-1]] += 1
+                return super().__matmul__(other)
+
+        def recording(*args, **kwargs):
+            disc = Discretization(*args, **kwargs)
+            for name in forms:
+                vars(disc)[name] = Recorded(getattr(disc, name))
+                vars(disc)[name].form = name
+            return disc
+
+        def null_space(mat):
+            z = real_null_space(mat)
+            widths.append(z.shape[1])
+            return z
+
+        real_null_space = analysis.null_space
+        monkeypatch.setattr(analysis, "Discretization", recording)
+        monkeypatch.setattr(analysis, "null_space", null_space)
+        constants_sweep([two_tag_mesh(2)], 2, random_materials(3))
+        # one kernel basis; the sampled margin's 200 columns are none
+        assert len(widths) == 1 and widths[0] != 200
+        width = widths[0]
+        assert {name: products[name, width] for name in forms} == dict.fromkeys(
+            forms, 1)
 
     def test_probes_build_no_jump_maps(self, square2, degree):
         # the margin and the dense probes read the norm Grams and the

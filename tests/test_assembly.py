@@ -4,7 +4,6 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxwelldg.analysis import _constraint_w, _norm_w_gram
 from maxwelldg.assembly import Discretization
 from maxwelldg.materials import Coefficients
 from maxwelldg.mesh import Mesh, unit_square
@@ -205,13 +204,6 @@ class TestConstraintOperators:
     def test_b_lambda_identity(self, disc2):
         expected = -refasm.jump_n(disc2).T @ (disc2.gamma * disc2.lift_gram_vector)
         assert rel_frobenius(disc2.b_lambda, csr(expected)) < 1e-14
-
-    def test_constraint_w_layout(self, disc2):
-        sp = disc2.spaces
-        cw = _constraint_w(disc2)
-        assert cw.shape == (sp.dim_Q, sp.dim_V + sp.dim_M)
-        assert rel_frobenius(csr(cw[:, :sp.dim_V]), disc2.b_matrix) < 1e-15
-        assert rel_frobenius(csr(cw[:, sp.dim_V:]), disc2.b_lambda) < 1e-15
 
 
 def csr(mat):
@@ -442,7 +434,7 @@ class TestNorms:
         w = rng.standard_normal(sp.dim_V + sp.dim_M)
         split = (disc2.norm_v(w[:sp.dim_V]) ** 2
                  + refasm.norm_m(disc2, w[sp.dim_V:]) ** 2)
-        gram = _norm_w_gram(disc2)
+        gram = refasm.norm_w_gram(disc2)
         assert w @ (gram @ w) == pytest.approx(split, rel=1e-12)
         assert rel_frobenius(refasm.norm_v_gram(disc2),
                              csr(gram[:sp.dim_V, :sp.dim_V])) <= 1e-13
@@ -547,6 +539,20 @@ class TestMaterialValidation:
         # the tag is named, and a second tag that is fine is not blamed
         with pytest.raises(ValueError, match="mu of tag 3: .*1/sqrt"):
             Coefficients(mu={0: 1.0, 3: mu})
+
+    @pytest.mark.parametrize("value, match", [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], r"scalar or 2x2, got shape \(2, 3\)"),
+        ([[1.0, 0.5], [0.0, 1.0]], "must be symmetric"),
+        ([[1.0, 0.0], [0.0, -1.0]], "must be positive definite")])
+    def test_malformed_tensor_rejected(self, value, match):
+        with pytest.raises(ValueError, match=match):
+            Coefficients(eps={0: value})
+
+    def test_expand_needs_every_tag(self):
+        base = unit_square(1)
+        mesh = Mesh(base.vertices, base.elements, np.array([0, 3]))
+        with pytest.raises(ValueError, match=r"no material data for tags \[3\]"):
+            Coefficients().expand(mesh)
 
     @pytest.mark.parametrize("a, b", [(1e154, 1e154), (1e-154, 1e-154),
                                       (1e200, 1e-200)])

@@ -140,6 +140,11 @@ class TestLoadConfig:
         ({"0": {"mu": True}}, "2x2 matrix"),
         ({"0": {"eps": [[True, 0.0], [0.0, 1.0]]}}, "2x2 matrix"),
         ({"0": {"eps": [[1.0, "0"], ["0", 1.0]]}}, "2x2 matrix"),
+        # keys that parse to one tag are refused, naming both
+        ({"0": {"mu": 2.0}, "-0": {"mu": 3.0}},
+         "material tags '0' and '-0' both name tag 0"),
+        ({"1": {}, "0": {}, "01": {}}, "material tags '1' and '01' both name tag 1"),
+        ({"+0": {}, "00": {}}, "material tags '\\+0' and '00' both name tag 0"),
     ])
     def test_coefficient_validation(self, tmp_path, table, match):
         path = write_config(tmp_path, {"coefficients": table})
@@ -584,8 +589,22 @@ class TestExitCodes:
             "coefficients: mu of tag 0", id=f"mu-{mu}",
             marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
           for mu in ("1e200", "1e-200")),
+        pytest.param('[1, 2]', "config must be a JSON object", id="not-an-object"),
+        # an output prefix that is not a string wrote "5.json" or
+        # "True.json"
+        *(pytest.param('{"problem": "zero", "mesh": "square:2", "output": %s}'
+                       % value, f"output must be a string prefix, got {shown}",
+                       id=f"output-{value}")
+          for value, shown in (("5", "5"), ("true", "True"),
+                               ('{"a": 1}', "{'a': 1}"))),
+        pytest.param('{"problem": "zero", "mesh": "square:2", '
+                     '"coefficients": {"0": {"mu": 2}, "-0": {"mu": 3}}}',
+                     "material tags '0' and '-0' both name tag 0",
+                     id="one-tag-twice"),
     ])
-    def test_invalid_values_exit_two(self, tmp_path, capsys, text, message):
+    def test_invalid_values_exit_two(self, tmp_path, capsys, monkeypatch,
+                                     text, message):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "run.json"
         path.write_text(text)
         code = main(["solve", "--config", str(path)])
@@ -593,6 +612,24 @@ class TestExitCodes:
         assert code == 2
         assert err.splitlines()[-1].startswith("error:")
         assert message in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["run.json"]
+
+    @pytest.mark.parametrize("name", ["run.json", "bad.mesh"])
+    def test_undecodable_file_exits_two(self, tmp_path, capsys, name):
+        # bytes that are not UTF-8 in the config or in a mesh file
+        (tmp_path / "bad.mesh").write_bytes(b"nodes 3\n\xff\n")
+        path = tmp_path / "run.json"
+        if name == "run.json":
+            path.write_bytes(b'{"problem": "\xff"}')
+        else:
+            path.write_text(json.dumps({"problem": "zero",
+                                        "mesh": str(tmp_path / name)}))
+        code = main(["solve", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read")
+        assert "codec can't decode" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command,problem", [
@@ -694,6 +731,31 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines()[-1].startswith("error: cannot write output")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, suffix, status", [
+        ("solve", ".json", 2), ("study", ".csv", 2), ("study", ".md", 2),
+        ("study", ".json", 2), ("constants", ".csv", 2),
+        # a directory where the command writes nothing is no obstacle
+        ("solve", ".csv", 0)])
+    def test_output_target_that_is_a_directory(self, tmp_path, capsys,
+                                               command, suffix, status):
+        # refused before any numerics, with nothing written; it was an
+        # IsADirectoryError traceback after the whole run
+        path = write_config(tmp_path, {"problem": "sine", "mesh": "square:2",
+                                       "levels": 1})
+        (tmp_path / f"res{suffix}").mkdir()
+        code = main([command, "--config", path,
+                     "--output", str(tmp_path / "res")])
+        out, err = capsys.readouterr()
+        assert code == status
+        if status == 2:
+            assert out == ""
+            assert err.splitlines()[-1] == (
+                f"error: cannot write output prefix {str(tmp_path / 'res')!r}: "
+                f"{tmp_path / 'res'}{suffix} is a directory")
+            assert sorted(os.listdir(tmp_path)) == ["res" + suffix, "run.json"]
+        else:
+            assert (tmp_path / "res.json").is_file()
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -93,15 +93,19 @@ REPLACED = {
 # `Coefficients()`, an attribute only a test read, and parameters only
 # the tests passed, named after the function that took them; then the
 # scalar curl stiffness, which nothing read but its own inverse; then the
-# W-norm Gram and the constraint row on V x M, which the dense probes in
-# `analysis` compose where they read them; then the three-field solve,
+# W-norm Gram and the constraint row on V x M, which the composed route
+# of reference_assembly builds; then the three-field solve,
 # whose face multiplier, eliminated, leaves the primal system: its
 # system, its factor, its entry point (also in the package namespace,
 # owner path ""), the multiplier of its solution and the switch to it;
 # then the COO placement of conforming columns (`conforming_map` in
 # reference_assembly); then the permutation of the (V, Q) unknowns into
 # the primal system, which V loads written into its element blocks
-# replaced (`dof_blocks` in reference_assembly)
+# replaced (`dof_blocks` in reference_assembly); then the composition of
+# N_w and C_w in `analysis`, its kernel basis and the probes' argument
+# that passed one, which the part-by-part norm and one projected pencil
+# per level replaced (`norm_w_gram` and `constraint_w` in
+# reference_assembly)
 REPLACED_LATER = [
     (("maxwelldg.lifting", "Lifting"), "_face_csr"),
     (("maxwelldg.lifting", "Lifting"), "block_diag_scalar"),
@@ -131,7 +135,12 @@ REPLACED_LATER = [
     (("maxwelldg.analysis", "convergence_study"), "formulation"),
     (("maxwelldg.analysis", "ConvergenceReport"), "formulation"),
     (("maxwelldg.spaces", "Spaces"), "_conforming_map"),
-    (("maxwelldg.assembly", "Discretization"), "system_order")]
+    (("maxwelldg.assembly", "Discretization"), "system_order"),
+    *((("maxwelldg", "analysis"), name) for name in (
+        "_norm_w_gram", "_constraint_w", "_kernel_basis", "_kernel_eigenvalues",
+        "block_diag", "bmat", "csr_array")),
+    (("maxwelldg.analysis", "kernel_ellipticity"), "kernel"),
+    (("maxwelldg.analysis", "indefinite_infsup"), "kernel")]
 # instances of the classes that lost an instance attribute
 INSTANCES = {
     ("maxwelldg.spaces", "Spaces"): lambda: Spaces(unit_square(1), 1),

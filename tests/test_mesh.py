@@ -52,6 +52,23 @@ class TestConstruction:
         with pytest.raises(MeshFormatError, match="degenerate"):
             Mesh(verts, np.array([[0, 1, 2]]), np.zeros(1, dtype=int))
 
+    TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("vertices, elements, tags, match", [
+        ([[0.0, 0.0, 0.0]] * 3, [[0, 1, 2]], [0], r"vertices must be an \(nv, 2\)"),
+        (TRIANGLE, [0, 1, 2], [0], r"elements must be an \(ne, 3\)"),
+        (TRIANGLE, [[0, 1, 2, 0]], [0], r"elements must be an \(ne, 3\)"),
+        (TRIANGLE, [[0, 1, 2]], [0, 0], "one material tag per element"),
+    ])
+    def test_array_shapes_rejected(self, vertices, elements, tags, match):
+        with pytest.raises(MeshFormatError, match=match):
+            Mesh(np.array(vertices), np.array(elements), np.array(tags))
+
+    @pytest.mark.parametrize("builder", [unit_square, lshape])
+    def test_builders_need_a_positive_size(self, builder):
+        with pytest.raises(ValueError, match="n must be positive"):
+            builder(0)
+
     def test_duplicate_vertices_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(MeshFormatError, match="duplicate"):
@@ -207,6 +224,8 @@ class TestSerialization:
     @pytest.mark.parametrize("text,match", [
         ("nodes x\n", "not an integer"),
         ("nodes 3\n0 0\n1 0\n", "unexpected end"),
+        # the file ends where the element header should be
+        ("nodes 3\n0 0\n1 0\n0 1\n", "^unexpected end of mesh file$"),
         # declared counts far past the lines left are refused before any
         # array of that size is allocated
         ("nodes 100000000000000\n0 0\n1 0\n0 1\nelements 1\n0 1 2\n",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from maxwelldg.assembly import Discretization
+from maxwelldg.mesh import unit_square
 from maxwelldg.problems import (
     get_problem,
     gradient_null_data,
@@ -128,6 +130,11 @@ class TestGradientNullData:
         sp = disc2.spaces
         assert load.shape == (sp.dim_V,)
         assert np.abs(load - refasm.grad_pair(disc2) @ q).max() < 1e-14
+
+    def test_needs_an_interior_scalar_node(self):
+        # unit_square(1) has no interior vertex, and degree 1 no face node
+        with pytest.raises(ValueError, match="no interior scalar degrees"):
+            gradient_null_data(Discretization(unit_square(1), 1))
 
     def test_q_is_conforming(self, disc2):
         _, q = gradient_null_data(disc2, seed=4)
