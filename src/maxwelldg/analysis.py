@@ -9,7 +9,9 @@ on V x M is applied part by part, and each form is projected on the
 constraint kernel once), a sampled coercivity margin, error
 norms against exact solutions (their volume terms by fine quadrature,
 their jump terms face by face from the discretization's per-face
-Grams), and convergence studies with CSV/markdown reports.
+Grams), and convergence studies with CSV/markdown reports.  Only the
+dense probes import scipy, for its generalized eigensolver, its null
+space, SuperLU and its graph components; a study imports none of it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, null_space
-from scipy.sparse import coo_matrix
 
 from .assembly import Discretization
 from .mesh import Mesh
@@ -47,8 +47,11 @@ def _guard(n: int):
             "constant estimation is restricted to coarse meshes")
 
 
-def _dense(mat) -> np.ndarray:
-    return np.asarray(mat.todense())
+def _eigvalsh(form: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric pencil (form, norm), norm
+    positive definite."""
+    from scipy.linalg import eigh
+    return eigh(form, norm, eigvals_only=True)
 
 
 def _energy(wdet: np.ndarray, vals: np.ndarray, field: np.ndarray) -> float:
@@ -82,6 +85,7 @@ def _first_betti_number(mesh: Mesh) -> int:
     """Number of holes: connected components minus the Euler
     characteristic V - E + T."""
     # csgraph loads SuperLU's module, which a solve never needs
+    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
     nv = mesh.num_vertices
     graph = coo_matrix((np.ones(mesh.num_faces), mesh.faces.T), shape=(nv, nv))
@@ -105,8 +109,7 @@ def friedrichs_constant(disc: Discretization) -> float:
             "fields have zero seminorm, so the Friedrichs constant is "
             "unbounded")
     ngrad = sp.conforming_q_basis().shape[1]
-    ev = eigh(_dense(disc.seminorm_gram), _dense(disc.mass_eps),
-              eigvals_only=True)
+    ev = _eigvalsh(disc.seminorm_gram.toarray(), disc.mass_eps.toarray())
     return float(1.0 / np.sqrt(ev[ngrad]))
 
 
@@ -116,11 +119,13 @@ def infsup_constant_B(disc: Discretization) -> float:
     Gram, N_V the V norm Gram (by SuperLU), L the multipliers' (face by face)."""
     from scipy.sparse.linalg import splu
     _guard(disc.spaces.dim_Q)
-    b, b_lambda, grams = disc.b_matrix, disc.b_lambda, disc.lift_gram_vector.data
-    s = b @ splu((disc.seminorm_gram + disc.mass_eps).tocsc()).solve(_dense(b.T))
-    lifted = np.linalg.solve(grams, _dense(b_lambda.T).reshape(*grams.shape[:2], -1))
+    b, b_lambda = disc.b_matrix.tobsr(), disc.b_lambda.tobsr()
+    grams = disc.lift_gram_vector.data
+    norm_v = disc.seminorm_gram.tobsr() + disc.mass_eps.tobsr()
+    s = b @ splu(norm_v.tocsc()).solve(b.T.toarray())
+    lifted = np.linalg.solve(grams, b_lambda.T.toarray().reshape(*grams.shape[:2], -1))
     s += b_lambda @ lifted.reshape(b_lambda.shape[1], -1)
-    ev = eigh(s, _dense(disc.norm_q_gram), eigvals_only=True)
+    ev = _eigvalsh(s, disc.norm_q_gram.toarray())
     return float(np.sqrt(max(ev[0], 0.0)))
 
 
@@ -130,11 +135,12 @@ def _kernel_pencil(disc: Discretization, ksq: float) -> tuple[np.ndarray, ...]:
     C_w = [b, b_lambda], each form projected once: A = Z_V^T a Z_V + gamma
     Z_M^T L Z_M and N = Z_V^T (seminorm + M) Z_V + Z_M^T L Z_M, L the lifted
     multipliers' Gram.  At most three projections are alive at once."""
+    from scipy.linalg import null_space
     nv = disc.spaces.dim_V
     _guard(nv + disc.spaces.dim_M)
     # a contiguous copy of null_space's strided view of its SVD factor
     z = np.ascontiguousarray(null_space(
-        np.hstack([_dense(disc.b_matrix), _dense(disc.b_lambda)])))
+        np.hstack([disc.b_matrix.toarray(), disc.b_lambda.toarray()])))
     zv, zm = z[:nv], z[nv:]
     form = zv.T @ (disc.a_matrix @ zv)
     norm = zv.T @ (disc.seminorm_gram @ zv)
@@ -154,7 +160,7 @@ def kernel_ellipticity(disc: Discretization) -> float:
     """Smallest generalized eigenvalue of the composite curl/multiplier
     form against the W norm on the constraint kernel."""
     form, norm, _ = _kernel_pencil(disc, 0.0)
-    return float(eigh(form, norm, eigvals_only=True)[0])
+    return float(_eigvalsh(form, norm)[0])
 
 
 def indefinite_infsup(disc: Discretization, ksq: float) -> float:
@@ -162,7 +168,7 @@ def indefinite_infsup(disc: Discretization, ksq: float) -> float:
     absolute generalized eigenvalue of the composite form minus ksq times
     the eps mass, against the W norm, on the constraint kernel."""
     _, norm, shifted = _kernel_pencil(disc, ksq)
-    return float(np.abs(eigh(shifted, norm, eigvals_only=True)).min())
+    return float(np.abs(_eigvalsh(shifted, norm)).min())
 
 
 # ----------------------------------------------------------------------
@@ -365,8 +371,7 @@ def constants_sweep(meshes: list[Mesh], degree: int, coeffs=None,
             "coercivity_margin": coercivity_margin(disc),
             "friedrichs": friedrichs_constant(disc),
             "infsup_b": infsup_constant_B(disc),
-            "kernel_ellipticity": float(eigh(form, norm, eigvals_only=True)[0]),
-            "indefinite_infsup": float(
-                np.abs(eigh(shifted, norm, eigvals_only=True)).min()),
+            "kernel_ellipticity": float(_eigvalsh(form, norm)[0]),
+            "indefinite_infsup": float(np.abs(_eigvalsh(shifted, norm)).min()),
         })
     return rows

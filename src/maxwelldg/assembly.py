@@ -15,7 +15,7 @@ blocks, and a nested-dissection order of the elements is an elimination
 order of the system's unknowns.
 The forms a, b and c are assembled face by face straight into those
 blocks: each face adds one dense block per pair of its sides, and each
-element its volume block.  Each form is a `bsr_array` of its element
+element its volume block.  Each form is a `BlockMatrix` of its element
 blocks, and the system is made of their `data`, in the elimination order
 the multifrontal factor reads.  The forms are cached for the analysis
 that reads them; a solve builds each one for its system alone and lets it
@@ -24,7 +24,7 @@ Grams, which the stability constants and the sampled coercivity margin
 read, are assembled the same way, and the boundary load and the norm
 values are summed from the same (face, side) tables and per-face Grams,
 the one form of the face operators in the package.  Every sparse
-operator here is a `bsr_array` of the element or face blocks it is
+operator here is a `BlockMatrix` of the element or face blocks it is
 made of, the eps mass and the vector lifting Gram block diagonals.
 """
 
@@ -33,8 +33,8 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import bsr_array
 
+from .blocks import BlockMatrix
 from .lifting import Lifting
 from .materials import Coefficients, MaterialArrays
 from .mesh import Mesh
@@ -92,19 +92,21 @@ class Discretization:
         return sp.mapped_gram(sp.ref_qgrad_gram, self.materials.eps)
 
     @cached_property
-    def mass_eps(self) -> bsr_array:
+    def mass_eps(self) -> BlockMatrix:
         """V mass matrix weighted by eps."""
-        ne = self.mesh.num_elements
-        return bsr_array((self._mass_blocks(), np.arange(ne), np.arange(ne + 1)))
+        ne, nv = self.mesh.num_elements, self.spaces.ndof_v
+        return BlockMatrix(self._mass_blocks(), np.arange(ne), np.arange(ne + 1),
+                           (ne * nv, ne * nv))
 
     # ------------------------------------------------------------------
     # face operators
 
     @cached_property
-    def lift_gram_vector(self) -> bsr_array:
+    def lift_gram_vector(self) -> BlockMatrix:
         """Block diagonal of (eps R_F(.), R_F(.)), no penalty factor."""
-        nf = self.mesh.num_faces
-        return bsr_array((self._eps_grams, np.arange(nf), np.arange(nf + 1)))
+        nf, nm = self.mesh.num_faces, self.spaces.ndof_m
+        return BlockMatrix(self._eps_grams, np.arange(nf), np.arange(nf + 1),
+                           (nf * nm, nf * nm))
 
     @cached_property
     def _mu_grams(self) -> np.ndarray:
@@ -163,7 +165,7 @@ class Discretization:
                  == np.arange(mesh.num_elements)[:, None])
         return mesh.element_faces.T, sides.T.astype(np.int64)
 
-    def _assemble(self, volume: np.ndarray, face, symmetric: bool) -> bsr_array:
+    def _assemble(self, volume: np.ndarray, face, symmetric: bool) -> BlockMatrix:
         """A form in blocks between elements: an element's own block sums
         its volume block (ne, r, c) and the blocks face(f, s, s) its three
         faces f add on its side s; each interior face adds its (plus,
@@ -181,13 +183,13 @@ class Discretization:
         _, cols, made, _, first = self._block_pattern
         nr, nc = volume.shape[1:]
         blocks = np.concatenate([volume, cross, back])[made]
-        return bsr_array((blocks, cols, first), shape=(ne * nr, ne * nc))
+        return BlockMatrix(blocks, cols, first, (ne * nr, ne * nc))
 
     # ------------------------------------------------------------------
     # forms
 
     @cached_property
-    def a_matrix(self) -> bsr_array:
+    def a_matrix(self) -> BlockMatrix:
         """Curl form: the volume term plus the lifted consistency and
         penalty terms of the tangential jumps."""
         lift = self.lifting
@@ -204,7 +206,7 @@ class Discretization:
         return self._assemble(self._curl_blocks(), face, symmetric=True)
 
     @cached_property
-    def b_matrix(self) -> bsr_array:
+    def b_matrix(self) -> BlockMatrix:
         """Mixed form -(eps v, grad q) plus the lifted normal-jump term;
         rows Q dofs, columns V dofs."""
         sp, lift = self.spaces, self.lifting
@@ -218,7 +220,7 @@ class Discretization:
         return self._assemble(-np.swapaxes(grad, 1, 2), face, symmetric=False)
 
     def _jump_form(self, volume: np.ndarray, jumps: np.ndarray,
-                   grams: np.ndarray) -> bsr_array:
+                   grams: np.ndarray) -> BlockMatrix:
         """The symmetric form of the volume blocks plus, per face F, the
         lifted jumps jumps_s^T G_F jumps_t of its sides, G (nf, r, r)."""
         def face(f, s, t):
@@ -226,14 +228,14 @@ class Discretization:
         return self._assemble(volume, face, symmetric=True)
 
     @cached_property
-    def c_matrix(self) -> bsr_array:
+    def c_matrix(self) -> BlockMatrix:
         """Multiplier penalty: gamma (eps R_F(jump q), R_F(jump q'))."""
         nq = self.spaces.ndof_q
         return self._jump_form(np.zeros((self.mesh.num_elements, nq, nq)),
                                self.lifting.normal_jumps(), self._gamma_grams())
 
     @cached_property
-    def b_lambda(self) -> bsr_array:
+    def b_lambda(self) -> BlockMatrix:
         """Multiplier block of the constraint row, rows Q, columns face
         dofs: -jn_s^T G_F per (face, side), G the multiplier penalty Gram,
         one block per element and face, the faces of each element
@@ -244,34 +246,34 @@ class Discretization:
         order = np.argsort(self._element_sides[0], axis=0)
         faces, sides = (np.take_along_axis(part, order, axis=0).T
                         for part in self._element_sides)
-        return bsr_array((blocks[faces, sides].reshape(-1, *blocks.shape[2:]),
-                          faces.ravel(), np.arange(0, faces.size + 1, 3)),
-                         shape=(sp.dim_Q, sp.dim_M))
+        return BlockMatrix(blocks[faces, sides].reshape(-1, *blocks.shape[2:]),
+                           faces.ravel(), np.arange(0, faces.size + 1, 3),
+                           (sp.dim_Q, sp.dim_M))
 
     # ------------------------------------------------------------------
     # norms
 
     @cached_property
-    def seminorm_gram(self) -> bsr_array:
+    def seminorm_gram(self) -> BlockMatrix:
         return self._jump_form(self._curl_blocks(),
                                self.lifting.tangential_jumps(), self._mu_grams)
 
     @cached_property
-    def norm_q_gram(self) -> bsr_array:
+    def norm_q_gram(self) -> BlockMatrix:
         return self._jump_form(self._q_grad_blocks(), self.lifting.normal_jumps(),
                                self._eps_grams)
 
     # ------------------------------------------------------------------
     # systems
 
-    def _form(self, name: str) -> bsr_array:
+    def _form(self, name: str) -> BlockMatrix:
         """The form of that name: its cached copy if a reader has cached
         it, else one built by its cached property's getter, the one path
         that assembles it, for the caller alone."""
         form = self.__dict__.get(name)
         return getattr(type(self), name).func(self) if form is None else form
 
-    def primal_system(self, ksq: float) -> bsr_array:
+    def primal_system(self, ksq: float) -> BlockMatrix:
         """The (V, Q) system [[a - ksq m, b^T], [b, -c]] in blocks of one
         element, the elements in elimination order `dissection[0]`: each
         block's first ndof_v rows and columns are the element's V dofs, the
@@ -294,7 +296,7 @@ class Discretization:
         own = transpose[source] == source
         data[own, :nv, :nv] -= ksq * self._mass_blocks()[brow[source[own]]]
         indptr = np.searchsorted(rows[source], np.arange(ne + 1))
-        return bsr_array((data, cols[source], indptr), shape=(ne * nb, ne * nb))
+        return BlockMatrix(data, cols[source], indptr, (ne * nb, ne * nb))
 
     # ------------------------------------------------------------------
     # loads

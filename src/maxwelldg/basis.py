@@ -27,7 +27,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 __all__ = ["ScalarBasis", "CurlBasis", "face_modes"]
 
@@ -58,9 +57,14 @@ class ScalarBasis:
         for i, (pi, qi) in enumerate(self.exponents):
             for j, (pj, qj) in enumerate(self.exponents):
                 gram[i, j] = _monomial_moment(pi + pj, qi + qj)
-        lower = cholesky(gram, lower=True)
-        # Rows of C give orthonormal combinations: C G C^T = I.
-        self.coeff = solve_triangular(lower, np.eye(self.dim), lower=True)
+        lower = np.linalg.cholesky(gram)
+        # Rows of C = L^-1 give orthonormal combinations: C G C^T = I.  By
+        # forward substitution, so that C is exactly lower triangular.
+        self.coeff = np.zeros_like(lower)
+        for i in range(self.dim):
+            self.coeff[i, i] = 1.0
+            self.coeff[i] -= lower[i, :i] @ self.coeff[:i]
+            self.coeff[i] /= lower[i, i]
 
     def _monomials(self, pts: np.ndarray) -> np.ndarray:
         x = pts[:, 0][:, None]

@@ -162,16 +162,29 @@ def resolve_penalties(alpha, gamma) -> tuple[float, float]:
     return alpha, gamma
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: json keeps the last of
+    a repeated key, which would silently override the first."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str, command: str, levels: int | None = None,
                 degree: int | None = None,
                 output: str | None = None) -> RunConfig:
     """Read and validate a JSON config, applying CLI overrides."""
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, ValueError) as err:    # ValueError: not UTF-8, a NUL
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError:
+        raise
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"config parse error at line {err.lineno} column {err.colno}: "
@@ -227,6 +240,9 @@ def load_config(path: str, command: str, levels: int | None = None,
     out = output if output is not None else raw.get("output")
     if not isinstance(out, (str, type(None))):
         raise ConfigError(f"output must be a string prefix, got {out!r}")
+    if out is not None and "\0" in out:
+        # no file name holds one; the write after the numerics failed
+        raise ConfigError("output prefix must not hold a NUL character")
     return RunConfig(command=command, mesh=mesh, degree=deg, ksq=ksq,
                      coeffs=coeffs, alpha=alpha, gamma=gamma,
                      levels=nlev, problem=problem, output=out,
@@ -249,7 +265,7 @@ def _base_mesh(spec: str) -> tuple[str, int] | Mesh:
             return kind, n
     try:
         text = Path(spec).read_text()
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, ValueError) as err:
         raise ConfigError(f"cannot read mesh {spec!r}: {err}") from err
     try:
         return read_mesh(text)

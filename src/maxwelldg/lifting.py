@@ -25,6 +25,8 @@ missing minus side of a boundary face; the tables hold zeros there.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .basis import face_modes
@@ -106,22 +108,24 @@ class Lifting:
     # ------------------------------------------------------------------
     # per-face Gram matrices of lifted data
 
+    @cached_property
     def _trace_grams(self) -> np.ndarray:
-        """trace_q trace_q^T per (face, side), (nf, 2, l+1, l+1)."""
+        """trace_q trace_q^T per (face, side), (nf, 2, l+1, l+1); both
+        face Grams read it, so it is formed once."""
         return self.trace_q @ np.swapaxes(self.trace_q, 2, 3)
 
     def face_grams_scalar(self, weight: np.ndarray) -> np.ndarray:
         """(w r_F(mode_i), r_F(mode_j)) with a piecewise-constant scalar
         weight (per element), shape (nf, l+1, l+1)."""
         scale = self.weight * weight[self.side_elements]
-        return np.sum(scale[:, :, None, None] * self._trace_grams(), axis=1)
+        return np.sum(scale[:, :, None, None] * self._trace_grams, axis=1)
 
     def face_grams_vector(self, eps: np.ndarray) -> np.ndarray:
         """(eps R_F(mode_i), R_F(mode_j)) for a per-element 2x2 SPD field.
         Mode-major, component-minor, shape (nf, 2(l+1), 2(l+1))."""
         nf = self.spaces.mesh.num_faces
         mat = eps[self.side_elements][..., None, :, None, :]      # (.., 1, c, 1, d)
-        kron = self._trace_grams()[..., None, :, None] * mat     # (nf, 2, i, c, j, d)
+        kron = self._trace_grams[..., None, :, None] * mat       # (nf, 2, i, c, j, d)
         grams = np.sum(self.weight[:, :, None, None, None, None] * kron, axis=1)
         return grams.reshape(nf, 2 * self.n_modes, 2 * self.n_modes)
 

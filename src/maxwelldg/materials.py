@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from .mesh import Mesh
 
@@ -20,7 +19,7 @@ def _as_tensor(value) -> np.ndarray:
         raise ValueError(f"material tensor must be scalar or 2x2, got shape {mat.shape}")
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
         raise ValueError("material tensor must be symmetric")
-    if eigvalsh(mat)[0] <= 0.0:
+    if np.linalg.eigvalsh(mat)[0] <= 0.0:
         raise ValueError("material tensor must be positive definite")
     return mat
 

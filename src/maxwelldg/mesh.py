@@ -29,6 +29,9 @@ __all__ = [
     "nested_dissection",
 ]
 
+# the range of the integers a mesh file may hold
+INT64 = np.iinfo(np.int64)
+
 
 class MeshFormatError(ValueError):
     """Raised for malformed mesh files or geometrically invalid input."""
@@ -357,12 +360,15 @@ def read_mesh(text: str) -> Mesh:
         pos += 1
         return line
 
-    def check_left(count: int, what: str):
-        # before allocating: a declared count past the file's end
+    def take_block(count: int, what: str) -> list[str]:
+        # before parsing: a declared count past the file's end
+        nonlocal pos
         if count > len(lines) - pos:
             raise MeshFormatError(
                 f"unexpected end of mesh file: {count} {what} lines "
                 f"declared, only {len(lines) - pos} left")
+        pos += count
+        return lines[pos - count:pos]
 
     head = take().split()
     if len(head) != 2 or head[0] != "nodes":
@@ -373,16 +379,17 @@ def read_mesh(text: str) -> Mesh:
         raise MeshFormatError("node count is not an integer") from exc
     if nv < 3:
         raise MeshFormatError("at least three nodes required")
-    check_left(nv, "node")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        parts = take().split()
+    # the lines are parsed into lists, and each block is one array
+    coords = []
+    for i, line in enumerate(take_block(nv, "node")):
+        parts = line.split()
         if len(parts) != 2:
             raise MeshFormatError(f"node line {i} must hold two coordinates")
         try:
-            vertices[i] = [float(parts[0]), float(parts[1])]
+            coords.append(list(map(float, parts)))
         except ValueError as exc:
             raise MeshFormatError(f"bad coordinate on node line {i}") from exc
+    vertices = np.array(coords)
 
     head = take().split()
     if len(head) != 2 or head[0] != "elements":
@@ -393,24 +400,22 @@ def read_mesh(text: str) -> Mesh:
         raise MeshFormatError("element count is not an integer") from exc
     if ne < 1:
         raise MeshFormatError("at least one element required")
-    check_left(ne, "element")
-    elements = np.empty((ne, 3), dtype=np.int64)
-    tags = np.zeros(ne, dtype=np.int64)
-    for i in range(ne):
-        parts = take().split()
+    table = []
+    for i, line in enumerate(take_block(ne, "element")):
+        parts = line.split()
         if len(parts) not in (3, 4):
             raise MeshFormatError(f"element line {i} must hold 3 indices and an optional tag")
         try:
-            vals = [int(p) for p in parts]
-            elements[i] = vals[:3]
-            tags[i] = vals[3] if len(vals) == 4 else 0
+            vals = list(map(int, parts))
         except ValueError as exc:
             raise MeshFormatError(f"bad index on element line {i}") from exc
-        except OverflowError as exc:
-            raise MeshFormatError(f"integer out of range on element line {i}") from exc
+        if not INT64.min <= min(vals) <= max(vals) <= INT64.max:
+            raise MeshFormatError(f"integer out of range on element line {i}")
+        table.append(vals if len(vals) == 4 else vals + [0])
     if pos != len(lines):
         raise MeshFormatError("trailing content after element block")
-    return Mesh(vertices, elements, tags)
+    table = np.array(table, dtype=np.int64)
+    return Mesh(vertices, table[:, :3], table[:, 3])
 
 
 def write_mesh(mesh: Mesh) -> str:

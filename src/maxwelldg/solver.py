@@ -10,8 +10,10 @@ with partial pivoting inside the front's fully summed block only, and
 passes its Schur complement to its parent, so nearly all the work is
 dense BLAS-3.  The matrix is symmetric, so a front keeps its own columns
 and its update block apart and never forms the block above its pivot
-block: the factor reads only the diagonal blocks and those below them,
-and LAPACK and BLAS work in place on the fronts.
+block: the factor reads only the diagonal blocks and those below them.
+The dense kernels are numpy's: `np.linalg.inv` for the pivot blocks and
+`np.matmul` writing into the arrays the factor keeps, so a solve that
+keeps this factor imports no scipy module.
 
 Pivoting restricted to the fronts may grow the factor's error, so every
 solve takes one step of iterative refinement in working precision, which
@@ -41,11 +43,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dgetrf, dgetri
-from scipy.sparse import bsr_array
-
 from .assembly import Discretization
+from .blocks import BlockMatrix, _row_products
 
 __all__ = ["ResonanceError", "Factor", "MultifrontalLU", "Solution",
            "backward_error", "factorize", "refined_solve", "solve_mixed"]
@@ -107,10 +106,10 @@ class MultifrontalLU:
     formed.  A matrix block never lands in F22, and a block of F11 above
     its diagonal is taken as the transpose of the one below, so the
     factor reads only the diagonal blocks and those below them.  F11 is
-    LU-factored by LAPACK with partial pivoting inside it and inverted in
-    place; the node hands F22 - F21 V to its parent, X = F11^-1 and
-    V = X F21^T, both products GEMMs that write in place into the arrays
-    they are handed.  So the factor is L D L^T with L unit lower
+    inverted by `np.linalg.inv`, an LU with partial pivoting inside it;
+    the node hands F22 - F21 V to its parent, X = F11^-1 and V = X F21^T,
+    -V a GEMM that writes into the array the node keeps and F21 V one
+    that is summed into F22.  So the factor is L D L^T with L unit lower
     triangular, its blocks V^T, and D block diagonal.
 
     An inner node keeps X and -V in one block.  A leaf of the tree has no
@@ -134,7 +133,7 @@ class MultifrontalLU:
     partition the elements raise ValueError.
     """
 
-    def __init__(self, matrix: bsr_array, bounds):
+    def __init__(self, matrix: BlockMatrix, bounds):
         nb = matrix.blocksize[0]
         bounds = np.asarray(bounds, dtype=np.int64)
         if (bounds[0] != 0 or bounds[-1] != matrix.shape[0] // nb
@@ -152,7 +151,7 @@ class MultifrontalLU:
         self.nnz = self.L.nnz + self.U.nnz
         self.stored_nnz = sum(block.size for block, _ in self.fronts)
 
-    def _factor(self, bounds: np.ndarray, nb: int, system: bsr_array):
+    def _factor(self, bounds: np.ndarray, nb: int, system: BlockMatrix):
         nodes = len(bounds) - 1
         own = np.diff(bounds)
         run = np.repeat(np.arange(nodes), own)
@@ -273,34 +272,27 @@ class MultifrontalLU:
                         schur[b:b + r, d:d + s] += child[a:a + r, c:c + s]
             # the last child's update goes too, before the dense calls
             pending[j] = child = None
-            # left[:p].T is F11^T in Fortran order: LAPACK factors and
-            # inverts it in place, leaving X^T
-            lu, ipiv, info = dgetrf(left[:p].T, overwrite_a=1)
-            if info == 0:
-                inverse, info = dgetri(lu, ipiv, overwrite_lu=1)
-            if info:
-                raise np.linalg.LinAlgError(f"front {j} is singular")
+            try:
+                inverse = np.linalg.inv(left[:p])
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(f"front {j} is singular") from None
             if leaf[j]:
-                block, panel = stacked.pop(j), np.empty((p, u), order="F")
-                block[:] = inverse.T
+                block, panel = stacked.pop(j), np.empty((p, u))
+                block[:] = inverse
             else:
-                block = np.empty((p, p + u), order="F")
-                block[:, :p] = inverse.T
+                block = np.empty((p, p + u))
+                block[:, :p] = inverse
                 panel = block[:, p:]
             if u:
-                # -V into the panel (the assignment copies only if the
-                # wrapper did not write in place), then F22 - F21 V into
-                # the update block through its Fortran-ordered transpose
-                f21t = left[p:].T
-                panel[:] = dgemm(-1.0, inverse, f21t, c=panel, trans_a=1,
-                                 overwrite_c=1)
-                schur = dgemm(1.0, panel, f21t, beta=1.0, c=schur.T,
-                              trans_a=1, overwrite_c=1).T
+                # -V = (-X) F21^T into the panel, then F22 + F21 (-V)
+                np.negative(inverse, out=inverse)
+                np.matmul(inverse, left[p:].T, out=panel)
+                schur += np.matmul(left[p:], panel)
                 pending[parent[j]].append((*moves[j], schur))
             self.fronts.append((block, np.concatenate(
                 [np.arange(self.offsets[j], self.offsets[j + 1]), rows[j]])))
             # the working front goes before the next node allocates its own
-            left = view = lu = inverse = f21t = panel = None
+            left = view = inverse = panel = None
 
     def _tree_solve(self, w: np.ndarray) -> None:
         """Solve in place with the element-block factor, in tree order, on
@@ -362,12 +354,6 @@ class MultifrontalLU:
         return np.ascontiguousarray(w.T).reshape(rhs.shape)
 
 
-def _row_products(rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """rows[..., i, :] @ matrices[i] for every row: one matrix-vector
-    product per right-hand side, however many are solved together."""
-    return (rows[..., None, :] @ matrices)[..., 0, :]
-
-
 def refined_solve(matrix, lu, rhs: np.ndarray) -> np.ndarray:
     """Solve with the factor plus one step of iterative refinement."""
     x = lu.solve(rhs)
@@ -387,7 +373,7 @@ def backward_error(matrix, norm: float, x: np.ndarray, rhs: np.ndarray,
     return float(gap / scale) if scale > 0 else float(gap)
 
 
-def _one_norm(matrix: bsr_array) -> float:
+def _one_norm(matrix: BlockMatrix) -> float:
     """Largest absolute column sum of a matrix in blocks.  Each column is
     summed block by block in block-row order and row by row inside a
     block, the order of scipy's `abs(matrix).sum(axis=0)`, so the sums are
@@ -460,7 +446,7 @@ def _inverse_norm(lu, y: np.ndarray, z: np.ndarray,
     return max(est, 2.0 * float(np.abs(alternating).sum()) / (3.0 * n))
 
 
-def factorize(system: bsr_array, bounds, rhs: np.ndarray | None = None):
+def factorize(system: BlockMatrix, bounds, rhs: np.ndarray | None = None):
     """LU of a system in element blocks, the elements in elimination order
     and eliminated in the runs of bounds, with the fallback to partial
     pivoting and the condition check.  Returns the factor (a
@@ -483,7 +469,7 @@ def factorize(system: bsr_array, bounds, rhs: np.ndarray | None = None):
         from scipy.sparse.linalg import splu
         pivoting, ordering = "partial", "colamd"
         try:
-            lu = splu(system.tocsc())
+            lu = splu(system.tobsr().tocsc())
         except RuntimeError as err:
             raise ResonanceError(
                 f"saddle point factorization failed: {err}") from err
@@ -500,7 +486,7 @@ def factorize(system: bsr_array, bounds, rhs: np.ndarray | None = None):
     return lu, factor, np.ascontiguousarray(passes[0][:, 1])
 
 
-def _constraint_gap(primal: bsr_array, nv: int, w: np.ndarray,
+def _constraint_gap(primal: BlockMatrix, nv: int, w: np.ndarray,
                     product: np.ndarray) -> float:
     """||B u - C p|| relative to ||B||_F ||u|| + ||C||_F ||p||, read from
     the Q rows of the primal system's blocks, [B -C], and of its product

@@ -13,17 +13,16 @@
 
 Degrees of freedom are blocked per element (V, Q) or per face (M), in
 element/face order; all orderings are deterministic.  The conforming
-scalar subspace is a `bsr_array` of (nq, 1) blocks, one per element and
+scalar subspace is a `BlockMatrix` of (nq, 1) blocks, one per element and
 conforming node, like every sparse operator of the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import inv
-from scipy.sparse import bsr_array
 
 from .basis import curl_basis, scalar_basis
+from .blocks import BlockMatrix
 from .mesh import Mesh
 from .quadrature import triangle_rule
 
@@ -172,7 +171,7 @@ class Spaces:
         mids = 0.5 * (verts[[1, 0, 0]] + verts[[2, 2, 1]])
         return np.vstack([verts, mids])
 
-    def conforming_q_basis(self) -> bsr_array:
+    def conforming_q_basis(self) -> BlockMatrix:
         """Continuous P_l subspace with zero boundary trace, as columns of
         Q-coefficient vectors (nodal basis: vertices, then interior-edge
         nodes for l = 2), in one (nq, 1) block per element and node, the
@@ -180,7 +179,7 @@ class Spaces:
         mesh = self.mesh
         nodes = self._scalar_ref_nodes()
         vander = self.qbasis.eval(nodes)            # (nnod, nq)
-        nodal = inv(vander)                         # columns: nodal basis coeffs
+        nodal = np.linalg.inv(vander)               # columns: nodal basis coeffs
         inner = np.ones(mesh.num_vertices, dtype=bool)
         inner[mesh.faces[mesh.boundary]] = False
         node_cols = np.full(mesh.num_vertices, -1)
@@ -199,5 +198,5 @@ class Spaces:
         cols = np.take_along_axis(cols, order, axis=1)
         keep = cols >= 0
         indptr = np.append(0, np.cumsum(keep.sum(axis=1)))
-        return bsr_array((nodal.T[order][keep, :, None], cols[keep], indptr),
-                         shape=(self.dim_Q, ncols))
+        return BlockMatrix(nodal.T[order][keep, :, None], cols[keep], indptr,
+                           (self.dim_Q, ncols))

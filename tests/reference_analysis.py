@@ -22,13 +22,23 @@ from scipy.linalg import eigh, null_space
 from scipy.sparse import block_diag
 from scipy.sparse.linalg import splu
 
-from maxwelldg.analysis import _dense, _energy, _guard
+from maxwelldg.analysis import _energy, _guard
 from maxwelldg.assembly import Discretization
 from maxwelldg.problems import ModelProblem
 from maxwelldg.quadrature import triangle_rule
 from maxwelldg.solver import factorize, refined_solve
 
 import reference_assembly as refasm
+
+
+def _dense(mat) -> np.ndarray:
+    return mat.toarray()
+
+
+def _norm_v(disc: Discretization):
+    """The V norm Gram, the package's seminorm Gram plus its eps mass, as
+    a scipy sparse matrix."""
+    return disc.seminorm_gram.tobsr() + disc.mass_eps.tobsr()
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +134,7 @@ def residual_R2(disc: Discretization, problem: ModelProblem,
     moments = _lift_vector_moments(disc, eps_u, deg)
     lift = refasm.lift_vector_matrix(disc.lifting)
     r = -grad_term + refasm.jump_n(disc).T @ (lift.T @ moments)
-    lu = splu(disc.norm_q_gram.tocsc())
+    lu = splu(disc.norm_q_gram.tobsr().tocsc())
     return float(np.sqrt(max(r @ lu.solve(r), 0.0)))
 
 
@@ -200,7 +210,7 @@ def friedrichs_on_complement(disc: Discretization) -> float:
     sp = disc.spaces
     _guard(sp.dim_V)
     gmap = refasm.element_block_diag(refasm.gradient_map(sp))
-    kspace = _dense(gmap @ sp.conforming_q_basis())
+    kspace = _dense(gmap @ sp.conforming_q_basis().tobsr())
     m_eps = _dense(disc.mass_eps)
     comp = null_space(kspace.T @ m_eps)
     a1 = comp.T @ m_eps @ comp
@@ -214,9 +224,8 @@ def infsup_without_multiplier(disc: Discretization) -> float:
     V and Q: `infsup_constant_B` without the face multiplier, which alone
     controls the checkerboard modes of Q."""
     _guard(disc.spaces.dim_Q)
-    b = disc.b_matrix
-    s = b @ splu((disc.seminorm_gram + disc.mass_eps).tocsc()).solve(
-        _dense(b.T))
+    b = disc.b_matrix.tobsr()
+    s = b @ splu(_norm_v(disc).tocsc()).solve(_dense(b.T))
     ev = eigh(np.asarray(s), _dense(disc.norm_q_gram), eigvals_only=True)
     return float(np.sqrt(max(ev[0], 0.0)))
 
@@ -240,7 +249,8 @@ def kernel_eigenvalues_composed(disc: Discretization, form) -> np.ndarray:
     a - ksq times the eps mass."""
     _guard(disc.spaces.dim_V + disc.spaces.dim_M)
     z = null_space(_dense(refasm.constraint_w(disc)))
-    blk = block_diag([form, disc.gamma * disc.lift_gram_vector], format="csr")
+    blk = block_diag([form, disc.gamma * disc.lift_gram_vector.tobsr()],
+                     format="csr")
     return eigh(z.T @ (blk @ z), z.T @ (refasm.norm_w_gram(disc) @ z),
                 eigvals_only=True)
 
@@ -252,7 +262,7 @@ def continuity_bound(disc: Discretization, nsamples: int = 200,
     x = rng.standard_normal((disc.spaces.dim_V, nsamples))
     y = rng.standard_normal((disc.spaces.dim_V, nsamples))
     num = np.abs(np.sum(y * (disc.a_matrix @ x), axis=0))
-    gram = disc.seminorm_gram + disc.mass_eps
+    gram = _norm_v(disc)
     nx = np.sqrt(np.sum(x * (gram @ x), axis=0))
     ny = np.sqrt(np.sum(y * (gram @ y), axis=0))
     return float((num / (nx * ny)).max())
@@ -287,7 +297,7 @@ def best_approximation_error(disc: Discretization, problem: ModelProblem,
         rhs += refasm.jump_t(disc).T @ (gram @ g_data)
         const += float(g_data @ (gram @ g_data))
 
-    lu = splu((disc.seminorm_gram + disc.mass_eps).tocsc())
+    lu = splu(_norm_v(disc).tocsc())
     best = lu.solve(rhs)
     return float(np.sqrt(max(const - rhs @ best, 0.0)))
 

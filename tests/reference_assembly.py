@@ -6,7 +6,7 @@ COO triplets and converts them to CSR, ``element_block_diag`` and
 ``conforming_map`` are its block diagonals and conforming columns, and
 the ``coo_*`` functions build ``mass_eps``, ``lift_gram_vector``,
 ``b_lambda`` and ``conforming_q_basis`` that way, the oracles of the
-package's ``bsr_array``s of the same blocks.
+package's ``BlockMatrix``es of the same blocks.
 
 A test oracle: ``maxwelldg.assembly.Discretization`` assembles its forms
 and norm Grams face by face into element blocks in elimination order,
@@ -115,7 +115,7 @@ def coo_conforming_q_basis(spaces: Spaces) -> csc_matrix:
     """``Spaces.conforming_q_basis``: the nodal basis of the continuous
     P_l subspace with zero boundary trace."""
     mesh = spaces.mesh
-    nodal = inv(spaces.qbasis.eval(spaces._scalar_ref_nodes()))
+    nodal = np.linalg.inv(spaces.qbasis.eval(spaces._scalar_ref_nodes()))
     inner = np.ones(mesh.num_vertices, dtype=bool)
     inner[mesh.faces[mesh.boundary]] = False
     node_cols = np.full(mesh.num_vertices, -1)
@@ -205,17 +205,19 @@ def seminorm_gram(disc: Discretization) -> csr_matrix:
 
 
 def norm_v_gram(disc: Discretization) -> csr_matrix:
-    return csr_matrix(seminorm_gram(disc) + disc.mass_eps)
+    return csr_matrix(seminorm_gram(disc) + disc.mass_eps.tobsr())
 
 
 def norm_q_gram(disc: Discretization) -> csr_matrix:
     jn = jump_n(disc)
-    return csr_matrix(q_grad_gram(disc) + jn.T @ disc.lift_gram_vector @ jn)
+    return csr_matrix(q_grad_gram(disc)
+                      + jn.T @ disc.lift_gram_vector.tobsr() @ jn)
 
 
 def b_lambda(disc: Discretization) -> csr_matrix:
     """Multiplier block of the constraint row, rows Q, columns face dofs."""
-    return csr_matrix(-jump_n(disc).T @ (disc.gamma * disc.lift_gram_vector))
+    return csr_matrix(-jump_n(disc).T
+                      @ (disc.gamma * disc.lift_gram_vector.tobsr()))
 
 
 def vector_value_pair(lifting: Lifting, eps: np.ndarray) -> csr_matrix:
@@ -238,7 +240,7 @@ def form_blocks(disc: Discretization, form) -> np.ndarray:
     """The element blocks of a form, rows ascending, then columns, read
     back through scipy's BSR conversion."""
     ne = disc.mesh.num_elements
-    csr = csr_matrix(form)
+    csr = csr_matrix(form.tobsr())
     return csr.tobsr(blocksize=(csr.shape[0] // ne, csr.shape[1] // ne)).data
 
 
@@ -255,7 +257,7 @@ def b_matrix(disc: Discretization) -> csr_matrix:
 
 def c_matrix(disc: Discretization) -> csr_matrix:
     jn = jump_n(disc)
-    return csr_matrix(jn.T @ (disc.gamma * disc.lift_gram_vector) @ jn)
+    return csr_matrix(jn.T @ (disc.gamma * disc.lift_gram_vector.tobsr()) @ jn)
 
 
 def load_boundary(disc: Discretization, g_data: np.ndarray) -> np.ndarray:
@@ -279,7 +281,7 @@ def jump_errors(disc: Discretization, u: np.ndarray, p: np.ndarray,
 
 def primal_system(disc: Discretization, ksq: float) -> csc_matrix:
     """The (V, Q) system in the (V, Q) layout."""
-    lhs = a_matrix(disc) - ksq * disc.mass_eps
+    lhs = a_matrix(disc) - ksq * disc.mass_eps.tobsr()
     b = b_matrix(disc)
     return bmat([[lhs, b.T], [b, -c_matrix(disc)]], format="csc")
 
@@ -295,9 +297,9 @@ def auxiliary_system(disc: Discretization, ksq: float) -> csc_matrix:
     G = gamma (eps R_F, R_F) face by face.  It has no (Q, Q) block:
     eliminating lam leaves -J_n^T G J_n there, the -c of the primal
     system, so its solve is independent of ``c_matrix``."""
-    lhs = a_matrix(disc) - ksq * disc.mass_eps
+    lhs = a_matrix(disc) - ksq * disc.mass_eps.tobsr()
     b = b_matrix(disc)
-    gram = disc.gamma * disc.lift_gram_vector
+    gram = disc.gamma * disc.lift_gram_vector.tobsr()
     gamma_jn = gram @ jump_n(disc)
     return bmat([
         [lhs, None, b.T],
@@ -318,13 +320,13 @@ def solve_auxiliary(disc: Discretization, ksq: float,
 def norm_w_gram(disc: Discretization) -> csr_matrix:
     """N_w, the Gram of the V x M norm: the V norm's, the seminorm plus
     the eps mass, and the lifted multipliers' (eps R_F, R_F)."""
-    return block_diag([disc.seminorm_gram + disc.mass_eps,
-                       disc.lift_gram_vector], format="csr")
+    return block_diag([disc.seminorm_gram.tobsr() + disc.mass_eps.tobsr(),
+                       disc.lift_gram_vector.tobsr()], format="csr")
 
 
 def constraint_w(disc: Discretization) -> csr_matrix:
     """C_w, the constraint row on V x M: rows Q, columns (V, M)."""
-    return bmat([[disc.b_matrix, disc.b_lambda]], format="csr")
+    return bmat([[disc.b_matrix.tobsr(), disc.b_lambda.tobsr()]], format="csr")
 
 
 def package_three_field(disc: Discretization, ksq: float) -> csr_matrix:
@@ -332,8 +334,8 @@ def package_three_field(disc: Discretization, ksq: float) -> csr_matrix:
     package's blocks: [a - ksq m, gamma (eps R_F, R_F)] block diagonal on
     V x M, and the constraint row C_w = [b, b_lambda]."""
     cw = constraint_w(disc)
-    lhs = block_diag([disc.a_matrix - ksq * disc.mass_eps,
-                      disc.gamma * disc.lift_gram_vector])
+    lhs = block_diag([disc.a_matrix.tobsr() - ksq * disc.mass_eps.tobsr(),
+                      disc.gamma * disc.lift_gram_vector.tobsr()])
     return bmat([[lhs, cw.T], [cw, None]], format="csr")
 
 
@@ -394,7 +396,8 @@ def reordered(system: bsr_matrix, blocks: DofBlocks,
     by the other blocks instead."""
     perm = np.argsort(blocks.element_dofs.ravel())[other.element_dofs.ravel()]
     nb = other.element_dofs.shape[1]
-    return _permuted(csc_matrix(system), perm).tocsr().tobsr(blocksize=(nb, nb))
+    return _permuted(csc_matrix(system.tobsr()), perm).tocsr().tobsr(
+        blocksize=(nb, nb))
 
 
 def element_system(matrix, blocks: DofBlocks) -> bsr_matrix:

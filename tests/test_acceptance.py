@@ -66,11 +66,11 @@ def test_02_dual_route_assembly_agreement():
     worst = 0.0
     for degree in (1, 2):
         disc = Discretization(two_tag_mesh(2), degree, random_materials(202))
-        a1 = disc.a_matrix
+        a1 = disc.a_matrix.tobsr()
         a2 = assemble_a_face_integral(disc)
         rel_a = (np.sqrt(((a1 - a2).power(2)).sum())
                  / np.sqrt((a1.power(2)).sum()))
-        b1 = disc.b_matrix
+        b1 = disc.b_matrix.tobsr()
         b2 = assemble_b_face_integral(disc)
         rel_b = (np.sqrt(((b1 - b2).power(2)).sum())
                  / np.sqrt((b1.power(2)).sum()))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxwelldg.assembly import Discretization
+from maxwelldg.blocks import BlockMatrix
 from maxwelldg.materials import Coefficients
 from maxwelldg.mesh import Mesh, unit_square
 from maxwelldg.quadrature import segment_rule, triangle_rule
@@ -21,6 +22,7 @@ NORM_OPERATORS = ("mass_eps", "lift_gram_vector", "seminorm_gram",
 
 
 def rel_frobenius(a, b):
+    a, b = csr(a), csr(b)
     diff = np.sqrt(((a - b).power(2)).sum())
     scale = np.sqrt((a.power(2)).sum())
     return diff / scale
@@ -198,16 +200,17 @@ class TestConstraintOperators:
 
     def test_c_matrix_identity(self, disc2):
         jn = refasm.jump_n(disc2)
-        expected = jn.T @ (disc2.gamma * disc2.lift_gram_vector) @ jn
+        expected = jn.T @ (disc2.gamma * disc2.lift_gram_vector.tobsr()) @ jn
         assert rel_frobenius(disc2.c_matrix, csr(expected)) < 1e-14
 
     def test_b_lambda_identity(self, disc2):
-        expected = -refasm.jump_n(disc2).T @ (disc2.gamma * disc2.lift_gram_vector)
+        expected = (-refasm.jump_n(disc2).T
+                    @ (disc2.gamma * disc2.lift_gram_vector.tobsr()))
         assert rel_frobenius(disc2.b_lambda, csr(expected)) < 1e-14
 
 
 def csr(mat):
-    return sparse.csr_matrix(mat)
+    return sparse.csr_matrix(mat.tobsr() if isinstance(mat, BlockMatrix) else mat)
 
 
 class TestBlockAssembly:
@@ -233,11 +236,11 @@ class TestBlockAssembly:
                 assert max(gaps.values()) <= 1e-13, gaps
 
     def test_forms_are_their_element_blocks(self, degree):
-        """Each form is a BSR array whose data are its element blocks, as
-        scipy reads them back from its CSR copy."""
+        """Each form is a block matrix whose data are its element blocks,
+        as scipy reads them back from its CSR copy."""
         disc = Discretization(two_tag_mesh(2), degree, random_materials(3))
         for form in (disc.a_matrix, disc.b_matrix, disc.c_matrix):
-            assert isinstance(form, sparse.bsr_array)
+            assert isinstance(form, BlockMatrix)
             assert np.array_equal(form.data, refasm.form_blocks(disc, form))
 
     # the layout, named in the test ids
@@ -295,11 +298,11 @@ class TestBlockAssembly:
 
 class TestSymmetryAndSign:
     def test_a_symmetric(self, disc2):
-        assert rel_frobenius(disc2.a_matrix, csr(disc2.a_matrix.T)) < 1e-13
+        assert rel_frobenius(disc2.a_matrix, csr(disc2.a_matrix).T) < 1e-13
 
     def test_c_symmetric_psd(self, disc2):
         c = disc2.c_matrix
-        assert rel_frobenius(c, csr(c.T)) < 1e-13
+        assert rel_frobenius(c, csr(c).T) < 1e-13
         rng = np.random.default_rng(29)
         for _ in range(20):
             q = rng.standard_normal(c.shape[0])
@@ -578,7 +581,7 @@ class TestBlockDiag:
                 (disc.lift_gram_vector, diag(lift.face_grams_vector(mats.eps))),
                 # the multiplier penalty's Gram, which the oracles and the
                 # kernel eigenvalues read as this product
-                (disc.gamma * disc.lift_gram_vector,
+                (disc.gamma * disc.lift_gram_vector.tobsr(),
                  diag(gamma * lift.face_grams_vector(mats.eps)))):
             assert np.array_equal(mine.toarray(), oracle.toarray())
 

@@ -258,8 +258,8 @@ class TestSolveCommand:
 
     def test_solve_loads_no_superlu(self, tmp_path):
         """SuperLU's module is imported on the fallback only: in a fresh
-        interpreter, solves that keep the multifrontal factor leave it
-        out of sys.modules."""
+        interpreter, solves that keep the multifrontal factor leave it,
+        and every other scipy module, out of sys.modules."""
         paths = [write_config(tmp_path, {"problem": "sine", "mesh": "square:4",
                                          "degree": degree,
                                          "formulation": formulation},
@@ -273,9 +273,51 @@ class TestSolveCommand:
             "        assert maxwelldg.cli.main(['solve', '--config', path]) == 0\n"
             "    factor = json.loads(out.getvalue())['factor']\n"
             "    assert factor['pivoting'] == 'symmetric', factor\n"
-            "sys.exit('scipy.sparse.linalg' in sys.modules)\n")
+            "sys.exit(sorted(m for m in sys.modules\n"
+            "                if m.partition('.')[0] == 'scipy') or None)\n")
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", script, *paths],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_solve_and_study_load_no_scipy(self, tmp_path):
+        """A solve that keeps the multifrontal factor and a study run on
+        numpy alone: in a fresh interpreter no scipy module is loaded
+        after the import, a degree-1 sine solve, a degree-2 gradient
+        solve on a mesh file with full-tensor materials, or a degree-2
+        study; the constants probes then do load it."""
+        base = unit_square(3)
+        mesh = tmp_path / "tags.mesh"
+        mesh.write_text(write_mesh(Mesh(base.vertices, base.elements,
+                                        np.arange(base.num_elements) % 2)))
+        tensors = {"0": {"eps": [[2.0, 0.5], [0.5, 1.0]], "mu": 1.5},
+                   "1": {"eps": 1.0, "mu": [[1.0, -0.3], [-0.3, 3.0]]}}
+        runs = [("solve", {"problem": "sine", "mesh": "square:4"}),
+                ("solve", {"problem": "gradient", "degree": 2,
+                           "mesh": str(mesh), "coefficients": tensors}),
+                ("study", {"problem": "lshape", "mesh": "lshape:1",
+                           "degree": 2, "levels": 2}),
+                ("constants", {"mesh": "square:2", "levels": 1})]
+        args = [arg for i, (command, payload) in enumerate(runs)
+                for arg in (command, write_config(tmp_path, payload,
+                                                  f"{i}.json"))]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.partition('.')[0] == 'scipy')\n"
+            "import maxwelldg.cli\n"
+            "assert not scipy(), scipy()\n"
+            "for command, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert maxwelldg.cli.main([command, '--config', path]) == 0\n"
+            "    if command == 'solve':\n"
+            "        factor = json.loads(out.getvalue())['factor']\n"
+            "        assert factor['pivoting'] == 'symmetric', factor\n"
+            "    assert bool(scipy()) == (command == 'constants'), (path, scipy())\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, *args],
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
@@ -601,6 +643,25 @@ class TestExitCodes:
                      '"coefficients": {"0": {"mu": 2}, "-0": {"mu": 3}}}',
                      "material tags '0' and '-0' both name tag 0",
                      id="one-tag-twice"),
+        # a NUL in the prefix failed the write after the whole solve
+        pytest.param('{"problem": "zero", "mesh": "square:2", '
+                     '"output": "res\\u0000x"}',
+                     "output prefix must not hold a NUL character",
+                     id="output-nul"),
+        # a NUL in the mesh path was an exit 1 after the config was read
+        pytest.param('{"problem": "zero", "mesh": "a\\u0000b"}',
+                     "cannot read mesh 'a\\x00b': embedded null byte",
+                     id="mesh-nul"),
+        # json keeps the last of a repeated key: k = 5 was solved
+        pytest.param('{"problem": "sine", "mesh": "square:2", "k": 1, "k": 5}',
+                     "config key 'k' is given twice", id="key-twice"),
+        pytest.param('{"problem": "zero", "mesh": "square:2", '
+                     '"coefficients": {"0": {"mu": 2, "mu": 3}}}',
+                     "config key 'mu' is given twice",
+                     id="coefficient-key-twice"),
+        pytest.param('{"problem": "zero", "mesh": "square:2", '
+                     '"coefficients": {"0": {"mu": 2}, "0": {"eps": 3}}}',
+                     "config key '0' is given twice", id="tag-key-twice"),
     ])
     def test_invalid_values_exit_two(self, tmp_path, capsys, monkeypatch,
                                      text, message):

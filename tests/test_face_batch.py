@@ -122,4 +122,4 @@ def test_face_data(pair):
 def test_b_face_integral(pair):
     disc, _ = pair
     oracle = reference_lifting.assemble_b_face_integral(disc)
-    assert rel_diff(disc.b_matrix, oracle) < 1e-12
+    assert rel_diff(disc.b_matrix.tobsr(), oracle) < 1e-12

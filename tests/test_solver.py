@@ -6,6 +6,7 @@ from scipy.sparse.linalg import splu
 
 from maxwelldg import solver
 from maxwelldg.assembly import Discretization
+from maxwelldg.blocks import BlockMatrix
 from maxwelldg.materials import Coefficients
 from maxwelldg.mesh import Mesh, lshape, unit_square
 from maxwelldg.problems import gradient_null_data, sine_problem
@@ -139,6 +140,12 @@ def near_eigenvalue(mesh, degree, cond):
     raise AssertionError(f"no ksq near {lo} reads a condition number {cond:.1e}")
 
 
+def scaled(matrix: BlockMatrix, scale: float) -> BlockMatrix:
+    """The matrix times a scalar."""
+    return BlockMatrix(scale * matrix.data, matrix.indices, matrix.indptr,
+                       matrix.shape)
+
+
 class TestResonance:
     """Resonance verdicts of the factor on the discretization's tree; the
     subclass below repeats them on the finest dissection tree, so they
@@ -180,9 +187,10 @@ class TestResonance:
     def test_verdict_is_scale_free(self, scale):
         disc, ksq = exact_eigenvalue(unit_square(3), 1)
         with pytest.raises(ResonanceError):
-            factorize(*self.factor_input(disc, scale * disc.primal_system(ksq)))
+            factorize(*self.factor_input(disc, scaled(disc.primal_system(ksq),
+                                                      scale)))
         regular = disc.primal_system(1.0)
-        _, factor = factorize(*self.factor_input(disc, scale * regular))
+        _, factor = factorize(*self.factor_input(disc, scaled(regular, scale)))
         assert (factor.ordering, factor.pivoting) == ("nested_dissection",
                                                       "symmetric")
         assert factor.cond_estimate == pytest.approx(
@@ -397,12 +405,13 @@ class TestFactorization:
     def test_refinement_step_is_needed(self):
         # degree 2, four tags with full-tensor materials of anisotropy up
         # to 10, gradient source: the factor passes the probe, but a
-        # single solve with it misses a 1e-10 residual (7.1e-10 here,
-        # 1.9e-15 refined; with anisotropy up to 2 no seed of 400 on
+        # single solve with it misses a 1e-10 residual (1.1e-9 here,
+        # 1.3e-15 refined; with anisotropy up to 2 no seed of 400 on
         # unit_square(3) misses it, the worst reads 2.9e-13) and the
-        # backward error the command line's exit status asks for (4.1e-12
-        # here, 1.5e-17 refined)
-        rng = np.random.default_rng(94)
+        # backward error the command line's exit status asks for (7.7e-12
+        # here, 1.6e-17 refined).  Fronts inverted by np.linalg.inv miss
+        # the residual on 6 of 2,400 seeds, seed 1220 the farthest
+        rng = np.random.default_rng(1220)
         base = unit_square(3)
         mesh = Mesh(base.vertices, base.elements,
                     rng.integers(0, 4, base.num_elements))
@@ -460,7 +469,7 @@ class TestConditionEstimate:
             eps={t: random_spd(rng) for t in tags}))
         system = disc.primal_system(1.3)
         norm = factorize(system, disc.dissection[1])[1].norm
-        assert norm == float(abs(system).sum(axis=0).max())
+        assert norm == float(abs(system.tobsr()).sum(axis=0).max())
         assert norm == pytest.approx(np.linalg.norm(system.toarray(), 1),
                                      rel=1e-15)
         # every column sum, not just the largest: each is the norm of the
@@ -477,7 +486,7 @@ class TestConditionEstimate:
                 data[:, :, i] = system.data[keep][:, :, i]
                 sums[c * nb + i] = solver._one_norm(bsr_array(
                     (data, system.indices[keep], indptr), shape=system.shape))
-        assert np.array_equal(sums, abs(system).sum(axis=0))
+        assert np.array_equal(sums, abs(system.tobsr()).sum(axis=0))
 
     # the estimate is a lower bound that reads 0.81 to 1.0 of the exact
     # condition number here, as scipy's onenormest(t=1) did
@@ -586,19 +595,19 @@ class TestFrontsInPlace:
         assert np.array_equal(blind.solve(rhs), lu.solve(rhs))
 
     def test_kernels_write_in_place(self, disc, monkeypatch):
-        # every GEMM writes into the array it is handed: -V into the block
-        # an inner node keeps or into a leaf's temporary, F22 - F21 V into
-        # the pending update; a copy made by the BLAS wrapper, for a layout
-        # it cannot take as it is, would show here.  Only an inner node's
-        # panel lands in its kept block: a leaf keeps X alone
+        # -V is written by a GEMM into the array it is handed: the block an
+        # inner node keeps or a leaf's temporary; a copy, for a layout the
+        # product cannot take as it is, would show here.  F21 (-V) comes
+        # next, the size of the update block it is summed into.  Only an
+        # inner node's panel lands in its kept block: a leaf keeps X alone
         calls = []
-        gemm = solver.dgemm
+        matmul = np.matmul
 
         def recorded(*args, **kwargs):
-            out = gemm(*args, **kwargs)
-            calls.append((kwargs["c"], out))
+            out = matmul(*args, **kwargs)
+            calls.append((kwargs.get("out"), out))
             return out
-        monkeypatch.setattr(solver, "dgemm", recorded)
+        monkeypatch.setattr(np, "matmul", recorded)
         lu = MultifrontalLU(disc.primal_system(1.0), disc.dissection[1])
         inner = set(lu.parent[lu.parent >= 0].tolist())
         updating = [(j, block, at.size - block.shape[0])
@@ -606,13 +615,12 @@ class TestFrontsInPlace:
                     if at.size > block.shape[0]]
         assert {j in inner for j, _, _ in updating} == {True, False}
         assert len(calls) == 2 * len(updating)
-        for (j, block, u), (handed, panel), (update, schur) in zip(
+        for (j, block, u), (handed, panel), (_, product) in zip(
                 updating, calls[::2], calls[1::2]):
             p = block.shape[0]
-            assert np.shares_memory(panel, handed)
+            assert panel is handed
             assert panel.shape == (p, u)
-            assert np.shares_memory(schur, update)
-            assert schur.shape == update.shape == (u, u)
+            assert product.shape == (u, u)
             if j in inner:
                 assert np.shares_memory(panel, block)
                 assert np.array_equal(panel, block[:, p:])

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from maxwelldg import Coefficients, Discretization, Mesh, refine_uniform
 from maxwelldg.analysis import error_norms
 from maxwelldg.basis import face_modes
+from maxwelldg.blocks import BlockMatrix
 from maxwelldg.mesh import nested_dissection
 from maxwelldg.problems import ModelProblem, gradient_null_data
 from maxwelldg.quadrature import segment_rule, triangle_rule
@@ -292,7 +293,7 @@ class TestLeafFronts:
         # and agree to first order within 2 cond eta of each other
         rhs = rng.standard_normal(system.shape[0])
         x = refined_solve(system, lu, rhs)
-        expect = refined_solve(system, splu(system.tocsc()), rhs)
+        expect = refined_solve(system, splu(system.tobsr().tocsc()), rhs)
         eta = backward_error(system, factor.norm, x, rhs)
         eta_expect = backward_error(system, factor.norm, expect, rhs)
         assert max(eta, eta_expect) <= BACKWARD_TOL
@@ -340,7 +341,7 @@ class TestBlockAssembly:
     @given(case=delaunay_meshes(), seed=st.integers(0, 2 ** 32 - 1))
     def test_operators_are_block_arrays(self, case, degree, seed):
         # the block diagonals, the multiplier block and the conforming Q
-        # basis are `bsr_array`s, bitwise those of their COO builders,
+        # basis are `BlockMatrix`es, bitwise those of their COO builders,
         # with the block columns of each block row ascending
         rng = np.random.default_rng(seed)
         coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
@@ -352,7 +353,7 @@ class TestBlockAssembly:
                 (disc.b_lambda, refasm.coo_b_lambda(disc)),
                 (disc.spaces.conforming_q_basis(),
                  refasm.coo_conforming_q_basis(disc.spaces))):
-            assert isinstance(mine, sparse.bsr_array)
+            assert isinstance(mine, BlockMatrix)
             assert np.array_equal(mine.toarray(), oracle.toarray())
             rows = np.repeat(np.arange(len(mine.indptr) - 1),
                              np.diff(mine.indptr))
@@ -563,7 +564,7 @@ class TestKernelOracles:
 
 def frobenius_gap(mine, oracle, scale) -> float:
     """||mine - oracle||_F / ||scale||_F."""
-    diff = (mine - oracle).toarray()
+    diff = (mine.tobsr() - oracle).toarray()
     return float(np.linalg.norm(diff) / np.linalg.norm(scale.toarray()))
 
 
