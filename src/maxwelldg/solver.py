@@ -284,7 +284,11 @@ class MultifrontalLU:
                 block[:, :p] = inverse
                 panel = block[:, p:]
             if u:
-                # -V = (-X) F21^T into the panel, then F22 + F21 (-V)
+                # -V = (-X) F21^T into the panel, then F22 + F21 (-V).
+                # matmul cannot add into its output, and writing F21 (-V)
+                # into the update block before the children's updates
+                # would keep those alive through the dense calls: a higher
+                # peak than this one (u, u) product
                 np.negative(inverse, out=inverse)
                 np.matmul(inverse, left[p:].T, out=panel)
                 schur += np.matmul(left[p:], panel)

@@ -257,34 +257,10 @@ class TestSolveCommand:
         assert 0.0 <= out["backward_error"] <= 1e-14
 
     def test_solve_loads_no_superlu(self, tmp_path):
-        """SuperLU's module is imported on the fallback only: in a fresh
-        interpreter, solves that keep the multifrontal factor leave it,
-        and every other scipy module, out of sys.modules."""
-        paths = [write_config(tmp_path, {"problem": "sine", "mesh": "square:4",
-                                         "degree": degree,
-                                         "formulation": formulation},
-                              f"{degree}-{formulation}.json")
-                 for degree in (1, 2) for formulation in ("primal", "auxiliary")]
-        script = (
-            "import contextlib, io, json, sys\n"
-            "import maxwelldg.cli\n"
-            "for path in sys.argv[1:]:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "        assert maxwelldg.cli.main(['solve', '--config', path]) == 0\n"
-            "    factor = json.loads(out.getvalue())['factor']\n"
-            "    assert factor['pivoting'] == 'symmetric', factor\n"
-            "sys.exit(sorted(m for m in sys.modules\n"
-            "                if m.partition('.')[0] == 'scipy') or None)\n")
-        src = Path(cli.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-c", script, *paths],
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.returncode == 0, proc.stderr
-
-    def test_solve_and_study_load_no_scipy(self, tmp_path):
-        """A solve that keeps the multifrontal factor and a study run on
-        numpy alone: in a fresh interpreter no scipy module is loaded
-        after the import, a degree-1 sine solve, a degree-2 gradient
+        """SuperLU's module is imported on the fallback only, and a solve
+        that keeps the multifrontal factor or a study runs on numpy alone:
+        in a fresh interpreter no scipy module is loaded after the import,
+        solves of both formulations at both degrees, a degree-2 gradient
         solve on a mesh file with full-tensor materials, or a degree-2
         study; the constants probes then do load it."""
         base = unit_square(3)
@@ -293,12 +269,14 @@ class TestSolveCommand:
                                         np.arange(base.num_elements) % 2)))
         tensors = {"0": {"eps": [[2.0, 0.5], [0.5, 1.0]], "mu": 1.5},
                    "1": {"eps": 1.0, "mu": [[1.0, -0.3], [-0.3, 3.0]]}}
-        runs = [("solve", {"problem": "sine", "mesh": "square:4"}),
-                ("solve", {"problem": "gradient", "degree": 2,
-                           "mesh": str(mesh), "coefficients": tensors}),
-                ("study", {"problem": "lshape", "mesh": "lshape:1",
-                           "degree": 2, "levels": 2}),
-                ("constants", {"mesh": "square:2", "levels": 1})]
+        runs = [("solve", {"problem": "sine", "mesh": "square:4",
+                           "degree": degree, "formulation": formulation})
+                for degree in (1, 2) for formulation in ("primal", "auxiliary")]
+        runs += [("solve", {"problem": "gradient", "degree": 2,
+                            "mesh": str(mesh), "coefficients": tensors}),
+                 ("study", {"problem": "lshape", "mesh": "lshape:1",
+                            "degree": 2, "levels": 2}),
+                 ("constants", {"mesh": "square:2", "levels": 1})]
         args = [arg for i, (command, payload) in enumerate(runs)
                 for arg in (command, write_config(tmp_path, payload,
                                                   f"{i}.json"))]

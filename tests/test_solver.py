@@ -597,9 +597,11 @@ class TestFrontsInPlace:
     def test_kernels_write_in_place(self, disc, monkeypatch):
         # -V is written by a GEMM into the array it is handed: the block an
         # inner node keeps or a leaf's temporary; a copy, for a layout the
-        # product cannot take as it is, would show here.  F21 (-V) comes
-        # next, the size of the update block it is summed into.  Only an
-        # inner node's panel lands in its kept block: a leaf keeps X alone
+        # product cannot take as it is, would show here.  Only an inner
+        # node's panel lands in its kept block: a leaf keeps X alone.
+        # numpy's matmul cannot add into its output, so F21 (-V) is one
+        # product of the update block's shape, summed into that block;
+        # test_factor_holds_less_than_its_entries bounds the peak it costs
         calls = []
         matmul = np.matmul
 
@@ -615,12 +617,14 @@ class TestFrontsInPlace:
                     if at.size > block.shape[0]]
         assert {j in inner for j, _, _ in updating} == {True, False}
         assert len(calls) == 2 * len(updating)
-        for (j, block, u), (handed, panel), (_, product) in zip(
+        for (j, block, u), (handed, panel), (unhanded, product) in zip(
                 updating, calls[::2], calls[1::2]):
             p = block.shape[0]
             assert panel is handed
             assert panel.shape == (p, u)
+            assert unhanded is None
             assert product.shape == (u, u)
+            assert not np.shares_memory(product, panel)
             if j in inner:
                 assert np.shares_memory(panel, block)
                 assert np.array_equal(panel, block[:, p:])

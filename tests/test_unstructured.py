@@ -303,7 +303,10 @@ class TestLeafFronts:
     def test_factor_holds_less_than_its_entries(self):
         # degree 2 on 384 elements: with every front's panel kept, the
         # peak of factorize read 1.25 times the bytes of L and U; with the
-        # leaves' panels read from the matrix, 0.98
+        # leaves' panels read from the matrix, 0.98.  The F21 (-V) product
+        # the fronts sum into their update blocks leaves it at 0.98; the
+        # same product written into the update block, with the children's
+        # updates added after it and so kept through the dense calls, 1.01
         rng = np.random.default_rng(0)
         mesh, _ = delaunay_mesh(rng, 200)
         coeffs = Coefficients(mu={t: random_spd(rng) for t in range(3)},
@@ -317,7 +320,7 @@ class TestLeafFronts:
         finally:
             tracemalloc.stop()
         assert factor.pivoting == "symmetric"
-        assert peak <= 1.12 * 8 * factor.lu_nnz
+        assert peak <= 0.99 * 8 * factor.lu_nnz
 
 
 class TestBlockAssembly:
