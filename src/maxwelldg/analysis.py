@@ -28,6 +28,7 @@ from .mesh import Mesh
 from .problems import ModelProblem
 from .quadrature import triangle_rule
 from .solver import solve_mixed
+from .spaces import conforming_columns
 
 __all__ = [
     "coercivity_margin", "friedrichs_constant", "infsup_constant_B",
@@ -108,7 +109,7 @@ def friedrichs_constant(disc: Discretization) -> float:
             f"the mesh has a hole (first Betti number {holes}): its harmonic "
             "fields have zero seminorm, so the Friedrichs constant is "
             "unbounded")
-    ngrad = sp.conforming_q_basis().shape[1]
+    ngrad = conforming_columns(sp.mesh, sp.degree)[1]
     ev = _eigvalsh(disc.seminorm_gram.toarray(), disc.mass_eps.toarray())
     return float(1.0 / np.sqrt(ev[ngrad]))
 

@@ -31,6 +31,7 @@ from .materials import Coefficients
 from .mesh import Mesh, MeshFormatError, lshape, read_mesh, refine_uniform, unit_square
 from .problems import get_problem, gradient_null_data
 from .solver import BACKWARD_TOL, ResonanceError, solve_mixed
+from .spaces import conforming_columns
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config",
            "resolve_penalties"]
@@ -291,13 +292,6 @@ def mesh_family(spec: str):
     return lambda level: builder(n * 2 ** level)
 
 
-def _conforming_nodes(mesh: Mesh, degree: int) -> int:
-    """Columns of `Spaces.conforming_q_basis`: the interior vertices, and
-    at degree 2 the interior faces too."""
-    faces = np.count_nonzero(~mesh.boundary) if degree == 2 else 0
-    return mesh.num_vertices - np.unique(mesh.faces[mesh.boundary]).size + faces
-
-
 def _check_tags(cfg: RunConfig, mesh: Mesh):
     """Every material tag of the mesh needs a coefficient entry; checked
     on the coarsest mesh, since refinement keeps the tags."""
@@ -347,7 +341,7 @@ def run_solve(cfg: RunConfig) -> int:
         disc, load, g_data = setup_problem(problem, mesh, cfg.degree,
                                            cfg.alpha, cfg.gamma)
     else:
-        if cfg.problem == "gradient" and not _conforming_nodes(mesh, cfg.degree):
+        if cfg.problem == "gradient" and not conforming_columns(mesh, cfg.degree)[1]:
             raise ConfigError(f"mesh {cfg.mesh!r} has no interior scalar node "
                               f"at degree {cfg.degree} for the gradient problem")
         disc = Discretization(mesh, cfg.degree, cfg.coeffs,
@@ -451,12 +445,9 @@ def main(argv=None) -> int:
         if cfg.output:
             _make_output_dir(cfg.output, suffixes)
         return run(cfg)
-    except ConfigError as err:
+    except (ResonanceError, ValueError) as err:   # a ConfigError too
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ResonanceError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, ConfigError) else 1
 
 
 if __name__ == "__main__":

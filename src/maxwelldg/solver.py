@@ -19,11 +19,13 @@ Pivoting restricted to the fronts may grow the factor's error, so every
 solve takes one step of iterative refinement in working precision, which
 restores a small backward error when the factor is not too unstable
 (Skeel, Math. Comp. 1980).  A factor is judged on the refined solves of
-a fixed random probe and of the load; if either backward error is too
-large, or a front is singular, the primal system is refactored by SuperLU
-with partial pivoting and a COLAMD column order; only then is SuperLU's
-module imported.  The load alone does not suffice: a smooth load can miss
-the growth of a factor that the probe sees.
+a fixed random probe and of the load, by their one product with the
+system, which also gives the load's residual, backward error and
+constraint gap; if either backward error is too large, or a front is
+singular, the primal system is refactored by SuperLU with partial
+pivoting and a COLAMD column order; only then is SuperLU's module
+imported.  The load alone does not suffice: a smooth load can miss the
+growth of a factor that the probe sees.
 
 A wavenumber at a discrete resonance makes the matrix singular.  That is
 judged by a 1-norm condition estimate (Hager, SIAM J. Sci. Stat. Comput.
@@ -365,13 +367,11 @@ def refined_solve(matrix, lu, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def backward_error(matrix, norm: float, x: np.ndarray, rhs: np.ndarray,
-                   product: np.ndarray | None = None) -> float:
-    """Normwise backward error of x as a solution of matrix x = rhs in the
-    1-norm (Rigal and Gaches, J. ACM 1967), given the matrix's 1-norm and,
-    when the caller has it, the product matrix @ x."""
-    if product is None:
-        product = matrix @ x
+def backward_error(norm: float, x: np.ndarray, rhs: np.ndarray,
+                   product: np.ndarray) -> float:
+    """Normwise backward error of x as a solution of A x = rhs in the
+    1-norm (Rigal and Gaches, J. ACM 1967), given A's 1-norm and the
+    product A x."""
     gap = np.abs(rhs - product).sum()
     scale = norm * np.abs(x).sum() + np.abs(rhs).sum()
     return float(gap / scale) if scale > 0 else float(gap)
@@ -382,11 +382,9 @@ def _one_norm(matrix: BlockMatrix) -> float:
     summed block by block in block-row order and row by row inside a
     block, the order of scipy's `abs(matrix).sum(axis=0)`, so the sums are
     bitwise the same; gathering the blocks a few at a time keeps the
-    peak memory below that of scipy's absolute copy and transpose.  Those
-    copies are 26 MB of temporaries on the degree-2 square:32 system,
-    freed below the factor's 50 MB traced peak, yet scipy's expression
-    raised that solve's peak RSS by 10% (144-146 to 159-160 MB): the
-    allocator keeps what they freed."""
+    peak memory below that of scipy's absolute copy and transpose, whose
+    freed temporaries the allocator keeps (10% more peak RSS at degree 2
+    on square:32)."""
     nb = matrix.blocksize[1]
     order = np.argsort(matrix.indices, kind="stable")
     count = np.bincount(matrix.indices, minlength=matrix.shape[1] // nb)
@@ -410,8 +408,8 @@ def _two_passes(system, lu, loads: np.ndarray):
     condition estimator, in two multi-column solves: the first with the
     loads, e/n and the alternating vector (-1)^i (1 + i/(n-1)), the second
     with the loads' residuals and the sign vector of the solve with e/n.
-    Returns the refined solutions, the solve with e/n, the solve with its
-    sign vector and that with the alternating vector."""
+    Returns the refined solutions, their product with the system and the
+    solves with e/n, with its sign vector and with the alternating vector."""
     n, k = loads.shape
     alternating = np.linspace(1.0, 2.0, n)
     alternating[1::2] *= -1.0
@@ -419,7 +417,7 @@ def _two_passes(system, lu, loads: np.ndarray):
     x = first[:, :k]
     second = lu.solve(np.column_stack([loads - system @ x, _sign(first[:, k])]))
     x += second[:, :k]
-    return x, first[:, k], second[:, k], first[:, k + 1]
+    return x, system @ x, (first[:, k], second[:, k], first[:, k + 1])
 
 
 def _inverse_norm(lu, y: np.ndarray, z: np.ndarray,
@@ -456,7 +454,8 @@ def factorize(system: BlockMatrix, bounds, rhs: np.ndarray | None = None):
     pivoting and the condition check.  Returns the factor (a
     `MultifrontalLU`, or SuperLU's after the fallback), which solves in
     the numbering of the system, and its `Factor` record; given a load
-    rhs, also the refined solution of system x = rhs."""
+    rhs, also the refined solution x of system x = rhs and the product
+    system @ x, the one that judged the factor."""
     norm = _one_norm(system)
     probe = np.random.default_rng(0).standard_normal(system.shape[0])
     loads = probe[:, None] if rhs is None else np.column_stack([probe, rhs])
@@ -466,9 +465,9 @@ def factorize(system: BlockMatrix, bounds, rhs: np.ndarray | None = None):
     except np.linalg.LinAlgError:
         pass
     else:
-        passes = _two_passes(system, lu, loads)
-        stable = all(backward_error(system, norm, x, b) <= BACKWARD_TOL
-                     for x, b in zip(passes[0].T, loads.T))
+        x, product, start = _two_passes(system, lu, loads)
+        stable = all(backward_error(norm, *column) <= BACKWARD_TOL
+                     for column in zip(x.T, loads.T, product.T))
     if not stable:
         from scipy.sparse.linalg import splu
         pivoting, ordering = "partial", "colamd"
@@ -477,8 +476,10 @@ def factorize(system: BlockMatrix, bounds, rhs: np.ndarray | None = None):
         except RuntimeError as err:
             raise ResonanceError(
                 f"saddle point factorization failed: {err}") from err
-        passes = _two_passes(system, lu, loads)
-    cond = _inverse_norm(lu, *passes[1:]) * norm
+        x, product, start = _two_passes(system, lu, loads)
+    # only the load's columns are kept through the estimator's solves
+    x, product = (np.ascontiguousarray(a[:, -1]) for a in (x, product))
+    cond = _inverse_norm(lu, *start) * norm
     if not cond <= COND_MAX:
         raise ResonanceError(
             "saddle point matrix is numerically singular "
@@ -487,7 +488,17 @@ def factorize(system: BlockMatrix, bounds, rhs: np.ndarray | None = None):
     factor = Factor(pivoting, ordering, int(lu.nnz), int(stored), cond, norm)
     if rhs is None:
         return lu, factor
-    return lu, factor, np.ascontiguousarray(passes[0][:, 1])
+    return lu, factor, x, product
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm, taken of a / max |a| where the squares overflow."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    if np.isfinite(norm):
+        return norm
+    top = np.abs(a).max()
+    return top * np.linalg.norm(a / top)
 
 
 def _constraint_gap(primal: BlockMatrix, nv: int, w: np.ndarray,
@@ -498,20 +509,10 @@ def _constraint_gap(primal: BlockMatrix, nv: int, w: np.ndarray,
     nb = primal.blocksize[0]
     rows = primal.data[:, nv:]
     w = w.reshape(-1, nb)
-    gap = np.linalg.norm(product.reshape(-1, nb)[:, nv:])
-    denom = (np.linalg.norm(rows[:, :, :nv]) * np.linalg.norm(w[:, :nv])
-             + np.linalg.norm(rows[:, :, nv:]) * np.linalg.norm(w[:, nv:]))
+    gap = _frobenius(product.reshape(-1, nb)[:, nv:])
+    denom = (_frobenius(rows[:, :, :nv]) * _frobenius(w[:, :nv])
+             + _frobenius(rows[:, :, nv:]) * _frobenius(w[:, nv:]))
     return float(gap / (denom if denom > 0 else 1.0))
-
-
-def _check_inputs(ksq: float, load: np.ndarray, dim_v: int):
-    """A non-finite input or a load that is not a V vector is an input
-    error, caught before any assembly, not a discrete resonance."""
-    if not np.isfinite(ksq):
-        raise ValueError(f"ksq must be finite, got {ksq}")
-    if np.shape(load) != (dim_v,) or not np.all(np.isfinite(load)):
-        raise ValueError("the load must be finite and a V vector of shape "
-                         f"({dim_v},), got shape {np.shape(load)}")
 
 
 def solve_mixed(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
@@ -519,22 +520,24 @@ def solve_mixed(disc: Discretization, ksq: float, load: np.ndarray) -> Solution:
     the numbering of the system.  The load is a V vector; it goes into
     the V rows of each element block, the elements in `disc.dissection[0]`
     order, and u and p are read back out of the same blocks."""
-    _check_inputs(ksq, load, disc.spaces.dim_V)
+    # input errors, raised before any assembly, not discrete resonances
+    dim_v = disc.spaces.dim_V
+    if not np.isfinite(ksq):
+        raise ValueError(f"ksq must be finite, got {ksq}")
+    if np.shape(load) != (dim_v,) or not np.all(np.isfinite(load)):
+        raise ValueError("the load must be finite and a V vector of shape "
+                         f"({dim_v},), got shape {np.shape(load)}")
     system = disc.primal_system(ksq)
     order, bounds = disc.dissection
     nv = disc.spaces.ndof_v
     blocks = np.zeros((len(order), system.blocksize[0]))
     blocks[:, :nv] = np.reshape(load, (-1, nv))[order]
     rhs = blocks.ravel()
-    _, factor, x = factorize(system, bounds, rhs)
-    # the one product with the system: residual, backward error and the
-    # constraint gap
-    product = system @ x
+    _, factor, x, product = factorize(system, bounds, rhs)
     scale = np.linalg.norm(rhs)
     residual = float(np.linalg.norm(product - rhs) / (scale if scale > 0 else 1.0))
     gap = _constraint_gap(system, nv, x, product)
     fields = np.empty_like(blocks)
     fields[order] = x.reshape(blocks.shape)
     return Solution(fields[:, :nv].ravel(), fields[:, nv:].ravel(), residual,
-                    backward_error(system, factor.norm, x, rhs, product),
-                    factor, gap)
+                    backward_error(factor.norm, x, rhs, product), factor, gap)

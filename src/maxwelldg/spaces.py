@@ -9,7 +9,8 @@
 * the broken "lifting" scalar/vector spaces P_l and (P_l)^2 with the mapped
   orthonormal basis (their local mass matrices are 2|K| times identity),
 * geometry tables, evaluation, and the conforming scalar subspace that
-  the gradient load reads and whose size counts the discrete gradients.
+  the gradient load reads and whose size counts the discrete gradients;
+  its columns, and their count, are `conforming_columns(mesh, degree)`.
 
 Degrees of freedom are blocked per element (V, Q) or per face (M), in
 element/face order; all orderings are deterministic.  The conforming
@@ -26,7 +27,24 @@ from .blocks import BlockMatrix
 from .mesh import Mesh
 from .quadrature import triangle_rule
 
-__all__ = ["Spaces"]
+__all__ = ["Spaces", "conforming_columns"]
+
+
+def conforming_columns(mesh: Mesh, degree: int) -> tuple[np.ndarray, int]:
+    """The column of each element's scalar nodes (its vertices, then at
+    degree 2 its face midpoints) in the conforming subspace, -1 on the
+    boundary, and the count: interior vertices, then interior faces."""
+    inner = np.ones(mesh.num_vertices, dtype=bool)
+    inner[mesh.faces[mesh.boundary]] = False
+    nodes = [(inner, mesh.elements)]
+    if degree == 2:
+        nodes.append((~mesh.boundary, mesh.element_faces))
+    cols, ncols = [], 0
+    for interior, of_element in nodes:
+        number = np.where(interior, ncols + np.cumsum(interior) - 1, -1)
+        cols.append(number[of_element])
+        ncols += int(interior.sum())
+    return np.concatenate(cols, axis=1), ncols
 
 
 class Spaces:
@@ -173,25 +191,11 @@ class Spaces:
 
     def conforming_q_basis(self) -> BlockMatrix:
         """Continuous P_l subspace with zero boundary trace, as columns of
-        Q-coefficient vectors (nodal basis: vertices, then interior-edge
-        nodes for l = 2), in one (nq, 1) block per element and node, the
-        columns of each element ascending."""
-        mesh = self.mesh
-        nodes = self._scalar_ref_nodes()
-        vander = self.qbasis.eval(nodes)            # (nnod, nq)
-        nodal = np.linalg.inv(vander)               # columns: nodal basis coeffs
-        inner = np.ones(mesh.num_vertices, dtype=bool)
-        inner[mesh.faces[mesh.boundary]] = False
-        node_cols = np.full(mesh.num_vertices, -1)
-        node_cols[inner] = np.arange(inner.sum())
-        cols = node_cols[mesh.elements]
-        ncols = int(inner.sum())
-        if self.degree == 2:
-            interior = ~mesh.boundary
-            face_cols = np.full(mesh.num_faces, -1)
-            face_cols[interior] = ncols + np.arange(interior.sum())
-            cols = np.concatenate([cols, face_cols[mesh.element_faces]], axis=1)
-            ncols += int(interior.sum())
+        Q-coefficient vectors of the nodal basis of `conforming_columns`,
+        in one (nq, 1) block per element and node, ascending columns."""
+        # columns: the nodal basis's coefficients
+        nodal = np.linalg.inv(self.qbasis.eval(self._scalar_ref_nodes()))
+        cols, ncols = conforming_columns(self.mesh, self.degree)
         # columns ascending, so that a product sums in column order; a
         # column of -1 is a boundary node, which the subspace drops
         order = np.argsort(cols, axis=1)

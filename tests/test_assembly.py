@@ -292,8 +292,18 @@ class TestBlockAssembly:
             + np.linalg.norm(c.toarray()) * np.linalg.norm(p))
         system = disc2.primal_system(0.7)
         w = np.concatenate([u, p])[refasm.dof_blocks(disc2).element_dofs.ravel()]
-        gap = _constraint_gap(system, sp.ndof_v, w, system @ w)
+        product = system @ w
+        gap = _constraint_gap(system, sp.ndof_v, w, product)
         assert gap == pytest.approx(expect, rel=1e-12)
+        # the gap is scale free, also where the squares of the blocks'
+        # entries overflow (at a scale of 1e150 they do not on this mesh)
+        scale = 1e155
+        large = BlockMatrix(scale * system.data, system.indices,
+                            system.indptr, system.shape)
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(large.data[:, sp.ndof_v:]) == np.inf
+        assert _constraint_gap(large, sp.ndof_v, w, scale * product) == (
+            pytest.approx(gap, rel=1e-13))
 
 
 class TestSymmetryAndSign:

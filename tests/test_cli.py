@@ -22,7 +22,7 @@ from maxwelldg.cli import (
 from maxwelldg.assembly import Discretization
 from maxwelldg.mesh import Mesh, lshape, unit_square, write_mesh
 from maxwelldg.solver import BACKWARD_TOL, COND_MAX
-from maxwelldg.spaces import Spaces
+from maxwelldg.spaces import Spaces, conforming_columns
 
 from conftest import holed_square
 
@@ -256,6 +256,16 @@ class TestSolveCommand:
         assert np.isfinite(out["backward_error"])
         assert 0.0 <= out["backward_error"] <= 1e-14
 
+    def test_constraint_gap_of_a_large_eps(self, tmp_path, capsys):
+        # the squares of the entries of B and C overflow at eps = 1e155;
+        # the gap read 0.0 then, a value never measured, and passed
+        path = write_config(tmp_path, {"problem": "sine", "mesh": "square:2",
+                                       "coefficients": {"0": {"eps": 1e155}}})
+        code = main(["solve", "--config", path])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert 0.0 < out["constraint_residual"] <= cli.CONSTRAINT_TOL
+
     def test_solve_loads_no_superlu(self, tmp_path):
         """SuperLU's module is imported on the fallback only, and a solve
         that keeps the multifrontal factor or a study runs on numpy alone:
@@ -383,10 +393,11 @@ class TestExitGate:
         1e-10 but not the backward error bound."""
         real = solver.factorize
 
-        def perturbed(*args):
-            lu, factor, x = real(*args)
+        def perturbed(system, *args):
+            lu, factor, x, _ = real(system, *args)
             noise = np.random.default_rng(1).standard_normal(x.size)
-            return lu, factor, x + 1e-13 * np.abs(x).max() * noise
+            x = x + 1e-13 * np.abs(x).max() * noise
+            return lu, factor, x, system @ x
         monkeypatch.setattr(solver, "factorize", perturbed)
         path = write_config(tmp_path, {"problem": "sine", "mesh": "square:4"})
         assert main(["solve", "--config", path]) == 1
@@ -755,8 +766,13 @@ class TestExitCodes:
                                       lshape(1), holed_square()],
                              ids=["square1", "square3", "lshape1", "holed"])
     def test_conforming_node_count(self, mesh, degree):
-        assert (cli._conforming_nodes(mesh, degree)
-                == Spaces(mesh, degree).conforming_q_basis().shape[1])
+        # the count the command line refuses on is the basis's: the
+        # interior vertices, and at degree 2 the interior faces too
+        count = conforming_columns(mesh, degree)[1]
+        faces = np.count_nonzero(~mesh.boundary) if degree == 2 else 0
+        assert count == (mesh.num_vertices
+                         - np.unique(mesh.faces[mesh.boundary]).size + faces)
+        assert count == Spaces(mesh, degree).conforming_q_basis().shape[1]
 
     @pytest.mark.parametrize("command", ["solve", "study"])
     def test_unwritable_output_prefix_exits_two(self, tmp_path, capsys,

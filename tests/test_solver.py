@@ -291,9 +291,9 @@ class TestFactorization:
         # the probe still refuses the factor when a load comes along
         matrix, bounds = tiny_pivot_chain()
         rhs = np.arange(1.0, 5.0)
-        _, factor, x = factorize(matrix, bounds, rhs)
+        _, factor, x, product = factorize(matrix, bounds, rhs)
         assert (factor.pivoting, factor.ordering) == ("partial", "colamd")
-        assert backward_error(matrix, factor.norm, x, rhs) <= BACKWARD_TOL
+        assert backward_error(factor.norm, x, rhs, product) <= BACKWARD_TOL
 
     def test_singular_front_falls_back(self):
         # one unknown per front: the first pivot of [[0, 1], [1, 0]] is
@@ -305,9 +305,10 @@ class TestFactorization:
         with pytest.raises(np.linalg.LinAlgError, match="front 0 is singular"):
             MultifrontalLU(matrix, bounds)
         rhs = np.array([2.0, 3.0])
-        lu, factor, x = factorize(matrix, bounds, rhs)
+        lu, factor, x, product = factorize(matrix, bounds, rhs)
         assert (factor.pivoting, factor.ordering) == ("partial", "colamd")
         assert np.array_equal(x, [3.0, 2.0])
+        assert np.array_equal(product, rhs)
         assert np.array_equal(lu.solve(rhs), [3.0, 2.0])
 
     def test_singular_matrix_fails_both_factors(self):
@@ -322,11 +323,14 @@ class TestFactorization:
                                               layout):
         system = disc2.primal_system(1.0)
         rhs = refasm.block_load(disc2, sine_load)
-        lu, factor, x = factorize(system, disc2.dissection[1], rhs)
+        lu, factor, x, product = factorize(system, disc2.dissection[1], rhs)
         assert factor.pivoting == "symmetric"
         expect = refined_solve(system, lu, rhs)
         assert np.linalg.norm(x - expect) <= 1e-13 * np.linalg.norm(expect)
-        assert backward_error(system, factor.norm, x, rhs) <= BACKWARD_TOL
+        # the load's column of the product that judged the factor: the
+        # bits of the load's product alone
+        assert np.array_equal(product, system @ x)
+        assert backward_error(factor.norm, x, rhs, product) <= BACKWARD_TOL
 
     def test_solve_makes_four_passes(self, disc2, sine_load, monkeypatch):
         # the refined solves of probe and load and the condition
@@ -342,6 +346,25 @@ class TestFactorization:
         assert solve_mixed(disc2, 1.0, sine_load).factor.pivoting == "symmetric"
         assert len(widths) <= 4
         assert widths[:2] == [4, 3]
+
+    def test_solve_makes_two_products(self, disc2, sine_load, monkeypatch):
+        # one for the residuals of the first solves, one of the refined
+        # solutions, which judges the factor and gives the solution's
+        # residual, backward error and constraint gap (four when the gate
+        # and the solution formed their own)
+        operands = []
+        product = BlockMatrix.__matmul__
+
+        def counted(matrix, x):
+            operands.append((matrix, np.shape(x)))
+            return product(matrix, x)
+        monkeypatch.setattr(BlockMatrix, "__matmul__", counted)
+        system = disc2.primal_system(1.0)
+        assert solve_mixed(disc2, 1.0, sine_load).factor.pivoting == "symmetric"
+        n = system.shape[0]
+        assert [(m.shape, shape) for m, shape in operands] == [
+            ((n, n), (n, 2)), ((n, n), (n, 2))]
+        assert all(np.array_equal(m.data, system.data) for m, _ in operands)
 
     def test_permuted_factor_solves_in_original_numbering(self):
         # six blocks of two unknowns, all joined, eliminated in a random
@@ -427,7 +450,8 @@ class TestFactorization:
         once = lu.solve(rhs)
         assert (np.linalg.norm(system @ once - rhs)
                 > 1e-10 * np.linalg.norm(rhs))
-        assert backward_error(system, factor.norm, once, rhs) > BACKWARD_TOL
+        assert (backward_error(factor.norm, once, rhs, system @ once)
+                > BACKWARD_TOL)
         sol = solve_mixed(disc, ksq, load)
         assert sol.residual <= 1e-10
         assert sol.backward_error <= BACKWARD_TOL
@@ -516,7 +540,7 @@ class TestConditionEstimate:
         exact = np.linalg.norm(dense, 1) * np.linalg.norm(inverse, 1)
 
         def worst_backward_error(rhs, x):
-            return max(backward_error(system, factor.norm, xj, bj)
+            return max(backward_error(factor.norm, xj, bj, system @ xj)
                        for xj, bj in zip(x.T, rhs.T))
         eta = max(worst_backward_error(rhs, x) for rhs, x in solves)
         eta_dense = worst_backward_error(np.eye(n), inverse)

@@ -248,11 +248,11 @@ class TestMultifrontalFactor:
             # the pivot blocks and panels of the fronts
             assert factor.lu_nnz == lu.nnz == front_entries(lu)
             x = refined_solve(system, lu, rhs)
-            eta = backward_error(system, factor.norm, x, rhs)
+            eta = backward_error(factor.norm, x, rhs, system @ x)
             assert eta <= BACKWARD_TOL
             # to first order each solution lies within 2 cond eta of the
             # exact one in the 1-norm, eta its backward error
-            eta += backward_error(system, factor.norm, expect, rhs)
+            eta += backward_error(factor.norm, expect, rhs, system @ expect)
             gap = np.abs(x - expect).sum() / np.abs(expect).sum()
             assert gap <= 2.0 * factor.cond_estimate * eta
 
@@ -294,8 +294,9 @@ class TestLeafFronts:
         rhs = rng.standard_normal(system.shape[0])
         x = refined_solve(system, lu, rhs)
         expect = refined_solve(system, splu(system.tobsr().tocsc()), rhs)
-        eta = backward_error(system, factor.norm, x, rhs)
-        eta_expect = backward_error(system, factor.norm, expect, rhs)
+        eta = backward_error(factor.norm, x, rhs, system @ x)
+        eta_expect = backward_error(factor.norm, expect, rhs,
+                                    system @ expect)
         assert max(eta, eta_expect) <= BACKWARD_TOL
         gap = np.abs(x - expect).sum() / np.abs(expect).sum()
         assert gap <= 2.0 * factor.cond_estimate * (eta + eta_expect)
